@@ -22,7 +22,6 @@ from .modularity import (
     all_partition_assignments,
     degeneracy_thresholds,
     enumerate_degeneracy,
-    iter_set_partitions,
     modularity,
     move_delta,
     pair_perturbation_bound,
@@ -78,7 +77,6 @@ __all__ = [
     "modularity",
     "move_delta",
     "sensitivity",
-    "iter_set_partitions",
     "all_partition_assignments",
     "enumerate_degeneracy",
     "degeneracy_thresholds",

@@ -89,10 +89,9 @@ def _resolve_max_cluster_size(args, g: Graph) -> int:
 def _load_hierarchy(path, g: Graph) -> Hierarchy:
     import json
 
+    text = fileio.read_utf8(path, "hierarchy file")
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise InputError(f"cannot read hierarchy file {path}: {exc}") from exc
+        obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc.msg}") from None
     return fileio.hierarchy_from_json_obj(obj, g)

@@ -23,14 +23,28 @@ def json_dumps_stable(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def read_utf8(path: str | Path, what: str) -> str:
+    """Text of a UTF-8 file; unreadable files and bad bytes raise InputError.
+
+    Invalid UTF-8 is reported as ``path:line``, counting newlines before
+    the first bad byte.
+    """
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise InputError(f"cannot read {what} {path}: {exc}") from exc
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise InputError(f"{path}:{line}: invalid UTF-8 ({exc.reason})") from None
+
+
 def read_edges_tsv(path: str | Path) -> list[tuple[str, str]]:
     """Parse an edge list file; malformed lines fail with their line number."""
     records: list[tuple[str, str]] = []
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read edge file {path}: {exc}") from exc
+    text = read_utf8(path, "edge file")
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -51,10 +65,7 @@ def read_nodes_jsonl(path: str | Path, token_model: TokenModel | None = None) ->
     """Parse a node metadata file; ``text`` fields become estimated token counts."""
     tm = token_model or TokenModel()
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read node file {path}: {exc}") from exc
+    text = read_utf8(path, "node file")
     records: list[NodeMeta] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -68,7 +79,7 @@ def read_nodes_jsonl(path: str | Path, token_model: TokenModel | None = None) ->
         tokens = obj.get("tokens")
         if tokens is None:
             tokens = tm.estimate(obj.get("text", ""))
-        elif not isinstance(tokens, int) or tokens < 0:
+        elif not isinstance(tokens, int) or isinstance(tokens, bool) or tokens < 0:
             raise InputError(f"{path}:{lineno}: 'tokens' must be a nonnegative integer")
         records.append(
             NodeMeta(external_id=obj["id"], label=str(obj.get("label", "")), token_count=tokens)

@@ -8,7 +8,7 @@ exact rationals to far better than the 1e-12 tolerance used by the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -108,13 +108,25 @@ def modularity(g: Graph, p: Partition) -> ModularityBreakdown:
     return ModularityBreakdown(q=q, per_community=per)
 
 
-def move_delta(g: Graph, p: Partition, v: int, target: int) -> float:
-    """Q(partition with v moved to target) - Q(partition), in O(deg v).
+def _community_degrees(g: Graph, p: Partition) -> dict[int, int]:
+    """Degree sum K_c of every community of p, in O(n)."""
+    sums: dict[int, int] = {}
+    for v, cid in enumerate(p.assignment):
+        sums[cid] = sums.get(cid, 0) + g.degrees[v]
+    return sums
 
-    ``target`` may be an existing community id (distinct from v's) or
-    NEW_COMMUNITY for a fresh singleton. Only the source and target
-    community terms change, which gives the closed form below.
-    """
+
+def _move_targets(p: Partition, v: int) -> list[int]:
+    """Every community but v's own, in id order, then NEW_COMMUNITY if v has company."""
+    source = p.assignment[v]
+    targets = [cid for cid in p.community_ids() if cid != source]
+    if sum(1 for c in p.assignment if c == source) >= 2:
+        targets.append(NEW_COMMUNITY)
+    return targets
+
+
+def _move_delta(g: Graph, p: Partition, v: int, target: int, degree_sums: dict[int, int]) -> float:
+    """:func:`move_delta` given p's community degree sums, in O(deg v)."""
     if g.m == 0:
         raise InputError("modularity is undefined for a graph with no edges")
     source = p.assignment[v]
@@ -129,18 +141,42 @@ def move_delta(g: Graph, p: Partition, v: int, target: int) -> float:
         if cw == target:
             d_tgt += 1
     k_v = g.degrees[v]
-    k_src = 0
-    k_tgt = 0
-    for u in range(g.n):
-        cu = p.assignment[u]
-        if cu == source:
-            k_src += g.degrees[u]
-        elif cu == target:
-            k_tgt += g.degrees[u]
+    k_src = degree_sums[source]
+    k_tgt = degree_sums.get(target, 0)
     m = g.m
     edge_term = (d_tgt - d_src) / m
     penalty_term = (2.0 * k_v * (k_tgt - k_src) + 2.0 * k_v * k_v) / (4.0 * m * m)
     return edge_term - penalty_term
+
+
+def move_delta(g: Graph, p: Partition, v: int, target: int) -> float:
+    """Q(partition with v moved to target) - Q(partition), in O(n + deg v).
+
+    ``target`` may be an existing community id (distinct from v's) or
+    NEW_COMMUNITY for a fresh singleton. Only the source and target
+    community terms change, which gives the closed form below. The O(n)
+    part sums the community degrees; :func:`sensitivity` and
+    :func:`verify_sparse_bounds` sum them once per partition and then pay
+    O(deg v) per move.
+    """
+    return _move_delta(g, p, v, target, _community_degrees(g, p))
+
+
+def _sensitivity(
+    g: Graph, p: Partition, v: int, degree_sums: dict[int, int]
+) -> tuple[float, int | None]:
+    """:func:`sensitivity` given p's community degree sums."""
+    targets = _move_targets(p, v)
+    if not targets:
+        return 0.0, None
+    best = -1.0
+    best_target: int | None = None
+    for target in targets:
+        delta = abs(_move_delta(g, p, v, target, degree_sums))
+        if delta > best:
+            best = delta
+            best_target = target
+    return best, best_target
 
 
 def sensitivity(g: Graph, p: Partition, v: int) -> tuple[float, int | None]:
@@ -149,22 +185,10 @@ def sensitivity(g: Graph, p: Partition, v: int) -> tuple[float, int | None]:
     Targets are every existing community except v's own, plus a fresh
     singleton whenever v currently has company (NEW_COMMUNITY in the result
     marks that case). Ties go to the smallest community id, fresh target
-    last. Returns (0.0, None) when no move exists.
+    last. Returns (0.0, None) when no move exists. Costs O(n log n) for the
+    targets and degree sums plus O(deg v) per target.
     """
-    source = p.assignment[v]
-    targets: list[int] = [cid for cid in p.community_ids() if cid != source]
-    if sum(1 for c in p.assignment if c == source) >= 2:
-        targets.append(NEW_COMMUNITY)
-    if not targets:
-        return 0.0, None
-    best = -1.0
-    best_target: int | None = None
-    for target in targets:
-        delta = abs(move_delta(g, p, v, target))
-        if delta > best:
-            best = delta
-            best_target = target
-    return best, best_target
+    return _sensitivity(g, p, v, _community_degrees(g, p))
 
 
 # ---------------------------------------------------------------------------
@@ -172,37 +196,17 @@ def sensitivity(g: Graph, p: Partition, v: int) -> tuple[float, int | None]:
 # ---------------------------------------------------------------------------
 
 
-def iter_set_partitions(n: int) -> Iterator[list[int]]:
-    """Yield every set partition of range(n) as a restricted growth string.
-
-    Pure-Python reference generator used as the independent oracle in tests;
-    :func:`all_partition_assignments` is the fast path.
-    """
-    if n == 0:
-        return
-    rgs = [0] * n
-    maxes = [0] * n
-    while True:
-        yield list(rgs)
-        i = n - 1
-        while i > 0:
-            if rgs[i] <= maxes[i - 1]:
-                break
-            i -= 1
-        if i == 0:
-            return
-        rgs[i] += 1
-        maxes[i] = max(maxes[i - 1], rgs[i])
-        for j in range(i + 1, n):
-            rgs[j] = 0
-            maxes[j] = maxes[i]
-
-
 def all_partition_assignments(n: int) -> np.ndarray:
-    """All restricted growth strings of length n as an int8 array, one per row.
+    """All restricted growth strings of length n as a column-major int8 array.
 
-    Grows the array column by column: a prefix with maximum label b extends
-    with any label in 0..b+1. Row order matches :func:`iter_set_partitions`.
+    One row per set partition, in lexicographic order. A prefix with
+    largest label b extends with any label in 0..b+1, and
+    ``tails[b, r]`` counts its completions by r more labels. Column i is
+    therefore the last label of every distinct length-(i + 1) prefix, each
+    repeated over its completions, written to full height in one pass.
+    Costs n - 1 integer column passes over Bell(n) rows; the result takes
+    Bell(n)·n bytes (about 50 MB at n = 12), and the last pass briefly
+    holds two int64 vectors of Bell(n) entries.
     """
     if n < 1:
         raise ConfigError("need at least one node to enumerate partitions")
@@ -210,32 +214,53 @@ def all_partition_assignments(n: int) -> np.ndarray:
         raise InputError(
             f"exhaustive enumeration supports n <= {MAX_ENUMERATION_NODES}, got {n}"
         )
-    rows = np.zeros((1, 1), dtype=np.int8)
-    maxes = np.zeros(1, dtype=np.int8)
-    for _ in range(1, n):
+    tails = np.ones((n + 1, n), dtype=np.int64)
+    for r in range(1, n):
+        tails[:n, r] = np.arange(1, n + 1) * tails[:n, r - 1] + tails[1:, r - 1]
+    rows = np.zeros((int(tails[0, n - 1]), n), dtype=np.int8, order="F")
+    maxes = np.zeros(1, dtype=np.int8)  # largest label of each distinct prefix
+    for i in range(1, n):
         counts = maxes.astype(np.int64) + 2
-        total = int(counts.sum())
-        rows = np.repeat(rows, counts, axis=0)
         starts = np.repeat(np.cumsum(counts) - counts, counts)
-        new_col = (np.arange(total) - starts).astype(np.int8)
-        rows = np.hstack([rows, new_col[:, None]])
-        maxes = np.maximum(np.repeat(maxes, counts), new_col)
+        labels = (np.arange(len(starts)) - starts).astype(np.int8)
+        maxes = np.maximum(np.repeat(maxes, counts), labels)
+        rows[:, i] = np.repeat(labels, tails[maxes, n - 1 - i])
     return rows
 
 
 def _modularity_vector(g: Graph, assignments: np.ndarray) -> np.ndarray:
-    """Q for every assignment row, vectorized over partitions."""
+    """Q = intra/m - sum_c (K_c/2m)^2 for every assignment row.
+
+    ``assignments`` holds restricted growth strings, so column v carries
+    labels <= v and community c's degree sum K_c collects only columns
+    v >= c. K_c is summed exactly in int16, and its square is looked up in
+    a table of (k/2m)^2 for k = 0..2m; the squares are added in label
+    order, so every Q has the bits of the per-label float formula. Costs
+    one integer pass over the rows per edge and per (label c, column
+    v >= c) pair with nonzero degree: at most m + n(n+1)/2 passes, each
+    contiguous when ``assignments`` is column-major. Besides the input it
+    holds two int16, one bool and three float64 vectors of len(assignments)
+    entries (about 8, 4 and 34 MB each at n = 12).
+    """
     m = g.m
-    deg = np.asarray(g.degrees, dtype=np.float64)
-    intra = np.zeros(len(assignments), dtype=np.int32)
+    rows = len(assignments)
+    intra = np.zeros(rows, dtype=np.int16)
     for u, w in g.edges():
         intra += assignments[:, u] == assignments[:, w]
-    penalty = np.zeros(len(assignments), dtype=np.float64)
-    two_m = 2.0 * m
-    for cid in range(g.n):
-        k_c = (assignments == cid) @ deg
-        penalty += (k_c / two_m) ** 2
-    return intra / m - penalty
+    square = (np.arange(2 * m + 1) / (2.0 * m)) ** 2
+    penalty = np.zeros(rows)
+    k_c = np.empty(rows, dtype=np.int16)
+    in_c = np.empty(rows, dtype=bool)
+    for c in range(g.n):
+        k_c.fill(0)
+        for v in range(c, g.n):
+            if g.degrees[v]:
+                np.equal(assignments[:, v], c, out=in_c)
+                np.add(k_c, g.degrees[v], out=k_c, where=in_c)
+        penalty += square[k_c]
+    q = intra / m
+    q -= penalty
+    return q
 
 
 @dataclass(frozen=True)
@@ -281,14 +306,9 @@ def degeneracy_thresholds(g: Graph, d: int) -> tuple[float, float]:
     return statement, proof
 
 
-def enumerate_degeneracy(g: Graph, epsilon: float, d: int) -> DegeneracyReport:
-    """Count partitions within epsilon of optimal modularity, exhaustively.
-
-    Enumerates every set partition of the node set (labels irrelevant),
-    records the optimum Q*, and counts partitions with Q* - Q < epsilon.
-    Only graphs with n <= 12 are accepted.
-    """
-    if epsilon <= 0:
+def _degeneracy_reports(g: Graph, epsilons: Sequence[float], d: int) -> list[DegeneracyReport]:
+    """One :class:`DegeneracyReport` per epsilon, all from a single enumeration."""
+    if any(epsilon <= 0 for epsilon in epsilons):
         raise ConfigError("epsilon must be positive")
     if d < 0:
         raise ConfigError("degree cutoff d must be >= 0")
@@ -299,22 +319,36 @@ def enumerate_degeneracy(g: Graph, epsilon: float, d: int) -> DegeneracyReport:
             f"instance too large: exhaustive enumeration needs n <= {MAX_ENUMERATION_NODES}"
             f" (got n={g.n}); sampling-based estimation is out of scope"
         )
-    assignments = all_partition_assignments(g.n)
-    q_values = _modularity_vector(g, assignments)
+    q_values = _modularity_vector(g, all_partition_assignments(g.n))
     q_star = float(q_values.max())
-    count = int((q_values > q_star - epsilon).sum())
     n_le_d = sum(1 for k in g.degrees if k <= d)
     statement, proof = degeneracy_thresholds(g, d)
-    return DegeneracyReport(
-        d=d,
-        n_le_d=n_le_d,
-        epsilon=float(epsilon),
-        q_star=q_star,
-        degenerate_count=count,
-        lower_bound=2 ** (n_le_d // (d + 1)),
-        statement_threshold=statement,
-        proof_threshold=proof,
-    )
+    return [
+        DegeneracyReport(
+            d=d,
+            n_le_d=n_le_d,
+            epsilon=float(epsilon),
+            q_star=q_star,
+            degenerate_count=int((q_values > q_star - epsilon).sum()),
+            lower_bound=2 ** (n_le_d // (d + 1)),
+            statement_threshold=statement,
+            proof_threshold=proof,
+        )
+        for epsilon in epsilons
+    ]
+
+
+def enumerate_degeneracy(g: Graph, epsilon: float, d: int) -> DegeneracyReport:
+    """Count partitions within epsilon of optimal modularity, exhaustively.
+
+    Enumerates every set partition of the node set (labels irrelevant),
+    records the optimum Q*, and counts partitions with Q* - Q < epsilon.
+    Only graphs with n <= 12 are accepted. Costs the integer column passes
+    of :func:`all_partition_assignments` and :func:`_modularity_vector`
+    over Bell(n) rows; at n = 12 that is 4.2M rows, about 50 MB of int8
+    partitions plus a few float64 vectors of 34 MB each.
+    """
+    return _degeneracy_reports(g, [epsilon], d)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +458,11 @@ def verify_sparse_bounds(
       n <= 12 and propagates the enumeration error on larger graphs. With
       d = 0 both tolerances collapse to zero and the bound 2^0 = 1 holds for
       any positive epsilon, so the enumeration is skipped as vacuous.
+
+    The same enumeration also counts partitions at the statement-level
+    tolerance (``statement_count``), so the graph is enumerated once. The
+    move checks sum community degrees once per partition and pay
+    O(deg v) per single move and O(n + targets · deg i) per moved partition.
     """
     if g.m == 0:
         raise InputError("bounds are undefined for a graph with no edges")
@@ -434,13 +473,11 @@ def verify_sparse_bounds(
     move_violations = 0
     move_max_ratio = 0.0
     for p in partitions:
+        degree_sums = _community_degrees(g, p)
         for v in low:
             bound = single_move_bound(g.degrees[v], g.m)
-            targets = [cid for cid in p.community_ids() if cid != p.assignment[v]]
-            if sum(1 for c in p.assignment if c == p.assignment[v]) >= 2:
-                targets.append(NEW_COMMUNITY)
-            for target in targets:
-                observed = abs(move_delta(g, p, v, target))
+            for target in _move_targets(p, v):
+                observed = abs(_move_delta(g, p, v, target, degree_sums))
                 move_checks += 1
                 if bound > 0:
                     move_max_ratio = max(move_max_ratio, observed / bound)
@@ -459,13 +496,12 @@ def verify_sparse_bounds(
     pair_max_excess = float("-inf")
     bound = pair_perturbation_bound(d, g.m)
     for p in partitions:
+        degree_sums = _community_degrees(g, p)
         for i, j in pairs:
-            base, _ = sensitivity(g, p, i)
-            targets = [cid for cid in p.community_ids() if cid != p.assignment[j]]
-            if sum(1 for c in p.assignment if c == p.assignment[j]) >= 2:
-                targets.append(NEW_COMMUNITY)
-            for target in targets:
-                moved, _ = sensitivity(g, p.move(j, target), i)
+            base, _ = _sensitivity(g, p, i, degree_sums)
+            for target in _move_targets(p, j):
+                moved_p = p.move(j, target)
+                moved, _ = _sensitivity(g, moved_p, i, _community_degrees(g, moved_p))
                 pair_checks += 1
                 excess = abs(base - moved) - bound
                 pair_max_excess = max(pair_max_excess, excess)
@@ -476,8 +512,8 @@ def verify_sparse_bounds(
 
     statement, proof_eps = degeneracy_thresholds(g, d)
     if proof_eps > 0:
-        report = enumerate_degeneracy(g, proof_eps, d)
-        statement_count = enumerate_degeneracy(g, statement, d).degenerate_count
+        report, at_statement = _degeneracy_reports(g, [proof_eps, statement], d)
+        statement_count = at_statement.degenerate_count
         holds: bool | None = report.degenerate_count >= report.lower_bound
     else:
         # d = 0 makes both tolerances zero; the bound 2^0 = 1 is vacuous.

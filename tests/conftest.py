@@ -46,6 +46,32 @@ def random_graph(rng: np.random.Generator, n: int, extra_edges: int) -> Graph:
     return make_graph([(names[a], names[b]) for a, b in sorted(edges)], names)
 
 
+def iter_set_partitions(n: int):
+    """Yield every set partition of range(n) as a restricted growth string.
+
+    Pure-Python reference generator, the independent oracle for
+    ``all_partition_assignments``; rows come in lexicographic order.
+    """
+    if n == 0:
+        return
+    rgs = [0] * n
+    maxes = [0] * n
+    while True:
+        yield list(rgs)
+        i = n - 1
+        while i > 0:
+            if rgs[i] <= maxes[i - 1]:
+                break
+            i -= 1
+        if i == 0:
+            return
+        rgs[i] += 1
+        maxes[i] = max(maxes[i - 1], rgs[i])
+        for j in range(i + 1, n):
+            rgs[j] = 0
+            maxes[j] = maxes[i]
+
+
 def core_numbers_oracle(g: Graph) -> list[int]:
     """Brute force: for each k, peel degree < k to fixpoint; survivors have core >= k."""
     core = [0] * g.n

@@ -34,6 +34,15 @@ class TestDecompose:
         assert payload["cores"]["a"] == 1 and payload["cores"]["m"] == 3
 
 
+    def test_invalid_utf8_edge_file_exits_3(self, tmp_path, capsys):
+        edges = tmp_path / "edges.tsv"
+        edges.write_bytes(b"a\tb\nb\t\xff\xfe\n")
+        assert run("decompose", "--edges", str(edges)) == 3
+        err = capsys.readouterr().err
+        assert f"{edges}:2: invalid UTF-8" in err
+        assert "Traceback" not in err
+
+
 class TestHierarchy:
     def test_explicit_cap(self, example_inputs, tmp_path):
         edges, nodes = example_inputs
@@ -92,6 +101,16 @@ class TestMergeSampleStats:
         assert lines[0].startswith("#src")
         total = sum(int(line.split("\t")[3]) for line in lines[1:])
         assert total <= 200
+
+    def test_invalid_utf8_hierarchy_exits_3(self, example_inputs, tmp_path, capsys):
+        edges, nodes = example_inputs
+        h_path = self.make_hierarchy(example_inputs, tmp_path)
+        text = h_path.read_bytes()
+        h_path.write_bytes(text.replace(b'"a"', b'"\xff"', 1))
+        line = text[: text.index(b'"a"')].count(b"\n") + 1
+        code = run("stats", "--edges", edges, "--nodes", nodes, "--hierarchy", str(h_path))
+        assert code == 3
+        assert f"{h_path}:{line}: invalid UTF-8" in capsys.readouterr().err
 
     def test_stats_levels(self, example_inputs, tmp_path, capsys):
         edges, nodes = example_inputs

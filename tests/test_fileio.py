@@ -44,6 +44,12 @@ class TestEdgeFile:
         with pytest.raises(InputError):
             read_edges_tsv(tmp_path / "absent.tsv")
 
+    def test_invalid_utf8_reports_line_number(self, tmp_path):
+        p = tmp_path / "edges.tsv"
+        p.write_bytes(b"a\tb\n# note\nc\t\xff\xfe\n")
+        with pytest.raises(InputError, match=rf"{p.name}:3: invalid UTF-8"):
+            read_edges_tsv(p)
+
     def test_roundtrip(self, tmp_path):
         p = tmp_path / "edges.tsv"
         records = [("a", "b"), ("b", "c")]
@@ -80,6 +86,18 @@ class TestNodeFile:
         p = tmp_path / "nodes.jsonl"
         p.write_text('{"id": "a", "tokens": -3}\n', encoding="utf-8")
         with pytest.raises(InputError):
+            read_nodes_jsonl(p)
+
+    def test_boolean_tokens_rejected(self, tmp_path):
+        p = tmp_path / "nodes.jsonl"
+        p.write_text('{"id": "a", "tokens": 2}\n{"id": "b", "tokens": true}\n', encoding="utf-8")
+        with pytest.raises(InputError, match=rf"{p.name}:2: 'tokens'"):
+            read_nodes_jsonl(p)
+
+    def test_invalid_utf8_reports_line_number(self, tmp_path):
+        p = tmp_path / "nodes.jsonl"
+        p.write_bytes(b'{"id": "a"}\n{"id": "\xff\xfe"}\n')
+        with pytest.raises(InputError, match=rf"{p.name}:2: invalid UTF-8"):
             read_nodes_jsonl(p)
 
     def test_roundtrip(self, tmp_path):

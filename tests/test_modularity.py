@@ -15,7 +15,6 @@ from corehier.modularity import (
     all_partition_assignments,
     degeneracy_thresholds,
     enumerate_degeneracy,
-    iter_set_partitions,
     modularity,
     move_delta,
     pair_perturbation_bound,
@@ -24,11 +23,25 @@ from corehier.modularity import (
     verify_sparse_bounds,
 )
 
-from conftest import make_graph, random_graph
+from conftest import iter_set_partitions, make_graph, random_graph
 
 TOL = 1e-12
 
 BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140, 9: 21147, 10: 115975}
+
+
+def float_modularity_vector(g, assignments):
+    """Q over assignment rows by the original per-label float formula, the oracle."""
+    deg = np.asarray(g.degrees, dtype=np.float64)
+    intra = np.zeros(len(assignments), dtype=np.int32)
+    for u, w in g.edges():
+        intra += assignments[:, u] == assignments[:, w]
+    penalty = np.zeros(len(assignments), dtype=np.float64)
+    two_m = 2.0 * g.m
+    for cid in range(g.n):
+        k_c = (assignments == cid) @ deg
+        penalty += (k_c / two_m) ** 2
+    return intra / g.m - penalty
 
 
 def two_triangles():
@@ -93,6 +106,29 @@ class TestSensitivity:
             full = modularity(g, p.move(v, t)).q - modularity(g, p).q
             assert abs(inc - full) <= TOL
 
+    def test_matches_max_over_single_moves(self):
+        rng = np.random.default_rng(8)
+        for _ in range(100):
+            g = random_graph(rng, int(rng.integers(3, 12)), int(rng.integers(0, 10)))
+            if g.m == 0:
+                continue
+            parts = int(rng.integers(1, 5))
+            p = Partition(tuple(int(x) for x in rng.integers(0, parts, size=g.n)))
+            v = int(rng.integers(0, g.n))
+            targets = [c for c in p.community_ids() if c != p.assignment[v]]
+            if p.assignment.count(p.assignment[v]) >= 2:
+                targets.append(NEW_COMMUNITY)
+            deltas = [abs(move_delta(g, p, v, t)) for t in targets]
+            q = modularity(g, p).q
+            full = [abs(modularity(g, p.move(v, t)).q - q) for t in targets]
+            best, target = sensitivity(g, p, v)
+            if not targets:
+                assert (best, target) == (0.0, None)
+            else:
+                assert best == max(deltas)
+                assert target == targets[deltas.index(best)]
+                assert abs(best - max(full)) <= TOL
+
 
 class TestEnumeration:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
@@ -102,7 +138,7 @@ class TestEnumeration:
         assert len({tuple(r) for r in rows.tolist()}) == BELL[n]
 
     def test_fast_rows_match_reference_generator(self):
-        for n in range(1, 8):
+        for n in range(1, 10):
             fast = [tuple(r) for r in all_partition_assignments(n).tolist()]
             slow = [tuple(r) for r in iter_set_partitions(n)]
             assert fast == slow
@@ -115,6 +151,27 @@ class TestEnumeration:
         for idx in rng.integers(0, len(rows), size=20):
             p = Partition(tuple(int(x) for x in rows[int(idx)]))
             assert abs(qs[int(idx)] - modularity(g, p).q) <= TOL
+
+    def test_vector_q_is_bit_identical_to_float_formula(self):
+        rng = np.random.default_rng(2024)
+        graphs = [
+            make_graph([("a", "b"), ("b", "c")], names=["a", "b", "c", "z"]),  # z isolated
+            make_graph([("hub", f"leaf{i}") for i in range(8)]),  # a star
+        ]
+        for n in range(2, 10):  # one node has no edge, so Q needs n >= 2
+            for _ in range(3):
+                g = random_graph(rng, n, int(rng.integers(0, n)))
+                if g.m:
+                    graphs.append(g)
+        assert {g.n for g in graphs} == set(range(2, 10))
+        assert any(0 in g.degrees for g in graphs)
+        for g in graphs:
+            rows = all_partition_assignments(g.n)
+            new = _modularity_vector(g, rows)
+            oracle = float_modularity_vector(g, rows)
+            assert np.array_equal(new.view(np.int64), oracle.view(np.int64))
+            # the all-in-one row has K_0 = 2m, the last entry of the square table
+            assert new[0] == 0.0
 
     def test_k3_optimum_is_all_in_one(self):
         g = make_graph([("a", "b"), ("a", "c"), ("b", "c")])
@@ -267,6 +324,21 @@ class TestVerifySparseBounds:
         assert report.degeneracy_bound_holds
         assert report.degeneracy.degenerate_count >= 16
         assert report.statement_count is not None
+
+    def test_one_enumeration_matches_two_separate_ones(self):
+        rng = np.random.default_rng(31)
+        graphs = [make_graph([(f"v{i}", f"v{i+1}") for i in range(7)])]
+        graphs += [random_graph(rng, 9, 3) for _ in range(3)]
+        for g in graphs:
+            if g.m == 0:
+                continue
+            for d in (1, 2):
+                statement, proof = degeneracy_thresholds(g, d)
+                report = verify_sparse_bounds(g, d, random_partitions=2)
+                assert report.degeneracy == enumerate_degeneracy(g, proof, d)
+                assert report.statement_count == (
+                    enumerate_degeneracy(g, statement, d).degenerate_count
+                )
 
     def test_zero_cutoff_is_vacuous(self):
         g = make_graph([("a", "b"), ("b", "c")])
