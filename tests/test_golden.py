@@ -1,0 +1,157 @@
+"""Golden byte gate: pinned sha256 of the pipeline artifacts and of CLI stdout.
+
+Every artifact is byte-deterministic, so a refactor that must keep behaviour
+must keep these hashes. Only an announced format change may update them,
+and CHANGES.md records it.
+"""
+
+import hashlib
+
+import pytest
+
+from corehier.cli import main
+from corehier.fileio import write_edges_tsv, write_nodes_jsonl
+from corehier.fixtures import generate_kg_sparse, three_level_example
+from corehier.graph import NodeMeta
+
+ARTIFACTS = (
+    "decomposition.json",
+    "hierarchy.json",
+    "hierarchy_merged.json",
+    "merge_report.json",
+    "stats.json",
+    "sample.tsv",
+)
+
+# (fixture, merge mode) -> sha256 of each artifact, in ARTIFACTS order.
+PIPELINE_SHA256 = {
+    ('example', 'm2hc'): (
+        '9387d60187f32e5d2d8fa5f04c5930f15fc5c1374ea06a309103cf806d46edd3',
+        '72e3a8766cdfbda4bff17120e9575d05a50f887f821953f8a1f609f8bd7a3429',
+        '5abf9c6b5e25995b83ecfb9ba838182140b200f00654a436b659306008591fa3',
+        'a67212fa0801b423578bb6366c231a0cdb24407c9394e1c04ac2113ee9747545',
+        '75fa1faf0e9be51aeec4dc3217c603dba16b462ddce7cf0352fce8c0a96a23fe',
+        '3a89a6aee7c6236ef2c8a36d1c1cc7368d56d6094db7567bba4fe8d1ffc3ea05',
+    ),
+    ('example', 'mrc'): (
+        '9387d60187f32e5d2d8fa5f04c5930f15fc5c1374ea06a309103cf806d46edd3',
+        '72e3a8766cdfbda4bff17120e9575d05a50f887f821953f8a1f609f8bd7a3429',
+        '8fdfa5959d72d4c4b20fbf521af435528f9669e50827c439dd2447603c79c8ab',
+        '34a79860960af3186c3b55ec4d7ee465aa4d35a3a0dfa8dfa2f66f07b3985e11',
+        '1e195474b1fd09d4bbe3c30901b8adcf1b68a2285b67919ef94971973025c2e1',
+        '49211a688432c210f676961f9941ef45e67078834fcf470f2fe76183b51307b6',
+    ),
+    ('kg2000-s0', 'm2hc'): (
+        'e36610a9d82e3c716cebd4d24fa90f22a58e03d5fb047842c233f3ff9ce0e300',
+        '98808b5d859c04ab091f7d792b8f5ba2b0fe5202986f00b701d614e652e43a3c',
+        'e7c5e7124475aabb4eec8909268db3f1101748255495f7c240aded023b5aca6b',
+        '29b3dc4445bc553b7000e42548c58fe31a4e23da45e0e5be1ec4e9b55dcabf5d',
+        'b7d63746c37d409fc520a4d9a21417887d771d3d01048bc35257fea47d7c1a34',
+        '77c57ec7d0369f8b12e7e2fac9afb35370c2009d2ed7417c323b42922b9678a5',
+    ),
+    ('kg2000-s0', 'mrc'): (
+        'e36610a9d82e3c716cebd4d24fa90f22a58e03d5fb047842c233f3ff9ce0e300',
+        '98808b5d859c04ab091f7d792b8f5ba2b0fe5202986f00b701d614e652e43a3c',
+        '3caa9d3a124cabcd3c6657b85d7f8dca44e07014bd05e59538ae640f75247fa7',
+        '0f9af97a2201b22b4a010397e0d2b545926587ddd539fac149399a9a0cf9a03e',
+        '461dae0322289dc31c70d801bc76f490e6dcfc1293c9ef3796d06fde92812056',
+        '900f53b1d9ffb2d4a1049591bce597cb51b59d57286a297d6f5c2ea3c9a64d5e',
+    ),
+    ('kg2000-s1', 'm2hc'): (
+        'b823a30ea6323077991091366299fb40c68751c44883cf51e5146468911e9a2a',
+        'eea32ec78c9ed9bba13507184df7b37009fcd664b3505bba24844ffea73d2626',
+        'efab451fbd575637cf564235b75f7e60e7028640502a8c3fed0075a9c64e03c1',
+        'ce43e23e46d42826b4d782924b2f5e789d4897b94591fe87476ea28edd9837fb',
+        '3d8807f915ace5005801de7075573e85512abfcae1c1e132f88dedbb7f61a4b9',
+        'ff8f4d6d6034aeff9bcb22e6514ed0fe372b4478e1761c633e49daa83eac2c41',
+    ),
+    ('kg2000-s1', 'mrc'): (
+        'b823a30ea6323077991091366299fb40c68751c44883cf51e5146468911e9a2a',
+        'eea32ec78c9ed9bba13507184df7b37009fcd664b3505bba24844ffea73d2626',
+        '0b4eb88253217f65a7e9c0916e9d2f2f17fc947014c5beb1a118df081214ad09',
+        '080cf08f4beb7dd01bca35322f4e990d1b031b2f0672f29447536d3680965cfe',
+        '7710a6e32f6deb70930db122ed71de1170aaa5386bc440199593398f6996029b',
+        '39ad5584c86db29aa56014533e61c7e9ba3b492763b279f217af41637ec386ef',
+    ),
+    ('kg2000-s2', 'm2hc'): (
+        '17463995e41c6d0d67b08d52f38a0276c3d2cc0349fa41b39d2548f4ddc1db5e',
+        '1c8ac5744d36263e23898573c52bcd5fa319d92ff0f56db4542519838153ba0d',
+        'c97b965f780565c5cd6714f6ae4bb4bf3d8e74479f0447e5c7b621be6625f6c5',
+        '562f7b5cca6f53a1a52206a6b146fc285e907636c8744dd38e422e74c51d81c0',
+        '4163ec97ed158b4d6f675e07daa9747c2945f552f3d2687295fefdf7f4fff0ae',
+        '727036ec2c4a48ae73e1907bdb81f3fb4b3258f53afeb0e50759c5ee2c90769a',
+    ),
+    ('kg2000-s2', 'mrc'): (
+        '17463995e41c6d0d67b08d52f38a0276c3d2cc0349fa41b39d2548f4ddc1db5e',
+        '1c8ac5744d36263e23898573c52bcd5fa319d92ff0f56db4542519838153ba0d',
+        '751b2600c7329d777997cc2fb711604d1065c8cb7b681894d2ea0bd6e91bf35a',
+        'b4e5428b5740ec645e05502a5af00cc6656e2806188be64e89ad145468798bcc',
+        '0aca6553b5c2e9af3874dff41e01268f13e7909652111b39e5e339a59b16d656',
+        'f374d05d1698d3e265ff09a45d05a900045fc1dba1eb92a642876954c82f6236',
+    ),
+}
+
+# subcommand -> sha256 of its stdout on the disconnected input below.
+STDOUT_SHA256 = {
+    'decompose': '1408b1ac97718c1e4d342e5391ee33e79848962d6246f43313a922ce1468054e',
+    'hierarchy': '1d850df435ef224a2c87313eaba3b745e1ff4794b72c619b2a7f2c23cfc47acc',
+}
+
+
+def fixture_records(name):
+    if name == "example":
+        return three_level_example()
+    seed = int(name.removeprefix("kg2000-s"))
+    return generate_kg_sparse(2000, seed=seed)
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("fixture,mode", sorted(PIPELINE_SHA256))
+def test_pipeline_artifacts_match_golden_hashes(fixture, mode, tmp_path):
+    edges, nodes = fixture_records(fixture)
+    write_edges_tsv(tmp_path / "edges.tsv", edges)
+    write_nodes_jsonl(tmp_path / "nodes.jsonl", nodes)
+    out = tmp_path / "out"
+    argv = ["pipeline", "--edges", str(tmp_path / "edges.tsv"),
+            "--nodes", str(tmp_path / "nodes.jsonl"), "--out", str(out), "--merge-mode", mode]
+    assert main(argv) == 0
+    got = tuple(sha256((out / name).read_bytes()) for name in ARTIFACTS)
+    assert dict(zip(ARTIFACTS, got)) == dict(zip(ARTIFACTS, PIPELINE_SHA256[fixture, mode]))
+
+
+def disconnected_records():
+    """Three components plus isolated nodes, with self-loops, duplicate and reversed edges.
+
+    The largest component is a kg_sparse graph written with every third
+    edge reversed, every fifth repeated and a self-loop on every seventh
+    node; it does not contain the smallest external id, so extraction has
+    to renumber. A second copy of the 16-node example and a triangle with a
+    self-loop make the smaller components.
+    """
+    kg_edges, kg_nodes = generate_kg_sparse(300, seed=11)
+    edges = []
+    for i, (a, b) in enumerate(kg_edges):
+        edges.append((b, a) if i % 3 == 0 else (a, b))
+        if i % 5 == 0:
+            edges.append((a, b))
+    edges += [(rec.external_id, rec.external_id) for rec in kg_nodes[::7]]
+    ex_edges, ex_nodes = three_level_example()
+    edges += [("a" + w, "a" + u) for u, w in ex_edges]
+    edges += [("00x", "00y"), ("00y", "00z"), ("00z", "00x"), ("00x", "00x"), ("00y", "00x")]
+    nodes = list(kg_nodes)
+    nodes += [NodeMeta("a" + rec.external_id, rec.label, rec.token_count) for rec in ex_nodes]
+    nodes += [NodeMeta("000-isolated", "alone", 5), NodeMeta("zzz-isolated", "", 0)]
+    return edges, nodes
+
+
+@pytest.mark.parametrize("command", sorted(STDOUT_SHA256))
+def test_disconnected_input_stdout_matches_golden_hash(command, tmp_path, capsys):
+    edges, nodes = disconnected_records()
+    write_edges_tsv(tmp_path / "edges.tsv", edges)
+    write_nodes_jsonl(tmp_path / "nodes.jsonl", nodes)
+    argv = [command, "--edges", str(tmp_path / "edges.tsv"), "--nodes", str(tmp_path / "nodes.jsonl")]
+    assert main(argv) == 0
+    assert sha256(capsys.readouterr().out.encode("utf-8")) == STDOUT_SHA256[command]
