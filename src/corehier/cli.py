@@ -94,7 +94,10 @@ def _load_hierarchy(path, g: Graph) -> Hierarchy:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON: {exc.msg}") from None
-    return fileio.hierarchy_from_json_obj(obj, g)
+    try:
+        return fileio.hierarchy_from_json_obj(obj, g)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def cmd_decompose(args) -> int:
@@ -215,6 +218,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Path]:
 
     g_raw = stage("ingest")(lambda: _load(cfg.edges_path, cfg.nodes_path, cfg.chars_per_token))
     g = stage("lcc")(lambda: largest_connected_component(g_raw))
+    del g_raw  # an extracted component has arrays of its own; free the input graph's
 
     dec = stage("decompose")(lambda: core_numbers(g))
     artifacts["decomposition"] = cfg.out_dir / "decomposition.json"
@@ -229,7 +233,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Path]:
         max_size = cfg.max_cluster_size
     else:
         max_size = stage("derive-size")(lambda: derive_max_cluster_size(cfg.token_limit, g))
-    h = stage("hierarchy")(lambda: build_hierarchy(g, max_size))
+    h = stage("hierarchy")(lambda: build_hierarchy(g, max_size, dec.core))
     artifacts["hierarchy"] = cfg.out_dir / "hierarchy.json"
     artifacts["hierarchy"].write_text(
         fileio.json_dumps_stable(fileio.hierarchy_to_json_obj(h, g)), encoding="utf-8"

@@ -7,14 +7,15 @@ before community detection.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import InputError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeMeta:
     """Per-node metadata: stable external id, display label, token count."""
 
@@ -30,35 +31,62 @@ class NodeMeta:
 class Graph:
     """Immutable simple undirected graph over dense integer node ids.
 
-    Internal ids are assigned in lexicographic order of external ids, so
-    identical inputs always produce identical numbering; every deterministic
-    tie-break downstream relies on that ordering. Adjacency lists are sorted
-    and never contain the node itself: nodes carrying a self-loop are listed
-    in ``self_loops`` until :func:`largest_connected_component` strips them.
+    The graph is stored once, in CSR form: ``indices[indptr[v]:indptr[v+1]]``
+    are v's neighbours in ascending order (``indptr`` int64 of length n + 1,
+    ``indices`` int32 holding every non-loop edge twice). Internal ids are
+    assigned in lexicographic order of external ids, so identical inputs
+    always produce identical numbering; every deterministic tie-break
+    downstream relies on that ordering. Neighbour lists never contain the
+    node itself: nodes carrying a self-loop are listed in ``self_loops``
+    until :func:`largest_connected_component` strips them.
+
+    ``degrees`` is a list built on construction (O(n)). ``adj``, the same
+    neighbour lists as Python lists for the per-node loops downstream, is
+    derived from the arrays on first access in O(n + m); its entries share
+    one int object per node id. The external-id index behind :meth:`id_of`
+    comes from :func:`load_graph`, or is built on first use in O(n).
 
     Treat instances as frozen once constructed; nothing in the package
-    mutates them, which makes concurrent reads safe.
+    mutates them, which makes concurrent reads safe (two threads racing on
+    a lazy attribute both build the same value).
     """
 
-    __slots__ = ("n", "m", "adj", "degrees", "meta", "self_loops", "_ext_index")
+    __slots__ = ("n", "m", "indptr", "indices", "adj", "degrees", "meta", "self_loops", "_ext_index")
 
     def __init__(
         self,
-        adj: list[list[int]],
+        indptr,
+        indices,
         meta: list[NodeMeta],
         self_loops: frozenset[int] = frozenset(),
     ):
-        if len(adj) != len(meta):
+        self.indptr = np.asarray(indptr, dtype=np.int64)
+        self.indices = np.asarray(indices, dtype=np.int32)
+        if len(self.indptr) != len(meta) + 1:
             raise InputError("adjacency and metadata lengths differ")
-        self.n = len(adj)
-        self.adj = adj
+        self.n = len(meta)
         self.meta = meta
         self.self_loops = self_loops
         # A self-loop counts as one edge and contributes 2 to its node's
         # degree, which keeps the handshake identity sum(k_i) == 2m intact.
-        self.m = sum(len(a) for a in adj) // 2 + len(self_loops)
-        self.degrees = [len(adj[v]) + (2 if v in self_loops else 0) for v in range(self.n)]
-        self._ext_index = {mt.external_id: i for i, mt in enumerate(meta)}
+        self.m = len(self.indices) // 2 + len(self_loops)
+        degrees = np.diff(self.indptr)
+        if self_loops:
+            degrees[sorted(self_loops)] += 2
+        self.degrees = degrees.tolist()
+
+    def __getattr__(self, name: str):
+        # Only reached while a lazy slot is still unset.
+        if name == "adj":
+            ids = list(range(self.n))
+            flat = list(map(ids.__getitem__, self.indices.tolist()))
+            bounds = self.indptr.tolist()
+            self.adj = list(map(flat.__getitem__, map(slice, bounds[:-1], bounds[1:])))
+            return self.adj
+        if name == "_ext_index":
+            self._ext_index = {mt.external_id: i for i, mt in enumerate(self.meta)}
+            return self._ext_index
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     @property
     def avg_degree(self) -> float:
@@ -73,12 +101,16 @@ class Graph:
     def token_count(self, v: int) -> int:
         return self.meta[v].token_count
 
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every non-loop edge once as int64 arrays (u, w) with u < w, sorted by (u, w). O(n + m)."""
+        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        upper = rows < self.indices
+        return rows[upper], self.indices[upper].astype(np.int64)
+
     def edges(self) -> Iterator[tuple[int, int]]:
-        """Yield every non-loop edge once as (u, v) with u < v, in sorted order."""
-        for u in range(self.n):
-            for w in self.adj[u]:
-                if u < w:
-                    yield (u, w)
+        """Iterator over every non-loop edge once as (u, v) with u < v, in sorted order."""
+        u, w = self.edge_arrays()
+        return zip(u.tolist(), w.tolist())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(n={self.n}, m={self.m})"
@@ -94,6 +126,11 @@ def load_graph(
     empty label and zero tokens. Parallel edges collapse to one; self-loops
     are kept (they disappear with :func:`largest_connected_component`).
     Internal ids follow lexicographic external-id order.
+
+    Cost: O(n log n) string comparisons to order the ids, one dict lookup
+    per endpoint, and an O(m log m) sort of the encoded keys u * n + w of
+    both edge directions; a key equal to its predecessor is a parallel edge.
+    The sorted keys are the CSR rows in order.
     """
     meta_by_id: dict[str, NodeMeta] = {}
     for rec in node_records:
@@ -101,65 +138,69 @@ def load_graph(
             raise InputError(f"duplicate node id {rec.external_id!r}")
         meta_by_id[rec.external_id] = rec
 
-    raw_edges = []
-    for src, dst in edge_records:
-        if not src or not dst:
-            raise InputError("edge with empty endpoint id")
-        for ext in (src, dst):
-            if ext not in meta_by_id:
-                meta_by_id[ext] = NodeMeta(external_id=ext)
-        raw_edges.append((src, dst))
+    ends = [end for src, dst in edge_records for end in (src, dst)]
+    if not all(ends):
+        raise InputError("edge with empty endpoint id")
+    for ext in set(ends).difference(meta_by_id):
+        meta_by_id[ext] = NodeMeta(external_id=ext)
 
     if not meta_by_id:
         raise InputError("empty input: no nodes")
 
     order = sorted(meta_by_id)
-    index = {ext: i for i, ext in enumerate(order)}
+    n = len(order)
+    index = dict(zip(order, range(n)))
     meta = [meta_by_id[ext] for ext in order]
 
-    seen: set[tuple[int, int]] = set()
-    loops: set[int] = set()
-    adj: list[list[int]] = [[] for _ in order]
-    for src, dst in raw_edges:
-        u, w = index[src], index[dst]
-        if u == w:
-            loops.add(u)
-            continue
-        key = (u, w) if u < w else (w, u)
-        if key in seen:
-            continue
-        seen.add(key)
-        adj[u].append(w)
-        adj[w].append(u)
-    for lst in adj:
-        lst.sort()
+    ids = np.fromiter(map(index.__getitem__, ends), dtype=np.int64, count=len(ends))
+    u, w = ids[0::2], ids[1::2]
+    is_loop = u == w
+    loops = frozenset(u[is_loop].tolist())
+    u, w = u[~is_loop], w[~is_loop]
+    keys = np.concatenate((u * n + w, w * n + u))
+    keys.sort()
+    fresh = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+    rows, cols = np.divmod(keys[fresh], n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
 
-    return Graph(adj, meta, frozenset(loops))
+    g = Graph(indptr, cols, meta, loops)
+    g._ext_index = index
+    return g
 
 
-def _components(adj: list[list[int]], n: int) -> list[list[int]]:
-    """Connected components as sorted id lists, ordered by smallest member."""
-    seen = [False] * n
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp = [start]
-        dq = deque([start])
-        while dq:
-            u = dq.popleft()
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    dq.append(w)
-        comps.append(sorted(comp))
-    return comps
+def _component_labels(g: Graph) -> np.ndarray:
+    """The smallest node id in each node's connected component, as an int64 array.
+
+    Every node starts as its own root. Each round hooks the larger root of
+    every edge that still joins two trees onto the smaller one, then jumps
+    pointers until every node points at a root; pointers only decrease, so
+    each tree's root is its smallest member. Edges inside one tree are
+    dropped for good. A round costs O(n + m') for the m' edges still
+    joining trees plus O(n) per pointer jump, and the number of trees
+    falls geometrically on the graphs seen so far (a path with shuffled
+    ids takes about log_3 n rounds).
+    """
+    label = np.arange(g.n)
+    u, w = g.edge_arrays()
+    while True:
+        lu, lw = label[u], label[w]
+        apart = lu != lw
+        if not apart.any():
+            return label
+        u, w, lu, lw = u[apart], w[apart], lu[apart], lw[apart]
+        np.minimum.at(label, np.maximum(lu, lw), np.minimum(lu, lw))
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
 
 
 def is_connected(g: Graph) -> bool:
-    return g.n > 0 and len(_components(g.adj, g.n)) == 1
+    """Whether the graph has exactly one component; O(n + m) array work (see ``_component_labels``)."""
+    return g.n > 0 and not _component_labels(g).any()
 
 
 def largest_connected_component(g: Graph) -> Graph:
@@ -168,21 +209,32 @@ def largest_connected_component(g: Graph) -> Graph:
     Size ties go to the component containing the smallest external id, which
     is the component with the smallest internal id because ids are assigned
     lexicographically. Node metadata is carried over; ids are re-densified
-    preserving relative order.
+    preserving relative order. A connected graph without self-loops is
+    returned as is; a connected one with self-loops shares its arrays with
+    the result. Otherwise the component's rows are copied out of the arrays
+    and renumbered. Cost: component labelling plus O(n + m) array work.
     """
     if g.n == 0:
         raise InputError("empty input: no nodes")
-    comps = _components(g.adj, g.n)
-    best = max(comps, key=lambda c: (len(c), -c[0]))
-    keep = {v: i for i, v in enumerate(best)}
+    labels = _component_labels(g)
+    sizes = np.bincount(labels, minlength=g.n)
+    best = int(np.argmax(sizes))  # first maximum: the smallest id among equal sizes
+    if sizes[best] == g.n:
+        return strip_self_loops(g)
+    keep = labels == best
+    nodes = np.flatnonzero(keep)
+    new_id = np.cumsum(keep) - 1
+    row_sizes = np.diff(g.indptr)
+    indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
+    np.cumsum(row_sizes[nodes], out=indptr[1:])
     # A component is closed under adjacency: every neighbour is kept.
-    adj = [[keep[w] for w in g.adj[v]] for v in best]
-    meta = [g.meta[v] for v in best]
-    return Graph(adj, meta)
+    indices = new_id[g.indices[np.repeat(keep, row_sizes)]]
+    meta = list(map(g.meta.__getitem__, nodes.tolist()))
+    return Graph(indptr, indices, meta)
 
 
 def strip_self_loops(g: Graph) -> Graph:
-    """Copy of the graph with self-loops dropped and components kept as-is."""
+    """Graph without its self-loops, sharing the arrays; components kept as-is."""
     if not g.self_loops:
         return g
-    return Graph([list(a) for a in g.adj], list(g.meta))
+    return Graph(g.indptr, g.indices, g.meta)

@@ -233,12 +233,14 @@ def _common_ancestor(parent_ids: list[int | None], clusters: dict[int, Cluster])
     return None
 
 
-def build_hierarchy(g: Graph, max_cluster_size: int) -> Hierarchy:
+def build_hierarchy(g: Graph, max_cluster_size: int, core: list[int] | None = None) -> Hierarchy:
     """Build the full residual-aware core hierarchy of a preprocessed graph.
 
     Requires the output of :func:`largest_connected_component`: connected and
     free of self-loops. ``max_cluster_size`` caps every cluster produced by
     the splitting paths; singleton attachment may push a leaf one past it.
+    ``core`` takes the graph's core numbers when the caller has them
+    already (``core_numbers(g).core``); otherwise they are computed here.
     """
     if max_cluster_size < 2:
         raise ConfigError("max cluster size must be at least 2")
@@ -249,7 +251,10 @@ def build_hierarchy(g: Graph, max_cluster_size: int) -> Hierarchy:
     if not is_connected(g):
         raise InputError("hierarchy input must be connected; extract the largest component first")
 
-    core = core_numbers(g).core
+    if core is None:
+        core = core_numbers(g).core
+    elif len(core) != g.n:
+        raise InputError(f"core numbers given for {len(core)} nodes; the graph has {g.n}")
     max_core = max(core)
 
     clusters: dict[int, Cluster] = {}

@@ -13,6 +13,8 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ConfigError, InputError
 from .graph import Graph
 from .hierarchy import Hierarchy
@@ -62,12 +64,20 @@ def derive_max_cluster_size(token_limit: int, g: Graph) -> int:
 
 
 def default_edge_costs(g: Graph, overhead: int = DEFAULT_EDGE_OVERHEAD) -> dict[tuple[int, int], int]:
-    """Token cost per edge: both endpoint token counts plus a flat overhead."""
+    """Token cost per edge: both endpoint token counts plus a flat overhead.
+
+    Keys are the (u, w) edges with u < w in sorted order, built from the
+    adjacency lists so that the keys share their int objects with them.
+    O(n + m).
+    """
     if overhead < 0:
         raise ConfigError("edge overhead must be >= 0")
+    tokens = [meta.token_count for meta in g.meta]
     return {
-        (u, w): g.token_count(u) + g.token_count(w) + overhead
-        for u, w in g.edges()
+        (u, w): tokens[u] + tokens[w] + overhead
+        for u, nbrs in enumerate(g.adj)
+        for w in nbrs
+        if u < w
     }
 
 
@@ -81,21 +91,36 @@ def _rank_key(g: Graph):
     return key
 
 
-def ranked_edges(g: Graph, edges=None) -> list[tuple[int, int]]:
+def _ranked_edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Edge arrays (u < w) in rank order: combined endpoint degree descending, then u, then w.
+
+    One ``np.lexsort`` over the edge arrays, O(m log m).
+    """
+    u, w = g.edge_arrays()
+    degrees = np.array(g.degrees, dtype=np.int64)
+    order = np.lexsort((w, u, -(degrees[u] + degrees[w])))
+    return u[order], w[order]
+
+
+def ranked_edges(g: Graph) -> list[tuple[int, int]]:
     """Edges sorted by combined endpoint degree (desc), then endpoint ids."""
-    pool = list(g.edges()) if edges is None else [tuple(sorted(e)) for e in edges]
-    return sorted(pool, key=_rank_key(g))
+    u, w = _ranked_edge_arrays(g)
+    return list(zip(u.tolist(), w.tolist()))
 
 
 def budget_from_edge_fraction(
     g: Graph, fraction: float, edge_costs: dict[tuple[int, int], int]
 ) -> int:
-    """Token budget equal to the cost of the top ``fraction`` of ranked edges."""
+    """Token budget equal to the cost of the top ``fraction`` of ranked edges.
+
+    The top ``floor(fraction * m)`` edges of the ranking are priced by
+    looking each one up in ``edge_costs``. O(m log m).
+    """
     if not 0 < fraction <= 1:
         raise ConfigError("edge fraction must be in (0, 1]")
-    ranked = ranked_edges(g)
-    count = int(fraction * len(ranked) + 1e-9)
-    return sum(edge_costs[e] for e in ranked[:count])
+    u, w = _ranked_edge_arrays(g)
+    count = int(fraction * len(u) + 1e-9)
+    return sum(map(edge_costs.__getitem__, zip(u[:count].tolist(), w[:count].tolist())))
 
 
 @dataclass(frozen=True)

@@ -72,6 +72,59 @@ def iter_set_partitions(n: int):
             maxes[j] = maxes[i]
 
 
+def load_graph_oracle(edge_records, node_records=()):
+    """List-based reference ingest: (adj, meta, self_loops) as ``load_graph`` must build them.
+
+    Ids follow sorted external ids; parallel and reversed edges collapse
+    through a set of (low, high) pairs; neighbour lists are sorted.
+    """
+    meta_by_id = {}
+    for rec in node_records:
+        assert rec.external_id not in meta_by_id
+        meta_by_id[rec.external_id] = rec
+    for src, dst in edge_records:
+        for ext in (src, dst):
+            meta_by_id.setdefault(ext, NodeMeta(external_id=ext))
+    order = sorted(meta_by_id)
+    index = {ext: i for i, ext in enumerate(order)}
+    seen, loops = set(), set()
+    adj = [[] for _ in order]
+    for src, dst in edge_records:
+        u, w = index[src], index[dst]
+        if u == w:
+            loops.add(u)
+        elif (min(u, w), max(u, w)) not in seen:
+            seen.add((min(u, w), max(u, w)))
+            adj[u].append(w)
+            adj[w].append(u)
+    return [sorted(a) for a in adj], [meta_by_id[ext] for ext in order], frozenset(loops)
+
+
+def lcc_oracle(adj, meta):
+    """Breadth-first reference for ``largest_connected_component``: (adj, meta) it must build.
+
+    Ties go to the component holding the smallest id; ids are renumbered in
+    order and self-loops (never in ``adj``) are dropped.
+    """
+    seen = [False] * len(adj)
+    comps = []
+    for start in range(len(adj)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        comp, dq = [start], deque([start])
+        while dq:
+            for w in adj[dq.popleft()]:
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+                    dq.append(w)
+        comps.append(sorted(comp))
+    best = max(comps, key=lambda c: (len(c), -c[0]))
+    keep = {v: i for i, v in enumerate(best)}
+    return [[keep[w] for w in adj[v]] for v in best], [meta[v] for v in best]
+
+
 def core_numbers_oracle(g: Graph) -> list[int]:
     """Brute force: for each k, peel degree < k to fixpoint; survivors have core >= k."""
     core = [0] * g.n

@@ -112,6 +112,41 @@ class TestMergeSampleStats:
         assert code == 3
         assert f"{h_path}:{line}: invalid UTF-8" in capsys.readouterr().err
 
+    def test_unknown_node_in_hierarchy_exits_3(self, example_inputs, tmp_path, capsys):
+        edges, nodes = example_inputs
+        h_path = self.make_hierarchy(example_inputs, tmp_path)
+        obj = json.loads(h_path.read_text())
+        cluster = obj["clusters"][3]
+        cluster["members"].append("zzz")
+        h_path.write_text(json.dumps(obj))
+        code = run("stats", "--edges", edges, "--nodes", nodes, "--hierarchy", str(h_path))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"error: {h_path}: cluster {cluster['id']}: unknown node 'zzz'" in err
+        assert "missing field" not in err
+
+    def test_missing_field_in_hierarchy_names_the_file(self, example_inputs, tmp_path, capsys):
+        edges, nodes = example_inputs
+        h_path = self.make_hierarchy(example_inputs, tmp_path)
+        obj = json.loads(h_path.read_text())
+        del obj["clusters"][0]["level"]
+        h_path.write_text(json.dumps(obj))
+        code = run("merge", "--edges", edges, "--nodes", nodes, "--hierarchy", str(h_path))
+        assert code == 3
+        assert f"error: {h_path}: hierarchy JSON is missing field 'level'" in capsys.readouterr().err
+
+    def test_unknown_parent_in_hierarchy_exits_3(self, example_inputs, tmp_path, capsys):
+        edges, nodes = example_inputs
+        h_path = self.make_hierarchy(example_inputs, tmp_path)
+        obj = json.loads(h_path.read_text())
+        obj["clusters"][1]["parent"] = 999
+        h_path.write_text(json.dumps(obj))
+        code = run("sample", "--edges", edges, "--nodes", nodes, "--hierarchy", str(h_path),
+                   "--token-budget", "100")
+        assert code == 3
+        cid = obj["clusters"][1]["id"]
+        assert f"error: {h_path}: cluster {cid}: unknown parent 999" in capsys.readouterr().err
+
     def test_stats_levels(self, example_inputs, tmp_path, capsys):
         edges, nodes = example_inputs
         h_path = self.make_hierarchy(example_inputs, tmp_path)

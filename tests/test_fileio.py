@@ -100,6 +100,49 @@ class TestNodeFile:
         with pytest.raises(InputError, match=rf"{p.name}:2: invalid UTF-8"):
             read_nodes_jsonl(p)
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            ' {"id": "b", "tokens": 1}',
+            '{"id": "b", "tokens": 1}  ',
+            '\t{"id": "b", "tokens": 1}\t',
+            ' \t {"id": "b", "label": "x"} \t ',
+            '\u00a0{"id": "b", "tokens": 1}',
+            '{"id": "b", "tokens": 1}\u00a0',
+            '\ufeff{"id": "b"}',
+            '{"id": "b"} {"id": "c"}',
+            '{"id": "b"}{"id": "c"}',
+            '{"id": "b"}x',
+            '{"id": "b",',
+            '[{"id": "b"}]',
+            '{}',
+            '"b"',
+            '{"id": "b", "label": "a\\tb", "tokens": 3}',
+        ],
+    )
+    def test_each_line_decodes_as_json_loads(self, tmp_path, line):
+        p = tmp_path / "nodes.jsonl"
+        text = '{"id": "a", "tokens": 2}\n' + line + "\n"
+        p.write_text(text, encoding="utf-8")
+        expected = []
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            try:
+                obj = json.loads(raw)
+            except json.JSONDecodeError as exc:
+                expected = f"{p}:{lineno}: invalid JSON: {exc.msg}"
+                break
+            if not isinstance(obj, dict) or not isinstance(obj.get("id"), str):
+                expected = f"{p}:{lineno}: node records need a string 'id'"
+                break
+            expected.append((obj["id"], obj.get("label", ""), obj.get("tokens", 0)))
+        if isinstance(expected, str):
+            with pytest.raises(InputError) as info:
+                read_nodes_jsonl(p)
+            assert str(info.value) == expected
+        else:
+            got = read_nodes_jsonl(p)
+            assert [(r.external_id, r.label, r.token_count) for r in got] == expected
+
     def test_roundtrip(self, tmp_path):
         _, nodes = three_level_example()
         p = tmp_path / "nodes.jsonl"

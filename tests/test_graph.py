@@ -1,5 +1,6 @@
 """Graph loading, preprocessing, and their invariants."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,7 @@ from corehier.graph import (
     load_graph,
 )
 
-from conftest import make_graph
+from conftest import lcc_oracle, load_graph_oracle, make_graph
 
 
 def test_single_edge():
@@ -94,7 +95,7 @@ def test_lcc_carries_metadata():
 
 def test_lcc_empty_graph_rejected():
     with pytest.raises(InputError):
-        largest_connected_component(Graph([], []))
+        largest_connected_component(Graph([0], [], []))
 
 
 edge_lists = st.lists(
@@ -136,3 +137,68 @@ def test_load_is_deterministic(edges):
     b = load_graph(list(edges), [])
     assert a.adj == b.adj
     assert [m.external_id for m in a.meta] == [m.external_id for m in b.meta]
+
+
+@st.composite
+def ingest_inputs(draw):
+    """Edge and node records with duplicate, reversed and loop edges, isolated and
+    auto-registered nodes, and several copies of one component (equal sizes)."""
+    names = [f"n{i:02d}" for i in range(draw(st.integers(1, 16)))]
+    pair = st.tuples(st.sampled_from(names), st.sampled_from(names))
+    edges = draw(st.lists(pair, max_size=30))
+    base = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=8))
+    for prefix in draw(st.lists(st.sampled_from("cmpz"), unique=True, max_size=3)):
+        edges += [(f"{prefix}{a}", f"{prefix}{b}") for a, b in base]
+    if edges:
+        again = draw(st.lists(st.sampled_from(edges), max_size=10))
+        flips = draw(st.lists(st.booleans(), min_size=len(again), max_size=len(again)))
+        edges += [(b, a) if flip else (a, b) for (a, b), flip in zip(again, flips)]
+        edges = draw(st.permutations(edges))
+    known = draw(st.lists(st.sampled_from(names), unique=True))
+    isolated = [f"iso{i}" for i in range(draw(st.integers(0, 3)))]
+    nodes = [
+        NodeMeta(ext, label=f"label {ext}", token_count=len(ext) + i)
+        for i, ext in enumerate(draw(st.permutations(known + isolated)))
+    ]
+    return edges, nodes
+
+
+def assert_matches_oracle(g, adj, meta, loops):
+    assert g.adj == adj
+    assert g.degrees == [len(a) + (2 if v in loops else 0) for v, a in enumerate(adj)]
+    assert g.m == sum(map(len, adj)) // 2 + len(loops)
+    assert g.self_loops == loops
+    assert g.meta == meta
+    assert [g.id_of(mt.external_id) for mt in meta] == list(range(len(meta)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(records=ingest_inputs())
+def test_array_ingest_and_lcc_match_list_oracle(records):
+    edges, nodes = records
+    if not edges and not nodes:
+        return
+    g = load_graph(edges, nodes)
+    adj, meta, loops = load_graph_oracle(edges, nodes)
+    assert_matches_oracle(g, adj, meta, loops)
+    lcc = largest_connected_component(g)
+    lcc_adj, lcc_meta = lcc_oracle(adj, meta)
+    assert_matches_oracle(lcc, lcc_adj, lcc_meta, frozenset())
+    assert is_connected(lcc)
+    assert is_connected(g) == (len(lcc_meta) == len(meta))
+
+
+def test_lcc_of_connected_loop_free_graph_is_the_graph():
+    g = make_graph([("a", "b"), ("b", "c")])
+    assert largest_connected_component(g) is g
+
+
+def test_component_labelling_on_long_shuffled_path():
+    n = 3000
+    order = np.random.default_rng(5).permutation(n)
+    names = [f"v{i:04d}" for i in order]
+    edges = list(zip(names, names[1:])) + [("w0", "w1")]
+    g = load_graph(edges, [])
+    assert is_connected(load_graph(edges[:-1], []))
+    lcc = largest_connected_component(g)
+    assert lcc.n == n and lcc.m == n - 1

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from corehier.cores import core_numbers
 from corehier.errors import ConfigError, InputError
 from corehier.fixtures import three_level_example
 from corehier.fileio import hierarchy_to_json_obj, json_dumps_stable
@@ -195,6 +196,18 @@ class TestDeterminism:
             h = build_hierarchy(g, 6)
             blobs.append(json_dumps_stable(hierarchy_to_json_obj(h, g)))
         assert blobs[0] == blobs[1]
+
+    def test_given_core_numbers_give_the_same_hierarchy(self, sparse_fixture_batch):
+        edges, nodes = three_level_example()
+        graphs = [largest_connected_component(load_graph(edges, nodes)), *sparse_fixture_batch[:3]]
+        for g, cap in zip(graphs, (6, 9, 16, 40)):
+            assert build_hierarchy(g, cap, core_numbers(g).core) == build_hierarchy(g, cap)
+
+    def test_core_numbers_of_the_wrong_length_rejected(self):
+        edges, nodes = three_level_example()
+        g = largest_connected_component(load_graph(edges, nodes))
+        with pytest.raises(InputError, match="core numbers"):
+            build_hierarchy(g, 6, core_numbers(g).core[:-1])
 
 
 class TestTightCaps:
