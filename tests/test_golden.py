@@ -6,6 +6,7 @@ and CHANGES.md records it.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -155,3 +156,56 @@ def test_disconnected_input_stdout_matches_golden_hash(command, tmp_path, capsys
     argv = [command, "--edges", str(tmp_path / "edges.tsv"), "--nodes", str(tmp_path / "nodes.jsonl")]
     assert main(argv) == 0
     assert sha256(capsys.readouterr().out.encode("utf-8")) == STDOUT_SHA256[command]
+
+
+# subcommand options -> sha256 of its stdout on the disconnected input, reading
+# the ``hierarchy`` output of that input.
+CHAINED_STDOUT_SHA256 = {
+    ('merge', '--mode', 'm2hc'): 'fb9f31822f69c3b4046958671d14e9d93a4bec266d5003c617beb00991cad211',
+    ('merge', '--mode', 'mrc'): '187fd21412059ff74a8acefc54b5302d5dd0f86d3f0c2cc5542602d73ee531a9',
+    ('stats', '--level', 'lf'): '210cf74e3d1385650031fe51e9b72fe8ce3321c435fcbd15a4b8fd71531500bb',
+    ('stats', '--level', 'l1'): 'e18fbc6d4c79d63e5fb5de6bd8bcc01ad1c244b5142e5d1d39d9b444aa60c982',
+    ('sample', '--edge-fraction', '0.5'): '77185c49be945cf117648a8b821afd4a7d10ead7b738c1d7671f94ef4a99d960',
+    ('sample', '--token-budget', '3000'): '3575d1dd82d04bb103f1b95b7a9aefd9940dd8a92a07cf6b40b46d465521548c',
+}
+
+
+@pytest.mark.parametrize("command", sorted(CHAINED_STDOUT_SHA256))
+def test_chained_subcommand_stdout_matches_golden_hash(command, tmp_path, capsys):
+    edges, nodes = disconnected_records()
+    write_edges_tsv(tmp_path / "edges.tsv", edges)
+    write_nodes_jsonl(tmp_path / "nodes.jsonl", nodes)
+    io = ["--edges", str(tmp_path / "edges.tsv"), "--nodes", str(tmp_path / "nodes.jsonl")]
+    assert main(["hierarchy", *io, "--out", str(tmp_path / "h.json")]) == 0
+    assert main([command[0], *io, "--hierarchy", str(tmp_path / "h.json"), *command[1:]]) == 0
+    assert sha256(capsys.readouterr().out.encode("utf-8")) == CHAINED_STDOUT_SHA256[command]
+
+
+@pytest.mark.parametrize("fixture", ["example", "kg2000-s1"])
+@pytest.mark.parametrize("mode", ["m2hc", "mrc"])
+def test_staged_subcommands_reproduce_pipeline_artifacts(fixture, mode, tmp_path, capsys):
+    edges, nodes = fixture_records(fixture)
+    write_edges_tsv(tmp_path / "edges.tsv", edges)
+    write_nodes_jsonl(tmp_path / "nodes.jsonl", nodes)
+    io = ["--edges", str(tmp_path / "edges.tsv"), "--nodes", str(tmp_path / "nodes.jsonl")]
+    ref, out = tmp_path / "pipeline", tmp_path / "staged"
+    out.mkdir()
+    assert main(["pipeline", *io, "--out", str(ref), "--merge-mode", mode]) == 0
+    merged = str(out / "hierarchy_merged.json")
+    for argv in (
+        ["decompose", *io, "--out", str(out / "decomposition.json")],
+        ["hierarchy", *io, "--out", str(out / "hierarchy.json")],
+        ["merge", *io, "--hierarchy", str(out / "hierarchy.json"), "--mode", mode,
+         "--out", merged, "--report", str(out / "merge_report.json")],
+        ["sample", *io, "--hierarchy", merged, "--edge-fraction", "0.8",
+         "--out", str(out / "sample.tsv")],
+    ):
+        assert main(argv) == 0
+    for name in ARTIFACTS:
+        if name != "stats.json":
+            assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+    stats = json.loads((ref / "stats.json").read_text(encoding="utf-8"))
+    capsys.readouterr()
+    for level in ("lf", "l1"):
+        assert main(["stats", *io, "--hierarchy", merged, "--level", level]) == 0
+        assert json.loads(capsys.readouterr().out) == stats[level]
