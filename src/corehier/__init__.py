@@ -11,7 +11,7 @@ from .cores import CoreDecomposition, core_numbers
 from .errors import ConfigError, CoreHierError, InputError, VerificationError
 from .fixtures import generate_kg_sparse, three_level_example
 from .graph import Graph, NodeMeta, is_connected, largest_connected_component, load_graph
-from .hierarchy import Cluster, Hierarchy, build_hierarchy, split_component, split_two_hop
+from .hierarchy import Cluster, Hierarchy, build_hierarchy, split_component
 from .merging import MergeMode, MergeReport, merge_small_clusters
 from .modularity import (
     NEW_COMMUNITY,
@@ -58,7 +58,6 @@ __all__ = [
     "Hierarchy",
     "build_hierarchy",
     "split_component",
-    "split_two_hop",
     "MergeMode",
     "MergeReport",
     "merge_small_clusters",

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import argparse
 import gc
+import json
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import fileio
-from .cores import core_numbers
+from .cores import CoreDecomposition, core_numbers
 from .errors import ConfigError, CoreHierError, InputError, VerificationError
 from .fixtures import generate_kg_sparse
 from .graph import Graph, largest_connected_component, load_graph, strip_self_loops
@@ -24,6 +25,7 @@ from .merging import MergeMode, merge_small_clusters
 from .modularity import enumerate_degeneracy, verify_sparse_bounds
 from .sampling import (
     DEFAULT_EDGE_OVERHEAD,
+    SampleResult,
     TokenModel,
     budget_from_edge_fraction,
     default_edge_costs,
@@ -44,12 +46,16 @@ EXIT_VERIFICATION = 4
 
 @dataclass
 class PipelineConfig:
-    """Everything the end-to-end run needs; validated on construction."""
+    """Everything the end-to-end run needs; validated on construction.
+
+    A ``token_limit`` of None means ``DEFAULT_TOKEN_LIMIT``; with neither a
+    budget nor a fraction, ``edge_fraction`` becomes ``DEFAULT_EDGE_FRACTION``.
+    """
 
     edges_path: Path
     nodes_path: Path | None
     out_dir: Path
-    token_limit: int = DEFAULT_TOKEN_LIMIT
+    token_limit: int | None = None
     chars_per_token: float = DEFAULT_CHARS_PER_TOKEN
     max_cluster_size: int | None = None
     merge_mode: MergeMode = MergeMode.TWO_HOP_ONLY
@@ -58,10 +64,20 @@ class PipelineConfig:
     edge_overhead: int = DEFAULT_EDGE_OVERHEAD
 
     def __post_init__(self) -> None:
-        if self.token_budget is not None and self.edge_fraction is not None:
-            raise ConfigError("give either a token budget or an edge fraction, not both")
+        _reject_conflicting_options(self)
         if self.token_budget is None and self.edge_fraction is None:
             self.edge_fraction = DEFAULT_EDGE_FRACTION
+
+
+def _reject_conflicting_options(opts) -> None:
+    """Reject a size cap given with a token limit, or a budget with an edge fraction.
+
+    ``opts`` is a :class:`PipelineConfig` or parsed arguments; an option it
+    lacks counts as not given.
+    """
+    for a, b in (("max_cluster_size", "token_limit"), ("token_budget", "edge_fraction")):
+        if getattr(opts, a, None) is not None and getattr(opts, b, None) is not None:
+            raise ConfigError(f"--{a} and --{b} are mutually exclusive".replace("_", "-"))
 
 
 def _load(edges_path, nodes_path, chars_per_token=DEFAULT_CHARS_PER_TOKEN) -> Graph:
@@ -71,6 +87,44 @@ def _load(edges_path, nodes_path, chars_per_token=DEFAULT_CHARS_PER_TOKEN) -> Gr
     return load_graph(edges, nodes)
 
 
+def _ingest(edges_path, nodes_path, chars_per_token=DEFAULT_CHARS_PER_TOKEN) -> Graph:
+    """Largest connected component of the graph in the input files."""
+    return largest_connected_component(_load(edges_path, nodes_path, chars_per_token))
+
+
+def _decomposition_json(dec: CoreDecomposition, g: Graph) -> str:
+    payload = {
+        "max_core": dec.max_core,
+        "cores": {g.external_id(v): dec.core[v] for v in range(g.n)},
+    }
+    return fileio.json_dumps_stable(payload)
+
+
+def _hierarchy(g: Graph, max_cluster_size, token_limit, core=None) -> Hierarchy:
+    """Hierarchy capped at ``max_cluster_size``, else at the size ``token_limit`` derives."""
+    if max_cluster_size is None:
+        max_cluster_size = derive_max_cluster_size(token_limit or DEFAULT_TOKEN_LIMIT, g)
+    return build_hierarchy(g, max_cluster_size, core)
+
+
+def _hierarchy_json(h: Hierarchy, g: Graph) -> str:
+    return fileio.json_dumps_stable(fileio.hierarchy_to_json_obj(h, g))
+
+
+def _stats(h: Hierarchy, level: str, g: Graph, token_limit) -> dict:
+    return community_stats(h, level, g, token_limit=token_limit or DEFAULT_TOKEN_LIMIT).to_json_obj()
+
+
+def _sample(g: Graph, h: Hierarchy, overhead: int, token_budget, edge_fraction) -> SampleResult:
+    """Edge costs, the budget (``token_budget`` or ``edge_fraction``'s) and the sample."""
+    if token_budget is None and edge_fraction is None:
+        raise ConfigError("one of --token-budget or --edge-fraction is required")
+    costs = default_edge_costs(g, overhead)
+    if token_budget is None:
+        token_budget = budget_from_edge_fraction(g, edge_fraction, costs)
+    return round_robin_sample(h, g, costs, token_budget)
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -78,22 +132,12 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _resolve_max_cluster_size(args, g: Graph) -> int:
-    if args.max_cluster_size is not None:
-        if args.token_limit is not None:
-            raise ConfigError("--max-cluster-size and --token-limit are mutually exclusive")
-        return args.max_cluster_size
-    return derive_max_cluster_size(args.token_limit or DEFAULT_TOKEN_LIMIT, g)
-
-
 def _load_hierarchy(path, g: Graph) -> Hierarchy:
-    import json
-
     text = fileio.read_utf8(path, "hierarchy file")
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON: {exc.msg}") from None
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise InputError(f"{path}: invalid JSON: {getattr(exc, 'msg', 'nested too deeply')}") from None
     try:
         return fileio.hierarchy_from_json_obj(obj, g)
     except InputError as exc:
@@ -101,63 +145,41 @@ def _load_hierarchy(path, g: Graph) -> Hierarchy:
 
 
 def cmd_decompose(args) -> int:
-    g = largest_connected_component(_load(args.edges, args.nodes))
-    dec = core_numbers(g)
-    payload = {
-        "max_core": dec.max_core,
-        "cores": {g.external_id(v): dec.core[v] for v in range(g.n)},
-    }
-    _emit(fileio.json_dumps_stable(payload), args.out)
+    g = _ingest(args.edges, args.nodes)
+    _emit(_decomposition_json(core_numbers(g), g), args.out)
     return EXIT_OK
 
 
 def cmd_hierarchy(args) -> int:
-    g = largest_connected_component(_load(args.edges, args.nodes, args.chars_per_token))
-    h = build_hierarchy(g, _resolve_max_cluster_size(args, g))
-    _emit(fileio.json_dumps_stable(fileio.hierarchy_to_json_obj(h, g)), args.out)
+    _reject_conflicting_options(args)
+    g = _ingest(args.edges, args.nodes, args.chars_per_token)
+    _emit(_hierarchy_json(_hierarchy(g, args.max_cluster_size, args.token_limit), g), args.out)
     return EXIT_OK
 
 
 def cmd_merge(args) -> int:
-    g = largest_connected_component(_load(args.edges, args.nodes))
+    g = _ingest(args.edges, args.nodes)
     h = _load_hierarchy(args.hierarchy, g)
     merged, report = merge_small_clusters(g, h, MergeMode.parse(args.mode))
-    _emit(fileio.json_dumps_stable(fileio.hierarchy_to_json_obj(merged, g)), args.out)
-    report_path = args.report or (
-        str(Path(args.out).with_suffix(".report.json")) if args.out else None
-    )
-    report_text = fileio.json_dumps_stable(report.to_json_obj())
-    if report_path:
-        Path(report_path).write_text(report_text, encoding="utf-8")
-    elif not args.out:
-        sys.stdout.write(report_text)
+    _emit(_hierarchy_json(merged, g), args.out)
+    report_out = args.report or (str(Path(args.out).with_suffix(".report.json")) if args.out else None)
+    _emit(fileio.json_dumps_stable(report.to_json_obj()), report_out)
     return EXIT_OK
 
 
 def cmd_sample(args) -> int:
-    g = largest_connected_component(_load(args.edges, args.nodes, args.chars_per_token))
+    _reject_conflicting_options(args)
+    g = _ingest(args.edges, args.nodes, args.chars_per_token)
     h = _load_hierarchy(args.hierarchy, g)
-    costs = default_edge_costs(g, args.overhead)
-    if args.token_budget is not None and args.edge_fraction is not None:
-        raise ConfigError("give either --token-budget or --edge-fraction, not both")
-    if args.token_budget is not None:
-        budget = args.token_budget
-    elif args.edge_fraction is not None:
-        budget = budget_from_edge_fraction(g, args.edge_fraction, costs)
-    else:
-        raise ConfigError("one of --token-budget or --edge-fraction is required")
-    result = round_robin_sample(h, g, costs, budget)
+    result = _sample(g, h, args.overhead, args.token_budget, args.edge_fraction)
     _emit(fileio.sample_to_tsv(result, g), args.out)
     return EXIT_OK
 
 
 def cmd_stats(args) -> int:
-    g = largest_connected_component(_load(args.edges, args.nodes, args.chars_per_token))
+    g = _ingest(args.edges, args.nodes, args.chars_per_token)
     h = _load_hierarchy(args.hierarchy, g)
-    stats = community_stats(
-        h, args.level.upper(), g, token_limit=args.token_limit or DEFAULT_TOKEN_LIMIT
-    )
-    _emit(fileio.json_dumps_stable(stats.to_json_obj()), args.out)
+    _emit(fileio.json_dumps_stable(_stats(h, args.level.upper(), g, args.token_limit)), args.out)
     return EXIT_OK
 
 
@@ -197,92 +219,55 @@ def _cyclic_gc_paused():
 
 @_cyclic_gc_paused()
 def run_pipeline(cfg: PipelineConfig) -> dict[str, Path]:
-    """Run every stage and write its artifact; returns the artifact paths.
+    """Run every stage and write its artifact; returns the artifact paths by name.
 
-    Stages run in order: ingest, largest component, core decomposition,
-    hierarchy, merge, stats, edge sampling. Any failure is re-raised with
-    the stage name attached. Outputs are deterministic byte for byte. The
-    cyclic garbage collector is paused for the run.
+    Stages run in order: ingest (the input's largest component), decompose,
+    hierarchy (deriving the size cap when none is given), merge, stats,
+    sample. Any failure is re-raised with the stage name attached. Each
+    artifact is written as soon as its stage ends; outputs are
+    deterministic byte for byte. The cyclic garbage collector is paused
+    for the run.
     """
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     artifacts: dict[str, Path] = {}
 
-    def stage(name):
-        def wrap(fn):
-            try:
-                return fn()
-            except CoreHierError as exc:
-                raise type(exc)(f"stage {name!r}: {exc}") from exc
+    def stage(name, fn, *args):
+        try:
+            return fn(*args)
+        except CoreHierError as exc:
+            raise type(exc)(f"stage {name!r}: {exc}") from exc
 
-        return wrap
+    def write(filename: str, text: str) -> None:
+        path = cfg.out_dir / filename
+        path.write_text(text, encoding="utf-8")
+        artifacts[path.stem] = path
 
-    g_raw = stage("ingest")(lambda: _load(cfg.edges_path, cfg.nodes_path, cfg.chars_per_token))
-    g = stage("lcc")(lambda: largest_connected_component(g_raw))
-    del g_raw  # an extracted component has arrays of its own; free the input graph's
-
-    dec = stage("decompose")(lambda: core_numbers(g))
-    artifacts["decomposition"] = cfg.out_dir / "decomposition.json"
-    artifacts["decomposition"].write_text(
-        fileio.json_dumps_stable(
-            {"max_core": dec.max_core, "cores": {g.external_id(v): dec.core[v] for v in range(g.n)}}
-        ),
-        encoding="utf-8",
+    g = stage("ingest", _ingest, cfg.edges_path, cfg.nodes_path, cfg.chars_per_token)
+    dec = stage("decompose", core_numbers, g)
+    write("decomposition.json", _decomposition_json(dec, g))
+    h = stage("hierarchy", _hierarchy, g, cfg.max_cluster_size, cfg.token_limit, dec.core)
+    write("hierarchy.json", _hierarchy_json(h, g))
+    merged, report = stage("merge", merge_small_clusters, g, h, cfg.merge_mode)
+    write("hierarchy_merged.json", _hierarchy_json(merged, g))
+    write("merge_report.json", fileio.json_dumps_stable(report.to_json_obj()))
+    stats = {
+        level.lower(): stage("stats", _stats, merged, level, g, cfg.token_limit)
+        for level in ("LF", "L1")
+    }
+    write("stats.json", fileio.json_dumps_stable(stats))
+    result = stage(
+        "sample", _sample, g, merged, cfg.edge_overhead, cfg.token_budget, cfg.edge_fraction
     )
-
-    if cfg.max_cluster_size is not None:
-        max_size = cfg.max_cluster_size
-    else:
-        max_size = stage("derive-size")(lambda: derive_max_cluster_size(cfg.token_limit, g))
-    h = stage("hierarchy")(lambda: build_hierarchy(g, max_size, dec.core))
-    artifacts["hierarchy"] = cfg.out_dir / "hierarchy.json"
-    artifacts["hierarchy"].write_text(
-        fileio.json_dumps_stable(fileio.hierarchy_to_json_obj(h, g)), encoding="utf-8"
-    )
-
-    merged, report = stage("merge")(lambda: merge_small_clusters(g, h, cfg.merge_mode))
-    artifacts["hierarchy_merged"] = cfg.out_dir / "hierarchy_merged.json"
-    artifacts["hierarchy_merged"].write_text(
-        fileio.json_dumps_stable(fileio.hierarchy_to_json_obj(merged, g)), encoding="utf-8"
-    )
-    artifacts["merge_report"] = cfg.out_dir / "merge_report.json"
-    artifacts["merge_report"].write_text(
-        fileio.json_dumps_stable(report.to_json_obj()), encoding="utf-8"
-    )
-
-    def build_stats():
-        return {
-            "lf": community_stats(merged, "LF", g, token_limit=cfg.token_limit).to_json_obj(),
-            "l1": community_stats(merged, "L1", g, token_limit=cfg.token_limit).to_json_obj(),
-        }
-
-    artifacts["stats"] = cfg.out_dir / "stats.json"
-    artifacts["stats"].write_text(
-        fileio.json_dumps_stable(stage("stats")(build_stats)), encoding="utf-8"
-    )
-
-    def sample():
-        costs = default_edge_costs(g, cfg.edge_overhead)
-        if cfg.token_budget is not None:
-            budget = cfg.token_budget
-        else:
-            budget = budget_from_edge_fraction(g, cfg.edge_fraction, costs)
-        return round_robin_sample(merged, g, costs, budget)
-
-    artifacts["sample"] = cfg.out_dir / "sample.tsv"
-    artifacts["sample"].write_text(
-        fileio.sample_to_tsv(stage("sample")(sample), g), encoding="utf-8"
-    )
+    write("sample.tsv", fileio.sample_to_tsv(result, g))
     return artifacts
 
 
 def cmd_pipeline(args) -> int:
-    if args.max_cluster_size is not None and args.token_limit is not None:
-        raise ConfigError("--max-cluster-size and --token-limit are mutually exclusive")
     cfg = PipelineConfig(
         edges_path=Path(args.edges),
         nodes_path=Path(args.nodes) if args.nodes else None,
         out_dir=Path(args.out),
-        token_limit=args.token_limit or DEFAULT_TOKEN_LIMIT,
+        token_limit=args.token_limit,
         chars_per_token=args.chars_per_token,
         max_cluster_size=args.max_cluster_size,
         merge_mode=MergeMode.parse(args.merge_mode),

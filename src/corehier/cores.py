@@ -18,9 +18,6 @@ class CoreDecomposition:
     max_core: int
     shells: dict[int, list[int]] = field(default_factory=dict)
 
-    def shell_of(self, v: int) -> int:
-        return self.core[v]
-
 
 #: Frontiers of at least this many nodes are peeled in one vectorized step;
 #: smaller ones node by node, where a step's fixed NumPy overhead would cost

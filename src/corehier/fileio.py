@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .errors import InputError
 from .graph import Graph, NodeMeta
-from .hierarchy import Cluster, Hierarchy
+from .hierarchy import CLUSTER_KINDS, Cluster, Hierarchy
 from .sampling import SampleResult, TokenModel
 
 
@@ -80,13 +80,14 @@ def read_nodes_jsonl(path: str | Path, token_model: TokenModel | None = None) ->
             continue
         try:
             obj, end = scan(line, 0)
-        except (StopIteration, ValueError):
+        except (StopIteration, ValueError, RecursionError):
             end = -1
         if end != len(line):
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from None
+            except (json.JSONDecodeError, RecursionError) as exc:
+                msg = getattr(exc, "msg", "nested too deeply")
+                raise InputError(f"{path}:{lineno}: invalid JSON: {msg}") from None
         if not isinstance(obj, dict) or not isinstance(obj.get("id"), str) or not obj["id"]:
             raise InputError(f"{path}:{lineno}: node records need a string 'id'")
         tokens = obj.get("tokens")
@@ -143,57 +144,85 @@ def hierarchy_to_json_obj(h: Hierarchy, g: Graph) -> dict:
     }
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def hierarchy_from_json_obj(obj: dict, g: Graph) -> Hierarchy:
     """Rebuild a hierarchy over ``g`` from its JSON form.
 
-    A missing field, a member that is not a node of ``g`` and a parent that
-    is not a cluster are reported as InputError.
+    Malformed input raises InputError, naming the cluster where there is
+    one: a missing field, a container or value of the wrong type, a member
+    that is not a node of ``g``, a repeated id, a parent that is not a
+    cluster and a parent chain that loops. The checks are O(1) per cluster
+    on top of the O(1) lookup per member.
     """
     id_of = g.id_of
     try:
+        if not isinstance(obj, dict) or not isinstance(obj["clusters"], list) or not obj["clusters"]:
+            raise InputError("hierarchy JSON must be an object with a nonempty 'clusters' list")
         clusters: dict[int, Cluster] = {}
+        leaf_flags: dict[int, bool | None] = {}
         for entry in obj["clusters"]:
+            if not isinstance(entry, dict) or not _is_int(entry["id"]):
+                raise InputError("every cluster must be an object with an integer 'id'")
             cid, names, anchor_names = entry["id"], entry["members"], entry.get("anchors", [])
+            level, kind, parent, leaf = entry["level"], entry["kind"], entry["parent"], entry.get("leaf")
+            if cid in clusters:
+                raise InputError(f"cluster {cid}: duplicate id")
+            if not isinstance(names, list) or not isinstance(anchor_names, list):
+                raise InputError(f"cluster {cid}: 'members' and 'anchors' must be lists")
+            if not _is_int(level) or kind not in CLUSTER_KINDS or not (parent is None or _is_int(parent)):
+                raise InputError(f"cluster {cid}: bad level {level!r}, kind {kind!r} or parent {parent!r}")
+            if leaf is not None and not isinstance(leaf, bool):
+                raise InputError(f"cluster {cid}: 'leaf' must be true or false")
             try:
                 members = {id_of(ext) for ext in names}
                 anchors = frozenset(id_of(ext) for ext in anchor_names)
             except KeyError as exc:
                 raise InputError(f"cluster {cid}: unknown node {exc.args[0]!r}") from None
-            clusters[cid] = Cluster(
-                id=cid,
-                members=members,
-                level=entry["level"],
-                kind=entry["kind"],
-                parent=entry["parent"],
-                children=[],
-                anchors=anchors,
-            )
+            except TypeError:
+                raise InputError(f"cluster {cid}: node ids must be strings") from None
+            clusters[cid] = Cluster(cid, members, level, kind, parent, [], anchors)
+            leaf_flags[cid] = leaf
         for c in clusters.values():
             if c.parent is not None:
                 if c.parent not in clusters:
                     raise InputError(f"cluster {c.id}: unknown parent {c.parent!r}")
                 clusters[c.parent].children.append(c.id)
+        reached = [cid for cid, c in clusters.items() if c.parent is None]
+        for cid in reached:  # grows while iterating: a walk down from the parentless clusters
+            reached.extend(clusters[cid].children)
+        if len(reached) < len(clusters):
+            raise InputError(f"cluster {min(clusters.keys() - set(reached))}: parent chain loops")
         for c in clusters.values():
             c.children.sort()
-        leaf_flags = {entry["id"]: entry.get("leaf") for entry in obj["clusters"]}
         if any(flag is None for flag in leaf_flags.values()):
             leaf_ids = {cid for cid, c in clusters.items() if not c.children}
         else:
             leaf_ids = {cid for cid, flag in leaf_flags.items() if flag}
+        roots = obj.get(
+            "roots",
+            [cid for cid, c in sorted(clusters.items()) if c.parent is None and c.kind == "root"],
+        )
+        max_level = obj.get("max_level", max(c.level for c in clusters.values()))
+        max_size, attached_in = obj.get("max_cluster_size", 0), obj.get("attached_singletons", {})
+        if not (
+            isinstance(roots, list) and all(_is_int(r) and r in clusters for r in roots)
+            and _is_int(max_level) and _is_int(max_size) and isinstance(attached_in, dict)
+            and all(_is_int(cid) and cid in clusters for cid in attached_in.values())
+        ):
+            raise InputError("bad 'roots', 'max_level', 'max_cluster_size' or 'attached_singletons'")
         try:
-            attached = {id_of(ext): cid for ext, cid in obj.get("attached_singletons", {}).items()}
+            attached = {id_of(ext): cid for ext, cid in attached_in.items()}
         except KeyError as exc:
             raise InputError(f"attached_singletons: unknown node {exc.args[0]!r}") from None
         return Hierarchy(
             clusters=clusters,
-            roots=obj.get(
-                "roots",
-                [cid for cid, c in sorted(clusters.items()) if c.parent is None and c.kind == "root"],
-            ),
-            global_singletons=set(),
+            roots=roots,
             attached_singletons=attached,
-            max_level=obj.get("max_level", max((c.level for c in clusters.values()), default=0)),
-            max_cluster_size=obj.get("max_cluster_size", 0),
+            max_level=max_level,
+            max_cluster_size=max_size,
             leaf_ids=leaf_ids,
         )
     except KeyError as exc:

@@ -48,7 +48,7 @@ class Cluster:
 
 @dataclass
 class Hierarchy:
-    """All clusters plus the singleton bookkeeping of one build.
+    """All clusters of one build, the leaf registry and where singletons were attached.
 
     ``leaf_ids`` is the authoritative retrieval-leaf registry. It is not
     simply the childless clusters: a cluster whose members all dissolved
@@ -59,7 +59,6 @@ class Hierarchy:
 
     clusters: dict[int, Cluster]
     roots: list[int]
-    global_singletons: set[int]
     attached_singletons: dict[int, int]  # node -> cluster that absorbed it
     max_level: int
     max_cluster_size: int
@@ -70,14 +69,6 @@ class Hierarchy:
 
     def leaves(self) -> list[Cluster]:
         return [self.clusters[cid] for cid in sorted(self.leaf_ids)]
-
-    def node_to_leaves(self) -> dict[int, list[int]]:
-        """Map each node to the leaf clusters containing it (anchors appear twice)."""
-        out: dict[int, list[int]] = {}
-        for leaf in self.leaves():
-            for v in leaf.members:
-                out.setdefault(v, []).append(leaf.id)
-        return out
 
     def covered_nodes(self) -> set[int]:
         covered: set[int] = set()
@@ -178,11 +169,6 @@ def _two_hop_split_parts(g: Graph, pool, max_size: int) -> list[tuple[list[int],
         qualifying = sorted(a for a, c in counts.items() if c >= 2 and a not in grown_set)
         out.append((grown, qualifying))
     return out
-
-
-def split_two_hop(g: Graph, pool, max_size: int) -> list[set[int]]:
-    """Split an oversized 2-hop group into clusters, shared anchors included."""
-    return [set(grown) | set(anchors) for grown, anchors in _two_hop_split_parts(g, pool, max_size)]
 
 
 def _subset_components(g: Graph, nodes: list[int]) -> list[list[int]]:
@@ -373,22 +359,17 @@ def build_hierarchy(g: Graph, max_cluster_size: int, core: list[int] | None = No
                 continue
             residual_side = [v for v in members if core[v] < level]
             made_children = False
-            for comp in _subset_components(g, core_side):
-                parts = [comp] if len(comp) <= max_cluster_size else split_component(g, comp, max_cluster_size)
-                for part in parts:
-                    if len(part) == 1:
-                        pooled.append((part[0], cid))
-                    else:
-                        next_queue.append(new_cluster(part, level, "core", cid).id)
+            for side, kind in ((core_side, "core"), (residual_side, "residual")):
+                for comp in _subset_components(g, side):
+                    parts = [comp] if len(comp) <= max_cluster_size else split_component(g, comp, max_cluster_size)
+                    for part in parts:
+                        if len(part) == 1:
+                            pooled.append((part[0], cid))
+                            continue
+                        child = new_cluster(part, level, kind, cid)
                         made_children = True
-            for comp in _subset_components(g, residual_side):
-                parts = [comp] if len(comp) <= max_cluster_size else split_component(g, comp, max_cluster_size)
-                for part in parts:
-                    if len(part) == 1:
-                        pooled.append((part[0], cid))
-                    else:
-                        new_cluster(part, level, "residual", cid)
-                        made_children = True
+                        if kind == "core":
+                            next_queue.append(child.id)
             if not made_children:
                 # Every member dissolved into the singleton pool; the cluster
                 # is interior bookkeeping unless the pool hands it back.
@@ -399,27 +380,29 @@ def build_hierarchy(g: Graph, max_cluster_size: int, core: list[int] | None = No
     hierarchy = Hierarchy(
         clusters=clusters,
         roots=[cid for cid, c in sorted(clusters.items()) if c.parent is None and c.kind == "root"],
-        global_singletons=global_singletons,
         attached_singletons={},
         max_level=max(c.level for c in clusters.values()),
         max_cluster_size=max_cluster_size,
         leaf_ids={cid for cid, c in clusters.items() if not c.children and cid not in dissolved},
     )
-    _attach_global_singletons(g, hierarchy)
+    _attach_global_singletons(g, hierarchy, global_singletons)
     return hierarchy
 
 
-def _attach_global_singletons(g: Graph, h: Hierarchy) -> None:
+def _attach_global_singletons(g: Graph, h: Hierarchy, singletons: set[int]) -> None:
     """Fold every parked singleton into the neighboring leaf that knows it best.
 
     Target: the leaf holding the most of the singleton's neighbors, ties to
     the smallest cluster id. Attachment can chain (a singleton may only
     reach the graph through another one), so passes repeat until stable.
     """
-    if not h.global_singletons:
+    if not singletons:
         return
-    node_leaves = h.node_to_leaves()
-    remaining = sorted(h.global_singletons)
+    node_leaves: dict[int, list[int]] = {}  # anchors sit in several leaves
+    for leaf in h.leaves():
+        for v in leaf.members:
+            node_leaves.setdefault(v, []).append(leaf.id)
+    remaining = sorted(singletons)
     while remaining:
         progressed = False
         deferred: list[int] = []
@@ -441,4 +424,3 @@ def _attach_global_singletons(g: Graph, h: Hierarchy) -> None:
                 f"could not attach singletons {deferred}; graph should be connected"
             )
         remaining = deferred
-    h.global_singletons = set()

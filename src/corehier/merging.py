@@ -85,7 +85,6 @@ def _clone_hierarchy(h: Hierarchy) -> Hierarchy:
     return Hierarchy(
         clusters=clusters,
         roots=list(h.roots),
-        global_singletons=set(h.global_singletons),
         attached_singletons=dict(h.attached_singletons),
         max_level=h.max_level,
         max_cluster_size=h.max_cluster_size,

@@ -8,7 +8,7 @@ exact rationals to far better than the 1e-12 tolerance used by the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,41 +27,6 @@ class Partition:
     """Assignment of every node to a community; communities are never empty."""
 
     assignment: tuple[int, ...]
-
-    @classmethod
-    def from_assignment(cls, assignment: Sequence[int] | dict[int, int], n: int) -> "Partition":
-        if isinstance(assignment, dict):
-            if sorted(assignment) != list(range(n)):
-                raise InputError("partition must cover exactly the graph's nodes")
-            values = tuple(assignment[v] for v in range(n))
-        else:
-            if len(assignment) != n:
-                raise InputError("partition must cover exactly the graph's nodes")
-            values = tuple(assignment)
-        return cls(values)
-
-    @classmethod
-    def from_communities(cls, communities: Iterable[Iterable[int]], n: int) -> "Partition":
-        values = [-1] * n
-        for cid, members in enumerate(communities):
-            for v in members:
-                if not 0 <= v < n or values[v] != -1:
-                    raise InputError("communities must partition the node set")
-            for v in members:
-                values[v] = cid
-        if any(v == -1 for v in values):
-            raise InputError("communities must partition the node set")
-        return cls(tuple(values))
-
-    @property
-    def communities(self) -> dict[int, set[int]]:
-        out: dict[int, set[int]] = {}
-        for v, cid in enumerate(self.assignment):
-            out.setdefault(cid, set()).add(v)
-        return out
-
-    def community_of(self, v: int) -> int:
-        return self.assignment[v]
 
     def community_ids(self) -> list[int]:
         return sorted(set(self.assignment))

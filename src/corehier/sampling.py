@@ -28,14 +28,11 @@ DEFAULT_EDGE_OVERHEAD = 8
 class TokenModel:
     """Deterministic token estimator used when explicit counts are absent."""
 
-    mode: str = "estimated"  # "explicit" when counts came with the data
     chars_per_token: float = 4.0
 
     def __post_init__(self) -> None:
         if self.chars_per_token <= 0:
             raise ConfigError("chars_per_token must be positive")
-        if self.mode not in ("explicit", "estimated"):
-            raise ConfigError(f"unknown token model mode {self.mode!r}")
 
     def estimate(self, text: str) -> int:
         """Token estimate for a text: ceil(len/chars_per_token), >= 1 if nonempty."""
@@ -100,12 +97,6 @@ def _ranked_edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     degrees = np.array(g.degrees, dtype=np.int64)
     order = np.lexsort((w, u, -(degrees[u] + degrees[w])))
     return u[order], w[order]
-
-
-def ranked_edges(g: Graph) -> list[tuple[int, int]]:
-    """Edges sorted by combined endpoint degree (desc), then endpoint ids."""
-    u, w = _ranked_edge_arrays(g)
-    return list(zip(u.tolist(), w.tolist()))
 
 
 def budget_from_edge_fraction(

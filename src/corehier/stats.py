@@ -22,21 +22,19 @@ LEVEL_LEAF = "LF"
 LEVEL_ABOVE_LEAF = "L1"
 
 
-def select_level(h: Hierarchy, tag: str | int) -> list[Cluster]:
+def select_level(h: Hierarchy, tag: str) -> list[Cluster]:
     """Clusters at a retrieval granularity, ordered by cluster id.
 
-    ``LF`` selects every childless cluster; ``L1`` selects the distinct
-    parents of those (the root included when it directly parents a leaf).
-    An integer selects clusters recorded at exactly that level.
+    ``LF`` selects the registered leaves (``h.leaf_ids``); ``L1`` selects
+    the distinct parents of those (the root included when it directly
+    parents a leaf).
     """
-    if isinstance(tag, int):
-        return [c for cid, c in sorted(h.clusters.items()) if c.level == tag]
     if tag.upper() == LEVEL_LEAF:
         return h.leaves()
     if tag.upper() == LEVEL_ABOVE_LEAF:
         parents = {c.parent for c in h.leaves() if c.parent is not None}
         return [h.clusters[cid] for cid in sorted(parents)]
-    raise ConfigError(f"unknown level tag {tag!r}; expected LF, L1, or an integer")
+    raise ConfigError(f"unknown level tag {tag!r}; expected LF or L1")
 
 
 @dataclass(frozen=True)
@@ -61,7 +59,7 @@ class CommunityStats:
 
 def community_stats(
     h: Hierarchy,
-    tag: str | int,
+    tag: str,
     g: Graph,
     sample: SampleResult | None = None,
     token_limit: int | None = None,
@@ -112,7 +110,7 @@ def community_stats(
         sampled = 100.0 * admitted / total
 
     return CommunityStats(
-        level_tag=str(tag),
+        level_tag=tag,
         num_communities=len(selected),
         coverage_pct=coverage,
         coverage_pct_sampled=sampled,

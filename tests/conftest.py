@@ -9,7 +9,7 @@ import pytest
 
 from corehier.cores import core_numbers
 from corehier.graph import Graph, NodeMeta, load_graph
-from corehier.hierarchy import CLUSTER_KINDS, Hierarchy
+from corehier.hierarchy import CLUSTER_KINDS, Hierarchy, _two_hop_split_parts
 from corehier.sampling import SampleResult, community_edge_ranking
 
 
@@ -44,6 +44,20 @@ def random_graph(rng: np.random.Generator, n: int, extra_edges: int) -> Graph:
         edges.add(key)
         extra_edges -= 1
     return make_graph([(names[a], names[b]) for a, b in sorted(edges)], names)
+
+
+def split_two_hop(g: Graph, pool, max_size: int) -> list[set[int]]:
+    """Split an oversized 2-hop group into clusters, shared anchors included."""
+    return [set(grown) | set(anchors) for grown, anchors in _two_hop_split_parts(g, pool, max_size)]
+
+
+def ranked_edges(g: Graph) -> list[tuple[int, int]]:
+    """Edges (u < w) by combined endpoint degree descending, then u, then w.
+
+    A plain sort on the rank key, the oracle for the package's array ranking.
+    """
+    deg = g.degrees
+    return sorted(g.edges(), key=lambda e: (-(deg[e[0]] + deg[e[1]]), e[0], e[1]))
 
 
 def iter_set_partitions(n: int):
@@ -205,7 +219,6 @@ def check_hierarchy_invariants(g: Graph, h: Hierarchy, max_size: int) -> None:
     for v, count in seen.items():
         assert count == 1 or v in anchor_nodes, f"node {v} is covered by {count} leaves"
 
-    assert not h.global_singletons
     assert h.covered_nodes() == set(range(g.n)), "leaves must cover every node"
     for cid in h.roots:
         assert h.clusters[cid].parent is None

@@ -1,0 +1,60 @@
+"""The package's public surface: adding or removing a name must be deliberate."""
+
+import corehier
+
+PUBLIC = [
+    "ConfigError",
+    "CoreHierError",
+    "InputError",
+    "VerificationError",
+    "Graph",
+    "NodeMeta",
+    "load_graph",
+    "largest_connected_component",
+    "is_connected",
+    "CoreDecomposition",
+    "core_numbers",
+    "Cluster",
+    "Hierarchy",
+    "build_hierarchy",
+    "split_component",
+    "MergeMode",
+    "MergeReport",
+    "merge_small_clusters",
+    "TokenModel",
+    "SampleResult",
+    "SelectedEdge",
+    "derive_max_cluster_size",
+    "default_edge_costs",
+    "budget_from_edge_fraction",
+    "round_robin_sample",
+    "Partition",
+    "ModularityBreakdown",
+    "DegeneracyReport",
+    "SparseBoundsReport",
+    "NEW_COMMUNITY",
+    "modularity",
+    "move_delta",
+    "sensitivity",
+    "all_partition_assignments",
+    "enumerate_degeneracy",
+    "degeneracy_thresholds",
+    "verify_sparse_bounds",
+    "single_move_bound",
+    "pair_perturbation_bound",
+    "CommunityStats",
+    "select_level",
+    "community_stats",
+    "generate_kg_sparse",
+    "three_level_example",
+]
+
+
+def test_all_is_the_pinned_list():
+    assert corehier.__all__ == PUBLIC
+
+
+def test_every_public_name_resolves():
+    namespace: dict = {}
+    exec("from corehier import *", namespace)
+    assert set(PUBLIC) <= namespace.keys()

@@ -1,9 +1,14 @@
 """Command-line surface: subcommands, artifacts, exit codes, reproducibility."""
 
+import copy
 import importlib
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corehier.cli import main
 from corehier.fileio import write_edges_tsv, write_nodes_jsonl
@@ -41,6 +46,13 @@ class TestDecompose:
         err = capsys.readouterr().err
         assert f"{edges}:2: invalid UTF-8" in err
         assert "Traceback" not in err
+
+    def test_deeply_nested_node_line_exits_3(self, example_inputs, tmp_path, capsys):
+        edges, _ = example_inputs
+        nodes = tmp_path / "nodes.jsonl"
+        nodes.write_text('{"id": "a"}\n' + "[" * 100_000 + "\n")
+        assert run("decompose", "--edges", edges, "--nodes", str(nodes)) == 3
+        assert f"error: {nodes}:2: invalid JSON: " in capsys.readouterr().err
 
 
 class TestHierarchy:
@@ -147,6 +159,47 @@ class TestMergeSampleStats:
         cid = obj["clusters"][1]["id"]
         assert f"error: {h_path}: cluster {cid}: unknown parent 999" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command",
+        [["stats"], ["merge"], ["sample", "--token-budget", "100"]],
+    )
+    @pytest.mark.parametrize(
+        "mutate,message",
+        [
+            (lambda obj: obj["clusters"][3].update(members=[["a"]]), "node ids must be strings"),
+            (lambda obj: obj.update(clusters=[1, 2]), "integer 'id'"),
+            (lambda obj: obj["clusters"][3].update(level="x"), "bad level 'x'"),
+            (lambda obj: obj["clusters"][3].update(members="abc"), "must be lists"),
+            (lambda obj: obj["clusters"].append(dict(obj["clusters"][3])), "duplicate id"),
+            (lambda obj: obj["clusters"][0].update(parent=obj["clusters"][0]["id"]), "parent chain loops"),
+            (lambda obj: obj.update(roots=5), "bad 'roots'"),
+            (lambda obj: obj.update(attached_singletons={"e": [1]}), "'attached_singletons'"),
+        ],
+        ids=["nested-member", "int-clusters", "str-level", "str-members", "duplicate-id",
+             "self-parent", "int-roots", "list-host"],
+    )
+    def test_malformed_hierarchy_exits_3(
+        self, example_inputs, tmp_path, capsys, mutate, message, command
+    ):
+        edges, nodes = example_inputs
+        h_path = self.make_hierarchy(example_inputs, tmp_path)
+        obj = json.loads(h_path.read_text())
+        mutate(obj)
+        h_path.write_text(json.dumps(obj))
+        code = run(command[0], "--edges", edges, "--nodes", nodes, "--hierarchy", str(h_path),
+                   *command[1:])
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err.startswith(f"error: {h_path}: ") and message in err
+
+    def test_deeply_nested_hierarchy_exits_3(self, example_inputs, tmp_path, capsys):
+        edges, nodes = example_inputs
+        h_path = tmp_path / "h.json"
+        h_path.write_text("[" * 100_000)
+        code = run("stats", "--edges", edges, "--nodes", nodes, "--hierarchy", str(h_path))
+        assert code == 3
+        assert f"error: {h_path}: invalid JSON: " in capsys.readouterr().err
+
     def test_stats_levels(self, example_inputs, tmp_path, capsys):
         edges, nodes = example_inputs
         h_path = self.make_hierarchy(example_inputs, tmp_path)
@@ -158,6 +211,60 @@ class TestMergeSampleStats:
         payload = json.loads(capsys.readouterr().out)
         assert payload["num_communities"] == 6
         assert payload["coverage_pct_nodes"] == 100.0
+
+
+@pytest.fixture(scope="module")
+def example_hierarchy(tmp_path_factory):
+    """Example inputs and the JSON of their hierarchy (size cap 16)."""
+    tmp = tmp_path_factory.mktemp("example")
+    edges, nodes = three_level_example()
+    write_edges_tsv(tmp / "edges.tsv", edges)
+    write_nodes_jsonl(tmp / "nodes.jsonl", nodes)
+    io = ["--edges", str(tmp / "edges.tsv"), "--nodes", str(tmp / "nodes.jsonl")]
+    assert run("hierarchy", *io, "--max-cluster-size", "16", "--out", str(tmp / "h.json")) == 0
+    return tmp, io, json.loads((tmp / "h.json").read_text())
+
+
+def _positions(obj):
+    """Every (container, key) position in a JSON value."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield obj, key
+        yield from _positions(value)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 20) | st.floats() | st.text(max_size=3)
+    | st.sampled_from(list("aemp")),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), command=st.sampled_from([["stats"], ["merge"], ["sample", "--token-budget", "100"]]))
+def test_mutated_hierarchy_exits_0_or_3_without_traceback(example_hierarchy, data, command):
+    tmp, io, original = example_hierarchy
+    obj = copy.deepcopy(original)
+    for _ in range(data.draw(st.integers(1, 3))):
+        positions = list(_positions(obj))
+        if not positions:
+            break
+        container, key = data.draw(st.sampled_from(positions))
+        action = data.draw(st.sampled_from(["replace", "delete", "duplicate"]))
+        if action == "replace":
+            container[key] = data.draw(json_values)
+        elif action == "delete":
+            del container[key]
+        elif isinstance(container, list):
+            container.append(copy.deepcopy(container[key]))
+    h_path = tmp / "mutated.json"
+    h_path.write_text(json.dumps(obj))
+    err = StringIO()
+    with redirect_stdout(StringIO()), redirect_stderr(err):
+        code = main([command[0], *io, "--hierarchy", str(h_path), *command[1:]])
+    assert code in (0, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 class TestModularityCommands:

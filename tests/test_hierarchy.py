@@ -8,9 +8,9 @@ from corehier.errors import ConfigError, InputError
 from corehier.fixtures import three_level_example
 from corehier.fileio import hierarchy_to_json_obj, json_dumps_stable
 from corehier.graph import largest_connected_component, load_graph
-from corehier.hierarchy import build_hierarchy, split_component, split_two_hop
+from corehier.hierarchy import build_hierarchy, split_component
 
-from conftest import check_hierarchy_invariants, make_graph
+from conftest import check_hierarchy_invariants, make_graph, split_two_hop
 
 
 def names_of(g, members):

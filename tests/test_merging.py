@@ -82,7 +82,6 @@ def _hand_hierarchy(g, member_names, kinds):
     return Hierarchy(
         clusters=clusters,
         roots=[cid for cid, c in clusters.items() if c.kind == "root"],
-        global_singletons=set(),
         attached_singletons={},
         max_level=1,
         max_cluster_size=10,

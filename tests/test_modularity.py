@@ -249,7 +249,10 @@ class TestSingleMoveBound:
 def exact_q(g, p):
     """Modularity of p in exact rationals, straight from its definition."""
     q = Fraction(0)
-    for members in p.communities.values():
+    communities: dict[int, set[int]] = {}
+    for v, cid in enumerate(p.assignment):
+        communities.setdefault(cid, set()).add(v)
+    for members in communities.values():
         e_c = sum(1 for u, w in g.edges() if u in members and w in members)
         k_c = sum(g.degrees[u] for u in members)
         q += Fraction(e_c, g.m) - Fraction(k_c, 2 * g.m) ** 2

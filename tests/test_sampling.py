@@ -13,11 +13,10 @@ from corehier.sampling import (
     budget_from_edge_fraction,
     default_edge_costs,
     derive_max_cluster_size,
-    ranked_edges,
     round_robin_sample,
 )
 
-from conftest import check_round_robin_properties, make_graph
+from conftest import check_round_robin_properties, make_graph, ranked_edges
 
 
 class TestTokenModel:
@@ -32,8 +31,6 @@ class TestTokenModel:
     def test_invalid_parameters(self):
         with pytest.raises(ConfigError):
             TokenModel(chars_per_token=0)
-        with pytest.raises(ConfigError):
-            TokenModel(mode="guessy")
 
 
 class TestDeriveMaxClusterSize:
@@ -90,7 +87,7 @@ def two_community_fixture():
         0: Cluster(0, {a0, a1, a2}, 2, "residual", None),
         1: Cluster(1, {b0, b1}, 2, "residual", None),
     }
-    h = Hierarchy(clusters, [], set(), {}, 2, 10, leaf_ids={0, 1})
+    h = Hierarchy(clusters, [], {}, 2, 10, leaf_ids={0, 1})
     e1, e2, f1 = (min(a0, a1), max(a0, a1)), (min(a0, a2), max(a0, a2)), (min(b0, b1), max(b0, b1))
     costs = {edge: 1 for edge in g.edges()}
     costs[e1] = 50

@@ -42,14 +42,14 @@ class TestSelectLevel:
         h = build_hierarchy(g, 10)
         assert [names_of(g, c.members) for c in select_level(h, "LF")] == ["abcdp"]
         assert [names_of(g, c.members) for c in select_level(h, "L1")] == ["abcdp"]
-        # explicit level selection
-        assert [c.level for c in select_level(h, 3)] == [3]
 
     def test_unknown_tag_rejected(self):
         g = largest_connected_component(make_graph([("a", "b")]))
         h = build_hierarchy(g, 10)
         with pytest.raises(ConfigError):
             select_level(h, "L9")
+        with pytest.raises(ConfigError):
+            select_level(h, "3")
 
 
 class TestCoverage:
@@ -74,13 +74,12 @@ class TestCoverage:
             0: Cluster(0, {lcc.id_of("a"), lcc.id_of("b"), lcc.id_of("c")}, 1, "root", None),
             1: Cluster(1, {lcc.id_of("d")}, 1, "two_hop", None),
         }
-        fake = Hierarchy(clusters, [0], set(), {}, 1, 10, leaf_ids={0, 1})
-        stats = community_stats(fake, 1, lcc)  # explicit level: both clusters
+        fake = Hierarchy(clusters, [0], {}, 1, 10, leaf_ids={0, 1})
+        stats = community_stats(fake, "LF", lcc)  # both clusters are registered leaves
         assert stats.coverage_pct == pytest.approx(100.0)
-        only_root = community_stats(fake, "LF", lcc)
-        assert only_root.num_communities == 2
+        assert stats.num_communities == 2
         three = community_stats(
-            Hierarchy({0: clusters[0]}, [0], set(), {}, 1, 10, leaf_ids={0}), "LF", lcc
+            Hierarchy({0: clusters[0]}, [0], {}, 1, 10, leaf_ids={0}), "LF", lcc
         )
         assert three.coverage_pct == pytest.approx(75.0)
 
