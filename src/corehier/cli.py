@@ -2,7 +2,10 @@
 
 Exit codes: 0 success, 2 configuration error, 3 input error, 4 verification
 failure. Every artifact is written with sorted keys and stable formatting,
-so rerunning a command on the same inputs reproduces the bytes exactly.
+so rerunning a command on the same inputs reproduces the bytes exactly. A
+file output is written under a temporary name beside its target and
+renamed into place only once it is complete, so a failed command leaves
+the previous file as it was.
 """
 
 from __future__ import annotations
@@ -10,13 +13,15 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TextIO
 
 from . import fileio
-from .cores import CoreDecomposition, core_numbers
+from .cores import core_numbers
 from .errors import ConfigError, CoreHierError, InputError, VerificationError
 from .fixtures import generate_kg_sparse
 from .graph import Graph, largest_connected_component, load_graph, strip_self_loops
@@ -64,20 +69,24 @@ class PipelineConfig:
     edge_overhead: int = DEFAULT_EDGE_OVERHEAD
 
     def __post_init__(self) -> None:
-        _reject_conflicting_options(self)
+        _validate_options(self)
         if self.token_budget is None and self.edge_fraction is None:
             self.edge_fraction = DEFAULT_EDGE_FRACTION
 
 
-def _reject_conflicting_options(opts) -> None:
-    """Reject a size cap given with a token limit, or a budget with an edge fraction.
+def _validate_options(opts) -> None:
+    """Reject conflicting options and a token limit below 1, before any input is read.
 
-    ``opts`` is a :class:`PipelineConfig` or parsed arguments; an option it
-    lacks counts as not given.
+    A size cap conflicts with a token limit, and a budget with an edge
+    fraction. ``opts`` is a :class:`PipelineConfig` or parsed arguments; an
+    option it lacks counts as not given.
     """
     for a, b in (("max_cluster_size", "token_limit"), ("token_budget", "edge_fraction")):
         if getattr(opts, a, None) is not None and getattr(opts, b, None) is not None:
             raise ConfigError(f"--{a} and --{b} are mutually exclusive".replace("_", "-"))
+    token_limit = getattr(opts, "token_limit", None)
+    if token_limit is not None and token_limit < 1:
+        raise ConfigError("token limit must be positive")
 
 
 def _load(edges_path, nodes_path, chars_per_token=DEFAULT_CHARS_PER_TOKEN) -> Graph:
@@ -92,27 +101,19 @@ def _ingest(edges_path, nodes_path, chars_per_token=DEFAULT_CHARS_PER_TOKEN) -> 
     return largest_connected_component(_load(edges_path, nodes_path, chars_per_token))
 
 
-def _decomposition_json(dec: CoreDecomposition, g: Graph) -> str:
-    payload = {
-        "max_core": dec.max_core,
-        "cores": {g.external_id(v): dec.core[v] for v in range(g.n)},
-    }
-    return fileio.json_dumps_stable(payload)
-
-
 def _hierarchy(g: Graph, max_cluster_size, token_limit, core=None) -> Hierarchy:
     """Hierarchy capped at ``max_cluster_size``, else at the size ``token_limit`` derives."""
     if max_cluster_size is None:
-        max_cluster_size = derive_max_cluster_size(token_limit or DEFAULT_TOKEN_LIMIT, g)
+        if token_limit is None:
+            token_limit = DEFAULT_TOKEN_LIMIT
+        max_cluster_size = derive_max_cluster_size(token_limit, g)
     return build_hierarchy(g, max_cluster_size, core)
 
 
-def _hierarchy_json(h: Hierarchy, g: Graph) -> str:
-    return fileio.json_dumps_stable(fileio.hierarchy_to_json_obj(h, g))
-
-
 def _stats(h: Hierarchy, level: str, g: Graph, token_limit) -> dict:
-    return community_stats(h, level, g, token_limit=token_limit or DEFAULT_TOKEN_LIMIT).to_json_obj()
+    if token_limit is None:
+        token_limit = DEFAULT_TOKEN_LIMIT
+    return community_stats(h, level, g, token_limit=token_limit).to_json_obj()
 
 
 def _sample(g: Graph, h: Hierarchy, overhead: int, token_budget, edge_fraction) -> SampleResult:
@@ -125,11 +126,49 @@ def _sample(g: Graph, h: Hierarchy, overhead: int, token_budget, edge_fraction) 
     return round_robin_sample(h, g, costs, token_budget)
 
 
-def _emit(text: str, out: str | None) -> None:
+def _write_json(out: TextIO, obj) -> None:
+    """Writer for small payloads: ``json_dumps_stable(obj)`` in one piece."""
+    out.write(fileio.json_dumps_stable(obj))
+
+
+def _write_temp(path: Path, write, *args) -> Path:
+    """Run ``write(file, *args)`` into a temporary file beside ``path``; return its name.
+
+    The name carries the process id, so concurrent runs do not share it.
+    If the writer fails, the temporary file is removed before re-raising.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            write(f, *args)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return tmp
+
+
+def _discard(temps) -> None:
+    for tmp in temps:
+        tmp.unlink(missing_ok=True)
+
+
+def _commit(staged: dict[Path, Path]) -> None:
+    """Rename each temporary file over its target path; if a rename fails, delete the rest."""
+    try:
+        for path, tmp in staged.items():
+            os.replace(tmp, path)
+    except BaseException:
+        _discard(staged.values())
+        raise
+
+
+def _emit(out: str | None, write, *args) -> None:
+    """Run ``write(file, *args)`` into ``out``, replaced only once complete, or to stdout."""
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        path = Path(out)
+        _commit({path: _write_temp(path, write, *args)})
     else:
-        sys.stdout.write(text)
+        write(sys.stdout, *args)
 
 
 def _load_hierarchy(path, g: Graph) -> Hierarchy:
@@ -146,14 +185,15 @@ def _load_hierarchy(path, g: Graph) -> Hierarchy:
 
 def cmd_decompose(args) -> int:
     g = _ingest(args.edges, args.nodes)
-    _emit(_decomposition_json(core_numbers(g), g), args.out)
+    _emit(args.out, fileio.write_decomposition_json, core_numbers(g), g)
     return EXIT_OK
 
 
 def cmd_hierarchy(args) -> int:
-    _reject_conflicting_options(args)
+    _validate_options(args)
     g = _ingest(args.edges, args.nodes, args.chars_per_token)
-    _emit(_hierarchy_json(_hierarchy(g, args.max_cluster_size, args.token_limit), g), args.out)
+    h = _hierarchy(g, args.max_cluster_size, args.token_limit)
+    _emit(args.out, fileio.write_hierarchy_json, h, g)
     return EXIT_OK
 
 
@@ -161,39 +201,40 @@ def cmd_merge(args) -> int:
     g = _ingest(args.edges, args.nodes)
     h = _load_hierarchy(args.hierarchy, g)
     merged, report = merge_small_clusters(g, h, MergeMode.parse(args.mode))
-    _emit(_hierarchy_json(merged, g), args.out)
+    _emit(args.out, fileio.write_hierarchy_json, merged, g)
     report_out = args.report or (str(Path(args.out).with_suffix(".report.json")) if args.out else None)
-    _emit(fileio.json_dumps_stable(report.to_json_obj()), report_out)
+    _emit(report_out, _write_json, report.to_json_obj())
     return EXIT_OK
 
 
 def cmd_sample(args) -> int:
-    _reject_conflicting_options(args)
+    _validate_options(args)
     g = _ingest(args.edges, args.nodes, args.chars_per_token)
     h = _load_hierarchy(args.hierarchy, g)
     result = _sample(g, h, args.overhead, args.token_budget, args.edge_fraction)
-    _emit(fileio.sample_to_tsv(result, g), args.out)
+    _emit(args.out, fileio.write_sample_tsv, result, g)
     return EXIT_OK
 
 
 def cmd_stats(args) -> int:
+    _validate_options(args)
     g = _ingest(args.edges, args.nodes, args.chars_per_token)
     h = _load_hierarchy(args.hierarchy, g)
-    _emit(fileio.json_dumps_stable(_stats(h, args.level.upper(), g, args.token_limit)), args.out)
+    _emit(args.out, _write_json, _stats(h, args.level.upper(), g, args.token_limit))
     return EXIT_OK
 
 
 def cmd_degeneracy(args) -> int:
     g = strip_self_loops(_load(args.edges, args.nodes))
     report = enumerate_degeneracy(g, args.epsilon, args.d)
-    _emit(fileio.json_dumps_stable(report.to_json_obj()), args.out)
+    _emit(args.out, _write_json, report.to_json_obj())
     return EXIT_OK
 
 
 def cmd_verify_bounds(args) -> int:
     g = strip_self_loops(_load(args.edges, args.nodes))
     report = verify_sparse_bounds(g, args.d, seed=args.seed)
-    _emit(fileio.json_dumps_stable(report.to_json_obj()), args.out)
+    _emit(args.out, _write_json, report.to_json_obj())
     return EXIT_OK if report.all_ok else EXIT_VERIFICATION
 
 
@@ -224,12 +265,15 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Path]:
     Stages run in order: ingest (the input's largest component), decompose,
     hierarchy (deriving the size cap when none is given), merge, stats,
     sample. Any failure is re-raised with the stage name attached. Each
-    artifact is written as soon as its stage ends; outputs are
-    deterministic byte for byte. The cyclic garbage collector is paused
-    for the run.
+    artifact is streamed to a temporary file in ``out_dir`` as soon as its
+    stage ends, so no artifact is held in memory as a whole. Only after the
+    last stage succeeds are the temporary files renamed over the artifacts;
+    if any stage or write fails, they are deleted and ``out_dir`` keeps its
+    earlier contents. Outputs are deterministic byte for byte. The cyclic
+    garbage collector is paused for the run.
     """
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    artifacts: dict[str, Path] = {}
+    staged: dict[Path, Path] = {}  # artifact path -> its complete temporary file
 
     def stage(name, fn, *args):
         try:
@@ -237,29 +281,33 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Path]:
         except CoreHierError as exc:
             raise type(exc)(f"stage {name!r}: {exc}") from exc
 
-    def write(filename: str, text: str) -> None:
+    def write(filename: str, writer, *args) -> None:
         path = cfg.out_dir / filename
-        path.write_text(text, encoding="utf-8")
-        artifacts[path.stem] = path
+        staged[path] = _write_temp(path, writer, *args)
 
-    g = stage("ingest", _ingest, cfg.edges_path, cfg.nodes_path, cfg.chars_per_token)
-    dec = stage("decompose", core_numbers, g)
-    write("decomposition.json", _decomposition_json(dec, g))
-    h = stage("hierarchy", _hierarchy, g, cfg.max_cluster_size, cfg.token_limit, dec.core)
-    write("hierarchy.json", _hierarchy_json(h, g))
-    merged, report = stage("merge", merge_small_clusters, g, h, cfg.merge_mode)
-    write("hierarchy_merged.json", _hierarchy_json(merged, g))
-    write("merge_report.json", fileio.json_dumps_stable(report.to_json_obj()))
-    stats = {
-        level.lower(): stage("stats", _stats, merged, level, g, cfg.token_limit)
-        for level in ("LF", "L1")
-    }
-    write("stats.json", fileio.json_dumps_stable(stats))
-    result = stage(
-        "sample", _sample, g, merged, cfg.edge_overhead, cfg.token_budget, cfg.edge_fraction
-    )
-    write("sample.tsv", fileio.sample_to_tsv(result, g))
-    return artifacts
+    try:
+        g = stage("ingest", _ingest, cfg.edges_path, cfg.nodes_path, cfg.chars_per_token)
+        dec = stage("decompose", core_numbers, g)
+        write("decomposition.json", fileio.write_decomposition_json, dec, g)
+        h = stage("hierarchy", _hierarchy, g, cfg.max_cluster_size, cfg.token_limit, dec.core)
+        write("hierarchy.json", fileio.write_hierarchy_json, h, g)
+        merged, report = stage("merge", merge_small_clusters, g, h, cfg.merge_mode)
+        write("hierarchy_merged.json", fileio.write_hierarchy_json, merged, g)
+        write("merge_report.json", _write_json, report.to_json_obj())
+        stats = {
+            level.lower(): stage("stats", _stats, merged, level, g, cfg.token_limit)
+            for level in ("LF", "L1")
+        }
+        write("stats.json", _write_json, stats)
+        result = stage(
+            "sample", _sample, g, merged, cfg.edge_overhead, cfg.token_budget, cfg.edge_fraction
+        )
+        write("sample.tsv", fileio.write_sample_tsv, result, g)
+    except BaseException:
+        _discard(staged.values())
+        raise
+    _commit(staged)
+    return {path.stem: path for path in staged}
 
 
 def cmd_pipeline(args) -> int:

@@ -5,14 +5,21 @@ import importlib
 import json
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corehier import cli, fileio
 from corehier.cli import main
+from corehier.errors import InputError
 from corehier.fileio import write_edges_tsv, write_nodes_jsonl
 from corehier.fixtures import three_level_example
+
+
+ARTIFACTS = ["decomposition.json", "hierarchy.json", "hierarchy_merged.json",
+             "merge_report.json", "stats.json", "sample.tsv"]
 
 
 @pytest.fixture()
@@ -313,9 +320,7 @@ class TestPipeline:
                     "--edge-fraction", "0.8")
                 == 0
             )
-        names = ["decomposition.json", "hierarchy.json", "hierarchy_merged.json",
-                 "merge_report.json", "stats.json", "sample.tsv"]
-        for name in names:
+        for name in ARTIFACTS:
             assert (out1 / name).exists()
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
@@ -342,6 +347,138 @@ class TestPipeline:
         budget = budget_from_edge_fraction(g, 0.8, default_edge_costs(g))
         lines = (out / "sample.tsv").read_text().strip().split("\n")[1:]
         assert sum(int(line.split("\t")[3]) for line in lines) <= budget
+
+
+def _injected_failure(*args, **kwargs):
+    raise InputError("injected failure")
+
+
+class TestAtomicOutput:
+    """A failed command leaves its earlier output byte-identical and no temporary file."""
+
+    @pytest.mark.parametrize(
+        "stage,target",
+        [("decompose", "core_numbers"), ("hierarchy", "build_hierarchy"),
+         ("merge", "merge_small_clusters"), ("stats", "community_stats"),
+         ("sample", "round_robin_sample")],
+    )
+    def test_failed_pipeline_stage_keeps_previous_artifacts(
+        self, example_inputs, tmp_path, capsys, monkeypatch, stage, target
+    ):
+        edges, nodes = example_inputs
+        out = tmp_path / "o"
+        argv = ["pipeline", "--edges", edges, "--nodes", nodes, "--out", str(out)]
+        assert run(*argv, "--merge-mode", "m2hc") == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(before) == sorted(ARTIFACTS)
+        monkeypatch.setattr(cli, target, _injected_failure)
+        # mrc merging changes the merged hierarchy and every artifact after it,
+        # so a partial commit would show
+        assert run(*argv, "--merge-mode", "mrc") == 3
+        assert f"stage {stage!r}: injected failure" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_failed_artifact_write_keeps_previous_artifacts(self, example_inputs, tmp_path, monkeypatch):
+        edges, nodes = example_inputs
+        out = tmp_path / "o"
+        argv = ["pipeline", "--edges", edges, "--nodes", nodes, "--out", str(out)]
+        assert run(*argv) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def half_written(f, *args):
+            f.write("#src\tdst\n")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(fileio, "write_sample_tsv", half_written)
+        cfg = cli.PipelineConfig(edges_path=Path(edges), nodes_path=Path(nodes), out_dir=out,
+                                 merge_mode=cli.MergeMode.RESIDUAL_AND_TWO_HOP)
+        with pytest.raises(OSError, match="disk full"):
+            cli.run_pipeline(cfg)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_failed_subcommand_write_keeps_previous_out_file(
+        self, example_inputs, tmp_path, monkeypatch
+    ):
+        edges, nodes = example_inputs
+        target = tmp_path / "h.json"
+        argv = ["hierarchy", "--edges", edges, "--nodes", nodes, "--out", str(target)]
+        assert run(*argv) == 0
+        before = target.read_bytes()
+
+        def half_written(f, h, g):
+            f.write('{\n  "attached_singletons": ')
+            raise InputError("injected failure")
+
+        monkeypatch.setattr(fileio, "write_hierarchy_json", half_written)
+        assert run(*argv, "--max-cluster-size", "4") == 3
+        assert target.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["edges.tsv", "nodes.jsonl", "h.json"]
+        )
+
+    def test_out_that_cannot_be_replaced_leaves_no_temporary_file(self, example_inputs, tmp_path):
+        edges, nodes = example_inputs
+        target = tmp_path / "a-directory"
+        target.mkdir()
+        with pytest.raises(OSError):
+            run("decompose", "--edges", edges, "--nodes", nodes, "--out", str(target))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a-directory", "edges.tsv", "nodes.jsonl"]
+        assert list(target.iterdir()) == []
+
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["pipeline", "--out", "o"], ["hierarchy"], ["stats", "--hierarchy", "h.json"]],
+)
+@pytest.mark.parametrize("limit", ["0", "-5"])
+def test_token_limit_below_one_exits_2_before_reading_input(tmp_path, capsys, command, limit):
+    # The edge file does not exist: reading it first would exit 3 instead.
+    argv = [command[0], "--edges", str(tmp_path / "absent.tsv"), "--token-limit", limit]
+    argv += [str(tmp_path / arg) if arg in ("o", "h.json") else arg for arg in command[1:]]
+    assert main(argv) == 2
+    assert "error: token limit must be positive" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+_fields = st.sampled_from([b"a", b"b", b"c", b"a b", b"", b" ", b"#", b"1.5", b"nan", b"-0",
+                           b"x\xff", b"\xc3\xa9", b"\r", b"\x00", b"\xed\xa0\x80"])
+edge_files = st.lists(
+    st.binary(max_size=16) | st.lists(_fields, min_size=1, max_size=4).map(b"\t".join),
+    max_size=6,
+).map(b"\n".join)
+_node_values = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+                | st.sampled_from(["a", "b", "c", "\ud800"]) | st.lists(st.integers(), max_size=2)
+                | st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+_node_lines = (
+    st.binary(max_size=24)
+    | st.fixed_dictionaries(
+        {"id": st.sampled_from(["a", "b", "c"]) | _node_values},
+        optional={"label": _node_values, "tokens": _node_values, "text": _node_values},
+    ).map(lambda obj: json.dumps(obj).encode())
+    | st.sampled_from([b'{"id": "a", "tokens": ' + b"9" * 5000 + b"}", b'{"id": "a", "text": 5}',
+                       b"[" * 5000, b"\xef\xbb\xbf{}"])
+)
+node_files = st.lists(_node_lines, max_size=3).map(b"\n".join)
+
+
+@settings(max_examples=300, deadline=None)
+# Half the time one file is valid, so that the other one is read to its end.
+@given(edges=edge_files | st.just(b"a\tb\nb\tc\n"), nodes=node_files | st.just(b'{"id": "a"}\n'))
+def test_arbitrary_input_bytes_exit_0_or_3_without_traceback(fuzz_dir, edges, nodes):
+    (fuzz_dir / "edges.tsv").write_bytes(edges)
+    (fuzz_dir / "nodes.jsonl").write_bytes(nodes)
+    err = StringIO()
+    with redirect_stdout(StringIO()), redirect_stderr(err):
+        code = main(["decompose", "--edges", str(fuzz_dir / "edges.tsv"),
+                     "--nodes", str(fuzz_dir / "nodes.jsonl")])
+    assert code in (0, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 class TestGenFixture:

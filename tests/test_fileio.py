@@ -1,9 +1,13 @@
 """Parsers, writers, and hierarchy JSON round-tripping."""
 
 import json
+from io import StringIO
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from corehier.cores import CoreDecomposition, core_numbers
 from corehier.errors import InputError
 from corehier.fileio import (
     hierarchy_from_json_obj,
@@ -12,14 +16,23 @@ from corehier.fileio import (
     read_edges_tsv,
     read_nodes_jsonl,
     sample_to_tsv,
+    write_decomposition_json,
     write_edges_tsv,
+    write_hierarchy_json,
     write_nodes_jsonl,
+    write_sample_tsv,
 )
 from corehier.fixtures import three_level_example
-from corehier.graph import largest_connected_component, load_graph
-from corehier.hierarchy import build_hierarchy
+from corehier.graph import Graph, NodeMeta, largest_connected_component, load_graph
+from corehier.hierarchy import CLUSTER_KINDS, Cluster, Hierarchy, build_hierarchy
 from corehier.merging import MergeMode, merge_small_clusters
-from corehier.sampling import TokenModel, default_edge_costs, round_robin_sample
+from corehier.sampling import (
+    SampleResult,
+    SelectedEdge,
+    TokenModel,
+    default_edge_costs,
+    round_robin_sample,
+)
 
 
 class TestEdgeFile:
@@ -92,6 +105,19 @@ class TestNodeFile:
         p = tmp_path / "nodes.jsonl"
         p.write_text('{"id": "a", "tokens": 2}\n{"id": "b", "tokens": true}\n', encoding="utf-8")
         with pytest.raises(InputError, match=rf"{p.name}:2: 'tokens'"):
+            read_nodes_jsonl(p)
+
+    @pytest.mark.parametrize("text", ["5", "[\"abc\"]", "{}", "true"])
+    def test_text_that_is_not_a_string_rejected(self, tmp_path, text):
+        p = tmp_path / "nodes.jsonl"
+        p.write_text('{"id": "a", "text": null}\n{"id": "b", "text": ' + text + "}\n", encoding="utf-8")
+        with pytest.raises(InputError, match=rf"{p.name}:2: 'text' must be a string"):
+            read_nodes_jsonl(p)
+
+    def test_integer_too_long_to_convert_rejected(self, tmp_path):
+        p = tmp_path / "nodes.jsonl"
+        p.write_text('{"id": "a", "tokens": ' + "9" * 5000 + "}\n", encoding="utf-8")
+        with pytest.raises(InputError, match=rf"{p.name}:1: invalid JSON: "):
             read_nodes_jsonl(p)
 
     def test_invalid_utf8_reports_line_number(self, tmp_path):
@@ -202,3 +228,122 @@ def test_sample_tsv_layout():
         src, dst, comm, cost = line.split("\t")
         assert (g.id_of(src), g.id_of(dst)) == pick.edge
         assert int(comm) == pick.community and int(cost) == pick.cost
+
+
+# External ids that exercise every escape json.dumps makes: quotes,
+# backslashes, control characters, non-ASCII, astral code points and lone
+# surrogates (NodeMeta accepts any str, and a JSONL "\ud800" decodes to one).
+external_ids = st.text(
+    st.sampled_from(['"', "\\", "\x00", "\n", "\t", "\x1f", "\x7f", "/", "a", "B", "0",
+                     "\u00e9", "\u6f22", "\u2028", "\U0001f600", "\ud800", "\udfff"])
+    | st.characters(),
+    min_size=1,
+    max_size=5,
+)
+
+
+@st.composite
+def graphs(draw, max_nodes=8):
+    """Edgeless graphs over unique, unsorted external ids: the writers read only the ids."""
+    names = draw(st.lists(external_ids, max_size=max_nodes, unique=True))
+    return Graph([0] * (len(names) + 1), [], [NodeMeta(name) for name in names])
+
+
+def node_sets(g):
+    return st.sets(st.integers(0, g.n - 1), max_size=g.n) if g.n else st.just(set())
+
+
+@st.composite
+def hierarchies(draw):
+    g = draw(graphs())
+    ids = draw(st.lists(st.integers(0, 40), max_size=6, unique=True))
+    some_id = st.sampled_from(ids) if ids else st.nothing()
+    clusters = {
+        cid: Cluster(
+            cid,
+            draw(node_sets(g)),
+            draw(st.integers(0, 5)),
+            draw(st.sampled_from(CLUSTER_KINDS)),
+            draw(st.none() | some_id),
+            [],
+            frozenset(draw(node_sets(g))),
+        )
+        for cid in ids
+    }
+    h = Hierarchy(
+        clusters=clusters,
+        roots=draw(st.lists(some_id, max_size=3)) if ids else [],
+        attached_singletons=draw(
+            st.dictionaries(st.integers(0, g.n - 1), some_id, max_size=g.n) if g.n and ids else st.just({})
+        ),
+        max_level=draw(st.integers(0, 5)),
+        max_cluster_size=draw(st.integers(2, 200)),
+        leaf_ids=set(draw(st.lists(some_id, max_size=6))) if ids else set(),
+    )
+    return h, g
+
+
+def written(writer, *args) -> str:
+    out = StringIO()
+    writer(out, *args)
+    return out.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=hierarchies())
+def test_hierarchy_writer_matches_oracle(case):
+    h, g = case
+    assert written(write_hierarchy_json, h, g) == json_dumps_stable(hierarchy_to_json_obj(h, g))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_decomposition_writer_matches_oracle(data):
+    g = data.draw(graphs(max_nodes=12))
+    dec = CoreDecomposition(data.draw(st.lists(st.integers(0, 30), min_size=g.n, max_size=g.n)),
+                            data.draw(st.integers(0, 30)))
+    payload = {"cores": {g.external_id(v): dec.core[v] for v in range(g.n)}, "max_core": dec.max_core}
+    assert written(write_decomposition_json, dec, g) == json_dumps_stable(payload)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_sample_writer_matches_oracle(data):
+    g = data.draw(graphs())
+    node = st.integers(0, g.n - 1) if g.n else st.nothing()
+    picks = data.draw(st.lists(
+        st.builds(SelectedEdge, st.tuples(node, node), st.integers(0, 99), st.integers(0, 10**6)),
+        max_size=6 if g.n else 0,
+    ))
+    result = SampleResult(picks, sum(p.cost for p in picks), [], 10**7)
+    assert written(write_sample_tsv, result, g) == sample_to_tsv(result, g)
+
+
+@pytest.mark.parametrize(
+    "clusters,roots,attached",
+    [
+        ({}, [], {}),  # no clusters at all
+        ({0: Cluster(0, {0, 1}, 0, "root")}, [], {}),  # one cluster, null parent, no anchors
+        ({0: Cluster(0, set(), 0, "root"), 1: Cluster(1, {1}, 1, "core", 0, [], frozenset({1}))},
+         [0], {0: 1}),
+    ],
+    ids=["empty", "single-cluster", "empty-members"],
+)
+def test_hierarchy_writer_edge_cases(clusters, roots, attached):
+    g = Graph([0, 0, 0], [], [NodeMeta("z\u00e9"), NodeMeta('a"\\')])
+    h = Hierarchy(clusters, roots, attached, 1, 2, set(clusters))
+    assert written(write_hierarchy_json, h, g) == json_dumps_stable(hierarchy_to_json_obj(h, g))
+
+
+def test_writers_match_oracle_on_the_example():
+    edges, nodes = three_level_example()
+    g = largest_connected_component(load_graph(edges, nodes))
+    dec = core_numbers(g)
+    h = build_hierarchy(g, 16)
+    merged, _ = merge_small_clusters(g, h, MergeMode.RESIDUAL_AND_TWO_HOP)
+    payload = {"max_core": dec.max_core, "cores": {g.external_id(v): dec.core[v] for v in range(g.n)}}
+    assert written(write_decomposition_json, dec, g) == json_dumps_stable(payload)
+    for hier in (h, merged):
+        assert written(write_hierarchy_json, hier, g) == json_dumps_stable(hierarchy_to_json_obj(hier, g))
+    result = round_robin_sample(merged, g, default_edge_costs(g), 200)
+    assert written(write_sample_tsv, result, g) == sample_to_tsv(result, g)

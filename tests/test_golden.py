@@ -209,3 +209,40 @@ def test_staged_subcommands_reproduce_pipeline_artifacts(fixture, mode, tmp_path
     for level in ("lf", "l1"):
         assert main(["stats", *io, "--hierarchy", merged, "--level", level]) == 0
         assert json.loads(capsys.readouterr().out) == stats[level]
+
+
+# Subcommands whose output goes to ``--out`` or, without it, to stdout.
+OUT_OR_STDOUT = [
+    ("decompose",),
+    ("hierarchy",),
+    ("merge", "--mode", "mrc", "--report"),
+    ("merge", "--mode", "m2hc"),
+    ("stats", "--level", "l1"),
+    ("sample", "--edge-fraction", "0.5"),
+]
+
+
+@pytest.mark.parametrize("command", OUT_OR_STDOUT, ids=" ".join)
+def test_out_file_bytes_equal_stdout(command, tmp_path, capsys):
+    edges, nodes = disconnected_records()
+    write_edges_tsv(tmp_path / "edges.tsv", edges)
+    write_nodes_jsonl(tmp_path / "nodes.jsonl", nodes)
+    io = ["--edges", str(tmp_path / "edges.tsv"), "--nodes", str(tmp_path / "nodes.jsonl")]
+    assert main(["hierarchy", *io, "--out", str(tmp_path / "h.json")]) == 0
+    name, *options = command
+    if name not in ("decompose", "hierarchy"):
+        io += ["--hierarchy", str(tmp_path / "h.json")]
+    report = options[-1:] == ["--report"]
+    if report:
+        options = options[:-1]
+    capsys.readouterr()
+    assert main([name, *io, *options]) == 0
+    stdout = capsys.readouterr().out.encode("utf-8")
+    out = tmp_path / "out.txt"
+    extra = ["--report", str(tmp_path / "report.json")] if report else []
+    assert main([name, *io, *options, "--out", str(out), *extra]) == 0
+    files = [out]
+    if name == "merge":  # the hierarchy, then its report
+        files.append(tmp_path / "report.json" if report else out.with_suffix(".report.json"))
+    assert b"".join(f.read_bytes() for f in files) == stdout
+    assert capsys.readouterr().out == ""
