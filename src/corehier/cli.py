@@ -1,11 +1,13 @@
 """Command-line front end tying the stages into a reproducible pipeline.
 
 Exit codes: 0 success, 2 configuration error, 3 input error, 4 verification
-failure. Every artifact is written with sorted keys and stable formatting,
-so rerunning a command on the same inputs reproduces the bytes exactly. A
-file output is written under a temporary name beside its target and
-renamed into place only once it is complete, so a failed command leaves
-the previous file as it was.
+failure; an output path that cannot be written is a configuration error.
+Every artifact is written with sorted keys and stable formatting, so
+rerunning a command on the same inputs reproduces the bytes exactly. A
+regular output file is written under a temporary name beside it and renamed
+into place only once it is complete, so a failed command leaves the
+previous file as it was; a device or FIFO given as ``--out`` is written in
+place.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import argparse
 import gc
 import json
 import os
+import stat
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -131,16 +134,45 @@ def _write_json(out: TextIO, obj) -> None:
     out.write(fileio.json_dumps_stable(obj))
 
 
+@contextmanager
+def _writing(path):
+    """Report an ``OSError`` raised while writing ``path`` as a :class:`ConfigError`."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _rename_target(path: Path) -> Path | None:
+    """The file to rename a complete output over, or None if ``path`` is written in place.
+
+    A symlink is resolved, so the link stays and the file it names gets the
+    bytes. A path that exists but is not a regular file (a device such as
+    /dev/null, a FIFO, a /dev/fd/N pipe) must be opened and written in
+    place: renaming over it would replace the device or fail.
+    """
+    try:
+        is_file = stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        is_file = True
+    return Path(os.path.realpath(path)) if is_file else None
+
+
 def _write_temp(path: Path, write, *args) -> Path:
     """Run ``write(file, *args)`` into a temporary file beside ``path``; return its name.
 
-    The name carries the process id, so concurrent runs do not share it.
-    If the writer fails, the temporary file is removed before re-raising.
+    The name carries the process id, so concurrent runs do not share it. The
+    temporary file takes the mode of an existing ``path``. If the writer
+    fails, the temporary file is removed before re-raising.
     """
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as f:
             write(f, *args)
+        try:
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+        except FileNotFoundError:
+            pass
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
@@ -156,19 +188,29 @@ def _commit(staged: dict[Path, Path]) -> None:
     """Rename each temporary file over its target path; if a rename fails, delete the rest."""
     try:
         for path, tmp in staged.items():
-            os.replace(tmp, path)
+            with _writing(path):
+                os.replace(tmp, path)
     except BaseException:
         _discard(staged.values())
         raise
 
 
 def _emit(out: str | None, write, *args) -> None:
-    """Run ``write(file, *args)`` into ``out``, replaced only once complete, or to stdout."""
-    if out:
-        path = Path(out)
-        _commit({path: _write_temp(path, write, *args)})
-    else:
+    """Run ``write(file, *args)`` into ``out``, or to stdout without one.
+
+    A regular (or new) ``out`` file is replaced only once it is complete;
+    any other ``out`` (see :func:`_rename_target`) is written in place.
+    """
+    if not out:
         write(sys.stdout, *args)
+        return
+    with _writing(out):
+        target = _rename_target(Path(out))
+        if target is None:
+            with open(out, "w", encoding="utf-8") as f:
+                write(f, *args)
+        else:
+            _commit({target: _write_temp(target, write, *args)})
 
 
 def _load_hierarchy(path, g: Graph) -> Hierarchy:
@@ -269,11 +311,17 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Path]:
     stage ends, so no artifact is held in memory as a whole. Only after the
     last stage succeeds are the temporary files renamed over the artifacts;
     if any stage or write fails, they are deleted and ``out_dir`` keeps its
-    earlier contents. Outputs are deterministic byte for byte. The cyclic
-    garbage collector is paused for the run.
+    earlier contents. An artifact path that exists but is not a regular file
+    (or a symlink to one) is a :class:`ConfigError`, raised before any
+    rename; only a rename that fails even so, because ``out_dir`` changed
+    during the run, can leave some artifacts replaced and others not.
+    Outputs are deterministic byte for byte. The cyclic garbage collector is
+    paused for the run.
     """
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    staged: dict[Path, Path] = {}  # artifact path -> its complete temporary file
+    with _writing(cfg.out_dir):
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    paths: dict[str, Path] = {}
+    staged: dict[Path, Path] = {}  # file to replace -> its complete temporary file
 
     def stage(name, fn, *args):
         try:
@@ -283,7 +331,12 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Path]:
 
     def write(filename: str, writer, *args) -> None:
         path = cfg.out_dir / filename
-        staged[path] = _write_temp(path, writer, *args)
+        paths[path.stem] = path
+        with _writing(path):
+            target = _rename_target(path)
+            if target is None:
+                raise ConfigError(f"cannot write {path}: not a regular file")
+            staged[target] = _write_temp(target, writer, *args)
 
     try:
         g = stage("ingest", _ingest, cfg.edges_path, cfg.nodes_path, cfg.chars_per_token)
@@ -307,7 +360,7 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Path]:
         _discard(staged.values())
         raise
     _commit(staged)
-    return {path.stem: path for path in staged}
+    return paths
 
 
 def cmd_pipeline(args) -> int:

@@ -3,6 +3,9 @@
 import copy
 import importlib
 import json
+import os
+import stat
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -13,7 +16,7 @@ from hypothesis import strategies as st
 
 from corehier import cli, fileio
 from corehier.cli import main
-from corehier.errors import InputError
+from corehier.errors import ConfigError, InputError
 from corehier.fileio import write_edges_tsv, write_nodes_jsonl
 from corehier.fixtures import three_level_example
 
@@ -392,7 +395,7 @@ class TestAtomicOutput:
         monkeypatch.setattr(fileio, "write_sample_tsv", half_written)
         cfg = cli.PipelineConfig(edges_path=Path(edges), nodes_path=Path(nodes), out_dir=out,
                                  merge_mode=cli.MergeMode.RESIDUAL_AND_TWO_HOP)
-        with pytest.raises(OSError, match="disk full"):
+        with pytest.raises(ConfigError, match="sample.tsv: disk full"):
             cli.run_pipeline(cfg)
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
@@ -416,15 +419,112 @@ class TestAtomicOutput:
             ["edges.tsv", "nodes.jsonl", "h.json"]
         )
 
-    def test_out_that_cannot_be_replaced_leaves_no_temporary_file(self, example_inputs, tmp_path):
+    def test_out_that_cannot_be_replaced_exits_2_and_leaves_no_temporary_file(
+        self, example_inputs, tmp_path, capsys
+    ):
         edges, nodes = example_inputs
         target = tmp_path / "a-directory"
         target.mkdir()
-        with pytest.raises(OSError):
-            run("decompose", "--edges", edges, "--nodes", nodes, "--out", str(target))
+        assert run("decompose", "--edges", edges, "--nodes", nodes, "--out", str(target)) == 2
+        assert f"error: cannot write {target}" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a-directory", "edges.tsv", "nodes.jsonl"]
         assert list(target.iterdir()) == []
 
+    def test_out_in_a_missing_directory_exits_2(self, example_inputs, tmp_path, capsys):
+        edges, nodes = example_inputs
+        target = tmp_path / "missing" / "dec.json"
+        assert run("decompose", "--edges", edges, "--nodes", nodes, "--out", str(target)) == 2
+        assert "error: cannot write" in capsys.readouterr().err
+        assert not (tmp_path / "missing").exists()
+
+    def test_pipeline_artifact_that_is_not_a_file_exits_2_before_any_rename(
+        self, example_inputs, tmp_path, capsys
+    ):
+        edges, nodes = example_inputs
+        out = tmp_path / "o"
+        argv = ["pipeline", "--edges", edges, "--nodes", nodes, "--out", str(out)]
+        assert run(*argv) == 0
+        (out / "sample.tsv").unlink()
+        (out / "sample.tsv").mkdir()
+        before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+        assert run(*argv, "--merge-mode", "mrc") == 2
+        assert f"cannot write {out / 'sample.tsv'}: not a regular file" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
+        assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS)
+
+
+def _stdout_of(*argv) -> str:
+    buf = StringIO()
+    with redirect_stdout(buf):
+        assert run(*argv) == 0
+    return buf.getvalue()
+
+
+class TestOutTargets:
+    """``--out`` writes through symlinks and into devices, FIFOs and pipes in place."""
+
+    def test_fifo_reader_gets_the_bytes_and_the_fifo_stays(self, example_inputs, tmp_path):
+        edges, nodes = example_inputs
+        argv = ["decompose", "--edges", edges, "--nodes", nodes]
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        # opening a FIFO blocks until the other end opens, so read in a thread
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert run(*argv, "--out", str(fifo)) == 0
+        reader.join(timeout=10)
+        assert received == [_stdout_of(*argv).encode()]
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["edges.tsv", "fifo", "nodes.jsonl"]
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_dev_fd_pipe_gets_the_bytes(self, example_inputs):
+        edges, nodes = example_inputs
+        argv = ["decompose", "--edges", edges, "--nodes", nodes]
+        r, w = os.pipe()
+        try:
+            # the example's decomposition is far below the pipe buffer, so this cannot block
+            assert run(*argv, "--out", f"/dev/fd/{w}") == 0
+        finally:
+            os.close(w)
+        with os.fdopen(r, "rb") as f:
+            assert f.read() == _stdout_of(*argv).encode()
+
+    def test_symlink_stays_a_link_and_its_target_gets_the_bytes(self, example_inputs, tmp_path):
+        edges, nodes = example_inputs
+        argv = ["decompose", "--edges", edges, "--nodes", nodes]
+        real = tmp_path / "real.json"
+        real.write_text("old")
+        link = tmp_path / "link.json"
+        link.symlink_to(real)
+        assert run(*argv, "--out", str(link)) == 0
+        assert link.is_symlink() and os.readlink(link) == str(real)
+        assert real.read_text() == _stdout_of(*argv)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["edges.tsv", "nodes.jsonl", "real.json", "link.json"]
+        )
+
+    def test_replaced_file_keeps_its_mode(self, example_inputs, tmp_path):
+        edges, nodes = example_inputs
+        target = tmp_path / "dec.json"
+        target.write_text("old")
+        target.chmod(0o640)
+        assert run("decompose", "--edges", edges, "--nodes", nodes, "--out", str(target)) == 0
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        assert target.read_text() != "old"
+
+    def test_symlinked_pipeline_artifact_stays_a_link(self, example_inputs, tmp_path):
+        edges, nodes = example_inputs
+        out = tmp_path / "o"
+        out.mkdir()
+        real = tmp_path / "kept-sample.tsv"
+        (out / "sample.tsv").symlink_to(real)
+        argv = ["pipeline", "--edges", edges, "--nodes", nodes, "--out", str(out)]
+        assert run(*argv) == 0
+        assert (out / "sample.tsv").is_symlink()
+        assert real.read_text().startswith("#src\tdst")
+        assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS)
 
 
 @pytest.mark.parametrize(
