@@ -8,6 +8,7 @@ and CHANGES.md records it.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from corehier.cli import main
@@ -106,6 +107,51 @@ def fixture_records(name):
     return generate_kg_sparse(2000, seed=seed)
 
 
+def planted_block_records(seed=5, blocks=24, size=50, links=1500):
+    """Dense blocks of rising density joined by random links; max core 19.
+
+    Block b draws each of its internal pairs with probability spread evenly
+    over 0.05-0.5; external ids are a seeded shuffle, so blocks are not
+    contiguous in id order. Tokens are uniform in [10, 120].
+    """
+    rng = np.random.default_rng(seed)
+    n = blocks * size
+    names = [f"e{i:05d}" for i in rng.permutation(n)]
+    iu, ju = np.triu_indices(size, 1)
+    edges = []
+    for b, p in enumerate(np.linspace(0.05, 0.5, blocks)):
+        keep = rng.random(len(iu)) < p
+        edges += [(names[b * size + i], names[b * size + j])
+                  for i, j in zip(iu[keep].tolist(), ju[keep].tolist())]
+    a, c = rng.integers(0, n, size=(2, links))
+    edges += [(names[x], names[y]) for x, y in zip(a.tolist(), c.tolist()) if x // size != y // size]
+    tokens = rng.integers(10, 121, size=n).tolist()
+    return edges, [NodeMeta(nm, f"entity {nm}", t) for nm, t in zip(names, tokens)]
+
+
+# merge mode -> sha256 of each artifact, in ARTIFACTS order, for the planted
+# blocks under a cap of 6: 19 core levels, and oversized two-hop groups split
+# at levels 1 and 5-15.
+MULTI_LEVEL_SHA256 = {
+    'm2hc': (
+        '76abfdfb61799e25c6dad882f6d755e0d2191291308b9f7aca26240cc7bee9d0',
+        '1fa092029e7d2a958e48b232fa5147c6de1b5f07740b85715ea312c4a742df9b',
+        '83cf88c783ecbcd433d86bc875a09a874109f5df86243d9cb72f09f3bcde4c92',
+        '2807d2f2c9a886f207bf621797b9437d32a916849d1c5c371620d2c74946d473',
+        'dda97b82ae6002404384868e2b1de057427f46fb5578c8345c22202b6339d205',
+        '84079970f3f2ca163ccb6a3239f7873003d4955a763b11cc61186ba3de934ce4',
+    ),
+    'mrc': (
+        '76abfdfb61799e25c6dad882f6d755e0d2191291308b9f7aca26240cc7bee9d0',
+        '1fa092029e7d2a958e48b232fa5147c6de1b5f07740b85715ea312c4a742df9b',
+        '6bc7e21b3f142af7c4594dc9408e0d92c15de73c93c1e2f71ed2643a75742447',
+        '7ed314d98e73d7153b31e52665e6864e9c56aab396179631b988118c8775ec64',
+        'b58154fef3b4a6eefab207e2ac514d857ce94ef6c5225d4e881cba7652bcac26',
+        '2cbecab68dd27b0cab586e7ffe7331a920d6cdbcdf785cfdfb9394debd175187',
+    ),
+}
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -121,6 +167,19 @@ def test_pipeline_artifacts_match_golden_hashes(fixture, mode, tmp_path):
     assert main(argv) == 0
     got = tuple(sha256((out / name).read_bytes()) for name in ARTIFACTS)
     assert dict(zip(ARTIFACTS, got)) == dict(zip(ARTIFACTS, PIPELINE_SHA256[fixture, mode]))
+
+
+@pytest.mark.parametrize("mode", sorted(MULTI_LEVEL_SHA256))
+def test_multi_level_pipeline_artifacts_match_golden_hashes(mode, tmp_path):
+    edges, nodes = planted_block_records()
+    write_edges_tsv(tmp_path / "edges.tsv", edges)
+    write_nodes_jsonl(tmp_path / "nodes.jsonl", nodes)
+    out = tmp_path / "out"
+    argv = ["pipeline", "--edges", str(tmp_path / "edges.tsv"), "--nodes", str(tmp_path / "nodes.jsonl"),
+            "--out", str(out), "--merge-mode", mode, "--max-cluster-size", "6"]
+    assert main(argv) == 0
+    got = tuple(sha256((out / name).read_bytes()) for name in ARTIFACTS)
+    assert dict(zip(ARTIFACTS, got)) == dict(zip(ARTIFACTS, MULTI_LEVEL_SHA256[mode]))
 
 
 def disconnected_records():
