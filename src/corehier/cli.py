@@ -78,11 +78,12 @@ class PipelineConfig:
 
 
 def _validate_options(opts) -> None:
-    """Reject conflicting options and a token limit below 1, before any input is read.
+    """Reject conflicting options and out-of-range numbers before any input is read.
 
     A size cap conflicts with a token limit, and a budget with an edge
-    fraction. ``opts`` is a :class:`PipelineConfig` or parsed arguments; an
-    option it lacks counts as not given.
+    fraction. A token limit must be at least 1, and chars per token finite
+    and positive. ``opts`` is a :class:`PipelineConfig` or parsed
+    arguments; an option it lacks counts as not given.
     """
     for a, b in (("max_cluster_size", "token_limit"), ("token_budget", "edge_fraction")):
         if getattr(opts, a, None) is not None and getattr(opts, b, None) is not None:
@@ -90,6 +91,8 @@ def _validate_options(opts) -> None:
     token_limit = getattr(opts, "token_limit", None)
     if token_limit is not None and token_limit < 1:
         raise ConfigError("token limit must be positive")
+    if hasattr(opts, "chars_per_token"):
+        TokenModel(chars_per_token=opts.chars_per_token)  # raises ConfigError when out of range
 
 
 def _load(edges_path, nodes_path, chars_per_token=DEFAULT_CHARS_PER_TOKEN) -> Graph:

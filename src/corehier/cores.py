@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .graph import Graph
+from .graph import Graph, _gather_rows
 
 
 @dataclass(frozen=True)
@@ -64,11 +64,7 @@ def core_numbers(g: Graph) -> CoreDecomposition:
         alive[frontier] = False
         while len(frontier):
             if len(frontier) >= _MIN_BATCH:
-                starts = indptr[frontier]
-                counts = indptr[frontier + 1] - starts
-                # the frontier's adjacency slices of ``indices``, end to end
-                offsets = np.repeat(starts - (np.cumsum(counts) - counts), counts)
-                nbrs = indices[offsets + np.arange(len(offsets))]
+                nbrs = _gather_rows(g, frontier)[0]
                 hit, times = np.unique(nbrs[alive[nbrs]], return_counts=True)
                 lowered = np.maximum(deg[hit] - times, k)
                 deg[hit] = lowered

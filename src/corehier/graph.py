@@ -43,15 +43,16 @@ class Graph:
     ``degrees`` is a list built on construction (O(n)). ``adj``, the same
     neighbour lists as Python lists for the per-node loops downstream, is
     derived from the arrays on first access in O(n + m); its entries share
-    one int object per node id. The external-id index behind :meth:`id_of`
-    comes from :func:`load_graph`, or is built on first use in O(n).
+    the int objects of ``_ids``, one per node id, as the hierarchy's member
+    sets do. The external-id index behind :meth:`id_of` comes from
+    :func:`load_graph`, or is built on first use in O(n).
 
     Treat instances as frozen once constructed; nothing in the package
     mutates them, which makes concurrent reads safe (two threads racing on
     a lazy attribute both build the same value).
     """
 
-    __slots__ = ("n", "m", "indptr", "indices", "adj", "degrees", "meta", "self_loops", "_ext_index")
+    __slots__ = ("n", "m", "indptr", "indices", "adj", "_ids", "degrees", "meta", "self_loops", "_ext_index")
 
     def __init__(
         self,
@@ -77,12 +78,12 @@ class Graph:
 
     def __getattr__(self, name: str):
         # Only reached while a lazy slot is still unset.
-        if name == "adj":
-            ids = list(range(self.n))
+        if name in ("adj", "_ids"):
+            self._ids = ids = list(range(self.n))
             flat = list(map(ids.__getitem__, self.indices.tolist()))
             bounds = self.indptr.tolist()
             self.adj = list(map(flat.__getitem__, map(slice, bounds[:-1], bounds[1:])))
-            return self.adj
+            return getattr(self, name)
         if name == "_ext_index":
             self._ext_index = {mt.external_id: i for i, mt in enumerate(self.meta)}
             return self._ext_index
@@ -170,37 +171,45 @@ def load_graph(
     return g
 
 
-def _component_labels(g: Graph) -> np.ndarray:
-    """The smallest node id in each node's connected component, as an int64 array.
+def _component_labels(n: int, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The smallest node id in each node's component under the edges (u[i], w[i]), as int64.
 
-    Every node starts as its own root. Each round hooks the larger root of
-    every edge that still joins two trees onto the smaller one, then jumps
-    pointers until every node points at a root; pointers only decrease, so
-    each tree's root is its smallest member. Edges inside one tree are
-    dropped for good. A round costs O(n + m') for the m' edges still
-    joining trees plus O(n) per pointer jump, and the number of trees
-    falls geometrically on the graphs seen so far (a path with shuffled
-    ids takes about log_3 n rounds).
+    Any pairs over ``range(n)`` will do, repeated or reversed; a node no
+    edge touches labels itself. Every node starts as its own root. Each
+    round hooks the larger root of every edge that still joins two trees
+    onto the smaller one, then jumps pointers until every node points at a
+    root; pointers only decrease, so each tree's root is its smallest
+    member. Edges inside one tree are dropped for good. A round costs
+    O(n + m') for the m' edges still joining trees plus O(n) per pointer
+    jump, and the number of trees falls geometrically on the graphs seen so
+    far (a path with shuffled ids takes about log_3 n rounds).
     """
-    label = np.arange(g.n)
-    u, w = g.edge_arrays()
+    label, lu, lw = np.arange(n), u, w
     while True:
-        lu, lw = label[u], label[w]
-        apart = lu != lw
-        if not apart.any():
-            return label
-        u, w, lu, lw = u[apart], w[apart], lu[apart], lw[apart]
         np.minimum.at(label, np.maximum(lu, lw), np.minimum(lu, lw))
         while True:
             jumped = label[label]
             if np.array_equal(jumped, label):
                 break
             label = jumped
+        lu, lw = label[u], label[w]
+        apart = lu != lw
+        if not apart.any():
+            return label
+        u, w, lu, lw = u[apart], w[apart], lu[apart], lw[apart]
+
+
+def _gather_rows(g: Graph, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR rows of ``nodes`` end to end, and each row's length; O(len(nodes) + their degrees)."""
+    starts = g.indptr[nodes]
+    counts = g.indptr[nodes + 1] - starts
+    offsets = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    return g.indices[offsets + np.arange(len(offsets))], counts
 
 
 def is_connected(g: Graph) -> bool:
     """Whether the graph has exactly one component; O(n + m) array work (see ``_component_labels``)."""
-    return g.n > 0 and not _component_labels(g).any()
+    return g.n > 0 and not _component_labels(g.n, *g.edge_arrays()).any()
 
 
 def largest_connected_component(g: Graph) -> Graph:
@@ -216,7 +225,7 @@ def largest_connected_component(g: Graph) -> Graph:
     """
     if g.n == 0:
         raise InputError("empty input: no nodes")
-    labels = _component_labels(g)
+    labels = _component_labels(g.n, *g.edge_arrays())
     sizes = np.bincount(labels, minlength=g.n)
     best = int(np.argmax(sizes))  # first maximum: the smallest id among equal sizes
     if sizes[best] == g.n:

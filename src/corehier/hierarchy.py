@@ -7,20 +7,23 @@ components of the residual part become leaf clusters. Oversized components
 are broken up by greedy seed growth. Singleton clusters produced at a level
 are pooled, grouped by 2-hop reachability in the full graph, and either
 emitted as two-hop clusters or parked as global singletons, which are
-attached to neighboring leaves once the level loop ends. Every choice
-breaks ties by smallest internal id, so the result is fully deterministic.
+attached to neighboring leaves once the level loop ends. Components at every
+level and 2-hop groups are labelled on the CSR arrays by the shared labeller.
+Every choice breaks ties by smallest internal id, so the result is fully
+deterministic.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .cores import core_numbers
 from .errors import ConfigError, InputError, VerificationError
-from .graph import Graph, is_connected
+from .graph import Graph, _component_labels, _gather_rows, is_connected
 
 CLUSTER_KINDS = ("root", "core", "residual", "two_hop")
 
@@ -171,26 +174,16 @@ def _two_hop_split_parts(g: Graph, pool, max_size: int) -> list[tuple[list[int],
     return out
 
 
-def _subset_components(g: Graph, nodes: list[int]) -> list[list[int]]:
-    """Connected components of the induced subgraph, ordered by smallest member."""
-    in_set = set(nodes)
-    seen: set[int] = set()
-    comps: list[list[int]] = []
-    for start in nodes:
-        if start in seen:
-            continue
-        seen.add(start)
-        comp = [start]
-        dq = deque([start])
-        while dq:
-            u = dq.popleft()
-            for w in g.adj[u]:
-                if w in in_set and w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    dq.append(w)
-        comps.append(sorted(comp))
-    return comps
+def _runs(keys: np.ndarray, nodes: np.ndarray, ids: list[int]):
+    """Sort ``nodes`` stably by ``keys``; return them, each run's key and its members as ``ids`` entries.
+
+    Runs come in ascending key order. Cost: one O(k log k) sort of the k nodes plus O(k) to cut.
+    """
+    order = np.argsort(keys, kind="stable")
+    keys, nodes = keys[order], nodes[order]
+    heads = np.flatnonzero(np.diff(keys, prepend=keys[:1] - 1)).tolist()
+    members = list(map(ids.__getitem__, nodes.tolist()))
+    return nodes, keys[heads], list(map(members.__getitem__, map(slice, heads, heads[1:] + [len(members)])))
 
 
 def _common_ancestor(parent_ids: list[int | None], clusters: dict[int, Cluster]) -> int | None:
@@ -227,6 +220,11 @@ def build_hierarchy(g: Graph, max_cluster_size: int, core: list[int] | None = No
     the splitting paths; singleton attachment may push a leaf one past it.
     ``core`` takes the graph's core numbers when the caller has them
     already (``core_numbers(g).core``); otherwise they are computed here.
+
+    Cost: level 1 is one :func:`split_component` of the graph. Each later
+    level does O(n + q log q + e) array work for the q nodes and e edges
+    still inside queued clusters, labelling rounds of O(n + e), O(1) Python
+    work per component, and the pooling (see ``pool_singletons``).
     """
     if max_cluster_size < 2:
         raise ConfigError("max cluster size must be at least 2")
@@ -241,7 +239,7 @@ def build_hierarchy(g: Graph, max_cluster_size: int, core: list[int] | None = No
         core = core_numbers(g).core
     elif len(core) != g.n:
         raise InputError(f"core numbers given for {len(core)} nodes; the graph has {g.n}")
-    max_core = max(core)
+    core_of = np.asarray(core)
 
     clusters: dict[int, Cluster] = {}
     counter = itertools.count()
@@ -250,6 +248,7 @@ def build_hierarchy(g: Graph, max_cluster_size: int, core: list[int] | None = No
     # in the tree but are not retrieval leaves (their content is covered by
     # two-hop groups and attachment hosts instead).
     dissolved: set[int] = set()
+    all_nodes = g._ids  # the int objects g.adj holds, so member sets add none
 
     def new_cluster(members, level, kind, parent, anchors=frozenset()) -> Cluster:
         cid = next(counter)
@@ -267,45 +266,26 @@ def build_hierarchy(g: Graph, max_cluster_size: int, core: list[int] | None = No
         set; larger groups become two-hop clusters, split when oversized.
         A group identical to an existing cluster is a duplicate: it is not
         re-created, and the clusters covering its nodes stay leaves.
+
+        Each pooled node is linked to its pooled neighbours and to the
+        smallest pooled neighbour of each of its neighbours; one labelling
+        of the links names each group by its smallest member. Cost:
+        O((p + d) log(p + d)) array work for p pooled nodes with d adjacency
+        entries, labelling rounds of O(n + d), O(1) Python work per group.
         """
         if not pooled:
             return
-        pooled = sorted(pooled)
         parent_of = dict(pooled)
-        nodes = [v for v, _ in pooled]
-        node_set = set(nodes)
-
-        uf_parent = {v: v for v in nodes}
-
-        def find(x: int) -> int:
-            while uf_parent[x] != x:
-                uf_parent[x] = uf_parent[uf_parent[x]]
-                x = uf_parent[x]
-            return x
-
-        def union(a: int, b: int) -> None:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                if ra > rb:
-                    ra, rb = rb, ra
-                uf_parent[rb] = ra
-
-        bucket_owner: dict[int, int] = {}
-        for v in nodes:
-            for w in g.adj[v]:
-                if w in node_set:
-                    union(v, w)
-                owner = bucket_owner.get(w)
-                if owner is None:
-                    bucket_owner[w] = v
-                else:
-                    union(v, owner)
-
-        groups: dict[int, list[int]] = {}
-        for v in nodes:
-            groups.setdefault(find(v), []).append(v)
-        for root in sorted(groups):
-            group = sorted(groups[root])
+        nodes = np.array(sorted(parent_of))
+        nbrs, counts = _gather_rows(g, nodes)
+        src = np.repeat(nodes, counts)
+        # Rows come in ascending node order, so a neighbour's first entry
+        # names its smallest pooled neighbour.
+        _, first, entry = np.unique(nbrs, return_index=True, return_inverse=True)
+        adjacent = np.isin(nbrs, nodes, kind="table")  # a lookup table; the default sorts, far slower
+        u, w = np.concatenate((src[adjacent], src)), np.concatenate((nbrs[adjacent], src[first][entry]))
+        root = _component_labels(g.n, u, w)
+        for group in _runs(root[nodes], nodes, all_nodes)[2]:
             if len(group) == 1:
                 global_singletons.add(group[0])
                 continue
@@ -326,9 +306,10 @@ def build_hierarchy(g: Graph, max_cluster_size: int, core: list[int] | None = No
                     new_cluster(set(grown) | set(anchors), level, "two_hop", parent, anchors)
 
     # Level 1: after preprocessing every node has degree >= 1, so the whole
-    # graph is the 1-core and the residual side is empty.
-    all_nodes = list(range(g.n))
+    # graph is the 1-core and the residual side is empty. Its parts fit the
+    # size cap and children are subsets, so later levels never split for size.
     queue: list[int] = []
+    rank_of = np.full(g.n, -1)  # queue position of each node's cluster; -1 outside the queue
     if g.n == 1:
         new_cluster(all_nodes, 1, "root", None)
     else:
@@ -337,44 +318,57 @@ def build_hierarchy(g: Graph, max_cluster_size: int, core: list[int] | None = No
             if len(part) == 1:
                 pooled.append((part[0], None))
             else:
+                rank_of[part] = len(queue)
                 queue.append(new_cluster(part, 1, "root", None).id)
         pool_singletons(1, pooled)
-
-    for level in range(2, max_core + 1):
+    # The queued nodes, ascending within each cluster, and the edges inside queued clusters.
+    nodes = np.flatnonzero(rank_of >= 0)
+    eu, ew = g.edge_arrays()
+    inside = (rank_of[eu] == rank_of[ew]) & (rank_of[eu] >= 0)
+    eu, ew = eu[inside], ew[inside]
+    for level in range(2, max(core) + 1):
+        # Tag each queued node 2 * queue position + (residual side), label the
+        # edges whose ends share a tag, and sort by (tag, smallest member):
+        # components come in creation order, each in ascending node order.
+        residual = core_of < level
+        res_u, res_w = residual[eu], residual[ew]
+        same = res_u == res_w
+        # A queued cluster is connected, so it has both sides exactly when an
+        # edge joins them; a cluster on one side is one component, unlabelled.
+        mixed = np.zeros(len(queue), dtype=bool)
+        mixed[rank_of[eu[~same]]] = True
+        same &= mixed[rank_of[eu]]
+        label = _component_labels(g.n, eu[same], ew[same])
+        keys = (2 * rank_of[nodes] + residual[nodes]) * g.n + np.where(mixed[rank_of[nodes]], label[nodes], 0)
+        nodes, keys, parts = _runs(keys, nodes, all_nodes)
+        rank_of[nodes] = -1
         next_queue: list[int] = []
         pooled = []
-        for cid in queue:
-            cluster = clusters[cid]
-            members = cluster.sorted_members()
-            core_side = [v for v in members if core[v] >= level]
-            if len(core_side) == len(members):
-                # The whole cluster survives at this level; collapse the
-                # would-be duplicate child and record the deeper level.
+        for tag, part in zip((keys // g.n).tolist(), parts):
+            cluster = clusters[queue[tag >> 1]]
+            is_residual = tag & 1
+            if len(part) == len(cluster.members):
+                # All core: the cluster survives at this level; collapse the
+                # would-be duplicate child and record the deeper level. All
+                # residual (a uniform shell): it simply stays a leaf.
+                if is_residual:
+                    continue
                 cluster.level = level
-                next_queue.append(cid)
+            elif len(part) == 1:
+                pooled.append((part[0], cluster.id))
                 continue
-            if not core_side:
-                # Uniform shell: the residual copy would duplicate the
-                # cluster, so it simply stays a leaf at its own level.
-                continue
-            residual_side = [v for v in members if core[v] < level]
-            made_children = False
-            for side, kind in ((core_side, "core"), (residual_side, "residual")):
-                for comp in _subset_components(g, side):
-                    parts = [comp] if len(comp) <= max_cluster_size else split_component(g, comp, max_cluster_size)
-                    for part in parts:
-                        if len(part) == 1:
-                            pooled.append((part[0], cid))
-                            continue
-                        child = new_cluster(part, level, kind, cid)
-                        made_children = True
-                        if kind == "core":
-                            next_queue.append(child.id)
-            if not made_children:
-                # Every member dissolved into the singleton pool; the cluster
-                # is interior bookkeeping unless the pool hands it back.
-                dissolved.add(cid)
+            else:
+                cluster = new_cluster(part, level, "residual" if is_residual else "core", cluster.id)
+                if is_residual:
+                    continue
+            rank_of[part] = len(next_queue)
+            next_queue.append(cluster.id)
+        # A split cluster whose members all went to the pool is interior
+        # bookkeeping unless the pool hands it back.
+        dissolved.update(cid for _, cid in pooled if not clusters[cid].children)
         pool_singletons(level, pooled)
+        nodes = nodes[rank_of[nodes] >= 0]
+        eu, ew = eu[~(res_u | res_w)], ew[~(res_u | res_w)]
         queue = next_queue
 
     hierarchy = Hierarchy(

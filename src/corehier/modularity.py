@@ -7,6 +7,7 @@ exact rationals to far better than the 1e-12 tolerance used by the tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -263,6 +264,8 @@ def degeneracy_thresholds(g: Graph, d: int) -> tuple[float, float]:
     over an independent set of low-degree nodes, and
     C2 = d^2 / ((d + 1)^2 kbar^2) bounds the pairwise cross terms.
     """
+    if d < 0:
+        raise ConfigError("degree cutoff d must be >= 0")
     if g.m == 0:
         raise InputError("thresholds undefined for a graph with no edges")
     kbar = g.avg_degree
@@ -273,10 +276,10 @@ def degeneracy_thresholds(g: Graph, d: int) -> tuple[float, float]:
 
 def _degeneracy_reports(g: Graph, epsilons: Sequence[float], d: int) -> list[DegeneracyReport]:
     """One :class:`DegeneracyReport` per epsilon, all from a single enumeration."""
-    if any(epsilon <= 0 for epsilon in epsilons):
-        raise ConfigError("epsilon must be positive")
     if d < 0:
         raise ConfigError("degree cutoff d must be >= 0")
+    if not all(0 < epsilon < math.inf for epsilon in epsilons):
+        raise ConfigError("epsilon must be finite and positive")
     if g.m == 0:
         raise InputError("modularity is undefined for a graph with no edges")
     if g.n > MAX_ENUMERATION_NODES:

@@ -31,8 +31,8 @@ class TokenModel:
     chars_per_token: float = 4.0
 
     def __post_init__(self) -> None:
-        if self.chars_per_token <= 0:
-            raise ConfigError("chars_per_token must be positive")
+        if not (math.isfinite(self.chars_per_token) and self.chars_per_token > 0):
+            raise ConfigError("chars per token must be finite and positive")
 
     def estimate(self, text: str) -> int:
         """Token estimate for a text: ceil(len/chars_per_token), >= 1 if nonempty."""

@@ -139,6 +139,30 @@ def lcc_oracle(adj, meta):
     return [[keep[w] for w in adj[v]] for v in best], [meta[v] for v in best]
 
 
+def component_roots_oracle(n: int, pairs) -> list[int]:
+    """Breadth-first reference for ``_component_labels``: each node's smallest component member.
+
+    Starts are taken in ascending order, so each search starts at the
+    smallest node of its component.
+    """
+    adj = [[] for _ in range(n)]
+    for a, b in pairs:
+        adj[a].append(b)
+        adj[b].append(a)
+    root = [-1] * n
+    for start in range(n):
+        if root[start] >= 0:
+            continue
+        root[start] = start
+        dq = deque([start])
+        while dq:
+            for w in adj[dq.popleft()]:
+                if root[w] < 0:
+                    root[w] = start
+                    dq.append(w)
+    return root
+
+
 def core_numbers_oracle(g: Graph) -> list[int]:
     """Brute force: for each k, peel degree < k to fixpoint; survivors have core >= k."""
     core = [0] * g.n

@@ -290,6 +290,24 @@ class TestModularityCommands:
         assert payload["degenerate_count"] == 4140
         assert payload["lower_bound"] == 16
 
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "0", "-0.5"])
+    def test_degeneracy_epsilon_not_finite_and_positive_exits_2(self, tmp_path, capsys, epsilon):
+        # The report would carry NaN or Infinity, which JSON does not allow.
+        edges = self.write_four_edges(tmp_path)
+        assert run("degeneracy", "--edges", edges, "--epsilon", epsilon, "--d", "1") == 2
+        captured = capsys.readouterr()
+        assert "error: epsilon must be finite and positive" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("d", ["-1", "-3"])
+    @pytest.mark.parametrize("command", [["verify-bounds"], ["degeneracy", "--epsilon", "-1"]])
+    def test_negative_degree_cutoff_exits_2_naming_d(self, tmp_path, capsys, command, d):
+        edges = self.write_four_edges(tmp_path)
+        assert run(command[0], "--edges", edges, *command[1:], "--d", d) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: degree cutoff d must be >= 0\n"
+        assert captured.out == ""
+
     def test_verify_bounds_exit_codes(self, tmp_path, capsys, monkeypatch):
         edges = self.write_four_edges(tmp_path)
         # every bound holds, so d=1 exits clean
@@ -538,6 +556,24 @@ def test_token_limit_below_one_exits_2_before_reading_input(tmp_path, capsys, co
     argv += [str(tmp_path / arg) if arg in ("o", "h.json") else arg for arg in command[1:]]
     assert main(argv) == 2
     assert "error: token limit must be positive" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["pipeline", "--out", "o"], ["hierarchy"], ["stats", "--hierarchy", "h.json"],
+     ["sample", "--hierarchy", "h.json", "--edge-fraction", "0.5"]],
+)
+@pytest.mark.parametrize("chars", ["nan", "inf", "0", "-2.5"])
+def test_chars_per_token_not_finite_and_positive_exits_2_before_reading_input(
+    tmp_path, capsys, command, chars
+):
+    # With NaN, pricing a text raises ValueError in ceil(len / NaN); with inf,
+    # every nonempty text costs 1 token.
+    argv = [command[0], "--edges", str(tmp_path / "absent.tsv"), "--chars-per-token", chars]
+    argv += [str(tmp_path / arg) if arg in ("o", "h.json") else arg for arg in command[1:]]
+    assert main(argv) == 2
+    assert "error: chars per token must be finite and positive" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

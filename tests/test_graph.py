@@ -9,12 +9,13 @@ from corehier.errors import InputError
 from corehier.graph import (
     Graph,
     NodeMeta,
+    _component_labels,
     is_connected,
     largest_connected_component,
     load_graph,
 )
 
-from conftest import lcc_oracle, load_graph_oracle, make_graph
+from conftest import component_roots_oracle, lcc_oracle, load_graph_oracle, make_graph
 
 
 def test_single_edge():
@@ -202,3 +203,24 @@ def test_component_labelling_on_long_shuffled_path():
     assert is_connected(load_graph(edges[:-1], []))
     lcc = largest_connected_component(g)
     assert lcc.n == n and lcc.m == n - 1
+    # Node i of the component is v{i:04d}. Cutting the path in the middle
+    # leaves two halves, each labelled with its smallest id.
+    u, w = lcc.edge_arrays()
+    cut = (u == order[1499:1501].min()) & (w == order[1499:1501].max())
+    labels = _component_labels(n, u[~cut], w[~cut])
+    assert labels[order[:1500]].tolist() == [order[:1500].min()] * 1500
+    assert labels[order[1500:]].tolist() == [order[1500:].min()] * 1500
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_component_labels_on_edge_subsets_match_bfs(data):
+    # Any pairs over range(n): none at all, isolated nodes, loops, and
+    # repeated or reversed pairs.
+    n = data.draw(st.integers(1, 40))
+    node = st.integers(0, n - 1)
+    pairs = data.draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    pairs += data.draw(st.lists(st.sampled_from(pairs), max_size=5)) if pairs else []
+    u = np.array([a for a, _ in pairs], dtype=np.int64)
+    w = np.array([b for _, b in pairs], dtype=np.int64)
+    assert _component_labels(n, u, w).tolist() == component_roots_oracle(n, pairs)
