@@ -31,7 +31,7 @@ class TokenModel:
     chars_per_token: float = 4.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.chars_per_token) and self.chars_per_token > 0):
+        if not 0 < self.chars_per_token < math.inf:
             raise ConfigError("chars per token must be finite and positive")
 
     def estimate(self, text: str) -> int:
