@@ -3,11 +3,12 @@
 Exit codes: 0 success, 2 configuration error, 3 input error, 4 verification
 failure; an output path that cannot be written is a configuration error.
 Every artifact is written with sorted keys and stable formatting, so
-rerunning a command on the same inputs reproduces the bytes exactly. A
-regular output file is written under a temporary name beside it and renamed
-into place only once it is complete, so a failed command leaves the
-previous file as it was; a device or FIFO given as ``--out`` is written in
-place.
+rerunning a command on the same inputs reproduces the bytes exactly. Each
+command resolves its options into a :class:`PipelineConfig` before it reads
+any input. A regular output file is written under a temporary name beside
+it and renamed into place only once it is complete, so a failed command
+leaves the previous file as it was; a device or FIFO given as ``--out`` is
+written in place.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import json
 import os
 import stat
 import sys
-from contextlib import contextmanager
-from dataclasses import dataclass
+from contextlib import contextmanager, suppress
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import TextIO
 
@@ -54,82 +55,95 @@ EXIT_VERIFICATION = 4
 
 @dataclass
 class PipelineConfig:
-    """Everything the end-to-end run needs; validated on construction.
+    """The resolved options of a command, checked and completed on construction.
 
-    A ``token_limit`` of None means ``DEFAULT_TOKEN_LIMIT``; with neither a
-    budget nor a fraction, ``edge_fraction`` becomes ``DEFAULT_EDGE_FRACTION``.
+    Each command builds one (see :func:`_config`) before it reads any input,
+    and this is the only place that rejects a bad option or fills in a
+    default. A size cap conflicts with a token limit, and a budget with an
+    edge fraction. ``token_limit`` and ``token_budget`` must be at least 1,
+    ``max_cluster_size`` at least 2, ``edge_fraction`` in (0, 1],
+    ``edge_overhead`` at least 0 and ``chars_per_token`` finite and positive;
+    a ``merge_mode`` name becomes a :class:`MergeMode`. ``token_limit``
+    defaults to ``DEFAULT_TOKEN_LIMIT`` even beside a size cap, since the
+    stats use it too, so a resolved config cannot be constructed again from
+    its fields. With neither a budget nor a fraction, ``edge_fraction``
+    becomes ``DEFAULT_EDGE_FRACTION``. ``out_dir`` is where
+    :func:`run_pipeline` writes; the subcommands leave it None.
     """
 
     edges_path: Path
-    nodes_path: Path | None
-    out_dir: Path
+    nodes_path: Path | None = None
+    out_dir: Path | None = None
     token_limit: int | None = None
     chars_per_token: float = DEFAULT_CHARS_PER_TOKEN
     max_cluster_size: int | None = None
-    merge_mode: MergeMode = MergeMode.TWO_HOP_ONLY
+    merge_mode: MergeMode | str = MergeMode.TWO_HOP_ONLY
     token_budget: int | None = None
     edge_fraction: float | None = None
     edge_overhead: int = DEFAULT_EDGE_OVERHEAD
 
     def __post_init__(self) -> None:
-        _validate_options(self)
+        if self.max_cluster_size is not None and self.token_limit is not None:
+            raise ConfigError("--max-cluster-size and --token-limit are mutually exclusive")
+        if self.token_budget is not None and self.edge_fraction is not None:
+            raise ConfigError("--token-budget and --edge-fraction are mutually exclusive")
+        if self.token_limit is None:
+            self.token_limit = DEFAULT_TOKEN_LIMIT
         if self.token_budget is None and self.edge_fraction is None:
             self.edge_fraction = DEFAULT_EDGE_FRACTION
+        if self.token_limit < 1:
+            raise ConfigError("token limit must be positive")
+        if self.max_cluster_size is not None and self.max_cluster_size < 2:
+            raise ConfigError("max cluster size must be at least 2")
+        if self.token_budget is not None and self.token_budget < 1:
+            raise ConfigError("budget must be positive")
+        if self.edge_fraction is not None and not 0 < self.edge_fraction <= 1:
+            raise ConfigError("edge fraction must be in (0, 1]")
+        if self.edge_overhead < 0:
+            raise ConfigError("edge overhead must be >= 0")
+        TokenModel(self.chars_per_token)  # raises ConfigError unless finite and positive
+        self.merge_mode = MergeMode.parse(self.merge_mode)
 
 
-def _validate_options(opts) -> None:
-    """Reject conflicting options and out-of-range numbers before any input is read.
+_CONFIG_FIELDS = frozenset(f.name for f in fields(PipelineConfig))
 
-    A size cap conflicts with a token limit, and a budget with an edge
-    fraction. A token limit must be at least 1, and chars per token finite
-    and positive. ``opts`` is a :class:`PipelineConfig` or parsed
-    arguments; an option it lacks counts as not given.
+
+def _config(args, budget_required: bool = False) -> PipelineConfig:
+    """The resolved configuration of a subcommand's parsed arguments.
+
+    A stage option appears in ``args`` only when it was given (see
+    :data:`_FLAGS`), so every other field keeps its default. With
+    ``budget_required``, one of ``--token-budget`` and ``--edge-fraction``
+    must be given.
     """
-    for a, b in (("max_cluster_size", "token_limit"), ("token_budget", "edge_fraction")):
-        if getattr(opts, a, None) is not None and getattr(opts, b, None) is not None:
-            raise ConfigError(f"--{a} and --{b} are mutually exclusive".replace("_", "-"))
-    token_limit = getattr(opts, "token_limit", None)
-    if token_limit is not None and token_limit < 1:
-        raise ConfigError("token limit must be positive")
-    if hasattr(opts, "chars_per_token"):
-        TokenModel(chars_per_token=opts.chars_per_token)  # raises ConfigError when out of range
+    given = {name: value for name, value in vars(args).items() if name in _CONFIG_FIELDS}
+    if budget_required and given.keys().isdisjoint({"token_budget", "edge_fraction"}):
+        raise ConfigError("one of --token-budget or --edge-fraction is required")
+    return PipelineConfig(**given)
 
 
-def _load(edges_path, nodes_path, chars_per_token=DEFAULT_CHARS_PER_TOKEN) -> Graph:
-    tm = TokenModel(chars_per_token=chars_per_token)
-    edges = fileio.read_edges_tsv(edges_path)
-    nodes = fileio.read_nodes_jsonl(nodes_path, tm) if nodes_path else []
+def _load(cfg: PipelineConfig) -> Graph:
+    tm = TokenModel(chars_per_token=cfg.chars_per_token)
+    edges = fileio.read_edges_tsv(cfg.edges_path)
+    nodes = fileio.read_nodes_jsonl(cfg.nodes_path, tm) if cfg.nodes_path else []
     return load_graph(edges, nodes)
 
 
-def _ingest(edges_path, nodes_path, chars_per_token=DEFAULT_CHARS_PER_TOKEN) -> Graph:
+def _ingest(cfg: PipelineConfig) -> Graph:
     """Largest connected component of the graph in the input files."""
-    return largest_connected_component(_load(edges_path, nodes_path, chars_per_token))
+    return largest_connected_component(_load(cfg))
 
 
-def _hierarchy(g: Graph, max_cluster_size, token_limit, core=None) -> Hierarchy:
-    """Hierarchy capped at ``max_cluster_size``, else at the size ``token_limit`` derives."""
-    if max_cluster_size is None:
-        if token_limit is None:
-            token_limit = DEFAULT_TOKEN_LIMIT
-        max_cluster_size = derive_max_cluster_size(token_limit, g)
-    return build_hierarchy(g, max_cluster_size, core)
+def _hierarchy(g: Graph, cfg: PipelineConfig, core=None) -> Hierarchy:
+    """Hierarchy capped at ``cfg.max_cluster_size``, else at the size ``cfg.token_limit`` derives."""
+    return build_hierarchy(g, cfg.max_cluster_size or derive_max_cluster_size(cfg.token_limit, g), core)
 
 
-def _stats(h: Hierarchy, level: str, g: Graph, token_limit) -> dict:
-    if token_limit is None:
-        token_limit = DEFAULT_TOKEN_LIMIT
-    return community_stats(h, level, g, token_limit=token_limit).to_json_obj()
-
-
-def _sample(g: Graph, h: Hierarchy, overhead: int, token_budget, edge_fraction) -> SampleResult:
-    """Edge costs, the budget (``token_budget`` or ``edge_fraction``'s) and the sample."""
-    if token_budget is None and edge_fraction is None:
-        raise ConfigError("one of --token-budget or --edge-fraction is required")
-    costs = default_edge_costs(g, overhead)
-    if token_budget is None:
-        token_budget = budget_from_edge_fraction(g, edge_fraction, costs)
-    return round_robin_sample(h, g, costs, token_budget)
+def _sample(g: Graph, h: Hierarchy, cfg: PipelineConfig) -> SampleResult:
+    """Edge costs, the budget (``cfg.token_budget`` or ``cfg.edge_fraction``'s) and the sample."""
+    costs = default_edge_costs(g, cfg.edge_overhead)
+    budget = cfg.token_budget or budget_from_edge_fraction(g, cfg.edge_fraction, costs)
+    return round_robin_sample(h, g, costs, budget)
 
 
 def _write_json(out: TextIO, obj) -> None:
@@ -198,22 +212,30 @@ def _commit(staged: dict[Path, Path]) -> None:
         raise
 
 
-def _emit(out: str | None, write, *args) -> None:
-    """Run ``write(file, *args)`` into ``out``, or to stdout without one.
+def _emit(*outputs) -> None:
+    """For each ``(out, write, *args)``, run ``write(file, *args)`` into ``out``, or stdout without one.
 
-    A regular (or new) ``out`` file is replaced only once it is complete;
-    any other ``out`` (see :func:`_rename_target`) is written in place.
+    Every regular (or new) ``out`` file is staged first, and all of them are
+    replaced together only once each is complete; any other ``out`` (see
+    :func:`_rename_target`) is written in place as it comes.
     """
-    if not out:
-        write(sys.stdout, *args)
-        return
-    with _writing(out):
-        target = _rename_target(Path(out))
-        if target is None:
-            with open(out, "w", encoding="utf-8") as f:
-                write(f, *args)
-        else:
-            _commit({target: _write_temp(target, write, *args)})
+    staged: dict[Path, Path] = {}
+    try:
+        for out, write, *args in outputs:
+            if not out:
+                write(sys.stdout, *args)
+                continue
+            with _writing(out):
+                target = _rename_target(Path(out))
+                if target is None:
+                    with open(out, "w", encoding="utf-8") as f:
+                        write(f, *args)
+                else:
+                    staged[target] = _write_temp(target, write, *args)
+    except BaseException:
+        _discard(staged.values())
+        raise
+    _commit(staged)
 
 
 def _load_hierarchy(path, g: Graph) -> Hierarchy:
@@ -229,57 +251,57 @@ def _load_hierarchy(path, g: Graph) -> Hierarchy:
 
 
 def cmd_decompose(args) -> int:
-    g = _ingest(args.edges, args.nodes)
-    _emit(args.out, fileio.write_decomposition_json, core_numbers(g), g)
+    g = _ingest(_config(args))
+    _emit((args.out, fileio.write_decomposition_json, core_numbers(g), g))
     return EXIT_OK
 
 
 def cmd_hierarchy(args) -> int:
-    _validate_options(args)
-    g = _ingest(args.edges, args.nodes, args.chars_per_token)
-    h = _hierarchy(g, args.max_cluster_size, args.token_limit)
-    _emit(args.out, fileio.write_hierarchy_json, h, g)
+    cfg = _config(args)
+    g = _ingest(cfg)
+    _emit((args.out, fileio.write_hierarchy_json, _hierarchy(g, cfg), g))
     return EXIT_OK
 
 
 def cmd_merge(args) -> int:
-    g = _ingest(args.edges, args.nodes)
+    cfg = _config(args)
+    g = _ingest(cfg)
     h = _load_hierarchy(args.hierarchy, g)
-    merged, report = merge_small_clusters(g, h, MergeMode.parse(args.mode))
-    _emit(args.out, fileio.write_hierarchy_json, merged, g)
+    merged, report = merge_small_clusters(g, h, cfg.merge_mode)
     report_out = args.report or (str(Path(args.out).with_suffix(".report.json")) if args.out else None)
-    _emit(report_out, _write_json, report.to_json_obj())
+    _emit((args.out, fileio.write_hierarchy_json, merged, g),
+          (report_out, _write_json, report.to_json_obj()))
     return EXIT_OK
 
 
 def cmd_sample(args) -> int:
-    _validate_options(args)
-    g = _ingest(args.edges, args.nodes, args.chars_per_token)
+    cfg = _config(args, budget_required=True)
+    g = _ingest(cfg)
     h = _load_hierarchy(args.hierarchy, g)
-    result = _sample(g, h, args.overhead, args.token_budget, args.edge_fraction)
-    _emit(args.out, fileio.write_sample_tsv, result, g)
+    _emit((args.out, fileio.write_sample_tsv, _sample(g, h, cfg), g))
     return EXIT_OK
 
 
 def cmd_stats(args) -> int:
-    _validate_options(args)
-    g = _ingest(args.edges, args.nodes, args.chars_per_token)
+    cfg = _config(args)
+    g = _ingest(cfg)
     h = _load_hierarchy(args.hierarchy, g)
-    _emit(args.out, _write_json, _stats(h, args.level.upper(), g, args.token_limit))
+    stats = community_stats(h, args.level.upper(), g, token_limit=cfg.token_limit)
+    _emit((args.out, _write_json, stats.to_json_obj()))
     return EXIT_OK
 
 
 def cmd_degeneracy(args) -> int:
-    g = strip_self_loops(_load(args.edges, args.nodes))
+    g = strip_self_loops(_load(_config(args)))
     report = enumerate_degeneracy(g, args.epsilon, args.d)
-    _emit(args.out, _write_json, report.to_json_obj())
+    _emit((args.out, _write_json, report.to_json_obj()))
     return EXIT_OK
 
 
 def cmd_verify_bounds(args) -> int:
-    g = strip_self_loops(_load(args.edges, args.nodes))
+    g = strip_self_loops(_load(_config(args)))
     report = verify_sparse_bounds(g, args.d, seed=args.seed)
-    _emit(args.out, _write_json, report.to_json_obj())
+    _emit((args.out, _write_json, report.to_json_obj()))
     return EXIT_OK if report.all_ok else EXIT_VERIFICATION
 
 
@@ -314,21 +336,23 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Path]:
     stage ends, so no artifact is held in memory as a whole. Only after the
     last stage succeeds are the temporary files renamed over the artifacts;
     if any stage or write fails, they are deleted and ``out_dir`` keeps its
-    earlier contents. An artifact path that exists but is not a regular file
+    earlier contents, or is removed again, with any parents, if the run
+    created it. An artifact path that exists but is not a regular file
     (or a symlink to one) is a :class:`ConfigError`, raised before any
     rename; only a rename that fails even so, because ``out_dir`` changed
     during the run, can leave some artifacts replaced and others not.
     Outputs are deterministic byte for byte. The cyclic garbage collector is
     paused for the run.
     """
+    created = [d for d in (cfg.out_dir, *cfg.out_dir.parents) if not d.exists()]  # deepest first
     with _writing(cfg.out_dir):
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
     paths: dict[str, Path] = {}
     staged: dict[Path, Path] = {}  # file to replace -> its complete temporary file
 
-    def stage(name, fn, *args):
+    def stage(name, fn, *args, **kwargs):
         try:
-            return fn(*args)
+            return fn(*args, **kwargs)
         except CoreHierError as exc:
             raise type(exc)(f"stage {name!r}: {exc}") from exc
 
@@ -342,44 +366,34 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Path]:
             staged[target] = _write_temp(target, writer, *args)
 
     try:
-        g = stage("ingest", _ingest, cfg.edges_path, cfg.nodes_path, cfg.chars_per_token)
+        g = stage("ingest", _ingest, cfg)
         dec = stage("decompose", core_numbers, g)
         write("decomposition.json", fileio.write_decomposition_json, dec, g)
-        h = stage("hierarchy", _hierarchy, g, cfg.max_cluster_size, cfg.token_limit, dec.core)
+        h = stage("hierarchy", _hierarchy, g, cfg, dec.core)
         write("hierarchy.json", fileio.write_hierarchy_json, h, g)
         merged, report = stage("merge", merge_small_clusters, g, h, cfg.merge_mode)
         write("hierarchy_merged.json", fileio.write_hierarchy_json, merged, g)
         write("merge_report.json", _write_json, report.to_json_obj())
         stats = {
-            level.lower(): stage("stats", _stats, merged, level, g, cfg.token_limit)
+            level.lower(): stage(
+                "stats", community_stats, merged, level, g, token_limit=cfg.token_limit
+            ).to_json_obj()
             for level in ("LF", "L1")
         }
         write("stats.json", _write_json, stats)
-        result = stage(
-            "sample", _sample, g, merged, cfg.edge_overhead, cfg.token_budget, cfg.edge_fraction
-        )
-        write("sample.tsv", fileio.write_sample_tsv, result, g)
+        write("sample.tsv", fileio.write_sample_tsv, stage("sample", _sample, g, merged, cfg), g)
     except BaseException:
         _discard(staged.values())
+        with suppress(OSError):
+            for d in created:
+                d.rmdir()
         raise
     _commit(staged)
     return paths
 
 
 def cmd_pipeline(args) -> int:
-    cfg = PipelineConfig(
-        edges_path=Path(args.edges),
-        nodes_path=Path(args.nodes) if args.nodes else None,
-        out_dir=Path(args.out),
-        token_limit=args.token_limit,
-        chars_per_token=args.chars_per_token,
-        max_cluster_size=args.max_cluster_size,
-        merge_mode=MergeMode.parse(args.merge_mode),
-        token_budget=args.token_budget,
-        edge_fraction=args.edge_fraction,
-        edge_overhead=args.overhead,
-    )
-    paths = run_pipeline(cfg)
+    paths = run_pipeline(_config(args))
     for name in sorted(paths):
         print(f"{name}: {paths[name]}")
     return EXIT_OK
@@ -398,10 +412,27 @@ def cmd_gen_fixture(args) -> int:
     return EXIT_OK
 
 
-def _add_io_args(parser, nodes_required=False):
-    parser.add_argument("--edges", required=True, help="edge list TSV")
-    parser.add_argument("--nodes", required=nodes_required, help="node metadata JSONL")
-    parser.add_argument("--out", help="output path (default: stdout)")
+#: Every flag that more than one subcommand takes, declared once. Each
+#: subparser leaves an option without a declared default out of the parsed
+#: arguments unless it is given, so a stage option's default is the one
+#: :class:`PipelineConfig` declares. The ``dest`` of a stage option is its
+#: config field.
+_FLAGS = {
+    "--edges": {"dest": "edges_path", "type": Path, "required": True, "help": "edge list TSV"},
+    "--nodes": {"dest": "nodes_path", "type": Path, "help": "node metadata JSONL"},
+    "--out": {"default": None, "help": "output path (default: stdout)"},
+    "--hierarchy": {"required": True, "help": "hierarchy JSON to read"},
+    "--max-cluster-size": {"type": int, "help": "explicit size cap"},
+    "--token-limit": {"type": int, "help": "context window used to derive the cap"},
+    "--chars-per-token": {"type": float, "help": "characters per token of a node's text"},
+    "--merge-mode": {"dest": "merge_mode", "help": "m2hc (two-hop only) or mrc (plus residual)"},
+    "--token-budget": {"type": int, "help": "token budget of the sample"},
+    "--edge-fraction": {"type": float, "help": "budget: the cost of this share of ranked edges"},
+    "--overhead": {"dest": "edge_overhead", "type": int, "help": "token cost of an edge beyond its ends"},
+    "--d": {"type": int, "required": True, "help": "degree cutoff"},
+    "--seed": {"type": int, "default": 0},
+}
+_IO = ("--edges", "--nodes", "--out")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -411,73 +442,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("decompose", help="core numbers of the largest component")
-    _add_io_args(p)
-    p.set_defaults(fn=cmd_decompose)
+    def command(name: str, fn, help: str, *flags: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        for flag in flags:
+            p.add_argument(flag, metavar=flag[2:].upper().replace("-", "_"), **_FLAGS[flag])
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("hierarchy", help="build the community hierarchy")
-    _add_io_args(p)
-    p.add_argument("--max-cluster-size", type=int, help="explicit size cap")
-    p.add_argument("--token-limit", type=int, help="context window used to derive the cap")
-    p.add_argument("--chars-per-token", type=float, default=DEFAULT_CHARS_PER_TOKEN)
-    p.set_defaults(fn=cmd_hierarchy)
-
-    p = sub.add_parser("merge", help="merge size-2 clusters into neighbors")
-    _add_io_args(p)
-    p.add_argument("--hierarchy", required=True, help="hierarchy JSON to read")
-    p.add_argument("--mode", default="m2hc", help="m2hc (two-hop only) or mrc (plus residual)")
-    p.add_argument("--report", help="sidecar report path")
-    p.set_defaults(fn=cmd_merge)
-
-    p = sub.add_parser("sample", help="round-robin token-budgeted edge selection")
-    _add_io_args(p)
-    p.add_argument("--hierarchy", required=True)
-    p.add_argument("--token-budget", type=int)
-    p.add_argument("--edge-fraction", type=float)
-    p.add_argument("--overhead", type=int, default=DEFAULT_EDGE_OVERHEAD)
-    p.add_argument("--chars-per-token", type=float, default=DEFAULT_CHARS_PER_TOKEN)
-    p.set_defaults(fn=cmd_sample)
-
-    p = sub.add_parser("stats", help="community counts and token coverage")
-    _add_io_args(p)
-    p.add_argument("--hierarchy", required=True)
+    command("decompose", cmd_decompose, "core numbers of the largest component", *_IO)
+    command("hierarchy", cmd_hierarchy, "build the community hierarchy",
+            *_IO, "--max-cluster-size", "--token-limit", "--chars-per-token")
+    p = command("merge", cmd_merge, "merge size-2 clusters into neighbors", *_IO, "--hierarchy")
+    p.add_argument("--mode", **_FLAGS["--merge-mode"])
+    p.add_argument("--report", default=None, help="sidecar report path")
+    command("sample", cmd_sample, "round-robin token-budgeted edge selection",
+            *_IO, "--hierarchy", "--token-budget", "--edge-fraction", "--overhead", "--chars-per-token")
+    p = command("stats", cmd_stats, "community counts and token coverage",
+                *_IO, "--hierarchy", "--token-limit", "--chars-per-token")
     p.add_argument("--level", default="lf", choices=["lf", "l1", "LF", "L1"])
-    p.add_argument("--token-limit", type=int)
-    p.add_argument("--chars-per-token", type=float, default=DEFAULT_CHARS_PER_TOKEN)
-    p.set_defaults(fn=cmd_stats)
-
-    p = sub.add_parser("degeneracy", help="exhaustive near-optimal partition count")
-    _add_io_args(p)
+    p = command("degeneracy", cmd_degeneracy, "exhaustive near-optimal partition count", *_IO, "--d")
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--d", type=int, required=True, help="degree cutoff")
-    p.set_defaults(fn=cmd_degeneracy)
-
-    p = sub.add_parser("verify-bounds", help="check the low-degree move bounds empirically")
-    _add_io_args(p)
-    p.add_argument("--d", type=int, required=True, help="degree cutoff")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_verify_bounds)
-
-    p = sub.add_parser("pipeline", help="run every stage and write all artifacts")
-    p.add_argument("--edges", required=True)
-    p.add_argument("--nodes")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--max-cluster-size", type=int)
-    p.add_argument("--token-limit", type=int)
-    p.add_argument("--chars-per-token", type=float, default=DEFAULT_CHARS_PER_TOKEN)
-    p.add_argument("--merge-mode", default="m2hc")
-    p.add_argument("--token-budget", type=int)
-    p.add_argument("--edge-fraction", type=float)
-    p.add_argument("--overhead", type=int, default=DEFAULT_EDGE_OVERHEAD)
-    p.set_defaults(fn=cmd_pipeline)
-
-    p = sub.add_parser("gen-fixture", help="write a seeded sparse test graph")
+    command("verify-bounds", cmd_verify_bounds, "check the low-degree move bounds empirically",
+            *_IO, "--d", "--seed")
+    p = command("pipeline", cmd_pipeline, "run every stage and write all artifacts",
+                "--edges", "--nodes", "--max-cluster-size", "--token-limit", "--chars-per-token",
+                "--merge-mode", "--token-budget", "--edge-fraction", "--overhead")
+    p.add_argument("--out", dest="out_dir", type=Path, required=True, help="output directory")
+    p = command("gen-fixture", cmd_gen_fixture, "write a seeded sparse test graph", "--seed")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--profile", default="kg_sparse")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(fn=cmd_gen_fixture)
-
     return parser
 
 

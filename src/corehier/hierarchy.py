@@ -23,7 +23,7 @@ import numpy as np
 
 from .cores import core_numbers
 from .errors import ConfigError, InputError, VerificationError
-from .graph import Graph, _component_labels, _gather_rows, is_connected
+from .graph import Graph, _component_labels, _gather_rows
 
 CLUSTER_KINDS = ("root", "core", "residual", "two_hop")
 
@@ -232,7 +232,8 @@ def build_hierarchy(g: Graph, max_cluster_size: int, core: list[int] | None = No
         raise InputError("empty graph")
     if g.self_loops:
         raise InputError("hierarchy input must have self-loops removed")
-    if not is_connected(g):
+    eu, ew = g.edge_arrays()  # for this check and, cut to the queued clusters, the level loop
+    if _component_labels(g.n, eu, ew).any():
         raise InputError("hierarchy input must be connected; extract the largest component first")
 
     if core is None:
@@ -323,7 +324,6 @@ def build_hierarchy(g: Graph, max_cluster_size: int, core: list[int] | None = No
         pool_singletons(1, pooled)
     # The queued nodes, ascending within each cluster, and the edges inside queued clusters.
     nodes = np.flatnonzero(rank_of >= 0)
-    eu, ew = g.edge_arrays()
     inside = (rank_of[eu] == rank_of[ew]) & (rank_of[eu] >= 0)
     eu, ew = eu[inside], ew[inside]
     for level in range(2, max(core) + 1):

@@ -1,8 +1,10 @@
 """Command-line surface: subcommands, artifacts, exit codes, reproducibility."""
 
+import argparse
 import copy
 import importlib
 import json
+import math
 import os
 import stat
 import threading
@@ -455,6 +457,41 @@ class TestAtomicOutput:
         assert "error: cannot write" in capsys.readouterr().err
         assert not (tmp_path / "missing").exists()
 
+    def test_merge_report_that_cannot_be_written_keeps_the_merged_out_file(
+        self, example_inputs, tmp_path, capsys
+    ):
+        edges, nodes = example_inputs
+        io = ["--edges", edges, "--nodes", nodes]
+        h_path, merged = tmp_path / "h.json", tmp_path / "merged.json"
+        assert run("hierarchy", *io, "--max-cluster-size", "16", "--out", str(h_path)) == 0
+        merged.write_text("previous")
+        report = tmp_path / "missing" / "r.json"
+        argv = ["merge", *io, "--hierarchy", str(h_path), "--out", str(merged), "--report", str(report)]
+        assert run(*argv) == 2
+        assert f"error: cannot write {report}" in capsys.readouterr().err
+        assert merged.read_text() == "previous"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["edges.tsv", "h.json", "merged.json", "nodes.jsonl"]
+
+    @pytest.mark.parametrize("out", ["new", "new/nested"])
+    def test_failed_pipeline_removes_the_directories_it_created(
+        self, example_inputs, tmp_path, monkeypatch, out
+    ):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        assert run("pipeline", "--edges", str(tmp_path / "absent.tsv"), "--out", str(run_dir / out)) == 3
+        assert list(run_dir.iterdir()) == []
+        # A failure after some artifacts were staged in the new directory.
+        edges, nodes = example_inputs
+        monkeypatch.setattr(cli, "round_robin_sample", _injected_failure)
+        assert run("pipeline", "--edges", edges, "--nodes", nodes, "--out", str(run_dir / out)) == 3
+        assert list(run_dir.iterdir()) == []
+
+    def test_failed_pipeline_keeps_an_existing_empty_out_directory(self, tmp_path):
+        out = tmp_path / "o"
+        out.mkdir()
+        assert run("pipeline", "--edges", str(tmp_path / "absent.tsv"), "--out", str(out)) == 3
+        assert out.is_dir() and list(out.iterdir()) == []
+
     def test_pipeline_artifact_that_is_not_a_file_exits_2_before_any_rename(
         self, example_inputs, tmp_path, capsys
     ):
@@ -545,6 +582,152 @@ class TestOutTargets:
         assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS)
 
 
+LETTERS = [chr(ord("a") + i) for i in range(16)]
+
+
+def _text_tokens(chars_per_token: float) -> dict[str, int]:
+    """Token counts of the ``text_inputs`` nodes at ``chars_per_token``."""
+    return {v: math.ceil((20 + 7 * i) / chars_per_token) for i, v in enumerate(LETTERS)}
+
+
+@pytest.fixture()
+def text_inputs(tmp_path):
+    """The example graph with node texts and no token counts, so chars per token matters."""
+    edges, nodes = tmp_path / "edges.tsv", tmp_path / "nodes.jsonl"
+    write_edges_tsv(edges, three_level_example()[0])
+    nodes.write_text("".join(json.dumps({"id": v, "text": "x" * (20 + 7 * i)}) + "\n"
+                             for i, v in enumerate(LETTERS)))
+    return ["--edges", str(edges), "--nodes", str(nodes)]
+
+
+class TestStageOptionsReachTheirStage:
+    """Each stage option changes what its stage writes, in every command that takes it."""
+
+    def artifacts(self, tmp_path, io, command, *options) -> dict[str, Path]:
+        """Run ``command`` with ``options``; its hierarchy, stats and sample files by name.
+
+        ``sample`` and ``stats`` read a hierarchy built with the defaults.
+        """
+        out = tmp_path / f"run{len(list(tmp_path.iterdir()))}"
+        out.mkdir()
+        if command == "pipeline":
+            assert run("pipeline", *io, "--out", str(out), *options) == 0
+            return {"hierarchy": out / "hierarchy_merged.json", "stats": out / "stats.json",
+                    "sample": out / "sample.tsv"}
+        h_path = out / "h.json"
+        assert run("hierarchy", *io, "--out", str(h_path), *(options if command == "hierarchy" else ())) == 0
+        if command == "hierarchy":
+            return {"hierarchy": h_path}
+        assert run(command, *io, "--hierarchy", str(h_path), "--out", str(out / command), *options) == 0
+        return {"hierarchy": h_path, command: out / command}
+
+    @staticmethod
+    def costs(path: Path) -> dict[tuple[str, str], int]:
+        rows = [line.split("\t") for line in path.read_text().splitlines()[1:]]
+        assert rows
+        return {(src, dst): int(cost) for src, dst, _, cost in rows}
+
+    @staticmethod
+    def lf_stats(files: dict[str, Path], tokens: dict[str, int], token_limit: int) -> tuple[dict, dict]:
+        """The LF stats ``files`` hold, and those the library computes from their hierarchy."""
+        from corehier.graph import NodeMeta, load_graph
+        from corehier.stats import community_stats
+
+        g = load_graph(three_level_example()[0], [NodeMeta(v, token_count=t) for v, t in tokens.items()])
+        h = fileio.hierarchy_from_json_obj(json.loads(files["hierarchy"].read_text()), g)
+        written = json.loads(files["stats"].read_text())
+        written = written.get("lf", written)
+        return written, community_stats(h, "LF", g, token_limit=token_limit).to_json_obj()
+
+    @pytest.mark.parametrize("command", ["sample", "pipeline"])
+    @pytest.mark.parametrize("overhead", ["0", "25"])
+    def test_overhead_sets_the_cost_column(self, tmp_path, text_inputs, command, overhead):
+        files = self.artifacts(tmp_path, text_inputs, command, "--overhead", overhead,
+                               "--edge-fraction", "0.8")
+        tokens = _text_tokens(4.0)
+        for (src, dst), cost in self.costs(files["sample"]).items():
+            assert cost == tokens[src] + tokens[dst] + int(overhead)
+
+    @pytest.mark.parametrize("command", ["sample", "pipeline"])
+    @pytest.mark.parametrize("chars", ["2", "5.5"])
+    def test_chars_per_token_sets_the_costs(self, tmp_path, text_inputs, command, chars):
+        files = self.artifacts(tmp_path, text_inputs, command, "--chars-per-token", chars,
+                               "--edge-fraction", "0.8")
+        tokens = _text_tokens(float(chars))
+        for (src, dst), cost in self.costs(files["sample"]).items():
+            assert cost == tokens[src] + tokens[dst] + 8
+
+    @pytest.mark.parametrize("command", ["hierarchy", "pipeline"])
+    @pytest.mark.parametrize("chars", ["2", "5.5"])
+    def test_chars_per_token_sets_the_derived_cap(self, tmp_path, text_inputs, command, chars):
+        files = self.artifacts(tmp_path, text_inputs, command, "--chars-per-token", chars)
+        cap = json.loads(files["hierarchy"].read_text())["max_cluster_size"]
+        assert cap == 8000 * 16 // sum(_text_tokens(float(chars)).values())
+
+    @pytest.mark.parametrize("chars", ["2", "5.5"])
+    def test_chars_per_token_sets_the_stats(self, tmp_path, text_inputs, chars):
+        files = self.artifacts(tmp_path, text_inputs, "stats", "--chars-per-token", chars,
+                               "--token-limit", "30")
+        written, expected = self.lf_stats(files, _text_tokens(float(chars)), 30)
+        assert written == expected
+
+    @pytest.mark.parametrize("command", ["hierarchy", "pipeline"])
+    @pytest.mark.parametrize("limit", ["100", "300"])
+    def test_token_limit_sets_the_derived_cap(self, tmp_path, example_inputs, command, limit):
+        # The example's 16 nodes hold 400 tokens.
+        edges, nodes = example_inputs
+        files = self.artifacts(tmp_path, ["--edges", edges, "--nodes", nodes], command, "--token-limit", limit)
+        assert json.loads(files["hierarchy"].read_text())["max_cluster_size"] == int(limit) * 16 // 400
+
+    @pytest.mark.parametrize("command", ["stats", "pipeline"])
+    @pytest.mark.parametrize("limit", ["20", "45"])
+    def test_token_limit_sets_the_stats(self, tmp_path, example_inputs, command, limit):
+        edges, nodes = example_inputs
+        files = self.artifacts(tmp_path, ["--edges", edges, "--nodes", nodes], command, "--token-limit", limit)
+        tokens = {v: 10 + 2 * i for i, v in enumerate(LETTERS)}
+        written, expected = self.lf_stats(files, tokens, int(limit))
+        assert written == expected
+        assert written != self.lf_stats(files, tokens, 8000)[1]
+
+    @pytest.mark.parametrize("command", ["sample", "pipeline"])
+    def test_token_budget_bounds_the_sample(self, tmp_path, text_inputs, command):
+        picked = {}
+        for budget in (60, 400):
+            files = self.artifacts(tmp_path, text_inputs, command, "--token-budget", str(budget))
+            costs = self.costs(files["sample"])
+            assert sum(costs.values()) <= budget
+            picked[budget] = len(costs)
+        assert picked[60] < picked[400]
+
+
+def test_subcommand_flags_are_pinned():
+    """Each subcommand's option strings, and which are required; renaming one must be deliberate."""
+    io = {"--edges": True, "--nodes": False, "--out": False}
+    expected = {
+        "decompose": io,
+        "hierarchy": {**io, "--max-cluster-size": False, "--token-limit": False, "--chars-per-token": False},
+        "merge": {**io, "--hierarchy": True, "--mode": False, "--report": False},
+        "sample": {**io, "--hierarchy": True, "--token-budget": False, "--edge-fraction": False,
+                   "--overhead": False, "--chars-per-token": False},
+        "stats": {**io, "--hierarchy": True, "--level": False, "--token-limit": False,
+                  "--chars-per-token": False},
+        "degeneracy": {**io, "--epsilon": True, "--d": True},
+        "verify-bounds": {**io, "--d": True, "--seed": False},
+        "pipeline": {**io, "--out": True, "--max-cluster-size": False, "--token-limit": False,
+                     "--chars-per-token": False, "--merge-mode": False, "--token-budget": False,
+                     "--edge-fraction": False, "--overhead": False},
+        "gen-fixture": {"--n": True, "--profile": False, "--seed": False, "--out": True},
+    }
+    parser = cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    found = {
+        name: {flag: action.required for action in sub._actions for flag in action.option_strings
+               if flag not in ("-h", "--help")}
+        for name, sub in subparsers.choices.items()
+    }
+    assert found == expected
+
+
 @pytest.mark.parametrize(
     "command",
     [["pipeline", "--out", "o"], ["hierarchy"], ["stats", "--hierarchy", "h.json"]],
@@ -574,6 +757,46 @@ def test_chars_per_token_not_finite_and_positive_exits_2_before_reading_input(
     argv += [str(tmp_path / arg) if arg in ("o", "h.json") else arg for arg in command[1:]]
     assert main(argv) == 2
     assert "error: chars per token must be finite and positive" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command,message",
+    [
+        ("pipeline --out o --edge-fraction 0", "edge fraction must be in (0, 1]"),
+        ("pipeline --out o --edge-fraction 1.5", "edge fraction must be in (0, 1]"),
+        ("pipeline --out o --edge-fraction nan", "edge fraction must be in (0, 1]"),
+        ("sample --hierarchy h.json --edge-fraction 0", "edge fraction must be in (0, 1]"),
+        ("sample --hierarchy h.json --edge-fraction 1.5", "edge fraction must be in (0, 1]"),
+        ("sample --hierarchy h.json --edge-fraction nan", "edge fraction must be in (0, 1]"),
+        ("pipeline --out o --token-budget 0", "budget must be positive"),
+        ("pipeline --out o --token-budget -3", "budget must be positive"),
+        ("sample --hierarchy h.json --token-budget 0", "budget must be positive"),
+        ("sample --hierarchy h.json --token-budget -3", "budget must be positive"),
+        ("pipeline --out o --overhead -1", "edge overhead must be >= 0"),
+        ("sample --hierarchy h.json --token-budget 50 --overhead -1", "edge overhead must be >= 0"),
+        ("pipeline --out o --max-cluster-size 1", "max cluster size must be at least 2"),
+        ("hierarchy --max-cluster-size 1", "max cluster size must be at least 2"),
+        ("pipeline --out o --merge-mode bogus", "unknown merge mode 'bogus'"),
+        ("merge --hierarchy h.json --mode bogus", "unknown merge mode 'bogus'"),
+        ("sample --hierarchy h.json", "one of --token-budget or --edge-fraction is required"),
+        ("pipeline --out o --max-cluster-size 4 --token-limit 100",
+         "--max-cluster-size and --token-limit are mutually exclusive"),
+        ("hierarchy --max-cluster-size 4 --token-limit 100",
+         "--max-cluster-size and --token-limit are mutually exclusive"),
+        ("pipeline --out o --token-budget 5 --edge-fraction 0.5",
+         "--token-budget and --edge-fraction are mutually exclusive"),
+        ("sample --hierarchy h.json --token-budget 5 --edge-fraction 0.5",
+         "--token-budget and --edge-fraction are mutually exclusive"),
+    ],
+)
+def test_bad_stage_option_exits_2_before_reading_input(tmp_path, capsys, command, message):
+    # The edge file does not exist: reading it first would exit 3 instead.
+    name, *options = command.split()
+    argv = [name, "--edges", str(tmp_path / "absent.tsv")]
+    argv += [str(tmp_path / arg) if arg in ("o", "h.json") else arg for arg in options]
+    assert main(argv) == 2
+    assert f"error: {message}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
