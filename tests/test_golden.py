@@ -182,6 +182,29 @@ def test_multi_level_pipeline_artifacts_match_golden_hashes(mode, tmp_path):
     assert dict(zip(ARTIFACTS, got)) == dict(zip(ARTIFACTS, MULTI_LEVEL_SHA256[mode]))
 
 
+def test_costs_past_int64_are_exact(tmp_path):
+    """Token counts and an overhead of 2**62 price edges at 2**63 and more, exactly.
+
+    Ranked by degree sum the edges are a-c, b-c (5), a-b, c-d (4); the 0.8
+    budget prices the first three at 2**63 + 2**63 + 3 * 2**62 = 7 * 2**62,
+    which they use up, so c-d (2**62) is priced out. Fixed-width integers
+    would wrap every one of these figures.
+    """
+    big = 2**62
+    write_edges_tsv(tmp_path / "edges.tsv", [("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")])
+    write_nodes_jsonl(tmp_path / "nodes.jsonl", [NodeMeta("a", "", big), NodeMeta("b", "", big)])
+    out = tmp_path / "out"
+    argv = ["pipeline", "--edges", str(tmp_path / "edges.tsv"), "--nodes", str(tmp_path / "nodes.jsonl"),
+            "--out", str(out), "--max-cluster-size", "3", "--overhead", str(big)]
+    assert main(argv) == 0
+    assert (out / "sample.tsv").read_text(encoding="utf-8") == (
+        "#src\tdst\tcommunity\tcost\n"
+        f"a\tc\t0\t{2 * big}\n"
+        f"b\tc\t0\t{2 * big}\n"
+        f"a\tb\t0\t{3 * big}\n"
+    )
+
+
 def disconnected_records():
     """Three components plus isolated nodes, with self-loops, duplicate and reversed edges.
 
