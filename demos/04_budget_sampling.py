@@ -25,15 +25,14 @@ g = largest_connected_component(load_graph(edges, nodes))
 h = build_hierarchy(g, derive_max_cluster_size(8000, g))
 merged, _ = merge_small_clusters(g, h, MergeMode.TWO_HOP_ONLY)
 
-costs = default_edge_costs(g)  # tokens(u) + tokens(v) + flat overhead
-total_cost = sum(costs.values())
+total_cost = sum(default_edge_costs(g, g.edges()))  # tokens(u) + tokens(v) + flat overhead
 print(f"graph: {g.n} nodes, {g.m} edges, full edge-token cost {total_cost}")
 print(f"leaf communities: {len(merged.leaf_ids)}")
 print()
 
 for fraction in (0.8, 0.7, 0.6, 0.4, 0.3, 0.2):
-    budget = budget_from_edge_fraction(g, fraction, costs)
-    result = round_robin_sample(merged, g, costs, budget)
+    budget = budget_from_edge_fraction(g, fraction)
+    result = round_robin_sample(merged, g, budget)
     stats = community_stats(merged, "LF", g, sample=result)
     nonempty = sum(1 for picks in result.edges_by_community().values() if picks)
     print(

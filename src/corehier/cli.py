@@ -37,7 +37,6 @@ from .sampling import (
     SampleResult,
     TokenModel,
     budget_from_edge_fraction,
-    default_edge_costs,
     derive_max_cluster_size,
     round_robin_sample,
 )
@@ -140,10 +139,9 @@ def _hierarchy(g: Graph, cfg: PipelineConfig, core=None) -> Hierarchy:
 
 
 def _sample(g: Graph, h: Hierarchy, cfg: PipelineConfig) -> SampleResult:
-    """Edge costs, the budget (``cfg.token_budget`` or ``cfg.edge_fraction``'s) and the sample."""
-    costs = default_edge_costs(g, cfg.edge_overhead)
-    budget = cfg.token_budget or budget_from_edge_fraction(g, cfg.edge_fraction, costs)
-    return round_robin_sample(h, g, costs, budget)
+    """The budget (``cfg.token_budget`` or ``cfg.edge_fraction``'s) and the sample, at ``cfg.edge_overhead``."""
+    budget = cfg.token_budget or budget_from_edge_fraction(g, cfg.edge_fraction, cfg.edge_overhead)
+    return round_robin_sample(h, g, budget, cfg.edge_overhead)
 
 
 def _write_json(out: TextIO, obj) -> None:

@@ -102,6 +102,12 @@ def merge_small_clusters(
     nodes out of the leaf level entirely. Neighbor counts are re-evaluated
     against the kept set as it grows, and all ties break toward the smallest
     cluster id.
+
+    Cost: O(M) to copy the M member entries, plus O(k m log m) when a node
+    lies in at most k leaves (1 without shared anchors): a node's adjacency
+    is scanned when it is first covered and twice per small cluster holding
+    it, each step reads up to k cluster ids and may push onto the heap. A
+    merge unlinks the small cluster from its parent's c children in O(c).
     """
     mode = MergeMode(mode)
     result = _clone_hierarchy(h)

@@ -5,12 +5,16 @@ visit taking the community's next edge by rank (combined endpoint degree,
 descending) if the remaining budget affords it. A community whose next edge
 is unaffordable is retired rather than aborting the whole run, which keeps
 the budget utilized; the total selected cost never exceeds the budget.
+
+An edge costs both endpoint token counts plus a flat overhead; that rule
+is applied where a price is needed, and no table of edge costs is kept.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,32 +64,16 @@ def derive_max_cluster_size(token_limit: int, g: Graph) -> int:
     return max(2, (token_limit * g.n) // total)
 
 
-def default_edge_costs(g: Graph, overhead: int = DEFAULT_EDGE_OVERHEAD) -> dict[tuple[int, int], int]:
-    """Token cost per edge: both endpoint token counts plus a flat overhead.
+def default_edge_costs(g: Graph, edges: Iterable[tuple[int, int]], overhead: int = DEFAULT_EDGE_OVERHEAD) -> list[int]:
+    """Token cost of each edge: both endpoint token counts plus a flat overhead.
 
-    Keys are the (u, w) edges with u < w in sorted order, built from the
-    adjacency lists so that the keys share their int objects with them.
-    O(n + m).
+    The one place the price rule is written. Costs are exact ints in the
+    order of ``edges``; none can overflow. O(n + len(edges)).
     """
     if overhead < 0:
         raise ConfigError("edge overhead must be >= 0")
     tokens = [meta.token_count for meta in g.meta]
-    return {
-        (u, w): tokens[u] + tokens[w] + overhead
-        for u, nbrs in enumerate(g.adj)
-        for w in nbrs
-        if u < w
-    }
-
-
-def _rank_key(g: Graph):
-    degrees = g.degrees
-
-    def key(edge: tuple[int, int]):
-        u, w = edge
-        return (-(degrees[u] + degrees[w]), u, w)
-
-    return key
+    return [tokens[u] + tokens[w] + overhead for u, w in edges]
 
 
 def _ranked_edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -99,19 +87,17 @@ def _ranked_edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return u[order], w[order]
 
 
-def budget_from_edge_fraction(
-    g: Graph, fraction: float, edge_costs: dict[tuple[int, int], int]
-) -> int:
+def budget_from_edge_fraction(g: Graph, fraction: float, overhead: int = DEFAULT_EDGE_OVERHEAD) -> int:
     """Token budget equal to the cost of the top ``fraction`` of ranked edges.
 
     The top ``floor(fraction * m)`` edges of the ranking are priced by
-    looking each one up in ``edge_costs``. O(m log m).
+    :func:`default_edge_costs`. O(n + m log m), the ranking's sort dominating.
     """
     if not 0 < fraction <= 1:
         raise ConfigError("edge fraction must be in (0, 1]")
     u, w = _ranked_edge_arrays(g)
     count = int(fraction * len(u) + 1e-9)
-    return sum(map(edge_costs.__getitem__, zip(u[:count].tolist(), w[:count].tolist())))
+    return sum(default_edge_costs(g, zip(u[:count].tolist(), w[:count].tolist()), overhead))
 
 
 @dataclass(frozen=True)
@@ -143,10 +129,12 @@ def community_edge_ranking(g: Graph, h: Hierarchy) -> list[tuple[int, list[tuple
 
     Visit order is level descending, then cluster id ascending. An edge
     internal to several leaves (shared anchors make that possible) is owned
-    by the first leaf in visit order.
+    by the first leaf in visit order. Each leaf sorts its s members, scans
+    their adjacency lists (vol entries) and sorts its edges by rank:
+    O(sum over leaves of s log s + vol) + O(m log m).
     """
     leaves = sorted(h.leaves(), key=lambda c: (-c.level, c.id))
-    key = _rank_key(g)
+    degrees = g.degrees
     claimed: set[tuple[int, int]] = set()
     out = []
     for leaf in leaves:
@@ -159,49 +147,42 @@ def community_edge_ranking(g: Graph, h: Hierarchy) -> list[tuple[int, list[tuple
                     if e not in claimed:
                         claimed.add(e)
                         edges.append(e)
-        edges.sort(key=key)
+        edges.sort(key=lambda e: (-(degrees[e[0]] + degrees[e[1]]), e[0], e[1]))
         out.append((leaf.id, edges))
     return out
 
 
-def round_robin_sample(
-    h: Hierarchy,
-    g: Graph,
-    edge_costs: dict[tuple[int, int], int],
-    budget: int,
-) -> SampleResult:
-    """Round-robin token-constrained selection over leaf communities."""
-    if budget < 1:
-        raise ConfigError("budget must be positive")
+def round_robin_sample(h: Hierarchy, g: Graph, budget: int, overhead: int = DEFAULT_EDGE_OVERHEAD) -> SampleResult:
+    """Round-robin token-constrained selection over leaf communities.
+
+    Edges are priced by :func:`default_edge_costs` with ``overhead``; a
+    budget of 0 picks only edges that cost 0. Costs
+    :func:`community_edge_ranking` plus O(n + L + k) for L leaves and k
+    owned edges, as each visit picks an edge or retires a leaf.
+    """
+    if budget < 0:
+        raise ConfigError("budget must be >= 0")
     if not h.clusters:
         raise InputError("hierarchy has no clusters")
 
     ranking = community_edge_ranking(g, h)
-    queues: dict[int, deque] = {}
+    costs = iter(default_edge_costs(g, (e for _, edges in ranking for e in edges), overhead))
     retired: list[int] = []
     unaffordable: list[int] = []
-    active: list[int] = []
+    active: list[tuple[int, deque]] = []
     for cid, edges in ranking:
         if edges:
-            queues[cid] = deque(edges)
-            active.append(cid)
+            # zip stops at the end of ``edges``, so it takes exactly their costs
+            active.append((cid, deque(zip(edges, costs))))
         else:
             retired.append(cid)
 
     selected: list[SelectedEdge] = []
     remaining = budget
     while active:
-        survivors: list[int] = []
-        for cid in active:
-            queue = queues[cid]
-            edge = queue[0]
-            try:
-                cost = edge_costs[edge]
-            except KeyError:
-                u, w = edge
-                raise InputError(
-                    f"missing token cost for edge {g.external_id(u)!r}-{g.external_id(w)!r}"
-                ) from None
+        survivors: list[tuple[int, deque]] = []
+        for cid, queue in active:
+            edge, cost = queue[0]
             if cost > remaining:
                 retired.append(cid)
                 unaffordable.append(cid)
@@ -210,7 +191,7 @@ def round_robin_sample(
             selected.append(SelectedEdge(edge=edge, community=cid, cost=cost))
             remaining -= cost
             if queue:
-                survivors.append(cid)
+                survivors.append((cid, queue))
             else:
                 retired.append(cid)
         active = survivors

@@ -71,6 +71,9 @@ def community_stats(
     community contributes member tokens (id order, nodes counted once
     globally) until the limit cuts it off. With neither, sampled coverage is
     None.
+
+    Cost: O(n + L log L + M) for the L selected clusters with M members in
+    all, plus O(k) for a sample of k picks or O(M log M) with a token limit.
     """
     total = sum(meta.token_count for meta in g.meta)
     if total == 0:

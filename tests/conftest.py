@@ -10,7 +10,7 @@ import pytest
 from corehier.cores import core_numbers
 from corehier.graph import Graph, NodeMeta, load_graph
 from corehier.hierarchy import CLUSTER_KINDS, Hierarchy, _two_hop_split_parts
-from corehier.sampling import SampleResult, community_edge_ranking
+from corehier.sampling import DEFAULT_EDGE_OVERHEAD, SampleResult
 
 
 def make_graph(edges, names=None, tokens=None) -> Graph:
@@ -58,6 +58,26 @@ def ranked_edges(g: Graph) -> list[tuple[int, int]]:
     """
     deg = g.degrees
     return sorted(g.edges(), key=lambda e: (-(deg[e[0]] + deg[e[1]]), e[0], e[1]))
+
+
+def community_ranking_oracle(g: Graph, h: Hierarchy) -> dict[int, list[tuple[int, int]]]:
+    """Brute-force reference for ``community_edge_ranking``: each leaf's owned edges in rank order.
+
+    Leaves are visited by level descending, then id. Each takes its internal
+    edges that no earlier leaf has claimed, in the order of :func:`ranked_edges`:
+    an edge goes to the first leaf in visit order that holds both endpoints.
+    """
+    visit = sorted(h.leaves(), key=lambda c: (-c.level, c.id))
+    holders: dict[int, set[int]] = {}
+    for position, leaf in enumerate(visit):
+        for v in leaf.members:
+            holders.setdefault(v, set()).add(position)
+    out: dict[int, list[tuple[int, int]]] = {leaf.id: [] for leaf in visit}
+    for u, w in ranked_edges(g):
+        shared = holders.get(u, set()) & holders.get(w, set())
+        if shared:
+            out[visit[min(shared)].id].append((u, w))
+    return out
 
 
 def iter_set_partitions(n: int):
@@ -255,12 +275,17 @@ def leaf_node_multiset(h: Hierarchy) -> Counter:
     return counts
 
 
-def check_round_robin_properties(g: Graph, h: Hierarchy, result: SampleResult, budget: int) -> None:
-    """Budget safety, prefix-rank respect, and the round-robin visit pattern."""
+def check_round_robin_properties(
+    g: Graph, h: Hierarchy, result: SampleResult, budget: int, overhead: int = DEFAULT_EDGE_OVERHEAD
+) -> None:
+    """Budget safety, prices, prefix-rank respect, and the round-robin visit pattern."""
     assert result.total_tokens == sum(p.cost for p in result.selected)
     assert result.total_tokens <= budget
+    for pick in result.selected:
+        u, w = pick.edge
+        assert pick.cost == g.meta[u].token_count + g.meta[w].token_count + overhead
 
-    ranking = dict(community_edge_ranking(g, h))
+    ranking = community_ranking_oracle(g, h)
     by_comm = result.edges_by_community()
     for cid, picked in by_comm.items():
         assert picked == ranking[cid][: len(picked)], f"community {cid} skipped a ranked edge"

@@ -37,7 +37,6 @@ from corehier.modularity import (
 )
 from corehier.sampling import (
     budget_from_edge_fraction,
-    default_edge_costs,
     derive_max_cluster_size,
     round_robin_sample,
 )
@@ -163,12 +162,11 @@ def test_criterion_04_merging_invariants(fixture_bundle):
 def test_criterion_05_round_robin_budgets(fixture_bundle):
     for seed, g, max_size, h in fixture_bundle:
         merged, _ = merge_small_clusters(g, h, MergeMode.TWO_HOP_ONLY)
-        costs = default_edge_costs(g)
         for fraction in (0.8, 0.7, 0.6):
-            budget = budget_from_edge_fraction(g, fraction, costs)
-            result = round_robin_sample(merged, g, costs, budget)
+            budget = budget_from_edge_fraction(g, fraction)
+            result = round_robin_sample(merged, g, budget)
             check_round_robin_properties(g, merged, result, budget)
-            assert result == round_robin_sample(merged, g, costs, budget)
+            assert result == round_robin_sample(merged, g, budget)
     report(5, f"{FIXTURE_COUNT} fixtures x 3 edge budgets: budget safety, fairness, rank prefixes")
 
 

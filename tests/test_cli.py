@@ -21,6 +21,7 @@ from corehier.cli import main
 from corehier.errors import ConfigError, InputError
 from corehier.fileio import write_edges_tsv, write_nodes_jsonl
 from corehier.fixtures import three_level_example
+from corehier.graph import NodeMeta
 
 
 ARTIFACTS = ["decomposition.json", "hierarchy.json", "hierarchy_merged.json",
@@ -352,10 +353,33 @@ class TestPipeline:
         empty.write_text("", encoding="utf-8")
         assert run("pipeline", "--edges", str(empty), "--out", str(tmp_path / "o")) == 3
 
+    @pytest.mark.parametrize(
+        "edges,tokens,options,picks",
+        [
+            # 0.8 of one edge prices no edge
+            ([("a", "b")], {"a": 5, "b": 7}, [], []),
+            # the only node's self-loop is dropped, leaving no edge
+            ([("a", "a")], {"a": 5}, [], []),
+            # the top three of four edges cost 0; c-d costs 5
+            ([("a", "b"), ("b", "c"), ("c", "a"), ("c", "d")], {"d": 5},
+             ["--max-cluster-size", "3", "--overhead", "0"],
+             ["a\tc\t0\t0", "b\tc\t0\t0", "a\tb\t0\t0"]),
+        ],
+        ids=["one-edge", "loop-only", "free-top-edges"],
+    )
+    def test_derived_budget_of_zero_exits_0(self, tmp_path, edges, tokens, options, picks):
+        write_edges_tsv(tmp_path / "edges.tsv", edges)
+        write_nodes_jsonl(tmp_path / "nodes.jsonl", [NodeMeta(k, "", t) for k, t in tokens.items()])
+        out = tmp_path / "o"
+        assert run("pipeline", "--edges", str(tmp_path / "edges.tsv"),
+                   "--nodes", str(tmp_path / "nodes.jsonl"), "--out", str(out), *options) == 0
+        lines = (out / "sample.tsv").read_text(encoding="utf-8").splitlines()
+        assert lines == ["#src\tdst\tcommunity\tcost", *picks]
+
     def test_sample_respects_edge_fraction_budget(self, example_inputs, tmp_path):
         from corehier.graph import largest_connected_component, load_graph
         from corehier.fileio import read_edges_tsv, read_nodes_jsonl
-        from corehier.sampling import budget_from_edge_fraction, default_edge_costs
+        from corehier.sampling import budget_from_edge_fraction
 
         edges, nodes = example_inputs
         out = tmp_path / "o"
@@ -367,7 +391,7 @@ class TestPipeline:
         g = largest_connected_component(
             load_graph(read_edges_tsv(edges), read_nodes_jsonl(nodes))
         )
-        budget = budget_from_edge_fraction(g, 0.8, default_edge_costs(g))
+        budget = budget_from_edge_fraction(g, 0.8)
         lines = (out / "sample.tsv").read_text().strip().split("\n")[1:]
         assert sum(int(line.split("\t")[3]) for line in lines) <= budget
 

@@ -30,7 +30,6 @@ from corehier.sampling import (
     SampleResult,
     SelectedEdge,
     TokenModel,
-    default_edge_costs,
     round_robin_sample,
 )
 
@@ -220,7 +219,7 @@ def test_sample_tsv_layout():
     edges, nodes = three_level_example()
     g = largest_connected_component(load_graph(edges, nodes))
     h = build_hierarchy(g, 16)
-    result = round_robin_sample(h, g, default_edge_costs(g), 200)
+    result = round_robin_sample(h, g, 200)
     text = sample_to_tsv(result, g)
     lines = text.strip().split("\n")
     assert lines[0].startswith("#src\tdst\tcommunity\tcost")
@@ -345,5 +344,5 @@ def test_writers_match_oracle_on_the_example():
     assert written(write_decomposition_json, dec, g) == json_dumps_stable(payload)
     for hier in (h, merged):
         assert written(write_hierarchy_json, hier, g) == json_dumps_stable(hierarchy_to_json_obj(hier, g))
-    result = round_robin_sample(merged, g, default_edge_costs(g), 200)
+    result = round_robin_sample(merged, g, 200)
     assert written(write_sample_tsv, result, g) == sample_to_tsv(result, g)

@@ -63,8 +63,9 @@ def two_community_fixture():
 
     Community A (id 0) holds edges e1 (degree sum 7, cost 50) and
     e2 (degree sum 5, cost 50); community B (id 1) holds f1 (degree sum 6,
-    cost 60). Extra structural edges give the endpoints their degrees but sit
-    outside both communities.
+    cost 60). The costs are token counts priced with overhead 0 (pass
+    ``overhead=0``): a0 = a1 = a2 = 25 and b0 = b1 = 30. Extra structural
+    edges give the endpoints their degrees but sit outside both communities.
     """
     edges = [
         # A: a0-a1 (e1), a0-a2 (e2)
@@ -77,7 +78,7 @@ def two_community_fixture():
         ("b0", "z1"), ("b0", "z2"),
         ("b1", "w1"), ("b1", "w2"),
     ]
-    g = make_graph(edges)
+    g = make_graph(edges, tokens={"a0": 25, "a1": 25, "a2": 25, "b0": 30, "b1": 30})
     deg = g.degrees
     a0, a1, a2, b0, b1 = (g.id_of(n) for n in ("a0", "a1", "a2", "b0", "b1"))
     assert deg[a0] + deg[a1] == 7
@@ -89,37 +90,34 @@ def two_community_fixture():
     }
     h = Hierarchy(clusters, [], {}, 2, 10, leaf_ids={0, 1})
     e1, e2, f1 = (min(a0, a1), max(a0, a1)), (min(a0, a2), max(a0, a2)), (min(b0, b1), max(b0, b1))
-    costs = {edge: 1 for edge in g.edges()}
-    costs[e1] = 50
-    costs[e2] = 50
-    costs[f1] = 60
-    return g, h, costs, (e1, e2, f1)
+    assert default_edge_costs(g, [e1, e2, f1], overhead=0) == [50, 50, 60]
+    return g, h, (e1, e2, f1)
 
 
 def test_rank_orders_within_community():
-    g, h, costs, (e1, e2, f1) = two_community_fixture()
+    g, h, (e1, e2, f1) = two_community_fixture()
     deg = g.degrees
     assert deg[e1[0]] + deg[e1[1]] > deg[e2[0]] + deg[e2[1]]
 
 
 def test_round_robin_interleaves_communities():
-    g, h, costs, (e1, e2, f1) = two_community_fixture()
-    result = round_robin_sample(h, g, costs, 160)
+    g, h, (e1, e2, f1) = two_community_fixture()
+    result = round_robin_sample(h, g, 160, overhead=0)
     assert [p.edge for p in result.selected] == [e1, f1, e2]
     assert result.total_tokens == 160
 
 
 def test_unaffordable_community_is_retired_and_budget_reused():
-    g, h, costs, (e1, e2, f1) = two_community_fixture()
-    result = round_robin_sample(h, g, costs, 100)
+    g, h, (e1, e2, f1) = two_community_fixture()
+    result = round_robin_sample(h, g, 100, overhead=0)
     assert [p.edge for p in result.selected] == [e1, e2]
     assert result.total_tokens == 100
     assert 1 in result.unaffordable
 
 
 def test_budget_below_minimum_cost_selects_nothing():
-    g, h, costs, _ = two_community_fixture()
-    result = round_robin_sample(h, g, costs, 10)
+    g, h, _ = two_community_fixture()
+    result = round_robin_sample(h, g, 10, overhead=0)
     assert result.selected == []
     assert sorted(result.retired) == [0, 1]
 
@@ -128,17 +126,15 @@ def test_single_community_takes_everything_in_rank_order():
     g = make_graph([("a", "b"), ("b", "c"), ("a", "c")], tokens={"a": 4, "b": 4, "c": 4})
     lcc = largest_connected_component(g)
     h = build_hierarchy(lcc, 10)
-    costs = default_edge_costs(lcc)
-    result = round_robin_sample(h, lcc, costs, 1000)
+    result = round_robin_sample(h, lcc, 1000)
     assert [p.edge for p in result.selected] == ranked_edges(lcc)
-    assert result.total_tokens == sum(costs.values())
+    assert result.total_tokens == sum(default_edge_costs(lcc, lcc.edges()))
 
 
 def test_default_costs_are_tokens_plus_overhead():
     g = make_graph([("a", "b")], tokens={"a": 3, "b": 9})
-    costs = default_edge_costs(g)
-    assert costs[(0, 1)] == 3 + 9 + 8
-    assert default_edge_costs(g, overhead=0)[(0, 1)] == 12
+    assert default_edge_costs(g, [(0, 1)]) == [3 + 9 + 8]
+    assert default_edge_costs(g, [(0, 1)], overhead=0) == [12]
 
 
 def test_budget_from_edge_fraction_sums_top_ranked():
@@ -146,21 +142,60 @@ def test_budget_from_edge_fraction_sums_top_ranked():
         [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")],
         tokens={"a": 10, "b": 20, "c": 30, "d": 20, "e": 10},
     )
-    costs = default_edge_costs(g, overhead=0)
-    full = budget_from_edge_fraction(g, 1.0, costs)
-    assert full == sum(costs.values())
-    half = budget_from_edge_fraction(g, 0.5, costs)
+    full = budget_from_edge_fraction(g, 1.0, overhead=0)
+    assert full == sum(default_edge_costs(g, g.edges(), overhead=0))
+    half = budget_from_edge_fraction(g, 0.5, overhead=0)
     ranked = ranked_edges(g)
-    assert half == sum(costs[e] for e in ranked[:2])
+    assert half == sum(default_edge_costs(g, ranked[:2], overhead=0))
     with pytest.raises(ConfigError):
-        budget_from_edge_fraction(g, 0.0, costs)
+        budget_from_edge_fraction(g, 0.0, overhead=0)
 
 
 @settings(max_examples=60, deadline=None)
-@given(budget=st.integers(1, 400))
+@given(budget=st.integers(0, 400))
 def test_properties_hold_for_any_budget(budget):
-    g, h, costs, _ = two_community_fixture()
-    result = round_robin_sample(h, g, costs, budget)
-    check_round_robin_properties(g, h, result, budget)
-    again = round_robin_sample(h, g, costs, budget)
+    g, h, _ = two_community_fixture()
+    result = round_robin_sample(h, g, budget, overhead=0)
+    check_round_robin_properties(g, h, result, budget, overhead=0)
+    again = round_robin_sample(h, g, budget, overhead=0)
     assert again == result
+
+
+def test_budget_of_zero_picks_only_free_edges_and_a_negative_one_is_rejected():
+    free = make_graph([("a", "b"), ("b", "c"), ("a", "c")])
+    lcc = largest_connected_component(free)
+    result = round_robin_sample(build_hierarchy(lcc, 10), lcc, 0, overhead=0)
+    assert [p.edge for p in result.selected] == ranked_edges(lcc)
+    assert result.total_tokens == 0
+    with pytest.raises(ConfigError):
+        round_robin_sample(build_hierarchy(lcc, 10), lcc, -1)
+
+
+@st.composite
+def priced_graphs(draw):
+    """Connected graphs on few nodes, so many edges tie on degree sum, with any token counts."""
+    n = draw(st.integers(2, 9))
+    names = [f"v{i}" for i in range(n)]
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), min_size=1, max_size=24))
+    edges = [(names[a], names[b]) for a, b in pairs if a != b]
+    tokens = draw(st.lists(st.integers(0, 2**64), min_size=n, max_size=n))
+    g = make_graph(edges or [(names[0], names[1])], tokens=dict(zip(names, tokens)))
+    return largest_connected_component(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    g=priced_graphs(),
+    overhead=st.integers(0, 2**64),
+    fraction=st.floats(0, 1, exclude_min=True),
+    cap=st.integers(2, 6),
+)
+def test_budget_and_picks_follow_the_price_rule(g, overhead, fraction, cap):
+    tokens = [meta.token_count for meta in g.meta]
+    ranked = ranked_edges(g)
+    count = int(fraction * len(ranked) + 1e-9)
+    budget = budget_from_edge_fraction(g, fraction, overhead)
+    assert budget == sum(tokens[u] + tokens[w] + overhead for u, w in ranked[:count])
+    h = build_hierarchy(g, cap)
+    result = round_robin_sample(h, g, budget, overhead)
+    check_round_robin_properties(g, h, result, budget, overhead)

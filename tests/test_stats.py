@@ -6,7 +6,7 @@ from corehier.errors import ConfigError, InputError
 from corehier.fixtures import three_level_example
 from corehier.graph import NodeMeta, largest_connected_component, load_graph
 from corehier.hierarchy import build_hierarchy
-from corehier.sampling import default_edge_costs, round_robin_sample
+from corehier.sampling import round_robin_sample
 from corehier.stats import community_stats, select_level
 
 from conftest import make_graph
@@ -105,8 +105,7 @@ class TestCoverage:
 class TestSampledCoverage:
     def test_sample_based_coverage_counts_touched_endpoints(self):
         g, h = build_three_level()
-        costs = default_edge_costs(g)
-        result = round_robin_sample(h, g, costs, 60)
+        result = round_robin_sample(h, g, 60)
         stats = community_stats(h, "LF", g, sample=result)
         touched = {v for pick in result.selected for v in pick.edge}
         expected = 100.0 * sum(g.token_count(v) for v in touched) / sum(
