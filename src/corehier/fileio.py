@@ -316,9 +316,8 @@ def hierarchy_from_json_obj(obj: dict, g: Graph) -> Hierarchy:
 def sample_to_tsv(result: SampleResult, g: Graph) -> str:
     """Selected edges as ``src<TAB>dst<TAB>community<TAB>cost`` lines."""
     lines = ["#src\tdst\tcommunity\tcost"]
-    for pick in result.selected:
-        u, w = pick.edge
-        lines.append(f"{g.external_id(u)}\t{g.external_id(w)}\t{pick.community}\t{pick.cost}")
+    for u, w, cid, cost in zip(result.sources, result.targets, result.communities, result.costs):
+        lines.append(f"{g.external_id(u)}\t{g.external_id(w)}\t{cid}\t{cost}")
     return "\n".join(lines) + "\n"
 
 
@@ -326,6 +325,5 @@ def write_sample_tsv(out: TextIO, result: SampleResult, g: Graph) -> None:
     """Write ``sample_to_tsv(result, g)`` to ``out``, one selected edge per line."""
     ext = [meta.external_id for meta in g.meta]
     out.write("#src\tdst\tcommunity\tcost\n")
-    for pick in result.selected:
-        u, w = pick.edge
-        out.write(f"{ext[u]}\t{ext[w]}\t{pick.community}\t{pick.cost}\n")
+    for u, w, cid, cost in zip(result.sources, result.targets, result.communities, result.costs):
+        out.write(f"{ext[u]}\t{ext[w]}\t{cid}\t{cost}\n")

@@ -44,15 +44,19 @@ class Graph:
     neighbour lists as Python lists for the per-node loops downstream, is
     derived from the arrays on first access in O(n + m); its entries share
     the int objects of ``_ids``, one per node id, as the hierarchy's member
-    sets do. The external-id index behind :meth:`id_of` comes from
-    :func:`load_graph`, or is built on first use in O(n).
+    sets do. ``tokens``, every node's token count as a list indexed by id,
+    is read off ``meta`` on first access in O(n). The external-id index
+    behind :meth:`id_of` comes from :func:`load_graph`, or is built on
+    first use in O(n).
 
     Treat instances as frozen once constructed; nothing in the package
     mutates them, which makes concurrent reads safe (two threads racing on
     a lazy attribute both build the same value).
     """
 
-    __slots__ = ("n", "m", "indptr", "indices", "adj", "_ids", "degrees", "meta", "self_loops", "_ext_index")
+    __slots__ = (
+        "n", "m", "indptr", "indices", "adj", "_ids", "tokens", "degrees", "meta", "self_loops", "_ext_index"
+    )
 
     def __init__(
         self,
@@ -84,6 +88,9 @@ class Graph:
             bounds = self.indptr.tolist()
             self.adj = list(map(flat.__getitem__, map(slice, bounds[:-1], bounds[1:])))
             return getattr(self, name)
+        if name == "tokens":
+            self.tokens = [mt.token_count for mt in self.meta]
+            return self.tokens
         if name == "_ext_index":
             self._ext_index = {mt.external_id: i for i, mt in enumerate(self.meta)}
             return self._ext_index
@@ -100,7 +107,7 @@ class Graph:
         return self.meta[v].external_id
 
     def token_count(self, v: int) -> int:
-        return self.meta[v].token_count
+        return self.tokens[v]
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Every non-loop edge once as int64 arrays (u, w) with u < w, sorted by (u, w). O(n + m)."""

@@ -6,16 +6,20 @@ descending) if the remaining budget affords it. A community whose next edge
 is unaffordable is retired rather than aborting the whole run, which keeps
 the budget utilized; the total selected cost never exceeds the budget.
 
-An edge costs both endpoint token counts plus a flat overhead; that rule
-is applied where a price is needed, and no table of edge costs is kept.
+An edge costs both endpoint token counts plus a flat overhead. That rule
+is written once, in ``_edge_prices``, and no table of edge costs is kept.
+The work is array work: one ranking of all edges, one join that finds the
+leaf owning each edge, one sort of the picks into visit order, and one
+cumulative sum that finds where the budget first binds. Python loops run
+only over the picks from that point on.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -49,13 +53,13 @@ def derive_max_cluster_size(token_limit: int, g: Graph) -> int:
     """Cluster size cap from a context window: limit over mean tokens per node.
 
     Computed in exact integer arithmetic as floor(limit * n / total_tokens),
-    clamped below at 2.
+    clamped below at 2. O(n) on the first read of ``g.tokens``, O(n) sum after.
     """
     if token_limit < 1:
         raise ConfigError("token limit must be positive")
     if g.n == 0:
         raise InputError("cannot derive a cluster size for an empty graph")
-    total = sum(meta.token_count for meta in g.meta)
+    total = sum(g.tokens)
     if total == 0:
         raise ConfigError(
             "cannot derive max cluster size: every node has zero tokens; "
@@ -64,44 +68,75 @@ def derive_max_cluster_size(token_limit: int, g: Graph) -> int:
     return max(2, (token_limit * g.n) // total)
 
 
-def default_edge_costs(g: Graph, edges: Iterable[tuple[int, int]], overhead: int = DEFAULT_EDGE_OVERHEAD) -> list[int]:
-    """Token cost of each edge: both endpoint token counts plus a flat overhead.
+def _edge_prices(g: Graph, u: np.ndarray, w: np.ndarray, overhead: int) -> np.ndarray:
+    """Price of each edge (u[i], w[i]): both endpoint token counts plus ``overhead``.
 
-    The one place the price rule is written. Costs are exact ints in the
-    order of ``edges``; none can overflow. O(n + len(edges)).
+    The one place the price rule is written. The prices are int64 when
+    max(len(u), 1) * (2 * max tokens + overhead) < 2**63, so that neither a
+    price nor any sum of them passes 2**63 - 1; otherwise they are an object
+    array of exact Python ints. O(n + len(u)).
     """
     if overhead < 0:
         raise ConfigError("edge overhead must be >= 0")
-    tokens = [meta.token_count for meta in g.meta]
-    return [tokens[u] + tokens[w] + overhead for u, w in edges]
+    tokens = g.tokens
+    exact = max(len(u), 1) * (2 * max(tokens, default=0) + overhead) < 2**63
+    table = np.array(tokens, dtype=np.int64 if exact else object)
+    return table[u] + table[w] + overhead
+
+
+def default_edge_costs(g: Graph, edges: Iterable[tuple[int, int]], overhead: int = DEFAULT_EDGE_OVERHEAD) -> list[int]:
+    """Token cost of each edge: both endpoint token counts plus a flat overhead.
+
+    Costs are exact ints in the order of ``edges``; none can overflow.
+    O(n + len(edges)), the pairs read into one array and priced at once.
+    """
+    ends = np.fromiter(chain.from_iterable(edges), dtype=np.int64)
+    return _edge_prices(g, ends[0::2], ends[1::2], overhead).tolist()
+
+
+def _stable_order(key: np.ndarray, top: int) -> np.ndarray:
+    """Stable argsort of ``key``, whose entries are ints in [0, ``top``].
+
+    The key is cast to the narrowest unsigned dtype that holds ``top``:
+    numpy sorts 8- and 16-bit keys by radix in O(len(key)), and wider ones
+    in O(len(key) log len(key)).
+    """
+    return np.argsort(key.astype(np.min_scalar_type(top)), kind="stable")
 
 
 def _ranked_edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Edge arrays (u < w) in rank order: combined endpoint degree descending, then u, then w.
 
-    One ``np.lexsort`` over the edge arrays, O(m log m).
+    ``g.edge_arrays()`` is already in (u, w) order, so one stable sort of
+    each edge's gap below the largest degree sum sets the rank: O(n + m)
+    when every degree sum is below 65536, O(m log m) otherwise.
     """
     u, w = g.edge_arrays()
     degrees = np.array(g.degrees, dtype=np.int64)
-    order = np.lexsort((w, u, -(degrees[u] + degrees[w])))
+    key = degrees[u] + degrees[w]
+    top = int(key.max(initial=0))
+    order = _stable_order(top - key, top)
     return u[order], w[order]
 
 
 def budget_from_edge_fraction(g: Graph, fraction: float, overhead: int = DEFAULT_EDGE_OVERHEAD) -> int:
     """Token budget equal to the cost of the top ``fraction`` of ranked edges.
 
-    The top ``floor(fraction * m)`` edges of the ranking are priced by
-    :func:`default_edge_costs`. O(n + m log m), the ranking's sort dominating.
+    The top ``floor(fraction * m)`` edges of the ranking are priced by the
+    rule of :func:`default_edge_costs` and summed exactly. O(n + m) array
+    work, plus the ranking's sort.
     """
     if not 0 < fraction <= 1:
         raise ConfigError("edge fraction must be in (0, 1]")
     u, w = _ranked_edge_arrays(g)
     count = int(fraction * len(u) + 1e-9)
-    return sum(default_edge_costs(g, zip(u[:count].tolist(), w[:count].tolist()), overhead))
+    return int(_edge_prices(g, u[:count], w[:count], overhead).sum())
 
 
 @dataclass(frozen=True)
 class SelectedEdge:
+    """One pick: an edge, the leaf community it was taken for, and its price."""
+
     edge: tuple[int, int]
     community: int
     cost: int
@@ -109,95 +144,162 @@ class SelectedEdge:
 
 @dataclass
 class SampleResult:
-    """Ordered pick list with the per-community stop reasons."""
+    """Ordered picks, as parallel lists, with the per-community stop reasons.
 
-    selected: list[SelectedEdge]
+    Pick i is the edge (``sources[i]``, ``targets[i]``), taken for the leaf
+    community ``communities[i]`` at price ``costs[i]``. The lists hold
+    Python ints, not arrays, so that two results compare with ``==``.
+    """
+
+    sources: list[int]
+    targets: list[int]
+    communities: list[int]
+    costs: list[int]
     total_tokens: int
     retired: list[int]  # every community, in stop order (exhausted or priced out)
     budget: int
     unaffordable: list[int] = field(default_factory=list)  # subset stopped by budget
 
+    @property
+    def selected(self) -> list[SelectedEdge]:
+        """The picks in order, one :class:`SelectedEdge` each (built on every read)."""
+        return [
+            SelectedEdge((u, w), cid, cost)
+            for u, w, cid, cost in zip(self.sources, self.targets, self.communities, self.costs)
+        ]
+
     def edges_by_community(self) -> dict[int, list[tuple[int, int]]]:
         out: dict[int, list[tuple[int, int]]] = {}
-        for pick in self.selected:
-            out.setdefault(pick.community, []).append(pick.edge)
+        for u, w, cid in zip(self.sources, self.targets, self.communities):
+            out.setdefault(cid, []).append((u, w))
         return out
 
 
-def community_edge_ranking(g: Graph, h: Hierarchy) -> list[tuple[int, list[tuple[int, int]]]]:
-    """Leaf communities in visit order with their ranked internal edges.
+def community_edge_ranking(g: Graph, h: Hierarchy) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
+    """Leaf communities in visit order and the edges each one owns, in rank order.
 
-    Visit order is level descending, then cluster id ascending. An edge
-    internal to several leaves (shared anchors make that possible) is owned
-    by the first leaf in visit order. Each leaf sorts its s members, scans
-    their adjacency lists (vol entries) and sorts its edges by rank:
-    O(sum over leaves of s log s + vol) + O(m log m).
+    Returns ``(leaf_ids, owner, u, w)``. Visit order is level descending,
+    then cluster id ascending, and ``leaf_ids[p]`` is the leaf at visit
+    position p. Edge (u[i], w[i]) belongs to the leaf at position
+    ``owner[i]``; ``owner`` is nondecreasing and each leaf's edges follow
+    the rank of :func:`_ranked_edge_arrays`. An edge internal to several
+    leaves (shared anchors make that possible) is owned by the first leaf
+    in visit order.
+
+    Leaf memberships are encoded as sorted keys node * L + position for L
+    leaves. For each ranked edge and each membership p of u, in ascending
+    order, one ``np.searchsorted`` looks up w * L + p; the first hit is the
+    owner. A stable argsort by owner then groups the edges. Cost: the
+    ranking, plus O(n + M log M + m' log M) for M memberships and m'
+    lookups (one per ranked edge and leaf holding u), plus a stable sort of
+    the owned edges by owner, O(m) for fewer than 65536 leaves.
     """
-    leaves = sorted(h.leaves(), key=lambda c: (-c.level, c.id))
-    degrees = g.degrees
-    claimed: set[tuple[int, int]] = set()
-    out = []
-    for leaf in leaves:
-        members = leaf.members
-        edges = []
-        for u in sorted(members):
-            for w in g.adj[u]:
-                if u < w and w in members:
-                    e = (u, w)
-                    if e not in claimed:
-                        claimed.add(e)
-                        edges.append(e)
-        edges.sort(key=lambda e: (-(degrees[e[0]] + degrees[e[1]]), e[0], e[1]))
-        out.append((leaf.id, edges))
-    return out
+    visit = sorted(h.leaves(), key=lambda c: (-c.level, c.id))
+    leaf_ids = [leaf.id for leaf in visit]
+    count = len(visit)
+    if not count:
+        empty = np.zeros(0, dtype=np.int64)
+        return leaf_ids, empty, empty, empty
+    u, w = _ranked_edge_arrays(g)
+    sizes = [len(leaf.members) for leaf in visit]
+    nodes = np.fromiter(chain.from_iterable(leaf.members for leaf in visit), dtype=np.int64, count=sum(sizes))
+    keys = nodes * count + np.repeat(np.arange(count), sizes)
+    keys.sort()
+    held = np.bincount(keys // count, minlength=g.n)  # leaves holding each node
+    first = np.cumsum(held) - held  # each node's first key
+    # One lookup per (edge, leaf holding u), grouped by edge, leaves ascending.
+    tries = held[u]
+    edge = np.repeat(np.arange(len(u)), tries)
+    slot = np.arange(len(edge)) - np.repeat(np.cumsum(tries) - tries, tries) + first[u][edge]
+    wanted = w[edge] * count + keys[slot] % count
+    found = np.searchsorted(keys, wanted)
+    hit = keys[np.minimum(found, len(keys) - 1)] == wanted
+    edge, position = edge[hit], wanted[hit] % count
+    firsts = np.ones(len(edge), dtype=bool)
+    np.not_equal(edge[1:], edge[:-1], out=firsts[1:])
+    edge, position = edge[firsts], position[firsts]
+    group = _stable_order(position, count - 1)
+    edge = edge[group]
+    return leaf_ids, position[group], u[edge], w[edge]
 
 
 def round_robin_sample(h: Hierarchy, g: Graph, budget: int, overhead: int = DEFAULT_EDGE_OVERHEAD) -> SampleResult:
     """Round-robin token-constrained selection over leaf communities.
 
-    Edges are priced by :func:`default_edge_costs` with ``overhead``; a
-    budget of 0 picks only edges that cost 0. Costs
-    :func:`community_edge_ranking` plus O(n + L + k) for L leaves and k
-    owned edges, as each visit picks an edge or retires a leaf.
+    Edges are priced by the rule of :func:`default_edge_costs` with
+    ``overhead``; a budget of 0 picks only edges that cost 0. A leaf's
+    i-th edge is visited in round i, so one sort by (round, visit
+    position) gives the visit order of every owned edge, and every visit
+    before the first cumulative price above the budget is a pick, taken at
+    once. From that visit on, a sequential loop runs the rest, each visit a
+    pick or a retirement. Cost: :func:`community_edge_ranking`, plus
+    O(n + k) array work for the k owned edges (O(k log k) when a leaf owns
+    65536 edges or more), plus O(L + t) Python steps for L leaves and the
+    t visits after the budget first binds.
     """
     if budget < 0:
         raise ConfigError("budget must be >= 0")
     if not h.clusters:
         raise InputError("hierarchy has no clusters")
 
-    ranking = community_edge_ranking(g, h)
-    costs = iter(default_edge_costs(g, (e for _, edges in ranking for e in edges), overhead))
-    retired: list[int] = []
-    unaffordable: list[int] = []
-    active: list[tuple[int, deque]] = []
-    for cid, edges in ranking:
-        if edges:
-            # zip stops at the end of ``edges``, so it takes exactly their costs
-            active.append((cid, deque(zip(edges, costs))))
-        else:
-            retired.append(cid)
+    leaf_ids, owner, u, w = community_edge_ranking(g, h)
+    counts = np.bincount(owner, minlength=len(leaf_ids))
+    starts = np.cumsum(counts) - counts
+    rounds = np.arange(len(owner)) - starts[owner]
+    # The edges come grouped by visit position, so a stable sort by round
+    # orders them by (round, visit position): the order of the visits.
+    order = _stable_order(rounds, int(counts.max(initial=0)))
+    prices = _edge_prices(g, u, w, overhead)
+    paid = np.cumsum(prices[order])
+    if not len(paid) or budget >= int(paid[-1]):
+        taken = len(order)
+    else:
+        taken = int(np.searchsorted(paid, budget, side="right"))
 
-    selected: list[SelectedEdge] = []
-    remaining = budget
-    while active:
-        survivors: list[tuple[int, deque]] = []
-        for cid, queue in active:
-            edge, cost = queue[0]
-            if cost > remaining:
-                retired.append(cid)
-                unaffordable.append(cid)
-                continue
-            queue.popleft()
-            selected.append(SelectedEdge(edge=edge, community=cid, cost=cost))
-            remaining -= cost
-            if queue:
-                survivors.append((cid, queue))
-            else:
-                retired.append(cid)
-        active = survivors
+    picks = order[:taken]
+    leaf = owner[picks]
+    exhausted = leaf[rounds[picks] == counts[leaf] - 1]
+    name = leaf_ids.__getitem__  # cluster ids are unbounded ints, so they stay in a list
+    sources, targets, costs = u[picks].tolist(), w[picks].tolist(), prices[picks].tolist()
+    communities = list(map(name, leaf.tolist()))
+    # Leaves without edges retire first, every other one at its last pick.
+    retired = list(map(name, np.flatnonzero(counts == 0).tolist() + exhausted.tolist()))
+    unaffordable: list[int] = []
+    remaining = budget - (int(paid[taken - 1]) if taken else 0)
+
+    if taken < len(order):
+        # Visit by visit from the first pick the budget refuses. Every visit
+        # before it was a pick, so this round still visits the leaves from
+        # its position on that own more than ``round_`` edges, and the
+        # leaves before it that own another edge open the next round.
+        round_, position = int(rounds[order[taken]]), int(owner[order[taken]])
+        counts, starts = counts.tolist(), starts.tolist()
+        current = [p for p in range(position, len(leaf_ids)) if counts[p] > round_]
+        upcoming = [p for p in range(position) if counts[p] > round_ + 1]
+        while current:
+            for p in current:
+                i = starts[p] + round_
+                cost = int(prices[i])
+                if cost > remaining:
+                    retired.append(leaf_ids[p])
+                    unaffordable.append(leaf_ids[p])
+                    continue
+                sources.append(int(u[i]))
+                targets.append(int(w[i]))
+                communities.append(leaf_ids[p])
+                costs.append(cost)
+                remaining -= cost
+                if counts[p] > round_ + 1:
+                    upcoming.append(p)
+                else:
+                    retired.append(leaf_ids[p])
+            current, upcoming, round_ = upcoming, [], round_ + 1
 
     return SampleResult(
-        selected=selected,
+        sources=sources,
+        targets=targets,
+        communities=communities,
+        costs=costs,
         total_tokens=budget - remaining,
         retired=retired,
         budget=budget,

@@ -75,7 +75,8 @@ def community_stats(
     Cost: O(n + L log L + M) for the L selected clusters with M members in
     all, plus O(k) for a sample of k picks or O(M log M) with a token limit.
     """
-    total = sum(meta.token_count for meta in g.meta)
+    tokens = g.tokens
+    total = sum(tokens)
     if total == 0:
         raise InputError("coverage undefined: every node has zero tokens")
     selected = select_level(h, tag)
@@ -86,14 +87,12 @@ def community_stats(
         size = len(cluster.members)
         histogram[size] = histogram.get(size, 0) + 1
         covered |= cluster.members
-    coverage = 100.0 * sum(g.token_count(v) for v in covered) / total
+    coverage = 100.0 * sum(map(tokens.__getitem__, covered)) / total
 
     sampled: float | None = None
     if sample is not None:
-        touched: set[int] = set()
-        for pick in sample.selected:
-            touched.update(pick.edge)
-        sampled = 100.0 * sum(g.token_count(v) for v in touched) / total
+        touched = set(sample.sources).union(sample.targets)
+        sampled = 100.0 * sum(map(tokens.__getitem__, touched)) / total
     elif token_limit is not None:
         if token_limit < 1:
             raise ConfigError("token limit must be positive")
@@ -104,12 +103,12 @@ def community_stats(
             for v in cluster.sorted_members():
                 if v in counted:
                     continue
-                tokens = g.token_count(v)
-                if tokens > room:
+                cost = tokens[v]
+                if cost > room:
                     break
                 counted.add(v)
-                admitted += tokens
-                room -= tokens
+                admitted += cost
+                room -= cost
         sampled = 100.0 * admitted / total
 
     return CommunityStats(

@@ -80,6 +80,49 @@ def community_ranking_oracle(g: Graph, h: Hierarchy) -> dict[int, list[tuple[int
     return out
 
 
+def round_robin_oracle(h: Hierarchy, g: Graph, budget: int, overhead: int = DEFAULT_EDGE_OVERHEAD) -> SampleResult:
+    """Visit-by-visit reference for ``round_robin_sample`` on :func:`community_ranking_oracle`.
+
+    Leaves are visited by level descending, then id, one queue of owned
+    edges each. A visit takes the head edge if the remaining budget affords
+    its price (both endpoint token counts plus ``overhead``), and otherwise
+    retires the leaf as unaffordable; a leaf whose queue empties retires
+    too. Leaves owning no edge retire before the first visit.
+    """
+    ranking = community_ranking_oracle(g, h)
+    tokens = [meta.token_count for meta in g.meta]
+    result = SampleResult([], [], [], [], 0, [], budget, [])
+    active: list[tuple[int, deque]] = []
+    for leaf in sorted(h.leaves(), key=lambda c: (-c.level, c.id)):
+        if ranking[leaf.id]:
+            active.append((leaf.id, deque(ranking[leaf.id])))
+        else:
+            result.retired.append(leaf.id)
+    remaining = budget
+    while active:
+        survivors: list[tuple[int, deque]] = []
+        for cid, queue in active:
+            u, w = queue[0]
+            cost = tokens[u] + tokens[w] + overhead
+            if cost > remaining:
+                result.retired.append(cid)
+                result.unaffordable.append(cid)
+                continue
+            queue.popleft()
+            result.sources.append(u)
+            result.targets.append(w)
+            result.communities.append(cid)
+            result.costs.append(cost)
+            remaining -= cost
+            if queue:
+                survivors.append((cid, queue))
+            else:
+                result.retired.append(cid)
+        active = survivors
+    result.total_tokens = budget - remaining
+    return result
+
+
 def iter_set_partitions(n: int):
     """Yield every set partition of range(n) as a restricted growth string.
 

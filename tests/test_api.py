@@ -1,5 +1,9 @@
 """The package's public surface: adding or removing a name must be deliberate."""
 
+import importlib
+import importlib.util
+from pathlib import Path
+
 import corehier
 
 PUBLIC = [
@@ -58,3 +62,15 @@ def test_every_public_name_resolves():
     namespace: dict = {}
     exec("from corehier import *", namespace)
     assert set(PUBLIC) <= namespace.keys()
+
+
+def test_every_traced_name_resolves():
+    """perfbench's tracer looks each traced function up by name, so a rename breaks ``--trace 1``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module_name, names in tracing.TRACED.items():
+        module = importlib.import_module(f"corehier.{module_name}")
+        missing = [name for name in names if not callable(getattr(module, name, None))]
+        assert not missing, f"corehier.{module_name} lacks {missing}"

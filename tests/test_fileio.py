@@ -28,7 +28,6 @@ from corehier.hierarchy import CLUSTER_KINDS, Cluster, Hierarchy, build_hierarch
 from corehier.merging import MergeMode, merge_small_clusters
 from corehier.sampling import (
     SampleResult,
-    SelectedEdge,
     TokenModel,
     round_robin_sample,
 )
@@ -311,10 +310,11 @@ def test_sample_writer_matches_oracle(data):
     g = data.draw(graphs())
     node = st.integers(0, g.n - 1) if g.n else st.nothing()
     picks = data.draw(st.lists(
-        st.builds(SelectedEdge, st.tuples(node, node), st.integers(0, 99), st.integers(0, 10**6)),
+        st.tuples(node, node, st.integers(0, 99), st.integers(0, 10**6)),
         max_size=6 if g.n else 0,
     ))
-    result = SampleResult(picks, sum(p.cost for p in picks), [], 10**7)
+    sources, targets, communities, costs = [list(column) for column in zip(*picks)] or [[], [], [], []]
+    result = SampleResult(sources, targets, communities, costs, sum(costs), [], 10**7)
     assert written(write_sample_tsv, result, g) == sample_to_tsv(result, g)
 
 

@@ -92,6 +92,7 @@ def test_lcc_carries_metadata():
     lcc = largest_connected_component(g)
     v = lcc.id_of("a")
     assert lcc.meta[v].label == "alpha" and lcc.meta[v].token_count == 7
+    assert lcc.tokens == [7, 0] and lcc.token_count(v) == 7
 
 
 def test_lcc_empty_graph_rejected():

@@ -1,5 +1,8 @@
 """Token accounting and round-robin selection traces and properties."""
 
+from itertools import accumulate
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,15 +11,17 @@ from corehier.errors import ConfigError
 from corehier.graph import NodeMeta, load_graph
 from corehier.hierarchy import Cluster, Hierarchy, build_hierarchy
 from corehier.graph import largest_connected_component
+from corehier.merging import MergeMode, merge_small_clusters
 from corehier.sampling import (
     TokenModel,
+    _ranked_edge_arrays,
     budget_from_edge_fraction,
     default_edge_costs,
     derive_max_cluster_size,
     round_robin_sample,
 )
 
-from conftest import check_round_robin_properties, make_graph, ranked_edges
+from conftest import check_round_robin_properties, make_graph, ranked_edges, round_robin_oracle
 
 
 class TestTokenModel:
@@ -172,13 +177,13 @@ def test_budget_of_zero_picks_only_free_edges_and_a_negative_one_is_rejected():
 
 
 @st.composite
-def priced_graphs(draw):
-    """Connected graphs on few nodes, so many edges tie on degree sum, with any token counts."""
+def priced_graphs(draw, tokens=st.integers(0, 2**64)):
+    """Connected graphs on few nodes, so many edges tie on degree sum, with token counts drawn from ``tokens``."""
     n = draw(st.integers(2, 9))
     names = [f"v{i}" for i in range(n)]
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), min_size=1, max_size=24))
     edges = [(names[a], names[b]) for a, b in pairs if a != b]
-    tokens = draw(st.lists(st.integers(0, 2**64), min_size=n, max_size=n))
+    tokens = draw(st.lists(tokens, min_size=n, max_size=n))
     g = make_graph(edges or [(names[0], names[1])], tokens=dict(zip(names, tokens)))
     return largest_connected_component(g)
 
@@ -199,3 +204,86 @@ def test_budget_and_picks_follow_the_price_rule(g, overhead, fraction, cap):
     h = build_hierarchy(g, cap)
     result = round_robin_sample(h, g, budget, overhead)
     check_round_robin_properties(g, h, result, budget, overhead)
+
+
+@pytest.mark.parametrize("spokes,below", [(5, 0), (300, 255), (70_000, 65535)])
+def test_ranking_matches_the_lexsort(spokes, below):
+    """The one stable sort ranks as a 3-key lexsort does, whichever unsigned width holds the key."""
+    rng = np.random.default_rng(spokes)
+    chords = rng.integers(1, spokes + 1, size=(min(2 * spokes, 3000), 2))
+    g = make_graph([("hub", f"s{i}") for i in range(1, spokes + 1)] + [(f"s{a}", f"s{b}") for a, b in chords if a != b])
+    u, w = g.edge_arrays()
+    degrees = np.array(g.degrees)
+    assert (degrees[u] + degrees[w]).max() > below
+    order = np.lexsort((w, u, -(degrees[u] + degrees[w])))
+    ranked_u, ranked_w = _ranked_edge_arrays(g)
+    assert np.array_equal(ranked_u, u[order]) and np.array_equal(ranked_w, w[order])
+
+
+@st.composite
+def sampling_cases(draw):
+    """A graph, a hierarchy over it and an overhead, for comparing the sampler with its oracle.
+
+    Token counts are small or at least 2**62, so prices fit int64 or do not.
+    The hierarchy is built and maybe merged, which can leave leaves sharing
+    anchors, or it is a few clusters with random, overlapping members at
+    random levels, any of them leaves, possibly none.
+    """
+    g = draw(priced_graphs(st.integers(0, 40) | st.integers(2**62, 2**64)))
+    if draw(st.booleans()):
+        h = build_hierarchy(g, draw(st.integers(2, 4)))
+        mode = draw(st.sampled_from([None, *MergeMode]))
+        if mode is not None:
+            h, _ = merge_small_clusters(g, h, mode)
+    else:
+        ids = draw(st.lists(st.integers(0, 30), min_size=1, max_size=6, unique=True))
+        clusters = {
+            cid: Cluster(cid, draw(st.sets(st.integers(0, g.n - 1))), draw(st.integers(0, 3)), "residual", None)
+            for cid in ids
+        }
+        leaves = draw(st.sets(st.sampled_from(ids)))
+        h = Hierarchy(clusters, [], {}, 3, g.n, leaf_ids=leaves)
+    return g, h, draw(st.sampled_from([0, 8]) | st.integers(0, 2**64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=sampling_cases(), data=st.data())
+def test_round_robin_matches_the_oracle(case, data):
+    """Field by field, for budgets that bind at a round start, mid-round, or never."""
+    g, h, overhead = case
+    unbounded = round_robin_oracle(h, g, 2**200, overhead)
+    paid = [0, *accumulate(unbounded.costs)]
+    budget = data.draw(
+        st.integers(0, unbounded.total_tokens) | st.sampled_from(paid).flatmap(lambda s: st.integers(max(s - 1, 0), s + 1))
+    )
+    got, want = round_robin_sample(h, g, budget, overhead), round_robin_oracle(h, g, budget, overhead)
+    assert got.sources == want.sources
+    assert got.targets == want.targets
+    assert got.communities == want.communities
+    assert got.costs == want.costs
+    assert got.total_tokens == want.total_tokens
+    assert got.retired == want.retired
+    assert got.unaffordable == want.unaffordable
+    assert got.budget == budget
+    for picks in (got.sources, got.targets, got.communities, got.costs):
+        assert type(picks) is list and all(type(x) is int for x in picks)
+
+
+def test_hierarchy_without_leaves_samples_nothing():
+    g = make_graph([("a", "b"), ("b", "c")], tokens={"a": 1, "b": 2, "c": 3})
+    h = Hierarchy({0: Cluster(0, {0, 1, 2}, 0, "root", None)}, [0], {}, 0, 3, leaf_ids=set())
+    result = round_robin_sample(h, g, 100)
+    assert result == round_robin_oracle(h, g, 100)
+    assert result.sources == [] and result.retired == [] and result.total_tokens == 0
+
+
+def test_leaves_before_a_priced_out_one_keep_their_order():
+    """The budget binds mid-round at the third leaf; the two before it go on, in visit order."""
+    triangles = [(f"{x}{i}", f"{x}{j}") for x in "abc" for i, j in ((0, 1), (0, 2), (1, 2))]
+    g = make_graph(triangles, tokens={f"{x}{i}": 100 if x == "c" else 1 for x in "abc" for i in range(3)})
+    clusters = {cid: Cluster(cid, {g.id_of(f"{x}{i}") for i in range(3)}, 1, "residual", None) for cid, x in enumerate("abc")}
+    h = Hierarchy(clusters, [], {}, 1, 3, leaf_ids={0, 1, 2})
+    result = round_robin_sample(h, g, 8, overhead=0)
+    assert result == round_robin_oracle(h, g, 8, overhead=0)
+    assert result.communities == [0, 1, 0, 1] and result.costs == [2, 2, 2, 2]
+    assert result.retired == [2, 0, 1] and result.unaffordable == [2, 0, 1]
