@@ -28,7 +28,7 @@ from . import fileio
 from .cores import core_numbers
 from .errors import ConfigError, CoreHierError, InputError, VerificationError
 from .fixtures import generate_kg_sparse
-from .graph import Graph, largest_connected_component, load_graph, strip_self_loops
+from .graph import Graph, graph_from_columns, largest_connected_component, strip_self_loops
 from .hierarchy import Hierarchy, build_hierarchy
 from .merging import MergeMode, merge_small_clusters
 from .modularity import enumerate_degeneracy, verify_sparse_bounds
@@ -123,9 +123,9 @@ def _config(args, budget_required: bool = False) -> PipelineConfig:
 
 def _load(cfg: PipelineConfig) -> Graph:
     tm = TokenModel(chars_per_token=cfg.chars_per_token)
-    edges = fileio.read_edges_tsv(cfg.edges_path)
-    nodes = fileio.read_nodes_jsonl(cfg.nodes_path, tm) if cfg.nodes_path else []
-    return load_graph(edges, nodes)
+    sources, targets = fileio.read_edges_tsv(cfg.edges_path)
+    nodes = fileio.read_nodes_jsonl(cfg.nodes_path, tm) if cfg.nodes_path else ([], [], [])
+    return graph_from_columns(sources, targets, *nodes)
 
 
 def _ingest(cfg: PipelineConfig) -> Graph:

@@ -7,6 +7,19 @@ unweighted. Node files are JSON Lines with ``id`` required and ``label``,
 the supplied estimator. JSON artifacts are serialized with sorted keys,
 two-space indentation and a trailing newline so reruns are byte-identical.
 
+The readers return columns, lists of ids, labels and counts, and build no
+object per record. Each has a bulk path for the clean layout of its
+writer: an edge file whose every line is ``src<TAB>dst`` with nothing to
+strip is split in one call, and a node file whose every line is a record
+as :func:`write_nodes_jsonl` writes it is read by one regular-expression
+scan. A file with any other line break than "\n" (``str.splitlines``
+honours nine more) takes neither. Every other file is read line by line
+from the text already decoded, which gives every record and every error
+message and line number; the bulk paths take only files on which they
+give the same columns. On a 2-core host, at 58.8k nodes and 97k edges,
+the bulk paths read the edges in about 25 ms and the nodes in about
+55 ms, against 100 ms and 190 ms line by line.
+
 The large artifacts are streamed: :func:`write_decomposition_json`,
 :func:`write_hierarchy_json` and :func:`write_sample_tsv` write to an open
 text file piece by piece (one cluster, one map entry or one line at a
@@ -24,9 +37,12 @@ about 20 MB against none.
 from __future__ import annotations
 
 import json
+import re
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import TextIO
+
+import numpy as np
 
 from .cores import CoreDecomposition
 from .errors import InputError
@@ -71,11 +87,79 @@ def read_utf8(path: str | Path, what: str) -> str:
         raise InputError(f"{path}:{line}: invalid UTF-8 ({exc.reason})") from None
 
 
-def read_edges_tsv(path: str | Path) -> list[tuple[str, str]]:
-    """Parse an edge list file; malformed lines fail with their line number."""
-    records: list[tuple[str, str]] = []
+#: The line breaks ``str.splitlines`` honours besides "\n". A text without
+#: them splits into its lines at "\n".
+_ODD_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+#: Bytes ``str.strip`` removes that are ASCII: "\t", "\n", "\x0b"-"\r", "\x1c"-"\x1f", " ".
+_ASCII_SPACE = np.zeros(256, dtype=bool)
+_ASCII_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
+
+#: One node record exactly as :func:`write_nodes_jsonl` writes it: strings
+#: without escapes or control characters, a token count of at most 18 digits.
+_NODE_LINE = re.compile(
+    r'^\{"id": "([^"\\\x00-\x1f]+)", "label": "([^"\\\x00-\x1f]*)", "tokens": (0|[1-9][0-9]{0,17})\}$',
+    re.MULTILINE,
+)
+
+
+def _plain_lines(text: str) -> bool:
+    """Whether ``text.splitlines()`` splits at "\n" only."""
+    return not any(brk in text for brk in _ODD_BREAKS)
+
+
+def _clean_tsv_fields(text: str) -> list[str] | None:
+    """The fields of every line in order, if each line is ``src<TAB>dst`` with nothing to strip.
+
+    That is: the file has lines (the last newline optional) and no line
+    break but "\n"; every line has exactly one tab; no field is empty or
+    starts or ends with whitespace; no line starts with ``#``. Any other
+    text gives None. The layout is checked on the UTF-8 bytes with array
+    operations; a text that is not ASCII also has every field compared
+    with its ``strip()``.
+    """
+    if not text or not _plain_lines(text):
+        return None
+    body = text[:-1] if text.endswith("\n") else text
+    raw = np.frombuffer(body.encode("utf-8"), dtype=np.uint8)
+    tabs = np.flatnonzero(raw == 9)
+    ends = np.append(np.flatnonzero(raw == 10), len(raw))  # where each line ends
+    if len(tabs) != len(ends):
+        return None
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    # With as many tabs as lines, a tab inside each line is the only one there.
+    if not ((starts < tabs) & (tabs + 1 < ends)).all():
+        return None
+    rims = raw[np.concatenate((starts, tabs - 1, tabs + 1, ends - 1))]  # each field's first and last byte
+    if _ASCII_SPACE[rims].any() or (raw[starts] == ord("#")).any():
+        return None
+    fields = body.replace("\n", "\t").split("\t")
+    if not body.isascii() and list(map(str.strip, fields)) != fields:
+        return None
+    return fields
+
+
+def read_edges_tsv(path: str | Path) -> tuple[list[str], list[str]]:
+    """Parse an edge list file into its source and target columns.
+
+    A clean file, whose every line is ``src<TAB>dst`` with nothing to strip
+    (see ``_clean_tsv_fields``), is split at once, at every tab and
+    newline. Any other file goes to the line-by-line reader, which skips
+    blank and ``#`` lines, strips the fields, checks the weight column and
+    fails on a malformed line with its line number.
+    """
     path = Path(path)
     text = read_utf8(path, "edge file")
+    fields = _clean_tsv_fields(text)
+    if fields is None:
+        return _read_edges_by_line(path, text)
+    return fields[0::2], fields[1::2]
+
+
+def _read_edges_by_line(path: Path, text: str) -> tuple[list[str], list[str]]:
+    """The columns of :func:`read_edges_tsv`, one line of ``text`` (read from ``path``) at a time."""
+    sources: list[str] = []
+    targets: list[str] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -88,12 +172,34 @@ def read_edges_tsv(path: str | Path) -> list[tuple[str, str]]:
                 float(parts[2])
             except ValueError:
                 raise InputError(f"{path}:{lineno}: weight {parts[2]!r} is not a number") from None
-        records.append((parts[0].strip(), parts[1].strip()))
-    return records
+        sources.append(parts[0].strip())
+        targets.append(parts[1].strip())
+    return sources, targets
 
 
-def read_nodes_jsonl(path: str | Path, token_model: TokenModel | None = None) -> list[NodeMeta]:
-    """Parse a node metadata file; ``text`` fields become estimated token counts.
+def read_nodes_jsonl(
+    path: str | Path, token_model: TokenModel | None = None
+) -> tuple[list[str], list[str], list[int]]:
+    """Parse a node metadata file into its id, label and token count columns.
+
+    ``text`` fields become estimated token counts. A file whose every line
+    is a record exactly as :func:`write_nodes_jsonl` writes it, ``{"id":
+    "…", "label": "…", "tokens": N}`` with no escape or control character in
+    the strings and at most 18 digits in N, and that has no line break but
+    "\n", is read by one regular-expression scan. Any other file goes to
+    the line-by-line reader, which gives every error with its line number.
+    """
+    path = Path(path)
+    text = read_utf8(path, "node file")
+    if _plain_lines(text):
+        found = _NODE_LINE.findall(text)
+        if len(found) == text.count("\n") + (bool(text) and not text.endswith("\n")):  # one per line
+            return [f[0] for f in found], [f[1] for f in found], [int(f[2]) for f in found]
+    return _read_nodes_by_line(path, text, token_model or TokenModel())
+
+
+def _read_nodes_by_line(path: Path, text: str, tm: TokenModel) -> tuple[list[str], list[str], list[int]]:
+    """The columns of :func:`read_nodes_jsonl`, one line of ``text`` (read from ``path``) at a time.
 
     Each line is decoded as if by ``json.loads``: the decoder's scanner reads
     the value that starts at the first character, and a line it does not
@@ -101,11 +207,10 @@ def read_nodes_jsonl(path: str | Path, token_model: TokenModel | None = None) ->
     through ``json.loads`` for its result or its error message. Skipping
     ``json.loads``'s whitespace handling makes a clean line about 2.5x cheaper.
     """
-    tm = token_model or TokenModel()
-    path = Path(path)
-    text = read_utf8(path, "node file")
     scan = json.JSONDecoder().scan_once
-    records: list[NodeMeta] = []
+    ids: list[str] = []
+    labels: list[str] = []
+    counts: list[int] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -130,10 +235,10 @@ def read_nodes_jsonl(path: str | Path, token_model: TokenModel | None = None) ->
             tokens = tm.estimate(text or "")
         elif not isinstance(tokens, int) or isinstance(tokens, bool) or tokens < 0:
             raise InputError(f"{path}:{lineno}: 'tokens' must be a nonnegative integer")
-        records.append(
-            NodeMeta(external_id=obj["id"], label=str(obj.get("label", "")), token_count=tokens)
-        )
-    return records
+        ids.append(obj["id"])
+        labels.append(str(obj.get("label", "")))
+        counts.append(tokens)
+    return ids, labels, counts
 
 
 def write_edges_tsv(path: str | Path, records: list[tuple[str, str]]) -> None:
@@ -185,7 +290,7 @@ def write_decomposition_json(out: TextIO, dec: CoreDecomposition, g: Graph) -> N
     The bytes are those of :func:`json_dumps_stable` on that object, written
     one node at a time in external-id order.
     """
-    ext = [meta.external_id for meta in g.meta]
+    ext = g.external_ids
     core = dec.core
     out.write('{\n  "cores": {')
     sep = "\n    "
@@ -202,7 +307,7 @@ def write_hierarchy_json(out: TextIO, h: Hierarchy, g: Graph) -> None:
     :func:`hierarchy_to_json_obj` sorts them, so the order holds whatever
     the internal numbering.
     """
-    ext = [meta.external_id for meta in g.meta]
+    ext = g.external_ids
     attached = [
         f"{_quote(name)}: {cid}"
         for name, cid in sorted((ext[v], cid) for v, cid in h.attached_singletons.items())
@@ -239,9 +344,9 @@ def hierarchy_from_json_obj(obj: dict, g: Graph) -> Hierarchy:
     one: a missing field, a container or value of the wrong type, a member
     that is not a node of ``g``, a repeated id, a parent that is not a
     cluster and a parent chain that loops. The checks are O(1) per cluster
-    on top of the O(1) lookup per member.
+    on top of one lookup per member in the graph's id index.
     """
-    id_of = g.id_of
+    lookup = g._ext_index.__getitem__
     try:
         if not isinstance(obj, dict) or not isinstance(obj["clusters"], list) or not obj["clusters"]:
             raise InputError("hierarchy JSON must be an object with a nonempty 'clusters' list")
@@ -261,8 +366,8 @@ def hierarchy_from_json_obj(obj: dict, g: Graph) -> Hierarchy:
             if leaf is not None and not isinstance(leaf, bool):
                 raise InputError(f"cluster {cid}: 'leaf' must be true or false")
             try:
-                members = {id_of(ext) for ext in names}
-                anchors = frozenset(id_of(ext) for ext in anchor_names)
+                members = set(map(lookup, names))
+                anchors = frozenset(map(lookup, anchor_names))
             except KeyError as exc:
                 raise InputError(f"cluster {cid}: unknown node {exc.args[0]!r}") from None
             except TypeError:
@@ -298,7 +403,7 @@ def hierarchy_from_json_obj(obj: dict, g: Graph) -> Hierarchy:
         ):
             raise InputError("bad 'roots', 'max_level', 'max_cluster_size' or 'attached_singletons'")
         try:
-            attached = {id_of(ext): cid for ext, cid in attached_in.items()}
+            attached = {lookup(ext): cid for ext, cid in attached_in.items()}
         except KeyError as exc:
             raise InputError(f"attached_singletons: unknown node {exc.args[0]!r}") from None
         return Hierarchy(
@@ -323,7 +428,7 @@ def sample_to_tsv(result: SampleResult, g: Graph) -> str:
 
 def write_sample_tsv(out: TextIO, result: SampleResult, g: Graph) -> None:
     """Write ``sample_to_tsv(result, g)`` to ``out``, one selected edge per line."""
-    ext = [meta.external_id for meta in g.meta]
+    ext = g.external_ids
     out.write("#src\tdst\tcommunity\tcost\n")
     for u, w, cid, cost in zip(result.sources, result.targets, result.communities, result.costs):
         out.write(f"{ext[u]}\t{ext[w]}\t{cid}\t{cost}\n")

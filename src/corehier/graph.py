@@ -8,6 +8,8 @@ before community detection.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, islice, repeat
+from operator import lt
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -40,14 +42,19 @@ class Graph:
     node itself: nodes carrying a self-loop are listed in ``self_loops``
     until :func:`largest_connected_component` strips them.
 
+    Node metadata is kept as three lists indexed by id: ``external_ids``,
+    ``labels`` (empty by default) and ``tokens``, the token counts (0 by
+    default). The graph keeps the lists it is given; nothing mutates them.
+
     ``degrees`` is a list built on construction (O(n)). ``adj``, the same
     neighbour lists as Python lists for the per-node loops downstream, is
     derived from the arrays on first access in O(n + m); its entries share
     the int objects of ``_ids``, one per node id, as the hierarchy's member
-    sets do. ``tokens``, every node's token count as a list indexed by id,
-    is read off ``meta`` on first access in O(n). The external-id index
-    behind :meth:`id_of` comes from :func:`load_graph`, or is built on
-    first use in O(n).
+    sets do. The external-id index behind :meth:`id_of` comes from
+    :func:`graph_from_columns` when the ids arrived in order, or is built
+    from ``external_ids`` on first use in O(n). ``_ranking`` holds the
+    sampling stage's edge ranking once it is first computed (see
+    ``sampling._ranked_edge_arrays``), and is None until then.
 
     Treat instances as frozen once constructed; nothing in the package
     mutates them, which makes concurrent reads safe (two threads racing on
@@ -55,23 +62,29 @@ class Graph:
     """
 
     __slots__ = (
-        "n", "m", "indptr", "indices", "adj", "_ids", "tokens", "degrees", "meta", "self_loops", "_ext_index"
+        "n", "m", "indptr", "indices", "adj", "_ids", "external_ids", "labels", "tokens", "degrees",
+        "self_loops", "_ext_index", "_ranking",
     )
 
     def __init__(
         self,
         indptr,
         indices,
-        meta: list[NodeMeta],
+        external_ids: list[str],
+        labels: list[str] | None = None,
+        tokens: list[int] | None = None,
         self_loops: frozenset[int] = frozenset(),
     ):
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.indices = np.asarray(indices, dtype=np.int32)
-        if len(self.indptr) != len(meta) + 1:
+        self.n = n = len(external_ids)
+        self.external_ids = external_ids
+        self.labels = [""] * n if labels is None else labels
+        self.tokens = [0] * n if tokens is None else tokens
+        if not (len(self.indptr) == n + 1 and len(self.labels) == len(self.tokens) == n):
             raise InputError("adjacency and metadata lengths differ")
-        self.n = len(meta)
-        self.meta = meta
         self.self_loops = self_loops
+        self._ranking = None
         # A self-loop counts as one edge and contributes 2 to its node's
         # degree, which keeps the handshake identity sum(k_i) == 2m intact.
         self.m = len(self.indices) // 2 + len(self_loops)
@@ -88,11 +101,8 @@ class Graph:
             bounds = self.indptr.tolist()
             self.adj = list(map(flat.__getitem__, map(slice, bounds[:-1], bounds[1:])))
             return getattr(self, name)
-        if name == "tokens":
-            self.tokens = [mt.token_count for mt in self.meta]
-            return self.tokens
         if name == "_ext_index":
-            self._ext_index = {mt.external_id: i for i, mt in enumerate(self.meta)}
+            self._ext_index = dict(zip(self.external_ids, range(self.n)))
             return self._ext_index
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
@@ -104,7 +114,7 @@ class Graph:
         return self._ext_index[external_id]
 
     def external_id(self, v: int) -> str:
-        return self.meta[v].external_id
+        return self.external_ids[v]
 
     def token_count(self, v: int) -> int:
         return self.tokens[v]
@@ -130,38 +140,77 @@ def load_graph(
 ) -> Graph:
     """Build a graph from raw edge and node records.
 
-    Edge endpoints missing from ``node_records`` are auto-registered with an
-    empty label and zero tokens. Parallel edges collapse to one; self-loops
-    are kept (they disappear with :func:`largest_connected_component`).
-    Internal ids follow lexicographic external-id order.
-
-    Cost: O(n log n) string comparisons to order the ids, one dict lookup
-    per endpoint, and an O(m log m) sort of the encoded keys u * n + w of
-    both edge directions; a key equal to its predecessor is a parallel edge.
-    The sorted keys are the CSR rows in order.
+    The records are unzipped into columns in O(n + m) for
+    :func:`graph_from_columns`, which states the rules and the cost.
     """
-    meta_by_id: dict[str, NodeMeta] = {}
-    for rec in node_records:
-        if rec.external_id in meta_by_id:
-            raise InputError(f"duplicate node id {rec.external_id!r}")
-        meta_by_id[rec.external_id] = rec
+    pairs, nodes = list(edge_records), list(node_records)
+    return graph_from_columns(
+        [src for src, _ in pairs],
+        [dst for _, dst in pairs],
+        [rec.external_id for rec in nodes],
+        [rec.label for rec in nodes],
+        [rec.token_count for rec in nodes],
+    )
 
-    ends = [end for src, dst in edge_records for end in (src, dst)]
-    if not all(ends):
+
+def graph_from_columns(
+    sources: list[str],
+    targets: list[str],
+    ids: list[str],
+    labels: list[str],
+    tokens: list[int],
+) -> Graph:
+    """Build a graph from edge and node columns.
+
+    Edge i joins ``sources[i]`` and ``targets[i]``; node j has external id
+    ``ids[j]``, label ``labels[j]`` and ``tokens[j]`` >= 0 tokens. Edge
+    endpoints that name no node are registered with an empty label and
+    zero tokens. Parallel edges collapse to one; self-loops are kept (they
+    disappear with :func:`largest_connected_component`). Internal ids follow
+    lexicographic external-id order. The graph may keep the node lists.
+
+    Cost: one dict of the node ids, and one lookup in it per endpoint. The
+    endpoints it lacks are collected, sorted and numbered after the nodes.
+    If the ids are then in order, which an input written in id order gives,
+    that dict is the graph's id index. Otherwise one sort of the ids
+    (O(n log n) string comparisons) renumbers the endpoints by array
+    indexing, and the index is built when first used. Then an O(m log m)
+    sort of the encoded keys u * n + w of both edge directions; a key equal
+    to its predecessor is a parallel edge. The sorted keys are the CSR rows
+    in order.
+    """
+    known = dict(zip(ids, range(len(ids))))
+    if len(known) < len(ids):
+        seen: set[str] = set()
+        for ext in ids:
+            if ext in seen:
+                raise InputError(f"duplicate node id {ext!r}")
+            seen.add(ext)
+    if not (all(sources) and all(targets)):
         raise InputError("edge with empty endpoint id")
-    for ext in set(ends).difference(meta_by_id):
-        meta_by_id[ext] = NodeMeta(external_id=ext)
 
-    if not meta_by_id:
+    ends = sources + targets
+    node = np.fromiter(map(known.get, ends, repeat(-1)), dtype=np.int64, count=len(ends))
+    missing = node < 0
+    if missing.any():
+        names = list(compress(ends, missing.tolist()))
+        unknown = sorted(set(names))
+        extra = dict(zip(unknown, range(len(ids), len(ids) + len(unknown))))
+        node[missing] = np.fromiter(map(extra.__getitem__, names), dtype=np.int64, count=len(names))
+        known.update(extra)
+        ids, labels, tokens = ids + unknown, labels + [""] * len(unknown), tokens + [0] * len(unknown)
+    n = len(ids)
+    if not n:
         raise InputError("empty input: no nodes")
+    in_order = all(map(lt, ids, islice(ids, 1, None)))
+    if not in_order:
+        order = sorted(range(n), key=ids.__getitem__)
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.arange(n)
+        node = rank[node]
+        ids, labels, tokens = (list(map(column.__getitem__, order)) for column in (ids, labels, tokens))
 
-    order = sorted(meta_by_id)
-    n = len(order)
-    index = dict(zip(order, range(n)))
-    meta = [meta_by_id[ext] for ext in order]
-
-    ids = np.fromiter(map(index.__getitem__, ends), dtype=np.int64, count=len(ends))
-    u, w = ids[0::2], ids[1::2]
+    u, w = node[: len(sources)], node[len(sources):]
     is_loop = u == w
     loops = frozenset(u[is_loop].tolist())
     u, w = u[~is_loop], w[~is_loop]
@@ -173,8 +222,9 @@ def load_graph(
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
 
-    g = Graph(indptr, cols, meta, loops)
-    g._ext_index = index
+    g = Graph(indptr, cols, ids, labels, tokens, loops)
+    if in_order:
+        g._ext_index = known
     return g
 
 
@@ -224,11 +274,12 @@ def largest_connected_component(g: Graph) -> Graph:
 
     Size ties go to the component containing the smallest external id, which
     is the component with the smallest internal id because ids are assigned
-    lexicographically. Node metadata is carried over; ids are re-densified
-    preserving relative order. A connected graph without self-loops is
-    returned as is; a connected one with self-loops shares its arrays with
-    the result. Otherwise the component's rows are copied out of the arrays
-    and renumbered. Cost: component labelling plus O(n + m) array work.
+    lexicographically. Ids are re-densified preserving relative order. A
+    connected graph without self-loops is returned as is; a connected one
+    with self-loops shares its arrays and node columns with the result.
+    Otherwise the component's rows are copied out of the arrays and
+    renumbered, and its entries of the node columns are copied. Cost:
+    component labelling plus O(n + m) array work.
     """
     if g.n == 0:
         raise InputError("empty input: no nodes")
@@ -245,12 +296,13 @@ def largest_connected_component(g: Graph) -> Graph:
     np.cumsum(row_sizes[nodes], out=indptr[1:])
     # A component is closed under adjacency: every neighbour is kept.
     indices = new_id[g.indices[np.repeat(keep, row_sizes)]]
-    meta = list(map(g.meta.__getitem__, nodes.tolist()))
-    return Graph(indptr, indices, meta)
+    pick = nodes.tolist()
+    columns = (list(map(column.__getitem__, pick)) for column in (g.external_ids, g.labels, g.tokens))
+    return Graph(indptr, indices, *columns)
 
 
 def strip_self_loops(g: Graph) -> Graph:
-    """Graph without its self-loops, sharing the arrays; components kept as-is."""
+    """Graph without its self-loops, sharing the arrays and node columns; components kept as-is."""
     if not g.self_loops:
         return g
-    return Graph(g.indptr, g.indices, g.meta)
+    return Graph(g.indptr, g.indices, g.external_ids, g.labels, g.tokens)

@@ -8,7 +8,8 @@ the budget utilized; the total selected cost never exceeds the budget.
 
 An edge costs both endpoint token counts plus a flat overhead. That rule
 is written once, in ``_edge_prices``, and no table of edge costs is kept.
-The work is array work: one ranking of all edges, one join that finds the
+The work is array work: one ranking of all edges, computed once per graph
+and shared by the budget and the sample, one join that finds the
 leaf owning each edge, one sort of the picks into visit order, and one
 cumulative sum that finds where the budget first binds. Python loops run
 only over the picks from that point on.
@@ -109,14 +110,20 @@ def _ranked_edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
 
     ``g.edge_arrays()`` is already in (u, w) order, so one stable sort of
     each edge's gap below the largest degree sum sets the rank: O(n + m)
-    when every degree sum is below 65536, O(m log m) otherwise.
+    when every degree sum is below 65536, O(m log m) otherwise. The graph
+    is immutable, so the ranking is computed once per graph and kept in
+    ``g._ranking``; the arrays are read-only, and later calls are O(1).
     """
-    u, w = g.edge_arrays()
-    degrees = np.array(g.degrees, dtype=np.int64)
-    key = degrees[u] + degrees[w]
-    top = int(key.max(initial=0))
-    order = _stable_order(top - key, top)
-    return u[order], w[order]
+    if g._ranking is None:
+        u, w = g.edge_arrays()
+        degrees = np.array(g.degrees, dtype=np.int64)
+        key = degrees[u] + degrees[w]
+        top = int(key.max(initial=0))
+        order = _stable_order(top - key, top)
+        u, w = u[order], w[order]
+        u.flags.writeable = w.flags.writeable = False
+        g._ranking = u, w
+    return g._ranking
 
 
 def budget_from_edge_fraction(g: Graph, fraction: float, overhead: int = DEFAULT_EDGE_OVERHEAD) -> int:
@@ -124,7 +131,7 @@ def budget_from_edge_fraction(g: Graph, fraction: float, overhead: int = DEFAULT
 
     The top ``floor(fraction * m)`` edges of the ranking are priced by the
     rule of :func:`default_edge_costs` and summed exactly. O(n + m) array
-    work, plus the ranking's sort.
+    work, plus the ranking's sort on the graph's first ranking.
     """
     if not 0 < fraction <= 1:
         raise ConfigError("edge fraction must be in (0, 1]")
@@ -190,7 +197,7 @@ def community_edge_ranking(g: Graph, h: Hierarchy) -> tuple[list[int], np.ndarra
     leaves. For each ranked edge and each membership p of u, in ascending
     order, one ``np.searchsorted`` looks up w * L + p; the first hit is the
     owner. A stable argsort by owner then groups the edges. Cost: the
-    ranking, plus O(n + M log M + m' log M) for M memberships and m'
+    ranking (free once the graph has been ranked), plus O(n + M log M + m' log M) for M memberships and m'
     lookups (one per ranked edge and leaf holding u), plus a stable sort of
     the owned edges by owner, O(m) for fewer than 65536 leaves.
     """

@@ -90,7 +90,7 @@ def round_robin_oracle(h: Hierarchy, g: Graph, budget: int, overhead: int = DEFA
     too. Leaves owning no edge retire before the first visit.
     """
     ranking = community_ranking_oracle(g, h)
-    tokens = [meta.token_count for meta in g.meta]
+    tokens = list(g.tokens)
     result = SampleResult([], [], [], [], 0, [], budget, [])
     active: list[tuple[int, deque]] = []
     for leaf in sorted(h.leaves(), key=lambda c: (-c.level, c.id)):
@@ -326,7 +326,7 @@ def check_round_robin_properties(
     assert result.total_tokens <= budget
     for pick in result.selected:
         u, w = pick.edge
-        assert pick.cost == g.meta[u].token_count + g.meta[w].token_count + overhead
+        assert pick.cost == g.tokens[u] + g.tokens[w] + overhead
 
     ranking = community_ranking_oracle(g, h)
     by_comm = result.edges_by_community()

@@ -376,8 +376,33 @@ class TestPipeline:
         lines = (out / "sample.tsv").read_text(encoding="utf-8").splitlines()
         assert lines == ["#src\tdst\tcommunity\tcost", *picks]
 
+    def test_pipeline_ingests_columns(self, example_inputs, tmp_path, monkeypatch):
+        """The CLI reads both files as columns: no NodeMeta, no edge record list, no load_graph."""
+        from corehier import graph
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built on the CLI path")
+
+        monkeypatch.setattr(NodeMeta, "__post_init__", refuse)  # every NodeMeta runs it
+        monkeypatch.setattr(graph, "load_graph", refuse)
+        built = []
+        original = cli.graph_from_columns
+
+        def spy(*columns):
+            built.append(columns)
+            return original(*columns)
+
+        monkeypatch.setattr(cli, "graph_from_columns", spy)
+        edges, nodes = example_inputs
+        assert run("pipeline", "--edges", edges, "--nodes", nodes, "--out", str(tmp_path / "o")) == 0
+        (columns,) = built
+        assert [type(column) for column in columns] == [list] * 5
+        sources, targets, ids, labels, tokens = columns
+        assert all(isinstance(name, str) for name in sources + targets + ids + labels)
+        assert all(type(count) is int for count in tokens)
+
     def test_sample_respects_edge_fraction_budget(self, example_inputs, tmp_path):
-        from corehier.graph import largest_connected_component, load_graph
+        from corehier.graph import graph_from_columns, largest_connected_component
         from corehier.fileio import read_edges_tsv, read_nodes_jsonl
         from corehier.sampling import budget_from_edge_fraction
 
@@ -389,7 +414,7 @@ class TestPipeline:
             == 0
         )
         g = largest_connected_component(
-            load_graph(read_edges_tsv(edges), read_nodes_jsonl(nodes))
+            graph_from_columns(*read_edges_tsv(edges), *read_nodes_jsonl(nodes))
         )
         budget = budget_from_edge_fraction(g, 0.8)
         lines = (out / "sample.tsv").read_text().strip().split("\n")[1:]

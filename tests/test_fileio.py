@@ -7,9 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corehier import fileio
 from corehier.cores import CoreDecomposition, core_numbers
 from corehier.errors import InputError
 from corehier.fileio import (
+    _clean_tsv_fields,
+    _read_edges_by_line,
+    _read_nodes_by_line,
     hierarchy_from_json_obj,
     hierarchy_to_json_obj,
     json_dumps_stable,
@@ -23,7 +27,7 @@ from corehier.fileio import (
     write_sample_tsv,
 )
 from corehier.fixtures import three_level_example
-from corehier.graph import Graph, NodeMeta, largest_connected_component, load_graph
+from corehier.graph import Graph, largest_connected_component, load_graph
 from corehier.hierarchy import CLUSTER_KINDS, Cluster, Hierarchy, build_hierarchy
 from corehier.merging import MergeMode, merge_small_clusters
 from corehier.sampling import (
@@ -37,7 +41,7 @@ class TestEdgeFile:
     def test_parses_two_and_three_columns(self, tmp_path):
         p = tmp_path / "edges.tsv"
         p.write_text("# comment\na\tb\nb\tc\t2.5\n\n", encoding="utf-8")
-        assert read_edges_tsv(p) == [("a", "b"), ("b", "c")]
+        assert read_edges_tsv(p) == (["a", "b"], ["b", "c"])
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         p = tmp_path / "edges.tsv"
@@ -65,7 +69,7 @@ class TestEdgeFile:
         p = tmp_path / "edges.tsv"
         records = [("a", "b"), ("b", "c")]
         write_edges_tsv(p, records)
-        assert read_edges_tsv(p) == records
+        assert list(zip(*read_edges_tsv(p))) == records
 
 
 class TestNodeFile:
@@ -77,12 +81,12 @@ class TestNodeFile:
             '{"id": "c", "label": "gamma"}\n',
             encoding="utf-8",
         )
-        records = read_nodes_jsonl(p, TokenModel(chars_per_token=4))
-        by_id = {r.external_id: r for r in records}
-        assert by_id["a"].token_count == 7
-        assert by_id["b"].token_count == 2
-        assert by_id["c"].token_count == 0
-        assert by_id["c"].label == "gamma"
+        ids, labels, tokens = read_nodes_jsonl(p, TokenModel(chars_per_token=4))
+        by_id = {ext: (label, count) for ext, label, count in zip(ids, labels, tokens)}
+        assert by_id["a"][1] == 7
+        assert by_id["b"][1] == 2
+        assert by_id["c"][1] == 0
+        assert by_id["c"][0] == "gamma"
 
     def test_invalid_json_and_missing_id(self, tmp_path):
         p = tmp_path / "nodes.jsonl"
@@ -164,17 +168,162 @@ class TestNodeFile:
                 read_nodes_jsonl(p)
             assert str(info.value) == expected
         else:
-            got = read_nodes_jsonl(p)
-            assert [(r.external_id, r.label, r.token_count) for r in got] == expected
+            assert list(zip(*read_nodes_jsonl(p))) == expected
 
     def test_roundtrip(self, tmp_path):
         _, nodes = three_level_example()
         p = tmp_path / "nodes.jsonl"
         write_nodes_jsonl(p, nodes)
-        back = read_nodes_jsonl(p)
-        assert [(r.external_id, r.label, r.token_count) for r in back] == [
+        assert list(zip(*read_nodes_jsonl(p))) == [
             (r.external_id, r.label, r.token_count) for r in nodes
         ]
+
+
+def outcome(read, *args):
+    """What a reader gives: its columns, or the text of its InputError."""
+    try:
+        return read(*args)
+    except InputError as exc:
+        return str(exc)
+
+
+def write_exact(path, text: str) -> None:
+    path.write_bytes(text.encode("utf-8"))  # no newline translation
+
+
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        ("a\tb\nc\td\n", (["a", "c"], ["b", "d"])),  # clean: the bulk path
+        ("a\tb\r\nc\td\r\n", (["a", "c"], ["b", "d"])),  # CRLF
+        ("a\x85x\tb\n", "{p}:1: expected 'src<TAB>dst[<TAB>weight]'"),  # NEL breaks the id
+        ("a\tb\u2028c\n", "{p}:2: expected 'src<TAB>dst[<TAB>weight]'"),  # LINE SEPARATOR too
+        ("a\tb\nc\td", (["a", "c"], ["b", "d"])),  # no trailing newline
+        ("a\tb\n\t\nc\td\n", (["a", "c"], ["b", "d"])),  # a tab-only line is blank
+        ("a\t#b\n#c\td\n", (["a"], ["#b"])),  # "#" starts a comment only at the line's start
+        (" a\tb \n  # note\nc\t\u00a0d\n", (["a", "c"], ["b", "d"])),  # stripped fields
+        ("a\tb \nc\td\n", (["a", "c"], ["b", "d"])),  # an ASCII space ends a field
+        ("a\t\u00a0b\nc\u3000\td\n", (["a", "c"], ["b", "d"])),  # non-ASCII spaces
+        ("a\tb\t1.5\nc\td\n", (["a", "c"], ["b", "d"])),  # a weight column
+        ("a\tb\nc\td\tx\n", "{p}:2: weight 'x' is not a number"),
+        ("a\tb\n\nc\td\n", (["a", "c"], ["b", "d"])),  # a blank line
+        ("a\tb\nc\n\td\te\n", "{p}:2: expected 'src<TAB>dst[<TAB>weight]'"),  # tabs add up, lines do not
+        ("a\tb\nc\nd\te\tf\n", "{p}:2: expected 'src<TAB>dst[<TAB>weight]'"),  # so do the fields
+        ("a\t\tb\n", "{p}:1: expected 'src<TAB>dst[<TAB>weight]'"),  # an empty field
+        ("", ([], [])),
+        ("\n", ([], [])),
+    ],
+)
+def test_edge_reader_pinned_cases(tmp_path, text, expected):
+    p = tmp_path / "edges.tsv"
+    write_exact(p, text)
+    if isinstance(expected, str):
+        expected = expected.format(p=p)
+    assert outcome(read_edges_tsv, p) == expected
+    assert outcome(_read_edges_by_line, p, text) == expected
+
+
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        ('{"id": "a", "label": "x", "tokens": 1}\n{"id": "b", "label": "", "tokens": 0}\n',
+         (["a", "b"], ["x", ""], [1, 0])),  # clean: the bulk path
+        ('{"id": "a", "label": "x", "tokens": 1}\r\n{"id": "b", "label": "y", "tokens": 2}\r\n',
+         (["a", "b"], ["x", "y"], [1, 2])),  # CRLF
+        ('{"id": "a", "label": "x", "tokens": 1}', (["a"], ["x"], [1])),  # no trailing newline
+        ('{"id": "a\u2028b", "label": "", "tokens": 1}\n',
+         "{p}:1: invalid JSON: Unterminated string starting at"),  # a raw U+2028 splits the line
+        ('{"id": "a\x85b", "label": "", "tokens": 1}\n', "{p}:1: invalid JSON: Unterminated string starting at"),
+        ('{"id": "a", "label": "x", "tokens": 1}\n\n{"id": "b", "label": "y", "tokens": 2}\n',
+         (["a", "b"], ["x", "y"], [1, 2])),  # a blank line
+        ('{"id": "a\\"q", "label": "\\u0041", "tokens": 3}\n', (['a"q'], ["A"], [3])),  # escapes
+        ('{"id": "a", "label": "x", "tokens": 1234567890123456789}\n', (["a"], ["x"], [1234567890123456789])),
+        ('{"id": "a", "label": "x", "tokens": 01}\n', "{p}:1: invalid JSON: Expecting ',' delimiter"),
+        ('{"id": "a", "label": "x", "tokens": 1} \n', (["a"], ["x"], [1])),  # trailing space
+        ('{"id": "a", "label": "x", "tokens": 1}\n{"id": "b", "label": 5}\n',
+         (["a", "b"], ["x", "5"], [1, 0])),  # one line in another shape
+        ('{"id": "a", "x": [{"y": 1}\n{"z": 2}]}\n{"id": "c"}, {"id": "d"}\n',
+         "{p}:1: invalid JSON: Expecting ',' delimiter"),  # parses as three records only when joined
+    ],
+)
+def test_node_reader_pinned_cases(tmp_path, text, expected):
+    p = tmp_path / "nodes.jsonl"
+    write_exact(p, text)
+    if isinstance(expected, str):
+        expected = expected.format(p=p)
+    assert outcome(read_nodes_jsonl, p) == expected
+    assert outcome(_read_nodes_by_line, p, text, TokenModel()) == expected
+
+
+def test_written_files_take_the_bulk_paths(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("read line by line")
+
+    monkeypatch.setattr(fileio, "_read_edges_by_line", refuse)
+    monkeypatch.setattr(fileio, "_read_nodes_by_line", refuse)
+    edges, nodes = three_level_example()
+    write_edges_tsv(tmp_path / "edges.tsv", edges)
+    write_nodes_jsonl(tmp_path / "nodes.jsonl", nodes)
+    assert list(zip(*read_edges_tsv(tmp_path / "edges.tsv"))) == edges
+    assert list(zip(*read_nodes_jsonl(tmp_path / "nodes.jsonl"))) == [
+        (r.external_id, r.label, r.token_count) for r in nodes
+    ]
+
+
+#: Pieces inserted into clean files: separators, every line break
+#: ``str.splitlines`` honours, whitespace, comment marks, weights, JSON
+#: syntax, escapes, nesting, long integers and extra or repeated fields.
+SPLICES = [
+    "\t", "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\u2029",
+    " ", "\u00a0", "\u3000", "#", "\t1.5", "\tx", "", "\u00e9",
+    '"', "\\", '\\"', "\\u0041", "\\n", "{", "}", "[", "]", ",", ":", "0", "-", "9" * 19, "9" * 25,
+    '{"id": "z"}', "true", "null", '[[[[{"a": [1]}]]]]', ', "tokens": 5', ', "text": "abcde"',
+    ', "label": 7', ', "id": "dup"', '"label": "", ',
+]
+
+
+@st.composite
+def spliced(draw, clean: str):
+    """``clean`` with a few pieces inserted and ranges deleted at drawn positions."""
+    text = clean
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(text)))
+        if draw(st.booleans()):
+            text = text[:at] + draw(st.sampled_from(SPLICES)) + text[at:]
+        else:
+            text = text[:at] + text[at + draw(st.integers(1, 6)):]
+    return text
+
+
+ids_for_files = st.text(st.sampled_from("ab09_-.:\u00e9\u6f22 "), min_size=1, max_size=4).map(lambda s: f"n{s}x")
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_edge_reader_matches_the_line_reader(tmp_path_factory, data):
+    pairs = data.draw(st.lists(st.tuples(ids_for_files, ids_for_files), max_size=6))
+    clean = "".join(f"{a}\t{b}\n" for a, b in pairs)
+    if pairs:
+        assert _clean_tsv_fields(clean) is not None
+    text = data.draw(spliced(clean))
+    p = tmp_path_factory.mktemp("edges") / "edges.tsv"
+    write_exact(p, text)
+    assert outcome(read_edges_tsv, p) == outcome(_read_edges_by_line, p, text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_node_reader_matches_the_line_reader(tmp_path_factory, data):
+    records = data.draw(st.lists(st.tuples(ids_for_files, st.text(max_size=4), st.integers(0, 10**25)), max_size=5))
+    clean = "".join(
+        json.dumps({"id": ext, "label": label, "tokens": count}, sort_keys=True) + "\n"
+        for ext, label, count in records
+    )
+    text = data.draw(spliced(clean))
+    p = tmp_path_factory.mktemp("nodes") / "nodes.jsonl"
+    write_exact(p, text)
+    tm = TokenModel()
+    assert outcome(read_nodes_jsonl, p, tm) == outcome(_read_nodes_by_line, p, text, tm)
 
 
 class TestHierarchyJson:
@@ -230,7 +379,7 @@ def test_sample_tsv_layout():
 
 # External ids that exercise every escape json.dumps makes: quotes,
 # backslashes, control characters, non-ASCII, astral code points and lone
-# surrogates (NodeMeta accepts any str, and a JSONL "\ud800" decodes to one).
+# surrogates (a Graph takes any str as an id, and a JSONL "\ud800" decodes to one).
 external_ids = st.text(
     st.sampled_from(['"', "\\", "\x00", "\n", "\t", "\x1f", "\x7f", "/", "a", "B", "0",
                      "\u00e9", "\u6f22", "\u2028", "\U0001f600", "\ud800", "\udfff"])
@@ -244,7 +393,7 @@ external_ids = st.text(
 def graphs(draw, max_nodes=8):
     """Edgeless graphs over unique, unsorted external ids: the writers read only the ids."""
     names = draw(st.lists(external_ids, max_size=max_nodes, unique=True))
-    return Graph([0] * (len(names) + 1), [], [NodeMeta(name) for name in names])
+    return Graph([0] * (len(names) + 1), [], names)
 
 
 def node_sets(g):
@@ -329,7 +478,7 @@ def test_sample_writer_matches_oracle(data):
     ids=["empty", "single-cluster", "empty-members"],
 )
 def test_hierarchy_writer_edge_cases(clusters, roots, attached):
-    g = Graph([0, 0, 0], [], [NodeMeta("z\u00e9"), NodeMeta('a"\\')])
+    g = Graph([0, 0, 0], [], ["z\u00e9", 'a"\\'])
     h = Hierarchy(clusters, roots, attached, 1, 2, set(clusters))
     assert written(write_hierarchy_json, h, g) == json_dumps_stable(hierarchy_to_json_obj(h, g))
 

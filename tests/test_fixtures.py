@@ -12,7 +12,7 @@ def test_worked_example_has_documented_shape():
     g = load_graph(edges, nodes)
     assert g.n == 16 and g.m == 21
     assert is_connected(g)
-    assert all(meta.token_count > 0 for meta in g.meta)
+    assert all(t > 0 for t in g.tokens)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
@@ -25,7 +25,7 @@ def test_kg_sparse_profile(seed):
     deg1 = sum(1 for k in g.degrees if k == 1) / g.n
     assert 0.50 <= deg1 <= 0.65
     assert 2.88 <= g.avg_degree <= 4.42
-    assert all(10 <= meta.token_count <= 120 for meta in g.meta)
+    assert all(10 <= t <= 120 for t in g.tokens)
 
 
 def test_kg_sparse_is_reproducible():

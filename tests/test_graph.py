@@ -38,7 +38,7 @@ def test_isolated_node_retained_at_load():
 def test_auto_registered_endpoints_get_empty_meta():
     g = load_graph([("x", "y")], [NodeMeta("x", label="known", token_count=5)])
     v = g.id_of("y")
-    assert g.meta[v].label == "" and g.meta[v].token_count == 0
+    assert g.labels[v] == "" and g.tokens[v] == 0
 
 
 def test_ids_follow_lexicographic_order():
@@ -78,20 +78,20 @@ def test_lcc_strips_self_loop_from_triangle():
 def test_lcc_picks_larger_component():
     g = make_graph([("a", "b"), ("b", "c"), ("d", "e")])
     lcc = largest_connected_component(g)
-    assert sorted(lcc.meta[v].external_id for v in range(lcc.n)) == ["a", "b", "c"]
+    assert sorted(lcc.external_ids) == ["a", "b", "c"]
 
 
 def test_lcc_tie_goes_to_smallest_external_id():
     g = make_graph([("c", "d"), ("a", "b")])
     lcc = largest_connected_component(g)
-    assert sorted(lcc.meta[v].external_id for v in range(lcc.n)) == ["a", "b"]
+    assert sorted(lcc.external_ids) == ["a", "b"]
 
 
 def test_lcc_carries_metadata():
     g = load_graph([("a", "b")], [NodeMeta("a", label="alpha", token_count=7), NodeMeta("b")])
     lcc = largest_connected_component(g)
     v = lcc.id_of("a")
-    assert lcc.meta[v].label == "alpha" and lcc.meta[v].token_count == 7
+    assert lcc.labels[v] == "alpha" and lcc.tokens[v] == 7
     assert lcc.tokens == [7, 0] and lcc.token_count(v) == 7
 
 
@@ -138,7 +138,7 @@ def test_load_is_deterministic(edges):
     a = load_graph(edges, [])
     b = load_graph(list(edges), [])
     assert a.adj == b.adj
-    assert [m.external_id for m in a.meta] == [m.external_id for m in b.meta]
+    assert a.external_ids == b.external_ids
 
 
 @st.composite
@@ -170,7 +170,9 @@ def assert_matches_oracle(g, adj, meta, loops):
     assert g.degrees == [len(a) + (2 if v in loops else 0) for v, a in enumerate(adj)]
     assert g.m == sum(map(len, adj)) // 2 + len(loops)
     assert g.self_loops == loops
-    assert g.meta == meta
+    assert g.external_ids == [mt.external_id for mt in meta]
+    assert g.labels == [mt.label for mt in meta]
+    assert g.tokens == [mt.token_count for mt in meta]
     assert [g.id_of(mt.external_id) for mt in meta] == list(range(len(meta)))
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corehier.errors import ConfigError
-from corehier.graph import NodeMeta, load_graph
+from corehier.graph import Graph, NodeMeta, load_graph
 from corehier.hierarchy import Cluster, Hierarchy, build_hierarchy
 from corehier.graph import largest_connected_component
 from corehier.merging import MergeMode, merge_small_clusters
@@ -196,7 +196,7 @@ def priced_graphs(draw, tokens=st.integers(0, 2**64)):
     cap=st.integers(2, 6),
 )
 def test_budget_and_picks_follow_the_price_rule(g, overhead, fraction, cap):
-    tokens = [meta.token_count for meta in g.meta]
+    tokens = g.tokens
     ranked = ranked_edges(g)
     count = int(fraction * len(ranked) + 1e-9)
     budget = budget_from_edge_fraction(g, fraction, overhead)
@@ -218,6 +218,22 @@ def test_ranking_matches_the_lexsort(spokes, below):
     order = np.lexsort((w, u, -(degrees[u] + degrees[w])))
     ranked_u, ranked_w = _ranked_edge_arrays(g)
     assert np.array_equal(ranked_u, u[order]) and np.array_equal(ranked_w, w[order])
+
+
+def test_pipeline_ranks_edges_once(monkeypatch):
+    """The budget and the sample share one ranking per graph, and it cannot be altered."""
+    g = make_graph([(f"v{i}", f"v{j}") for i in range(8) for j in range(i + 1, 8) if (i + j) % 3])
+    h = build_hierarchy(g, 3)
+    calls = []
+    original = Graph.edge_arrays
+    monkeypatch.setattr(Graph, "edge_arrays", lambda self: calls.append(1) or original(self))
+    round_robin_sample(h, g, budget_from_edge_fraction(g, 0.5))
+    assert len(calls) == 1
+    u, w = _ranked_edge_arrays(g)
+    again = _ranked_edge_arrays(g)
+    assert again[0] is u and again[1] is w
+    with pytest.raises(ValueError):
+        u[0] = 0
 
 
 @st.composite

@@ -108,9 +108,7 @@ class TestSampledCoverage:
         result = round_robin_sample(h, g, 60)
         stats = community_stats(h, "LF", g, sample=result)
         touched = {v for pick in result.selected for v in pick.edge}
-        expected = 100.0 * sum(g.token_count(v) for v in touched) / sum(
-            m.token_count for m in g.meta
-        )
+        expected = 100.0 * sum(g.token_count(v) for v in touched) / sum(g.tokens)
         assert stats.coverage_pct_sampled == pytest.approx(expected)
         assert stats.coverage_pct_sampled < 100.0
 
