@@ -43,8 +43,8 @@ class Graph:
     until :func:`largest_connected_component` strips them.
 
     Node metadata is kept as three lists indexed by id: ``external_ids``,
-    ``labels`` (empty by default) and ``tokens``, the token counts (0 by
-    default). The graph keeps the lists it is given; nothing mutates them.
+    ``labels`` and ``tokens``, the token counts. The graph keeps the lists
+    it is given; nothing mutates them.
 
     ``degrees`` is a list built on construction (O(n)). ``adj``, the same
     neighbour lists as Python lists for the per-node loops downstream, is
@@ -71,18 +71,16 @@ class Graph:
         indptr,
         indices,
         external_ids: list[str],
-        labels: list[str] | None = None,
-        tokens: list[int] | None = None,
+        labels: list[str],
+        tokens: list[int],
         self_loops: frozenset[int] = frozenset(),
     ):
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.indices = np.asarray(indices, dtype=np.int32)
         self.n = n = len(external_ids)
-        self.external_ids = external_ids
-        self.labels = [""] * n if labels is None else labels
-        self.tokens = [0] * n if tokens is None else tokens
-        if not (len(self.indptr) == n + 1 and len(self.labels) == len(self.tokens) == n):
+        if not (len(self.indptr) == n + 1 and len(labels) == len(tokens) == n):
             raise InputError("adjacency and metadata lengths differ")
+        self.external_ids, self.labels, self.tokens = external_ids, labels, tokens
         self.self_loops = self_loops
         self._ranking = None
         # A self-loop counts as one edge and contributes 2 to its node's

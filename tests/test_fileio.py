@@ -393,7 +393,7 @@ external_ids = st.text(
 def graphs(draw, max_nodes=8):
     """Edgeless graphs over unique, unsorted external ids: the writers read only the ids."""
     names = draw(st.lists(external_ids, max_size=max_nodes, unique=True))
-    return Graph([0] * (len(names) + 1), [], names)
+    return Graph([0] * (len(names) + 1), [], names, [""] * len(names), [0] * len(names))
 
 
 def node_sets(g):
@@ -478,7 +478,7 @@ def test_sample_writer_matches_oracle(data):
     ids=["empty", "single-cluster", "empty-members"],
 )
 def test_hierarchy_writer_edge_cases(clusters, roots, attached):
-    g = Graph([0, 0, 0], [], ["z\u00e9", 'a"\\'])
+    g = Graph([0, 0, 0], [], ["z\u00e9", 'a"\\'], ["", ""], [0, 0])
     h = Hierarchy(clusters, roots, attached, 1, 2, set(clusters))
     assert written(write_hierarchy_json, h, g) == json_dumps_stable(hierarchy_to_json_obj(h, g))
 

@@ -97,7 +97,7 @@ def test_lcc_carries_metadata():
 
 def test_lcc_empty_graph_rejected():
     with pytest.raises(InputError):
-        largest_connected_component(Graph([0], [], []))
+        largest_connected_component(Graph([0], [], [], [], []))
 
 
 edge_lists = st.lists(
