@@ -240,6 +240,31 @@ def test_disconnected_input_stdout_matches_golden_hash(command, tmp_path, capsys
     assert sha256(capsys.readouterr().out.encode("utf-8")) == STDOUT_SHA256[command]
 
 
+
+def lab_edges():
+    """A seeded 10-node graph: a random tree plus three random chords; six nodes have degree <= 2."""
+    rng = np.random.default_rng(7)
+    names = [f"v{i:02d}" for i in range(10)]
+    edges = [(names[i], names[int(rng.integers(0, i))]) for i in range(1, 10)]
+    edges += [(names[a], names[b]) for a, b in rng.integers(0, 10, size=(3, 2)).tolist() if a != b]
+    return edges
+
+
+# lab subcommand options -> sha256 of its stdout on ``lab_edges()``.
+LAB_STDOUT_SHA256 = {
+    ('degeneracy', '--epsilon', '0.05', '--d', '2'):
+        'a6fdf334466f3c238c4ae20c0e42093a08eae4b6d14c48c11eb37dc90b692c52',
+    ('verify-bounds', '--d', '2', '--seed', '3'):
+        '21484f6ee809d968ebb471dfd861d8005420ed5a214ba27e89ffe53a1afca783',
+}
+
+
+@pytest.mark.parametrize("command", sorted(LAB_STDOUT_SHA256), ids=" ".join)
+def test_lab_stdout_matches_golden_hash(command, tmp_path, capsys):
+    write_edges_tsv(tmp_path / "edges.tsv", lab_edges())
+    assert main([command[0], "--edges", str(tmp_path / "edges.tsv"), *command[1:]]) == 0
+    assert sha256(capsys.readouterr().out.encode("utf-8")) == LAB_STDOUT_SHA256[command]
+
 # subcommand options -> sha256 of its stdout on the disconnected input, reading
 # the ``hierarchy`` output of that input.
 CHAINED_STDOUT_SHA256 = {
