@@ -31,7 +31,6 @@ from .modularity import (
 )
 from .sampling import (
     SampleResult,
-    SelectedEdge,
     TokenModel,
     budget_from_edge_fraction,
     default_edge_costs,
@@ -63,7 +62,6 @@ __all__ = [
     "merge_small_clusters",
     "TokenModel",
     "SampleResult",
-    "SelectedEdge",
     "derive_max_cluster_size",
     "default_edge_costs",
     "budget_from_edge_fraction",

@@ -194,46 +194,51 @@ def _write_temp(path: Path, write, *args) -> Path:
     return tmp
 
 
-def _discard(temps) -> None:
-    for tmp in temps:
-        tmp.unlink(missing_ok=True)
+@contextmanager
+def _outputs(out_dir: Path | None = None):
+    """Yield ``put(out, write, *args)``, which runs ``write(file, *args)`` into ``out``, or stdout without one.
 
-
-def _commit(staged: dict[Path, Path]) -> None:
-    """Rename each temporary file over its target path; if a rename fails, delete the rest."""
-    try:
-        for path, tmp in staged.items():
-            with _writing(path):
-                os.replace(tmp, path)
-    except BaseException:
-        _discard(staged.values())
-        raise
-
-
-def _emit(*outputs) -> None:
-    """For each ``(out, write, *args)``, run ``write(file, *args)`` into ``out``, or stdout without one.
-
-    Every regular (or new) ``out`` file is staged first, and all of them are
-    replaced together only once each is complete; any other ``out`` (see
-    :func:`_rename_target`) is written in place as it comes.
+    Every regular (or new) ``out`` file is staged beside itself (see
+    :func:`_write_temp`), and all of them are renamed into place together
+    once the block succeeds; any other ``out`` (see :func:`_rename_target`)
+    is written in place as it comes. With ``out_dir``, the directory that
+    every ``out`` lies in, it is created first, and an ``out`` that is not
+    a regular file is a :class:`ConfigError`. If the block or a rename
+    fails, the staged files are deleted and the directories made for
+    ``out_dir`` are removed again.
     """
-    staged: dict[Path, Path] = {}
+    created = [d for d in (out_dir, *out_dir.parents) if not d.exists()] if out_dir else []  # deepest first
+    staged: dict[Path, Path] = {}  # file to replace -> its complete temporary file
+
+    def put(out, write, *args) -> None:
+        if not out:
+            write(sys.stdout, *args)
+            return
+        with _writing(out):
+            target = _rename_target(Path(out))
+            if target is not None:
+                staged[target] = _write_temp(target, write, *args)
+            elif out_dir:
+                raise ConfigError(f"cannot write {out}: not a regular file")
+            else:
+                with open(out, "w", encoding="utf-8") as f:
+                    write(f, *args)
+
     try:
-        for out, write, *args in outputs:
-            if not out:
-                write(sys.stdout, *args)
-                continue
-            with _writing(out):
-                target = _rename_target(Path(out))
-                if target is None:
-                    with open(out, "w", encoding="utf-8") as f:
-                        write(f, *args)
-                else:
-                    staged[target] = _write_temp(target, write, *args)
+        if out_dir:
+            with _writing(out_dir):
+                out_dir.mkdir(parents=True, exist_ok=True)
+        yield put
+        for target, tmp in staged.items():
+            with _writing(target):
+                os.replace(tmp, target)
     except BaseException:
-        _discard(staged.values())
+        for tmp in staged.values():
+            tmp.unlink(missing_ok=True)
+        with suppress(OSError):
+            for d in created:
+                d.rmdir()
         raise
-    _commit(staged)
 
 
 def _load_hierarchy(path, g: Graph) -> Hierarchy:
@@ -250,14 +255,16 @@ def _load_hierarchy(path, g: Graph) -> Hierarchy:
 
 def cmd_decompose(args) -> int:
     g = _ingest(_config(args))
-    _emit((args.out, fileio.write_decomposition_json, core_numbers(g), g))
+    with _outputs() as put:
+        put(args.out, fileio.write_decomposition_json, core_numbers(g), g)
     return EXIT_OK
 
 
 def cmd_hierarchy(args) -> int:
     cfg = _config(args)
     g = _ingest(cfg)
-    _emit((args.out, fileio.write_hierarchy_json, _hierarchy(g, cfg), g))
+    with _outputs() as put:
+        put(args.out, fileio.write_hierarchy_json, _hierarchy(g, cfg), g)
     return EXIT_OK
 
 
@@ -267,8 +274,9 @@ def cmd_merge(args) -> int:
     h = _load_hierarchy(args.hierarchy, g)
     merged, report = merge_small_clusters(g, h, cfg.merge_mode)
     report_out = args.report or (str(Path(args.out).with_suffix(".report.json")) if args.out else None)
-    _emit((args.out, fileio.write_hierarchy_json, merged, g),
-          (report_out, _write_json, report.to_json_obj()))
+    with _outputs() as put:
+        put(args.out, fileio.write_hierarchy_json, merged, g)
+        put(report_out, _write_json, report.to_json_obj())
     return EXIT_OK
 
 
@@ -276,7 +284,8 @@ def cmd_sample(args) -> int:
     cfg = _config(args, budget_required=True)
     g = _ingest(cfg)
     h = _load_hierarchy(args.hierarchy, g)
-    _emit((args.out, fileio.write_sample_tsv, _sample(g, h, cfg), g))
+    with _outputs() as put:
+        put(args.out, fileio.write_sample_tsv, _sample(g, h, cfg), g)
     return EXIT_OK
 
 
@@ -285,21 +294,24 @@ def cmd_stats(args) -> int:
     g = _ingest(cfg)
     h = _load_hierarchy(args.hierarchy, g)
     stats = community_stats(h, args.level.upper(), g, token_limit=cfg.token_limit)
-    _emit((args.out, _write_json, stats.to_json_obj()))
+    with _outputs() as put:
+        put(args.out, _write_json, stats.to_json_obj())
     return EXIT_OK
 
 
 def cmd_degeneracy(args) -> int:
     g = strip_self_loops(_load(_config(args)))
     report = enumerate_degeneracy(g, args.epsilon, args.d)
-    _emit((args.out, _write_json, report.to_json_obj()))
+    with _outputs() as put:
+        put(args.out, _write_json, report.to_json_obj())
     return EXIT_OK
 
 
 def cmd_verify_bounds(args) -> int:
     g = strip_self_loops(_load(_config(args)))
     report = verify_sparse_bounds(g, args.d, seed=args.seed)
-    _emit((args.out, _write_json, report.to_json_obj()))
+    with _outputs() as put:
+        put(args.out, _write_json, report.to_json_obj())
     return EXIT_OK if report.all_ok else EXIT_VERIFICATION
 
 
@@ -342,11 +354,9 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Path]:
     Outputs are deterministic byte for byte. The cyclic garbage collector is
     paused for the run.
     """
-    created = [d for d in (cfg.out_dir, *cfg.out_dir.parents) if not d.exists()]  # deepest first
-    with _writing(cfg.out_dir):
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    paths: dict[str, Path] = {}
-    staged: dict[Path, Path] = {}  # file to replace -> its complete temporary file
+    names = ("decomposition.json", "hierarchy.json", "hierarchy_merged.json", "merge_report.json",
+             "stats.json", "sample.tsv")
+    paths = {Path(name).stem: cfg.out_dir / name for name in names}
 
     def stage(name, fn, *args, **kwargs):
         try:
@@ -354,39 +364,23 @@ def run_pipeline(cfg: PipelineConfig) -> dict[str, Path]:
         except CoreHierError as exc:
             raise type(exc)(f"stage {name!r}: {exc}") from exc
 
-    def write(filename: str, writer, *args) -> None:
-        path = cfg.out_dir / filename
-        paths[path.stem] = path
-        with _writing(path):
-            target = _rename_target(path)
-            if target is None:
-                raise ConfigError(f"cannot write {path}: not a regular file")
-            staged[target] = _write_temp(target, writer, *args)
-
-    try:
+    with _outputs(cfg.out_dir) as put:
         g = stage("ingest", _ingest, cfg)
         dec = stage("decompose", core_numbers, g)
-        write("decomposition.json", fileio.write_decomposition_json, dec, g)
+        put(paths["decomposition"], fileio.write_decomposition_json, dec, g)
         h = stage("hierarchy", _hierarchy, g, cfg, dec.core)
-        write("hierarchy.json", fileio.write_hierarchy_json, h, g)
+        put(paths["hierarchy"], fileio.write_hierarchy_json, h, g)
         merged, report = stage("merge", merge_small_clusters, g, h, cfg.merge_mode)
-        write("hierarchy_merged.json", fileio.write_hierarchy_json, merged, g)
-        write("merge_report.json", _write_json, report.to_json_obj())
+        put(paths["hierarchy_merged"], fileio.write_hierarchy_json, merged, g)
+        put(paths["merge_report"], _write_json, report.to_json_obj())
         stats = {
             level.lower(): stage(
                 "stats", community_stats, merged, level, g, token_limit=cfg.token_limit
             ).to_json_obj()
             for level in ("LF", "L1")
         }
-        write("stats.json", _write_json, stats)
-        write("sample.tsv", fileio.write_sample_tsv, stage("sample", _sample, g, merged, cfg), g)
-    except BaseException:
-        _discard(staged.values())
-        with suppress(OSError):
-            for d in created:
-                d.rmdir()
-        raise
-    _commit(staged)
+        put(paths["stats"], _write_json, stats)
+        put(paths["sample"], fileio.write_sample_tsv, stage("sample", _sample, g, merged, cfg), g)
     return paths
 
 

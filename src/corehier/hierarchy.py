@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,38 +81,32 @@ class Hierarchy:
         return covered
 
 
-def split_component(g: Graph, members, max_size: int) -> list[list[int]]:
-    """Partition a connected node set into clusters of at most ``max_size``.
+def _grow(order, links, remaining: set[int], max_size: int) -> list[list[int]]:
+    """Cut ``remaining`` into greedy clusters of at most ``max_size`` nodes, each sorted.
 
-    Each cluster grows greedily from the highest-degree unassigned seed,
-    repeatedly absorbing the frontier node with the most neighbors already
-    inside. The frontier accumulates (frontier union N(v)) minus the grown
-    set, so reachable nodes are never stranded. Ties everywhere go to the
-    smallest id. Sets of size <= max_size come back unchanged.
+    Each cluster starts from the first node of ``order`` still in
+    ``remaining``, then keeps absorbing the remaining node with the most
+    entries in the absorbed nodes' ``links(u)``, ties to the smallest id.
+    Absorbed nodes leave ``remaining``. A heap takes each count as it
+    rises; since counts only rise, a node's current entry comes out before
+    its stale ones, which are skipped once it is absorbed. Cost:
+    O(|order| + L log L) for the L entries that the ``links`` calls yield,
+    one call per absorbed node.
     """
-    remaining = set(members)
-    if len(remaining) <= max_size:
-        return [sorted(remaining)]
-    seed_order = sorted(remaining, key=lambda v: (-g.degrees[v], v))
     out: list[list[int]] = []
-    for seed in seed_order:
+    for seed in order:
         if seed not in remaining:
             continue
-        remaining.discard(seed)
-        grown = [seed]
+        grown: list[int] = []
         conn: dict[int, int] = {}
-        heap: list[tuple[int, int]] = []
-        for w in g.adj[seed]:
-            if w in remaining:
-                conn[w] = conn.get(w, 0) + 1
-                heapq.heappush(heap, (-conn[w], w))
+        heap = [(0, seed)]
         while len(grown) < max_size and heap:
-            neg, v = heapq.heappop(heap)
-            if v not in remaining or conn.get(v) != -neg:
+            v = heapq.heappop(heap)[1]
+            if v not in remaining:
                 continue  # stale heap entry
             remaining.discard(v)
             grown.append(v)
-            for w in g.adj[v]:
+            for w in links(v):
                 if w in remaining:
                     conn[w] = conn.get(w, 0) + 1
                     heapq.heappush(heap, (-conn[w], w))
@@ -119,58 +114,52 @@ def split_component(g: Graph, members, max_size: int) -> list[list[int]]:
     return out
 
 
+def split_component(g: Graph, members, max_size: int) -> list[list[int]]:
+    """Partition a connected node set into clusters of at most ``max_size``.
+
+    Each cluster grows greedily (see :func:`_grow`) from the highest-degree
+    unassigned seed, repeatedly absorbing the frontier node with the most
+    neighbors already inside, so reachable nodes are never stranded. Ties
+    everywhere go to the smallest id. Sets of size <= max_size come back
+    unchanged. Cost: O(k log k) to order the k members by degree, plus
+    O(e log e) for the e adjacency entries of the members.
+    """
+    remaining = set(members)
+    if len(remaining) <= max_size:
+        return [sorted(remaining)]
+    order = sorted(remaining, key=lambda v: (-g.degrees[v], v))
+    return _grow(order, g.adj.__getitem__, remaining, max_size)
+
+
 def _two_hop_split_parts(g: Graph, pool, max_size: int) -> list[tuple[list[int], list[int]]]:
     """Split an oversized 2-hop group; yields (grown members, qualifying anchors).
 
-    Anchors are the outside neighbors of the pool. Clusters grow from the
-    seed with the largest anchor set, preferring the candidate whose anchor
-    sets overlap the grown cluster's the most; afterwards every anchor
-    adjacent to at least two grown members is attached to the cluster.
+    Anchors are the outside neighbors of the pool. Clusters grow (see
+    :func:`_grow`) from the seed with the largest anchor set, preferring the
+    candidate whose anchor sets overlap the grown cluster's the most;
+    afterwards every anchor adjacent to at least two grown members is
+    attached to the cluster. Cost: O(p log p + d) for p pool nodes with d
+    adjacency entries, plus O(s log s) for the s = sum over anchors of (pool
+    nodes sharing it)^2 overlap entries: quadratic in a pool that shares one
+    anchor.
     """
-    pool_sorted = sorted(pool)
-    pool_set = set(pool_sorted)
-    anchor_set = {w for u in pool_sorted for w in g.adj[u]} - pool_set
-    anchors_of = {u: frozenset(anchor_set.intersection(g.adj[u])) for u in pool_sorted}
+    pool_set = set(pool)
+    anchors_of = {u: set(g.adj[u]).difference(pool_set) for u in pool_set}
     sharing: dict[int, list[int]] = {}
-    for u in pool_sorted:
-        for a in anchors_of[u]:
+    for u, anchors in anchors_of.items():
+        for a in anchors:
             sharing.setdefault(a, []).append(u)
 
-    remaining = set(pool_sorted)
+    def links(u: int):
+        """Each pool node once per anchor it shares with ``u``, lazily: the counts sum to the overlaps."""
+        for a in anchors_of[u]:
+            yield from sharing[a]
+
+    order = sorted(pool_set, key=lambda u: (-len(anchors_of[u]), u))
     out: list[tuple[list[int], list[int]]] = []
-    while remaining:
-        seed = min(remaining, key=lambda u: (-len(anchors_of[u]), u))
-        remaining.discard(seed)
-        grown = [seed]
-        score: dict[int, int] = {}
-        heap: list[tuple[int, int]] = []
-
-        def absorb(u: int) -> None:
-            touched: set[int] = set()
-            for a in anchors_of[u]:
-                touched.update(sharing[a])
-            for v in touched:
-                if v in remaining:
-                    score[v] = score.get(v, 0) + len(anchors_of[v] & anchors_of[u])
-                    heapq.heappush(heap, (-score[v], v))
-
-        absorb(seed)
-        while len(grown) < max_size and heap:
-            neg, v = heapq.heappop(heap)
-            if v not in remaining or score.get(v) != -neg:
-                continue
-            remaining.discard(v)
-            grown.append(v)
-            absorb(v)
-        grown.sort()
-        grown_set = set(grown)
-        counts: dict[int, int] = {}
-        for u in grown:
-            for w in g.adj[u]:
-                if w in anchor_set:
-                    counts[w] = counts.get(w, 0) + 1
-        qualifying = sorted(a for a, c in counts.items() if c >= 2 and a not in grown_set)
-        out.append((grown, qualifying))
+    for grown in _grow(order, links, pool_set, max_size):
+        counts = Counter(a for u in grown for a in anchors_of[u])
+        out.append((grown, sorted(a for a, c in counts.items() if c >= 2)))
     return out
 
 
@@ -187,29 +176,18 @@ def _runs(keys: np.ndarray, nodes: np.ndarray, ids: list[int]):
 
 
 def _common_ancestor(parent_ids: list[int | None], clusters: dict[int, Cluster]) -> int | None:
-    """Deepest cluster that is an ancestor-or-self of every given parent id."""
-    unique = set(parent_ids)
-    if len(unique) == 1:
-        return parent_ids[0]
-    if None in unique:
-        return None
-    chains: list[list[int]] = []
-    for pid in sorted(unique):  # type: ignore[arg-type]
-        chain = []
-        cur: int | None = pid
-        while cur is not None:
-            chain.append(cur)
-            cur = clusters[cur].parent
-        chains.append(chain)
-    common = set(chains[0])
-    for chain in chains[1:]:
-        common &= set(chain)
-    if not common:
-        return None
-    for cid in chains[0]:  # deepest first
-        if cid in common:
-            return cid
-    return None
+    """Deepest cluster that is an ancestor-or-self of every given parent id; None if they share none.
+
+    A parent is created before its children and so has the smaller id: the
+    largest id left is an ancestor of no other one, so it is replaced by its
+    parent until one id is left or a root's parent (None) comes up.
+    """
+    ids = set(parent_ids)
+    while len(ids) > 1 and None not in ids:
+        top = max(ids)
+        ids.remove(top)
+        ids.add(clusters[top].parent)
+    return ids.pop() if len(ids) == 1 else None
 
 
 def build_hierarchy(g: Graph, max_cluster_size: int, core: list[int] | None = None) -> Hierarchy:
@@ -383,12 +361,29 @@ def build_hierarchy(g: Graph, max_cluster_size: int, core: list[int] | None = No
     return hierarchy
 
 
+def _best_host(g: Graph, nodes, hosts_of: dict[int, list[int]]) -> int | None:
+    """The host that shares the most edges with ``nodes``, ties to the smallest id; None if none does.
+
+    An edge from a node of ``nodes`` to a node w outside them counts once
+    for each host in ``hosts_of[w]``. Cost: O(e k) for the e adjacency
+    entries of ``nodes`` when a node has at most k hosts.
+    """
+    counts: dict[int, int] = {}  # a plain loop: a Counter per call made attachment ~30% slower
+    for v in nodes:
+        for w in g.adj[v]:
+            if w not in nodes:
+                for hid in hosts_of.get(w, ()):
+                    counts[hid] = counts.get(hid, 0) + 1
+    return min(counts, key=lambda hid: (-counts[hid], hid), default=None)
+
+
 def _attach_global_singletons(g: Graph, h: Hierarchy, singletons: set[int]) -> None:
     """Fold every parked singleton into the neighboring leaf that knows it best.
 
     Target: the leaf holding the most of the singleton's neighbors, ties to
-    the smallest cluster id. Attachment can chain (a singleton may only
-    reach the graph through another one), so passes repeat until stable.
+    the smallest cluster id (see :func:`_best_host`). Attachment can chain (a
+    singleton may only reach the graph through another one), so passes
+    repeat until stable.
     """
     if not singletons:
         return
@@ -398,22 +393,16 @@ def _attach_global_singletons(g: Graph, h: Hierarchy, singletons: set[int]) -> N
             node_leaves.setdefault(v, []).append(leaf.id)
     remaining = sorted(singletons)
     while remaining:
-        progressed = False
         deferred: list[int] = []
         for v in remaining:
-            counts: dict[int, int] = {}
-            for w in g.adj[v]:
-                for leaf_id in node_leaves.get(w, ()):
-                    counts[leaf_id] = counts.get(leaf_id, 0) + 1
-            if not counts:
+            best = _best_host(g, (v,), node_leaves)
+            if best is None:
                 deferred.append(v)
                 continue
-            best = min(counts, key=lambda cid: (-counts[cid], cid))
             h.clusters[best].members.add(v)
             h.attached_singletons[v] = best
             node_leaves.setdefault(v, []).append(best)
-            progressed = True
-        if not progressed:
+        if len(deferred) == len(remaining):
             raise VerificationError(
                 f"could not attach singletons {deferred}; graph should be connected"
             )

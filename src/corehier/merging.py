@@ -18,7 +18,7 @@ from enum import Enum
 
 from .errors import ConfigError
 from .graph import Graph
-from .hierarchy import Cluster, Hierarchy
+from .hierarchy import Cluster, Hierarchy, _best_host
 
 
 class MergeMode(str, Enum):
@@ -174,16 +174,8 @@ def merge_small_clusters(
         small_set.discard(cid)
         small = result.clusters[cid]
 
-        host_edges: dict[int, int] = {}
-        for v in small.members:
-            for w in g.adj[v]:
-                if w in small.members:
-                    continue
-                for host_id in covered_in.get(w, ()):
-                    host_edges[host_id] = host_edges.get(host_id, 0) + 1
-
-        if host_edges:
-            best = min(host_edges, key=lambda hid: (-host_edges[hid], hid))
+        best = _best_host(g, small.members, covered_in)
+        if best is not None:
             host = result.clusters[best]
             new_nodes = small.members - host.members
             report.deduplicated += len(small.members) - len(new_nodes)

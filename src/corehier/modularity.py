@@ -8,7 +8,7 @@ exact rationals to far better than the 1e-12 tolerance used by the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -243,16 +243,7 @@ class DegeneracyReport:
     proof_threshold: float  # C1 + C2
 
     def to_json_obj(self) -> dict:
-        return {
-            "d": self.d,
-            "n_le_d": self.n_le_d,
-            "epsilon": self.epsilon,
-            "q_star": self.q_star,
-            "degenerate_count": self.degenerate_count,
-            "lower_bound": self.lower_bound,
-            "statement_threshold": self.statement_threshold,
-            "proof_threshold": self.proof_threshold,
-        }
+        return asdict(self)
 
 
 def degeneracy_thresholds(g: Graph, d: int) -> tuple[float, float]:
@@ -390,19 +381,7 @@ class SparseBoundsReport:
         )
 
     def to_json_obj(self) -> dict:
-        return {
-            "d": self.d,
-            "single_move_checks": self.single_move_checks,
-            "single_move_max_ratio": self.single_move_max_ratio,
-            "single_move_violations": self.single_move_violations,
-            "pair_checks": self.pair_checks,
-            "pair_max_excess": self.pair_max_excess,
-            "pair_violations": self.pair_violations,
-            "degeneracy": None if self.degeneracy is None else self.degeneracy.to_json_obj(),
-            "degeneracy_bound_holds": self.degeneracy_bound_holds,
-            "statement_count": self.statement_count,
-            "all_ok": self.all_ok,
-        }
+        return {**asdict(self), "all_ok": self.all_ok}
 
 
 def verify_sparse_bounds(

@@ -54,7 +54,7 @@ def derive_max_cluster_size(token_limit: int, g: Graph) -> int:
     """Cluster size cap from a context window: limit over mean tokens per node.
 
     Computed in exact integer arithmetic as floor(limit * n / total_tokens),
-    clamped below at 2. O(n) on the first read of ``g.tokens``, O(n) sum after.
+    clamped below at 2. Cost: O(n) to sum the ``g.tokens`` column.
     """
     if token_limit < 1:
         raise ConfigError("token limit must be positive")
@@ -140,15 +140,6 @@ def budget_from_edge_fraction(g: Graph, fraction: float, overhead: int = DEFAULT
     return int(_edge_prices(g, u[:count], w[:count], overhead).sum())
 
 
-@dataclass(frozen=True)
-class SelectedEdge:
-    """One pick: an edge, the leaf community it was taken for, and its price."""
-
-    edge: tuple[int, int]
-    community: int
-    cost: int
-
-
 @dataclass
 class SampleResult:
     """Ordered picks, as parallel lists, with the per-community stop reasons.
@@ -166,14 +157,6 @@ class SampleResult:
     retired: list[int]  # every community, in stop order (exhausted or priced out)
     budget: int
     unaffordable: list[int] = field(default_factory=list)  # subset stopped by budget
-
-    @property
-    def selected(self) -> list[SelectedEdge]:
-        """The picks in order, one :class:`SelectedEdge` each (built on every read)."""
-        return [
-            SelectedEdge((u, w), cid, cost)
-            for u, w, cid, cost in zip(self.sources, self.targets, self.communities, self.costs)
-        ]
 
     def edges_by_community(self) -> dict[int, list[tuple[int, int]]]:
         out: dict[int, list[tuple[int, int]]] = {}

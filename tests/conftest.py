@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter, deque
 
 import numpy as np
@@ -50,6 +51,87 @@ def split_two_hop(g: Graph, pool, max_size: int) -> list[set[int]]:
     """Split an oversized 2-hop group into clusters, shared anchors included."""
     return [set(grown) | set(anchors) for grown, anchors in _two_hop_split_parts(g, pool, max_size)]
 
+
+
+def split_component_oracle(g: Graph, members, max_size: int) -> list[list[int]]:
+    """``split_component`` with its own greedy growth loop, as it was before the growers were shared."""
+    remaining = set(members)
+    if len(remaining) <= max_size:
+        return [sorted(remaining)]
+    seed_order = sorted(remaining, key=lambda v: (-g.degrees[v], v))
+    out: list[list[int]] = []
+    for seed in seed_order:
+        if seed not in remaining:
+            continue
+        remaining.discard(seed)
+        grown = [seed]
+        conn: dict[int, int] = {}
+        heap: list[tuple[int, int]] = []
+        for w in g.adj[seed]:
+            if w in remaining:
+                conn[w] = conn.get(w, 0) + 1
+                heapq.heappush(heap, (-conn[w], w))
+        while len(grown) < max_size and heap:
+            neg, v = heapq.heappop(heap)
+            if v not in remaining or conn.get(v) != -neg:
+                continue  # stale heap entry
+            remaining.discard(v)
+            grown.append(v)
+            for w in g.adj[v]:
+                if w in remaining:
+                    conn[w] = conn.get(w, 0) + 1
+                    heapq.heappush(heap, (-conn[w], w))
+        out.append(sorted(grown))
+    return out
+
+
+def two_hop_split_parts_oracle(g: Graph, pool, max_size: int) -> list[tuple[list[int], list[int]]]:
+    """``_two_hop_split_parts`` with its own growth loop and overlap scores, as it was before the growers were shared."""
+    pool_sorted = sorted(pool)
+    pool_set = set(pool_sorted)
+    anchor_set = {w for u in pool_sorted for w in g.adj[u]} - pool_set
+    anchors_of = {u: frozenset(anchor_set.intersection(g.adj[u])) for u in pool_sorted}
+    sharing: dict[int, list[int]] = {}
+    for u in pool_sorted:
+        for a in anchors_of[u]:
+            sharing.setdefault(a, []).append(u)
+
+    remaining = set(pool_sorted)
+    out: list[tuple[list[int], list[int]]] = []
+    while remaining:
+        seed = min(remaining, key=lambda u: (-len(anchors_of[u]), u))
+        remaining.discard(seed)
+        grown = [seed]
+        score: dict[int, int] = {}
+        heap: list[tuple[int, int]] = []
+
+        def absorb(u: int) -> None:
+            touched: set[int] = set()
+            for a in anchors_of[u]:
+                touched.update(sharing[a])
+            for v in touched:
+                if v in remaining:
+                    score[v] = score.get(v, 0) + len(anchors_of[v] & anchors_of[u])
+                    heapq.heappush(heap, (-score[v], v))
+
+        absorb(seed)
+        while len(grown) < max_size and heap:
+            neg, v = heapq.heappop(heap)
+            if v not in remaining or score.get(v) != -neg:
+                continue
+            remaining.discard(v)
+            grown.append(v)
+            absorb(v)
+        grown.sort()
+        grown_set = set(grown)
+        counts: dict[int, int] = {}
+        for u in grown:
+            for w in g.adj[u]:
+                if w in anchor_set:
+                    counts[w] = counts.get(w, 0) + 1
+        qualifying = sorted(a for a, c in counts.items() if c >= 2 and a not in grown_set)
+        out.append((grown, qualifying))
+    return out
 
 def ranked_edges(g: Graph) -> list[tuple[int, int]]:
     """Edges (u < w) by combined endpoint degree descending, then u, then w.
@@ -322,11 +404,10 @@ def check_round_robin_properties(
     g: Graph, h: Hierarchy, result: SampleResult, budget: int, overhead: int = DEFAULT_EDGE_OVERHEAD
 ) -> None:
     """Budget safety, prices, prefix-rank respect, and the round-robin visit pattern."""
-    assert result.total_tokens == sum(p.cost for p in result.selected)
+    assert result.total_tokens == sum(result.costs)
     assert result.total_tokens <= budget
-    for pick in result.selected:
-        u, w = pick.edge
-        assert pick.cost == g.tokens[u] + g.tokens[w] + overhead
+    for u, w, cost in zip(result.sources, result.targets, result.costs):
+        assert cost == g.tokens[u] + g.tokens[w] + overhead
 
     ranking = community_ranking_oracle(g, h)
     by_comm = result.edges_by_community()
@@ -337,10 +418,10 @@ def check_round_robin_properties(
     # successive picks never decreases and never jumps by more than one.
     ordinal: dict[int, int] = {}
     last = 0
-    for pick in result.selected:
-        ordinal[pick.community] = ordinal.get(pick.community, 0) + 1
-        assert ordinal[pick.community] in (last, last + 1), "round-robin order violated"
-        last = ordinal[pick.community]
+    for cid in result.communities:
+        ordinal[cid] = ordinal.get(cid, 0) + 1
+        assert ordinal[cid] in (last, last + 1), "round-robin order violated"
+        last = ordinal[cid]
 
     # Every community ends retired (exhausted or priced out), and a community
     # with zero picks and a nonempty list must have been priced out.

@@ -27,7 +27,6 @@ PUBLIC = [
     "merge_small_clusters",
     "TokenModel",
     "SampleResult",
-    "SelectedEdge",
     "derive_max_cluster_size",
     "default_edge_costs",
     "budget_from_edge_fraction",

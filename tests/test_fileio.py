@@ -371,10 +371,10 @@ def test_sample_tsv_layout():
     text = sample_to_tsv(result, g)
     lines = text.strip().split("\n")
     assert lines[0].startswith("#src\tdst\tcommunity\tcost")
-    for line, pick in zip(lines[1:], result.selected):
+    for line, u, w, cid, price in zip(lines[1:], result.sources, result.targets, result.communities, result.costs):
         src, dst, comm, cost = line.split("\t")
-        assert (g.id_of(src), g.id_of(dst)) == pick.edge
-        assert int(comm) == pick.community and int(cost) == pick.cost
+        assert (g.id_of(src), g.id_of(dst)) == (u, w)
+        assert int(comm) == cid and int(cost) == price
 
 
 # External ids that exercise every escape json.dumps makes: quotes,

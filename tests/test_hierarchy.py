@@ -2,15 +2,24 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import corehier.hierarchy
 from corehier.cores import core_numbers
 from corehier.errors import ConfigError, InputError
 from corehier.fixtures import three_level_example
 from corehier.fileio import hierarchy_to_json_obj, json_dumps_stable
 from corehier.graph import largest_connected_component, load_graph
-from corehier.hierarchy import build_hierarchy, split_component
+from corehier.hierarchy import Cluster, _common_ancestor, _two_hop_split_parts, build_hierarchy, split_component
 
-from conftest import check_hierarchy_invariants, make_graph, split_two_hop
+from conftest import (
+    check_hierarchy_invariants,
+    make_graph,
+    split_component_oracle,
+    split_two_hop,
+    two_hop_split_parts_oracle,
+)
 
 
 def names_of(g, members):
@@ -173,6 +182,81 @@ class TestSplitTwoHop:
         grown = sorted(v for p in parts for v in p if v in set(pool))
         assert grown == sorted(pool)
 
+
+
+@st.composite
+def connected_graphs(draw):
+    """A random tree on 2-30 nodes plus random chords; hubs come from trees that reuse a parent."""
+    n = draw(st.integers(2, 30))
+    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    chords = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n))
+    edges |= {(min(a, b), max(a, b)) for a, b in chords if a != b}
+    names = [f"v{i:02d}" for i in range(n)]
+    return make_graph([(names[a], names[b]) for a, b in sorted(edges)], names)
+
+
+def hub_graph():
+    """Hubs a, b, c with six pendants each; ab0 and ab1 hang off a and b, bc off b and c."""
+    edges = [(hub, f"{hub}{i}") for hub in "abc" for i in range(6)]
+    edges += [("a", "ab0"), ("b", "ab0"), ("a", "ab1"), ("b", "ab1"), ("b", "bc"), ("c", "bc")]
+    return make_graph(edges)
+
+
+class TestSharedGrower:
+    """Both growers run one greedy loop; the oracles are the two loops they replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=connected_graphs(), data=st.data())
+    def test_growers_match_the_oracles(self, g, data):
+        cap = data.draw(st.integers(2, 6), label="cap")
+        every = set(range(g.n))
+        pool = data.draw(st.just(every) | st.sets(st.sampled_from(sorted(every)), min_size=1), label="pool")
+        assert split_component(g, pool, cap) == split_component_oracle(g, pool, cap)
+        assert _two_hop_split_parts(g, pool, cap) == two_hop_split_parts_oracle(g, pool, cap)
+
+    def test_hub_pool_split_is_pinned(self):
+        g = hub_graph()
+        pool = [v for v in range(g.n) if g.external_id(v) not in ("a", "b", "c")]
+        parts = _two_hop_split_parts(g, pool, 4)
+        assert parts == two_hop_split_parts_oracle(g, pool, 4)
+        named = [([g.external_id(v) for v in grown], [g.external_id(v) for v in anchors]) for grown, anchors in parts]
+        assert named == [
+            (["a0", "a1", "ab0", "ab1"], ["a", "b"]),
+            (["b0", "b1", "b2", "bc"], ["b"]),
+            (["a2", "a3", "a4", "a5"], ["a"]),
+            (["b3", "b4", "b5"], ["b"]),
+            (["c0", "c1", "c2", "c3"], ["c"]),
+            (["c4", "c5"], ["c"]),
+        ]
+
+    @pytest.mark.parametrize("cap", [3, 4, 5])
+    def test_hub_hierarchy_matches_the_oracles(self, cap, monkeypatch):
+        g = hub_graph()
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return two_hop_split_parts_oracle(*args)
+
+        h = build_hierarchy(g, cap)
+        monkeypatch.setattr(corehier.hierarchy, "split_component", split_component_oracle)
+        monkeypatch.setattr(corehier.hierarchy, "_two_hop_split_parts", counted)
+        assert build_hierarchy(g, cap) == h
+        assert calls, "the hub graph no longer splits an oversized two-hop group"
+        check_hierarchy_invariants(g, h, cap)
+
+
+def test_common_ancestor_is_the_deepest_shared_cluster():
+    # Roots 0 and 6; 0 has children 1 and 2, 1 has 3 and 4, 3 has 5. Ids
+    # grow with creation, as in a build.
+    parents = {0: None, 1: 0, 2: 0, 3: 1, 4: 1, 5: 3, 6: None}
+    clusters = {cid: Cluster(cid, {cid}, 1, "core", parent) for cid, parent in parents.items()}
+    cases = {
+        (5,): 5, (5, 5): 5, (None,): None, (None, None): None, (5, 4): 1, (4, 3, 5): 1,
+        (5, 1): 1, (5, 2): 0, (2, 5, 4): 0, (5, 6): None, (5, None): None,
+    }
+    for ids, want in cases.items():
+        assert _common_ancestor(list(ids), clusters) == want, ids
 
 class TestDirectAddPath:
     def test_two_hop_group_within_cap_excludes_anchor(self):

@@ -108,14 +108,14 @@ def test_rank_orders_within_community():
 def test_round_robin_interleaves_communities():
     g, h, (e1, e2, f1) = two_community_fixture()
     result = round_robin_sample(h, g, 160, overhead=0)
-    assert [p.edge for p in result.selected] == [e1, f1, e2]
+    assert list(zip(result.sources, result.targets)) == [e1, f1, e2]
     assert result.total_tokens == 160
 
 
 def test_unaffordable_community_is_retired_and_budget_reused():
     g, h, (e1, e2, f1) = two_community_fixture()
     result = round_robin_sample(h, g, 100, overhead=0)
-    assert [p.edge for p in result.selected] == [e1, e2]
+    assert list(zip(result.sources, result.targets)) == [e1, e2]
     assert result.total_tokens == 100
     assert 1 in result.unaffordable
 
@@ -123,7 +123,7 @@ def test_unaffordable_community_is_retired_and_budget_reused():
 def test_budget_below_minimum_cost_selects_nothing():
     g, h, _ = two_community_fixture()
     result = round_robin_sample(h, g, 10, overhead=0)
-    assert result.selected == []
+    assert list(zip(result.sources, result.targets)) == []
     assert sorted(result.retired) == [0, 1]
 
 
@@ -132,7 +132,7 @@ def test_single_community_takes_everything_in_rank_order():
     lcc = largest_connected_component(g)
     h = build_hierarchy(lcc, 10)
     result = round_robin_sample(h, lcc, 1000)
-    assert [p.edge for p in result.selected] == ranked_edges(lcc)
+    assert list(zip(result.sources, result.targets)) == ranked_edges(lcc)
     assert result.total_tokens == sum(default_edge_costs(lcc, lcc.edges()))
 
 
@@ -170,7 +170,7 @@ def test_budget_of_zero_picks_only_free_edges_and_a_negative_one_is_rejected():
     free = make_graph([("a", "b"), ("b", "c"), ("a", "c")])
     lcc = largest_connected_component(free)
     result = round_robin_sample(build_hierarchy(lcc, 10), lcc, 0, overhead=0)
-    assert [p.edge for p in result.selected] == ranked_edges(lcc)
+    assert list(zip(result.sources, result.targets)) == ranked_edges(lcc)
     assert result.total_tokens == 0
     with pytest.raises(ConfigError):
         round_robin_sample(build_hierarchy(lcc, 10), lcc, -1)

@@ -107,7 +107,7 @@ class TestSampledCoverage:
         g, h = build_three_level()
         result = round_robin_sample(h, g, 60)
         stats = community_stats(h, "LF", g, sample=result)
-        touched = {v for pick in result.selected for v in pick.edge}
+        touched = {*result.sources, *result.targets}
         expected = 100.0 * sum(g.token_count(v) for v in touched) / sum(g.tokens)
         assert stats.coverage_pct_sampled == pytest.approx(expected)
         assert stats.coverage_pct_sampled < 100.0
