@@ -183,7 +183,6 @@ class TestSplitTwoHop:
         assert grown == sorted(pool)
 
 
-
 @st.composite
 def connected_graphs(draw):
     """A random tree on 2-30 nodes plus random chords; hubs come from trees that reuse a parent."""
@@ -257,6 +256,7 @@ def test_common_ancestor_is_the_deepest_shared_cluster():
     }
     for ids, want in cases.items():
         assert _common_ancestor(list(ids), clusters) == want, ids
+
 
 class TestDirectAddPath:
     def test_two_hop_group_within_cap_excludes_anchor(self):
