@@ -1,5 +1,6 @@
 """Modularity lab: exact values, enumeration oracles, and the move bounds."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +28,9 @@ from conftest import iter_set_partitions, make_graph, random_graph
 
 TOL = 1e-12
 
-BELL = {1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140, 9: 21147, 10: 115975}
+BELL = {
+    1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140, 9: 21147, 10: 115975, 11: 678570,
+}
 
 
 def float_modularity_vector(g, assignments):
@@ -195,6 +198,20 @@ class TestEnumeration:
         ]
         assert counts == sorted(counts)
         assert counts[-1] == BELL[g.n]
+
+    def test_enumeration_peak_memory_is_bounded(self):
+        # numpy reports its buffers to tracemalloc, so the peak is deterministic.
+        # 12 bytes per partition leaves room for the float64 Q vector, one
+        # comparison mask and one block; a whole int8 partition array does not fit.
+        g = random_graph(np.random.default_rng(11), 11, 4)
+        assert g.n == 11 and g.m > 0
+        tracemalloc.start()
+        try:
+            enumerate_degeneracy(g, 0.05, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * BELL[11]
 
     def test_too_large_instances_rejected(self):
         rng = np.random.default_rng(0)
