@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -21,6 +21,17 @@ NEW_COMMUNITY = -1
 
 #: Exhaustive enumeration cap; Bell(12) ~ 4.2M partitions.
 MAX_ENUMERATION_NODES = 12
+
+#: Most rows in one enumeration block. A block and its Q temporaries then
+#: take about 1.5 MB, while the per-block call overhead stays small: at
+#: n = 12 the enumeration streams 133 blocks built on 8-label prefixes.
+_BLOCK_ROWS = 1 << 15
+
+
+def _require_loop_free(g: Graph) -> None:
+    """Reject self-loops: m and the degrees count them, the internal edge counts do not."""
+    if g.self_loops:
+        raise InputError("modularity input must have self-loops removed")
 
 
 @dataclass(frozen=True)
@@ -53,6 +64,7 @@ def modularity(g: Graph, p: Partition) -> ModularityBreakdown:
         raise InputError("modularity is undefined for a graph with no edges")
     if len(p.assignment) != g.n:
         raise InputError("partition must cover exactly the graph's nodes")
+    _require_loop_free(g)
     m = g.m
     internal: dict[int, int] = {}
     degree_sum: dict[int, int] = {}
@@ -125,6 +137,7 @@ def move_delta(g: Graph, p: Partition, v: int, target: int) -> float:
     :func:`verify_sparse_bounds` sum them once per partition and then pay
     O(deg v) per move.
     """
+    _require_loop_free(g)
     return _move_delta(g, p, v, target, _community_degrees(g, p))
 
 
@@ -154,6 +167,7 @@ def sensitivity(g: Graph, p: Partition, v: int) -> tuple[float, int | None]:
     last. Returns (0.0, None) when no move exists. Costs O(n log n) for the
     targets and degree sums plus O(deg v) per target.
     """
+    _require_loop_free(g)
     return _sensitivity(g, p, v, _community_degrees(g, p))
 
 
@@ -162,17 +176,78 @@ def sensitivity(g: Graph, p: Partition, v: int) -> tuple[float, int | None]:
 # ---------------------------------------------------------------------------
 
 
+def _growth_tails(n: int) -> np.ndarray:
+    """``tails[b, r]``: completions by r more labels of a prefix with largest label b.
+
+    A prefix with largest label b extends with any label in 0..b+1, so
+    ``tails[b, r] = (b + 1) tails[b, r - 1] + tails[b + 1, r - 1]``, and
+    Bell(k) is ``tails[0, k - 1]``. Shape (n + 1, n).
+    """
+    tails = np.ones((n + 1, n), dtype=np.int64)
+    for r in range(1, n):
+        tails[:n, r] = np.arange(1, n + 1) * tails[:n, r - 1] + tails[1:, r - 1]
+    return tails
+
+
+def _fill_completions(rows: np.ndarray, first: int, tops: np.ndarray, tails: np.ndarray) -> None:
+    """Write columns first.. of rows: every completion of some prefixes, in lexicographic order.
+
+    ``tops`` holds the largest label of each prefix, in prefix order, and
+    rows has exactly their ``tails[tops, width - first]`` rows in total.
+    Column i is the last label of every distinct length-(i + 1) prefix,
+    each repeated over its completions, so each column is written in one
+    integer pass; the last pass briefly holds two int64 vectors of
+    len(rows) entries.
+    """
+    width = rows.shape[1]
+    maxes = tops  # largest label of each distinct prefix
+    for i in range(first, width):
+        counts = maxes.astype(np.int64) + 2
+        starts = np.repeat(np.cumsum(counts) - counts, counts)
+        labels = (np.arange(len(starts)) - starts).astype(np.int8)
+        maxes = np.maximum(np.repeat(maxes, counts), labels)
+        rows[:, i] = np.repeat(labels, tails[maxes, width - 1 - i])
+
+
+def _partition_blocks(n: int, max_rows: float) -> Iterator[np.ndarray]:
+    """The rows of :func:`all_partition_assignments` as consecutive column-major int8 blocks.
+
+    The prefix length p is the shortest whose every prefix has at most
+    ``max_rows`` completions. Each block holds all completions of a run of
+    consecutive length-p prefixes, at most ``max_rows`` rows, and the runs
+    come in prefix order, so the blocks concatenate to the rows in order.
+    Only the block being yielded is held, plus the Bell(p) prefixes.
+    """
+    tails = _growth_tails(n)
+    p = next(k for k in range(1, n + 1) if tails[k - 1, n - k] <= max_rows)
+    prefixes = np.zeros((int(tails[0, p - 1]), p), dtype=np.int8)
+    _fill_completions(prefixes, 1, np.zeros(1, dtype=np.int8), tails)
+    tops = prefixes.max(axis=1)
+    sizes = tails[tops, n - p]  # completions of each prefix
+    cuts = [0]
+    rows = 0
+    for k, size in enumerate(sizes.tolist()):
+        if rows + size > max_rows:
+            cuts.append(k)
+            rows = 0
+        rows += size
+    cuts.append(len(sizes))
+    for a, b in zip(cuts, cuts[1:]):
+        block = np.empty((int(sizes[a:b].sum()), n), dtype=np.int8, order="F")
+        block[:, :p] = np.repeat(prefixes[a:b], sizes[a:b], axis=0)
+        _fill_completions(block, p, tops[a:b], tails)
+        yield block
+
+
 def all_partition_assignments(n: int) -> np.ndarray:
     """All restricted growth strings of length n as a column-major int8 array.
 
-    One row per set partition, in lexicographic order. A prefix with
-    largest label b extends with any label in 0..b+1, and
-    ``tails[b, r]`` counts its completions by r more labels. Column i is
-    therefore the last label of every distinct length-(i + 1) prefix, each
-    repeated over its completions, written to full height in one pass.
-    Costs n - 1 integer column passes over Bell(n) rows; the result takes
-    Bell(n)·n bytes (about 50 MB at n = 12), and the last pass briefly
-    holds two int64 vectors of Bell(n) entries.
+    One row per set partition, in lexicographic order: the single block
+    of :func:`_partition_blocks` without a row limit. Costs n - 1
+    integer column passes over Bell(n) rows; the result takes Bell(n)·n
+    bytes (about 50 MB at n = 12), and the last pass briefly holds two
+    int64 vectors of Bell(n) entries. The enumeration behind
+    :func:`enumerate_degeneracy` streams smaller blocks instead.
     """
     if n < 1:
         raise ConfigError("need at least one node to enumerate partitions")
@@ -180,17 +255,7 @@ def all_partition_assignments(n: int) -> np.ndarray:
         raise InputError(
             f"exhaustive enumeration supports n <= {MAX_ENUMERATION_NODES}, got {n}"
         )
-    tails = np.ones((n + 1, n), dtype=np.int64)
-    for r in range(1, n):
-        tails[:n, r] = np.arange(1, n + 1) * tails[:n, r - 1] + tails[1:, r - 1]
-    rows = np.zeros((int(tails[0, n - 1]), n), dtype=np.int8, order="F")
-    maxes = np.zeros(1, dtype=np.int8)  # largest label of each distinct prefix
-    for i in range(1, n):
-        counts = maxes.astype(np.int64) + 2
-        starts = np.repeat(np.cumsum(counts) - counts, counts)
-        labels = (np.arange(len(starts)) - starts).astype(np.int8)
-        maxes = np.maximum(np.repeat(maxes, counts), labels)
-        rows[:, i] = np.repeat(labels, tails[maxes, n - 1 - i])
+    (rows,) = _partition_blocks(n, math.inf)
     return rows
 
 
@@ -206,7 +271,8 @@ def _modularity_vector(g: Graph, assignments: np.ndarray) -> np.ndarray:
     v >= c) pair with nonzero degree: at most m + n(n+1)/2 passes, each
     contiguous when ``assignments`` is column-major. Besides the input it
     holds two int16, one bool and three float64 vectors of len(assignments)
-    entries (about 8, 4 and 34 MB each at n = 12).
+    entries; :func:`_partition_q` passes blocks of at most ``_BLOCK_ROWS``
+    rows, so each float64 vector is at most 256 KB.
     """
     m = g.m
     rows = len(assignments)
@@ -259,10 +325,27 @@ def degeneracy_thresholds(g: Graph, d: int) -> tuple[float, float]:
         raise ConfigError("degree cutoff d must be >= 0")
     if g.m == 0:
         raise InputError("thresholds undefined for a graph with no edges")
+    _require_loop_free(g)
     kbar = g.avg_degree
     statement = d * (2.0 + kbar) / (2.0 * g.m)
     proof = d * (2.0 + kbar) / ((d + 1) * kbar) + d * d / ((d + 1) ** 2 * kbar * kbar)
     return statement, proof
+
+
+def _partition_q(g: Graph) -> np.ndarray:
+    """Q of every set partition of g's nodes, in the row order of :func:`all_partition_assignments`.
+
+    Each block of :func:`_partition_blocks` goes through
+    :func:`_modularity_vector` into its slice of one float64 vector, so the
+    values have the bits of a whole-array pass. Holds 8·Bell(n) bytes for
+    the result plus one block and its temporaries.
+    """
+    q = np.empty(int(_growth_tails(g.n)[0, -1]))
+    start = 0
+    for block in _partition_blocks(g.n, _BLOCK_ROWS):
+        q[start:start + len(block)] = _modularity_vector(g, block)
+        start += len(block)
+    return q
 
 
 def _degeneracy_reports(g: Graph, epsilons: Sequence[float], d: int) -> list[DegeneracyReport]:
@@ -273,12 +356,13 @@ def _degeneracy_reports(g: Graph, epsilons: Sequence[float], d: int) -> list[Deg
         raise ConfigError("epsilon must be finite and positive")
     if g.m == 0:
         raise InputError("modularity is undefined for a graph with no edges")
+    _require_loop_free(g)
     if g.n > MAX_ENUMERATION_NODES:
         raise InputError(
             f"instance too large: exhaustive enumeration needs n <= {MAX_ENUMERATION_NODES}"
             f" (got n={g.n}); sampling-based estimation is out of scope"
         )
-    q_values = _modularity_vector(g, all_partition_assignments(g.n))
+    q_values = _partition_q(g)
     q_star = float(q_values.max())
     n_le_d = sum(1 for k in g.degrees if k <= d)
     statement, proof = degeneracy_thresholds(g, d)
@@ -302,10 +386,12 @@ def enumerate_degeneracy(g: Graph, epsilon: float, d: int) -> DegeneracyReport:
 
     Enumerates every set partition of the node set (labels irrelevant),
     records the optimum Q*, and counts partitions with Q* - Q < epsilon.
-    Only graphs with n <= 12 are accepted. Costs the integer column passes
-    of :func:`all_partition_assignments` and :func:`_modularity_vector`
-    over Bell(n) rows; at n = 12 that is 4.2M rows, about 50 MB of int8
-    partitions plus a few float64 vectors of 34 MB each.
+    Only graphs with n <= 12 and without self-loops are accepted. Costs
+    the integer column passes of :func:`all_partition_assignments` and
+    :func:`_modularity_vector` over Bell(n) rows, taken in blocks of at
+    most ``_BLOCK_ROWS`` rows. The peak is the 8·Bell(n)-byte Q vector
+    (34 MB at n = 12), one Bell(n)-byte comparison mask, and one block with
+    its temporaries (about 1.5 MB).
     """
     return _degeneracy_reports(g, [epsilon], d)[0]
 
@@ -407,12 +493,15 @@ def verify_sparse_bounds(
       any positive epsilon, so the enumeration is skipped as vacuous.
 
     The same enumeration also counts partitions at the statement-level
-    tolerance (``statement_count``), so the graph is enumerated once. The
-    move checks sum community degrees once per partition and pay
-    O(deg v) per single move and O(n + targets · deg i) per moved partition.
+    tolerance (``statement_count``), so the graph is enumerated once, with
+    the memory of :func:`enumerate_degeneracy`: 8·Bell(n) bytes of Q plus
+    one block. The move checks sum community degrees once per partition and
+    pay O(deg v) per single move and O(n + targets · deg i) per moved
+    partition. Self-loops are rejected.
     """
     if g.m == 0:
         raise InputError("bounds are undefined for a graph with no edges")
+    _require_loop_free(g)
     partitions = _test_partitions(g, seed, random_partitions)
     low = [v for v in range(g.n) if g.degrees[v] <= d]
 

@@ -293,6 +293,16 @@ class TestModularityCommands:
         assert payload["degenerate_count"] == 4140
         assert payload["lower_bound"] == 16
 
+    def test_degeneracy_strips_a_self_loop(self, tmp_path):
+        # The library rejects loops; the command drops them and reports the same bytes.
+        edges = self.write_four_edges(tmp_path)
+        looped = tmp_path / "looped.tsv"
+        write_edges_tsv(looped, [("a", "b"), ("c", "c"), ("c", "d"), ("e", "f"), ("g", "h")])
+        argv = ["--epsilon", "0.3", "--d", "1"]
+        plain = _stdout_of("degeneracy", "--edges", edges, *argv)
+        assert _stdout_of("degeneracy", "--edges", str(looped), *argv) == plain
+        assert json.loads(plain)["q_star"] > 0
+
     @pytest.mark.parametrize("epsilon", ["nan", "inf", "0", "-0.5"])
     def test_degeneracy_epsilon_not_finite_and_positive_exits_2(self, tmp_path, capsys, epsilon):
         # The report would carry NaN or Infinity, which JSON does not allow.

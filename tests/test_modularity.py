@@ -1,5 +1,7 @@
 """Modularity lab: exact values, enumeration oracles, and the move bounds."""
 
+import importlib
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -9,10 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corehier.errors import ConfigError, InputError
+from corehier.graph import load_graph
 from corehier.modularity import (
     NEW_COMMUNITY,
     Partition,
+    _degeneracy_reports,
     _modularity_vector,
+    _partition_blocks,
+    _partition_q,
     all_partition_assignments,
     degeneracy_thresholds,
     enumerate_degeneracy,
@@ -25,6 +31,9 @@ from corehier.modularity import (
 )
 
 from conftest import iter_set_partitions, make_graph, random_graph
+
+# The package's ``modularity`` attribute is the function, not the module.
+MODULE = importlib.import_module("corehier.modularity")
 
 TOL = 1e-12
 
@@ -220,6 +229,99 @@ class TestEnumeration:
             enumerate_degeneracy(g, 0.1, 1)
         with pytest.raises(ConfigError):
             enumerate_degeneracy(make_graph([("a", "b")]), 0.0, 1)
+
+
+def block_limits(n):
+    """Row limits that put the enumeration's prefix at 1 label, in between, and at or near n.
+
+    A limit of Bell(n) or more keeps one block and Bell(n) - 1 forces a
+    longer prefix. Bell(n) // 1000 makes every prefix a whole row up to
+    n = 8 and leaves at most two free labels at n = 10, in some thousand
+    blocks.
+    """
+    return sorted({math.inf, BELL[n], max(1, BELL[n] - 1), max(1, BELL[n] // 7), max(1, BELL[n] // 1000)})
+
+
+def seeded_graphs(seed, sizes):
+    """Random graphs with edges, some with isolated nodes, one or more per size."""
+    rng = np.random.default_rng(seed)
+    graphs = []
+    for n in sizes:
+        for _ in range(2):
+            g = random_graph(rng, n, int(rng.integers(0, n)))
+            if g.m:
+                graphs.append(g)
+    return graphs
+
+
+class TestPartitionBlocks:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_blocks_concatenate_to_reference_rows(self, n):
+        slow = [tuple(r) for r in iter_set_partitions(n)]
+        for limit in block_limits(n):
+            blocks = list(_partition_blocks(n, limit))
+            assert all(b.dtype == np.int8 and b.flags.f_contiguous for b in blocks)
+            assert all(1 <= len(b) <= limit for b in blocks)
+            assert [tuple(r) for b in blocks for r in b.tolist()] == slow
+        assert len(list(_partition_blocks(n, 1))) == BELL[n]
+        assert len(list(_partition_blocks(n, BELL[n]))) == 1
+
+    def test_blocked_q_is_bit_identical_to_whole_array(self, monkeypatch):
+        graphs = seeded_graphs(77, range(2, 11))
+        assert {g.n for g in graphs} == set(range(2, 11))
+        assert any(0 in g.degrees for g in graphs)
+        for g in graphs:
+            whole = _modularity_vector(g, all_partition_assignments(g.n))
+            for limit in block_limits(g.n):
+                monkeypatch.setattr(MODULE, "_BLOCK_ROWS", limit)
+                blocked = _partition_q(g)
+                assert np.array_equal(blocked.view(np.int64), whole.view(np.int64))
+
+    def test_report_counts_match_whole_array_counts(self, monkeypatch):
+        for g in seeded_graphs(78, range(3, 10)):
+            whole = _modularity_vector(g, all_partition_assignments(g.n))
+            q_star = whole.max()
+            distinct = np.unique(whole)[::-1]
+            # q_star - Q for an attained Q puts that Q exactly on the cutoff
+            on_gap = [float(q_star - q) for q in distinct[1:4]]
+            epsilons = [1e-9, 0.05, 0.3, 2.5] + on_gap
+            expected = [int((whole > q_star - eps).sum()) for eps in epsilons]
+            for limit in block_limits(g.n):
+                monkeypatch.setattr(MODULE, "_BLOCK_ROWS", limit)
+                reports = _degeneracy_reports(g, epsilons, 1)
+                assert [r.degenerate_count for r in reports] == expected
+                assert all(r.q_star == float(q_star) for r in reports)
+
+
+LOOPED = [("a", "b"), ("a", "a")]
+
+
+class TestSelfLoopsRejected:
+    """m and the degrees count a loop while the internal edge counts skip it, so Q would be wrong."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g: modularity(g, Partition((0, 0))),
+            lambda g: move_delta(g, Partition((0, 0)), 0, NEW_COMMUNITY),
+            lambda g: sensitivity(g, Partition((0, 0)), 0),
+            lambda g: degeneracy_thresholds(g, 1),
+            lambda g: enumerate_degeneracy(g, 0.1, 1),
+            lambda g: verify_sparse_bounds(g, 1),
+        ],
+        ids=[
+            "modularity", "move_delta", "sensitivity", "degeneracy_thresholds",
+            "enumerate_degeneracy", "verify_sparse_bounds",
+        ],
+    )
+    def test_loop_raises_input_error(self, call):
+        with pytest.raises(InputError, match="modularity input must have self-loops removed"):
+            call(load_graph(LOOPED))
+
+    def test_loop_free_graph_gives_zero_for_one_community(self):
+        g = load_graph(LOOPED[:1])
+        assert modularity(g, Partition((0, 0))).q == 0.0
+        assert enumerate_degeneracy(g, 0.1, 1).q_star == 0.0
 
 
 class TestThresholds:
