@@ -389,9 +389,9 @@ def enumerate_degeneracy(g: Graph, epsilon: float, d: int) -> DegeneracyReport:
     Only graphs with n <= 12 and without self-loops are accepted. Costs
     the integer column passes of :func:`all_partition_assignments` and
     :func:`_modularity_vector` over Bell(n) rows, taken in blocks of at
-    most ``_BLOCK_ROWS`` rows. The peak is the 8·Bell(n)-byte Q vector
-    (34 MB at n = 12), one Bell(n)-byte comparison mask, and one block with
-    its temporaries (about 1.5 MB).
+    most ``_BLOCK_ROWS`` rows. It holds the 8·Bell(n)-byte Q vector (34 MB
+    at n = 12), plus one block with its temporaries (about 1.5 MB) while Q
+    is computed, then one Bell(n)-byte comparison mask for the count.
     """
     return _degeneracy_reports(g, [epsilon], d)[0]
 

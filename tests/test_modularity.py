@@ -239,7 +239,8 @@ def block_limits(n):
     n = 8 and leaves at most two free labels at n = 10, in some thousand
     blocks.
     """
-    return sorted({math.inf, BELL[n], max(1, BELL[n] - 1), max(1, BELL[n] // 7), max(1, BELL[n] // 1000)})
+    bell = BELL[n]
+    return sorted({math.inf, bell, max(1, bell - 1), max(1, bell // 7), max(1, bell // 1000)})
 
 
 def seeded_graphs(seed, sizes):
