@@ -4,8 +4,9 @@ Exit codes: 0 success, 2 configuration error, 3 input error, 4 verification
 failure; an output path that cannot be written is a configuration error.
 Every artifact is written with sorted keys and stable formatting, so
 rerunning a command on the same inputs reproduces the bytes exactly. Each
-command resolves its options into a :class:`PipelineConfig` before it reads
-any input. A regular output file is written under a temporary name beside
+command resolves its options into a :class:`PipelineConfig`, and the lab
+commands check ``--d``, ``--epsilon`` and ``--seed``, before it reads any
+input. A regular output file is written under a temporary name beside
 it and renamed into place only once it is complete, so a failed command
 leaves the previous file as it was; a device or FIFO given as ``--out`` is
 written in place.
@@ -31,8 +32,9 @@ from .fixtures import generate_kg_sparse
 from .graph import Graph, graph_from_columns, largest_connected_component, strip_self_loops
 from .hierarchy import Hierarchy, build_hierarchy
 from .merging import MergeMode, merge_small_clusters
-from .modularity import enumerate_degeneracy, verify_sparse_bounds
+from .modularity import _check_options, enumerate_degeneracy, verify_sparse_bounds
 from .sampling import (
+    DEFAULT_CHARS_PER_TOKEN,
     DEFAULT_EDGE_OVERHEAD,
     SampleResult,
     TokenModel,
@@ -43,7 +45,6 @@ from .sampling import (
 from .stats import community_stats
 
 DEFAULT_TOKEN_LIMIT = 8000
-DEFAULT_CHARS_PER_TOKEN = 4.0
 DEFAULT_EDGE_FRACTION = 0.8
 
 EXIT_OK = 0
@@ -142,6 +143,10 @@ def _sample(g: Graph, h: Hierarchy, cfg: PipelineConfig) -> SampleResult:
     """The budget (``cfg.token_budget`` or ``cfg.edge_fraction``'s) and the sample, at ``cfg.edge_overhead``."""
     budget = cfg.token_budget or budget_from_edge_fraction(g, cfg.edge_fraction, cfg.edge_overhead)
     return round_robin_sample(h, g, budget, cfg.edge_overhead)
+
+
+def _write_text(out: TextIO, text: str) -> None:
+    out.write(text)
 
 
 def _write_json(out: TextIO, obj) -> None:
@@ -300,6 +305,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_degeneracy(args) -> int:
+    _check_options(args.d, [args.epsilon])
     g = strip_self_loops(_load(_config(args)))
     report = enumerate_degeneracy(g, args.epsilon, args.d)
     with _outputs() as put:
@@ -308,6 +314,7 @@ def cmd_degeneracy(args) -> int:
 
 
 def cmd_verify_bounds(args) -> int:
+    _check_options(args.d, seed=args.seed)
     g = strip_self_loops(_load(_config(args)))
     report = verify_sparse_bounds(g, args.d, seed=args.seed)
     with _outputs() as put:
@@ -396,9 +403,9 @@ def cmd_gen_fixture(args) -> int:
         raise ConfigError(f"unknown fixture profile {args.profile!r}")
     edges, nodes = generate_kg_sparse(args.n, seed=args.seed)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    fileio.write_edges_tsv(out / "edges.tsv", edges)
-    fileio.write_nodes_jsonl(out / "nodes.jsonl", nodes)
+    with _outputs(out) as put:
+        put(out / "edges.tsv", _write_text, fileio.edges_to_tsv(edges))
+        put(out / "nodes.jsonl", _write_text, fileio.nodes_to_jsonl(nodes))
     print(f"edges: {out / 'edges.tsv'}")
     print(f"nodes: {out / 'nodes.jsonl'}")
     return EXIT_OK

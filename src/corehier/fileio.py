@@ -241,20 +241,21 @@ def _read_nodes_by_line(path: Path, text: str, tm: TokenModel) -> tuple[list[str
     return ids, labels, counts
 
 
+def edges_to_tsv(records: list[tuple[str, str]]) -> str:
+    return "\n".join(f"{src}\t{dst}" for src, dst in records) + "\n"
+
+
+def nodes_to_jsonl(records: list[NodeMeta]) -> str:
+    fields = ({"id": rec.external_id, "label": rec.label, "tokens": rec.token_count} for rec in records)
+    return "\n".join(json.dumps(obj, sort_keys=True) for obj in fields) + "\n"
+
+
 def write_edges_tsv(path: str | Path, records: list[tuple[str, str]]) -> None:
-    lines = [f"{src}\t{dst}" for src, dst in records]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(path).write_text(edges_to_tsv(records), encoding="utf-8")
 
 
 def write_nodes_jsonl(path: str | Path, records: list[NodeMeta]) -> None:
-    lines = [
-        json.dumps(
-            {"id": rec.external_id, "label": rec.label, "tokens": rec.token_count},
-            sort_keys=True,
-        )
-        for rec in records
-    ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(path).write_text(nodes_to_jsonl(records), encoding="utf-8")
 
 
 def hierarchy_to_json_obj(h: Hierarchy, g: Graph) -> dict:

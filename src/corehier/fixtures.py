@@ -56,6 +56,8 @@ def generate_kg_sparse(n: int, seed: int = 0) -> tuple[list[tuple[str, str]], li
     """
     if n < 10:
         raise ConfigError("kg_sparse profile needs at least 10 nodes")
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     deg1_target = rng.uniform(0.55, 0.60)
     kbar_target = rng.uniform(3.1, 3.9)

@@ -27,11 +27,29 @@ MAX_ENUMERATION_NODES = 12
 #: n = 12 the enumeration streams 133 blocks built on 8-label prefixes.
 _BLOCK_ROWS = 1 << 15
 
+#: Seeded random partitions in :func:`verify_sparse_bounds`' battery, besides the two trivial ones.
+_RANDOM_PARTITIONS = 12
 
-def _require_loop_free(g: Graph) -> None:
-    """Reject self-loops: m and the degrees count them, the internal edge counts do not."""
+#: Slack :func:`verify_sparse_bounds` allows an observed value over its bound for rounding.
+_TOLERANCE = 1e-12
+
+
+def _check_graph(g: Graph) -> None:
+    """Reject no edges (Q divides by m) and self-loops (m counts them, e_c does not)."""
+    if g.m == 0:
+        raise InputError("modularity is undefined for a graph with no edges")
     if g.self_loops:
         raise InputError("modularity input must have self-loops removed")
+
+
+def _check_options(d: int, epsilons: Sequence[float] = (), seed: int = 0) -> None:
+    """Reject d < 0, an epsilon not finite and positive, and seed < 0, before any work or input."""
+    if d < 0:
+        raise ConfigError("degree cutoff d must be >= 0")
+    if not all(0 < epsilon < math.inf for epsilon in epsilons):
+        raise ConfigError("epsilon must be finite and positive")
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -60,18 +78,12 @@ class ModularityBreakdown:
 
 def modularity(g: Graph, p: Partition) -> ModularityBreakdown:
     """Modularity Q = sum_c [e_c/m - (K_c/2m)^2] of a partition."""
-    if g.m == 0:
-        raise InputError("modularity is undefined for a graph with no edges")
+    _check_graph(g)
     if len(p.assignment) != g.n:
         raise InputError("partition must cover exactly the graph's nodes")
-    _require_loop_free(g)
     m = g.m
-    internal: dict[int, int] = {}
-    degree_sum: dict[int, int] = {}
-    for v in range(g.n):
-        cid = p.assignment[v]
-        degree_sum[cid] = degree_sum.get(cid, 0) + g.degrees[v]
-        internal.setdefault(cid, 0)
+    degree_sum = _community_degrees(g, p)
+    internal = dict.fromkeys(degree_sum, 0)
     for u, w in g.edges():
         if p.assignment[u] == p.assignment[w]:
             internal[p.assignment[u]] += 1
@@ -105,8 +117,6 @@ def _move_targets(p: Partition, v: int) -> list[int]:
 
 def _move_delta(g: Graph, p: Partition, v: int, target: int, degree_sums: dict[int, int]) -> float:
     """:func:`move_delta` given p's community degree sums, in O(deg v)."""
-    if g.m == 0:
-        raise InputError("modularity is undefined for a graph with no edges")
     source = p.assignment[v]
     if target == source:
         return 0.0
@@ -137,7 +147,7 @@ def move_delta(g: Graph, p: Partition, v: int, target: int) -> float:
     :func:`verify_sparse_bounds` sum them once per partition and then pay
     O(deg v) per move.
     """
-    _require_loop_free(g)
+    _check_graph(g)
     return _move_delta(g, p, v, target, _community_degrees(g, p))
 
 
@@ -167,7 +177,7 @@ def sensitivity(g: Graph, p: Partition, v: int) -> tuple[float, int | None]:
     last. Returns (0.0, None) when no move exists. Costs O(n log n) for the
     targets and degree sums plus O(deg v) per target.
     """
-    _require_loop_free(g)
+    _check_graph(g)
     return _sensitivity(g, p, v, _community_degrees(g, p))
 
 
@@ -321,11 +331,13 @@ def degeneracy_thresholds(g: Graph, d: int) -> tuple[float, float]:
     over an independent set of low-degree nodes, and
     C2 = d^2 / ((d + 1)^2 kbar^2) bounds the pairwise cross terms.
     """
-    if d < 0:
-        raise ConfigError("degree cutoff d must be >= 0")
-    if g.m == 0:
-        raise InputError("thresholds undefined for a graph with no edges")
-    _require_loop_free(g)
+    _check_options(d)
+    _check_graph(g)
+    return _thresholds(g, d)
+
+
+def _thresholds(g: Graph, d: int) -> tuple[float, float]:
+    """:func:`degeneracy_thresholds` of a checked graph and cutoff."""
     kbar = g.avg_degree
     statement = d * (2.0 + kbar) / (2.0 * g.m)
     proof = d * (2.0 + kbar) / ((d + 1) * kbar) + d * d / ((d + 1) ** 2 * kbar * kbar)
@@ -349,14 +361,7 @@ def _partition_q(g: Graph) -> np.ndarray:
 
 
 def _degeneracy_reports(g: Graph, epsilons: Sequence[float], d: int) -> list[DegeneracyReport]:
-    """One :class:`DegeneracyReport` per epsilon, all from a single enumeration."""
-    if d < 0:
-        raise ConfigError("degree cutoff d must be >= 0")
-    if not all(0 < epsilon < math.inf for epsilon in epsilons):
-        raise ConfigError("epsilon must be finite and positive")
-    if g.m == 0:
-        raise InputError("modularity is undefined for a graph with no edges")
-    _require_loop_free(g)
+    """One :class:`DegeneracyReport` per epsilon from a single enumeration of a checked graph."""
     if g.n > MAX_ENUMERATION_NODES:
         raise InputError(
             f"instance too large: exhaustive enumeration needs n <= {MAX_ENUMERATION_NODES}"
@@ -365,7 +370,7 @@ def _degeneracy_reports(g: Graph, epsilons: Sequence[float], d: int) -> list[Deg
     q_values = _partition_q(g)
     q_star = float(q_values.max())
     n_le_d = sum(1 for k in g.degrees if k <= d)
-    statement, proof = degeneracy_thresholds(g, d)
+    statement, proof = _thresholds(g, d)
     return [
         DegeneracyReport(
             d=d,
@@ -393,6 +398,8 @@ def enumerate_degeneracy(g: Graph, epsilon: float, d: int) -> DegeneracyReport:
     at n = 12), plus one block with its temporaries (about 1.5 MB) while Q
     is computed, then one Bell(n)-byte comparison mask for the count.
     """
+    _check_options(d, [epsilon])
+    _check_graph(g)
     return _degeneracy_reports(g, [epsilon], d)[0]
 
 
@@ -430,14 +437,14 @@ def pair_perturbation_bound(d: int, m: int) -> float:
     return 4.0 * d * d / (2.0 * m) ** 2
 
 
-def _test_partitions(g: Graph, seed: int, count: int) -> list[Partition]:
+def _test_partitions(g: Graph, seed: int) -> list[Partition]:
     """Deterministic partition battery: trivial extremes plus seeded random ones."""
     rng = np.random.default_rng(seed)
     partitions = [
         Partition(tuple([0] * g.n)),
         Partition(tuple(range(g.n))),
     ]
-    for _ in range(count):
+    for _ in range(_RANDOM_PARTITIONS):
         parts = int(rng.integers(2, max(3, g.n)))
         partitions.append(Partition(tuple(int(x) for x in rng.integers(0, parts, size=g.n))))
     return partitions
@@ -470,13 +477,7 @@ class SparseBoundsReport:
         return {**asdict(self), "all_ok": self.all_ok}
 
 
-def verify_sparse_bounds(
-    g: Graph,
-    d: int,
-    seed: int = 0,
-    random_partitions: int = 12,
-    tolerance: float = 1e-12,
-) -> SparseBoundsReport:
+def verify_sparse_bounds(g: Graph, d: int, seed: int = 0) -> SparseBoundsReport:
     """Empirically exercise the low-degree move bounds and the degeneracy bound.
 
     Three checks run over a deterministic battery of partitions:
@@ -488,65 +489,21 @@ def verify_sparse_bounds(
       :func:`pair_perturbation_bound` for the proof);
     * exhaustive enumeration at the proof-level tolerance finds at least
       2^floor(n_le_d / (d+1)) near-optimal partitions. This last check needs
-      n <= 12 and propagates the enumeration error on larger graphs. With
+      n <= 12 and rejects larger graphs before any move check. With
       d = 0 both tolerances collapse to zero and the bound 2^0 = 1 holds for
       any positive epsilon, so the enumeration is skipped as vacuous.
 
-    The same enumeration also counts partitions at the statement-level
-    tolerance (``statement_count``), so the graph is enumerated once, with
-    the memory of :func:`enumerate_degeneracy`: 8·Bell(n) bytes of Q plus
-    one block. The move checks sum community degrees once per partition and
-    pay O(deg v) per single move and O(n + targets · deg i) per moved
-    partition. Self-loops are rejected.
+    The same enumeration, run before the battery, also counts partitions
+    at the statement-level tolerance (``statement_count``), with the memory
+    of :func:`enumerate_degeneracy`: 8·Bell(n) bytes of Q plus one block.
+    The battery is one pass over its partitions, summing each one's
+    community degrees once: a single move then costs O(deg v), i's base
+    sensitivity O(targets · deg i) once per partition, and a pair check
+    O(n + targets · deg i). Self-loops are rejected.
     """
-    if g.m == 0:
-        raise InputError("bounds are undefined for a graph with no edges")
-    _require_loop_free(g)
-    partitions = _test_partitions(g, seed, random_partitions)
-    low = [v for v in range(g.n) if g.degrees[v] <= d]
-
-    move_checks = 0
-    move_violations = 0
-    move_max_ratio = 0.0
-    for p in partitions:
-        degree_sums = _community_degrees(g, p)
-        for v in low:
-            bound = single_move_bound(g.degrees[v], g.m)
-            for target in _move_targets(p, v):
-                observed = abs(_move_delta(g, p, v, target, degree_sums))
-                move_checks += 1
-                if bound > 0:
-                    move_max_ratio = max(move_max_ratio, observed / bound)
-                if observed > bound + tolerance:
-                    move_violations += 1
-
-    adjacency = [set(a) for a in g.adj]
-    pairs = [
-        (i, j)
-        for i in low
-        for j in low
-        if i < j and j not in adjacency[i]
-    ]
-    pair_checks = 0
-    pair_violations = 0
-    pair_max_excess = float("-inf")
-    bound = pair_perturbation_bound(d, g.m)
-    for p in partitions:
-        degree_sums = _community_degrees(g, p)
-        for i, j in pairs:
-            base, _ = _sensitivity(g, p, i, degree_sums)
-            for target in _move_targets(p, j):
-                moved_p = p.move(j, target)
-                moved, _ = _sensitivity(g, moved_p, i, _community_degrees(g, moved_p))
-                pair_checks += 1
-                excess = abs(base - moved) - bound
-                pair_max_excess = max(pair_max_excess, excess)
-                if excess > tolerance:
-                    pair_violations += 1
-    if pair_checks == 0:
-        pair_max_excess = 0.0
-
-    statement, proof_eps = degeneracy_thresholds(g, d)
+    _check_options(d, seed=seed)
+    _check_graph(g)
+    statement, proof_eps = _thresholds(g, d)
     if proof_eps > 0:
         report, at_statement = _degeneracy_reports(g, [proof_eps, statement], d)
         statement_count = at_statement.degenerate_count
@@ -556,6 +513,38 @@ def verify_sparse_bounds(
         report = None
         statement_count = None
         holds = True
+
+    low = [v for v in range(g.n) if g.degrees[v] <= d]
+    adjacency = [set(a) for a in g.adj]
+    partners = {i: [j for j in low if j > i and j not in adjacency[i]] for i in low}
+    pair_bound = pair_perturbation_bound(d, g.m)
+    move_checks = move_violations = pair_checks = pair_violations = 0
+    move_max_ratio = 0.0
+    pair_max_excess = float("-inf")
+    for p in _test_partitions(g, seed):
+        degree_sums = _community_degrees(g, p)
+        for v in low:
+            bound = single_move_bound(g.degrees[v], g.m)
+            for target in _move_targets(p, v):
+                observed = abs(_move_delta(g, p, v, target, degree_sums))
+                move_checks += 1
+                if bound > 0:
+                    move_max_ratio = max(move_max_ratio, observed / bound)
+                if observed > bound + _TOLERANCE:
+                    move_violations += 1
+        for i, js in partners.items():
+            base, _ = _sensitivity(g, p, i, degree_sums)
+            for j in js:
+                for target in _move_targets(p, j):
+                    moved_p = p.move(j, target)
+                    moved, _ = _sensitivity(g, moved_p, i, _community_degrees(g, moved_p))
+                    pair_checks += 1
+                    excess = abs(base - moved) - pair_bound
+                    pair_max_excess = max(pair_max_excess, excess)
+                    if excess > _TOLERANCE:
+                        pair_violations += 1
+    if pair_checks == 0:
+        pair_max_excess = 0.0
 
     return SparseBoundsReport(
         d=d,

@@ -32,12 +32,15 @@ from .hierarchy import Hierarchy
 #: standing in for the relation text an edge contributes to a summary.
 DEFAULT_EDGE_OVERHEAD = 8
 
+#: Characters per token of a node's text when no token count is given.
+DEFAULT_CHARS_PER_TOKEN = 4.0
+
 
 @dataclass(frozen=True)
 class TokenModel:
     """Deterministic token estimator used when explicit counts are absent."""
 
-    chars_per_token: float = 4.0
+    chars_per_token: float = DEFAULT_CHARS_PER_TOKEN
 
     def __post_init__(self) -> None:
         if not 0 < self.chars_per_token < math.inf:

@@ -847,6 +847,11 @@ def test_chars_per_token_not_finite_and_positive_exits_2_before_reading_input(
          "--token-budget and --edge-fraction are mutually exclusive"),
         ("sample --hierarchy h.json --token-budget 5 --edge-fraction 0.5",
          "--token-budget and --edge-fraction are mutually exclusive"),
+        ("degeneracy --d -1 --epsilon 0.1", "degree cutoff d must be >= 0"),
+        ("degeneracy --d 1 --epsilon 0", "epsilon must be finite and positive"),
+        ("degeneracy --d 1 --epsilon nan", "epsilon must be finite and positive"),
+        ("verify-bounds --d -1", "degree cutoff d must be >= 0"),
+        ("verify-bounds --d 1 --seed -1", "seed must be >= 0"),
     ],
 )
 def test_bad_stage_option_exits_2_before_reading_input(tmp_path, capsys, command, message):
@@ -909,6 +914,29 @@ class TestGenFixture:
 
     def test_unknown_profile_exits_2(self, tmp_path):
         assert run("gen-fixture", "--n", "50", "--profile", "dense", "--out", str(tmp_path)) == 2
+
+    def test_negative_seed_exits_2_before_creating_out(self, tmp_path, capsys):
+        out = tmp_path / "fix"
+        assert run("gen-fixture", "--n", "50", "--seed", "-1", "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be >= 0\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_out_under_a_regular_file_exits_2(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+        assert run("gen-fixture", "--n", "50", "--out", str(afile / "x")) == 2
+        captured = capsys.readouterr()
+        assert f"error: cannot write {afile / 'x'}" in captured.err
+        assert captured.out == ""
+        assert afile.read_text() == "kept"
+
+    @pytest.mark.parametrize("out", ["new", "new/nested"])
+    def test_failed_write_removes_the_directories_it_created(self, tmp_path, monkeypatch, out):
+        monkeypatch.setattr(fileio, "nodes_to_jsonl", _injected_failure)
+        assert run("gen-fixture", "--n", "50", "--out", str(tmp_path / out)) == 3
+        assert list(tmp_path.iterdir()) == []
 
     def test_generated_fixture_feeds_pipeline(self, tmp_path):
         fix = tmp_path / "fix"

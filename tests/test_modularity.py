@@ -457,11 +457,22 @@ class TestVerifySparseBounds:
                 continue
             for d in (1, 2):
                 statement, proof = degeneracy_thresholds(g, d)
-                report = verify_sparse_bounds(g, d, random_partitions=2)
+                report = verify_sparse_bounds(g, d)
                 assert report.degeneracy == enumerate_degeneracy(g, proof, d)
                 assert report.statement_count == (
                     enumerate_degeneracy(g, statement, d).degenerate_count
                 )
+
+    def test_too_large_graph_is_rejected_before_any_move_check(self, monkeypatch):
+        def no_move_check(*args):
+            raise AssertionError("a move check ran before the enumeration's size check")
+
+        monkeypatch.setattr(MODULE, "_move_delta", no_move_check)
+        monkeypatch.setattr(MODULE, "_sensitivity", no_move_check)
+        g = make_graph([(f"v{i}", f"v{i+1}") for i in range(12)])
+        assert g.n == 13
+        with pytest.raises(InputError, match="instance too large"):
+            verify_sparse_bounds(g, 1)
 
     def test_zero_cutoff_is_vacuous(self):
         g = make_graph([("a", "b"), ("b", "c")])
