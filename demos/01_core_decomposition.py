@@ -1,8 +1,8 @@
 """Core decomposition on a small worked example.
 
 Loads the 16-node example graph, runs the preprocessing every later stage
-expects (largest component, self-loops dropped), and prints the nested shell
-structure that the peeling uncovers.
+expects (largest component), and prints the nested shell structure that the
+peeling uncovers: shell k holds the nodes of core number exactly k.
 """
 
 from corehier import core_numbers, largest_connected_component, load_graph, three_level_example
@@ -14,8 +14,8 @@ print(f"graph: {g.n} nodes, {g.m} edges, average degree {g.avg_degree:.2f}")
 
 dec = core_numbers(g)
 print(f"maximum core: {dec.max_core}")
-for k in sorted(dec.shells):
-    names = ", ".join(g.external_id(v) for v in dec.shells[k])
+for k in sorted(set(dec.core)):
+    names = ", ".join(g.external_id(v) for v in range(g.n) if dec.core[v] == k)
     print(f"  shell {k}: {names}")
 
 # The defining property: inside the k-core every node keeps at least k

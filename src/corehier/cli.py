@@ -29,7 +29,7 @@ from . import fileio
 from .cores import core_numbers
 from .errors import ConfigError, CoreHierError, InputError, VerificationError
 from .fixtures import generate_kg_sparse
-from .graph import Graph, graph_from_columns, largest_connected_component, strip_self_loops
+from .graph import Graph, graph_from_columns, largest_connected_component
 from .hierarchy import Hierarchy, build_hierarchy
 from .merging import MergeMode, merge_small_clusters
 from .modularity import _check_options, enumerate_degeneracy, verify_sparse_bounds
@@ -250,8 +250,10 @@ def _load_hierarchy(path, g: Graph) -> Hierarchy:
     text = fileio.read_utf8(path, "hierarchy file")
     try:
         obj = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise InputError(f"{path}: invalid JSON: {getattr(exc, 'msg', 'nested too deeply')}") from None
+    except RecursionError:
+        raise InputError(f"{path}: invalid JSON: nested too deeply") from None
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+        raise InputError(f"{path}: invalid JSON: {getattr(exc, 'msg', exc)}") from None
     try:
         return fileio.hierarchy_from_json_obj(obj, g)
     except InputError as exc:
@@ -306,7 +308,7 @@ def cmd_stats(args) -> int:
 
 def cmd_degeneracy(args) -> int:
     _check_options(args.d, [args.epsilon])
-    g = strip_self_loops(_load(_config(args)))
+    g = _load(_config(args))
     report = enumerate_degeneracy(g, args.epsilon, args.d)
     with _outputs() as put:
         put(args.out, _write_json, report.to_json_obj())
@@ -315,7 +317,7 @@ def cmd_degeneracy(args) -> int:
 
 def cmd_verify_bounds(args) -> int:
     _check_options(args.d, seed=args.seed)
-    g = strip_self_loops(_load(_config(args)))
+    g = _load(_config(args))
     report = verify_sparse_bounds(g, args.d, seed=args.seed)
     with _outputs() as put:
         put(args.out, _write_json, report.to_json_obj())

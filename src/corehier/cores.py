@@ -2,21 +2,19 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
 from .graph import Graph, _gather_rows
 
 
 @dataclass(frozen=True)
 class CoreDecomposition:
-    """Core numbers for every node, the shell partition, and the maximum core."""
+    """Core numbers for every node, and the maximum core."""
 
     core: list[int]
     max_core: int
-    shells: dict[int, list[int]] = field(default_factory=dict)
 
 
 #: Frontiers of at least this many nodes are peeled in one vectorized step;
@@ -39,16 +37,11 @@ def core_numbers(g: Graph) -> CoreDecomposition:
     depend on peeling order. Cost: every node is peeled once and every edge
     is scanned once from each end, O(m log m) with the sort that merges a
     frontier's hits, plus one O(n) scan per level (there are at most
-    sqrt(2m) + 1 levels) and an O(n log n) sort into shells; a node peeled
-    alone costs about 1 us of NumPy slicing on top of its edges. Isolated
-    nodes get core 0.
+    sqrt(2m) + 1 levels); a node peeled alone costs about 1 us of NumPy
+    slicing on top of its edges. Isolated nodes get core 0. Any graph is
+    accepted: it is simple and has a node by construction.
     """
-    if g.self_loops:
-        raise InputError("core decomposition requires a simple graph; self-loops present")
     n = g.n
-    if n == 0:
-        return CoreDecomposition(core=[], max_core=0)
-
     indptr, indices = g.indptr, g.indices
     deg = np.diff(indptr)
     # A peeled node leaves ``alive`` when it joins a frontier; its degree is
@@ -83,9 +76,5 @@ def core_numbers(g: Graph) -> CoreDecomposition:
                                 stack.append(u)
                 frontier = np.array(stack, dtype=np.int64)
 
-    by_core = np.argsort(deg, kind="stable")
-    levels, firsts = np.unique(deg[by_core], return_index=True)
-    shells = {
-        int(level): nodes.tolist() for level, nodes in zip(levels, np.split(by_core, firsts[1:]))
-    }
-    return CoreDecomposition(core=deg.tolist(), max_core=int(levels[-1]), shells=shells)
+    core = deg.tolist()
+    return CoreDecomposition(core=core, max_core=max(core))

@@ -298,7 +298,7 @@ def write_decomposition_json(out: TextIO, dec: CoreDecomposition, g: Graph) -> N
     for v in sorted(range(len(ext)), key=ext.__getitem__):
         out.write(f"{sep}{_quote(ext[v])}: {core[v]}")
         sep = ",\n    "
-    out.write(("\n  }" if ext else "}") + f',\n  "max_core": {dec.max_core}\n}}\n')
+    out.write(f'\n  }},\n  "max_core": {dec.max_core}\n}}\n')
 
 
 def write_hierarchy_json(out: TextIO, h: Hierarchy, g: Graph) -> None:

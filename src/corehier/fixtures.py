@@ -53,9 +53,13 @@ def generate_kg_sparse(n: int, seed: int = 0) -> tuple[list[tuple[str, str]], li
     form a shuffled cycle (so each keeps degree >= 2) plus random chords,
     and every peripheral node hangs off one random cycle node. Token counts
     are drawn uniformly from [10, 120]. Fully reproducible per seed (PCG64).
+    ``n`` must be below 2**31, the most nodes a graph's int32 CSR indices
+    can number.
     """
     if n < 10:
         raise ConfigError("kg_sparse profile needs at least 10 nodes")
+    if n >= 2**31:
+        raise ConfigError("kg_sparse profile needs fewer than 2**31 nodes")
     if seed < 0:
         raise ConfigError("seed must be >= 0")
     rng = np.random.default_rng(seed)

@@ -1,8 +1,9 @@
 """Graph container, ingestion, and pre-clustering cleanup.
 
-The clustering stages all operate on the largest connected component with
-self-loops removed, mirroring how GraphRAG prepares its knowledge graph
-before community detection.
+Every graph is simple and has at least one node when it is built: ingest
+drops self-loops and parallel edges. The clustering stages operate on the
+largest connected component, mirroring how GraphRAG prepares its knowledge
+graph before community detection.
 """
 
 from __future__ import annotations
@@ -31,16 +32,17 @@ class NodeMeta:
 
 
 class Graph:
-    """Immutable simple undirected graph over dense integer node ids.
+    """Immutable simple undirected graph over dense integer node ids, n >= 1.
 
     The graph is stored once, in CSR form: ``indices[indptr[v]:indptr[v+1]]``
     are v's neighbours in ascending order (``indptr`` int64 of length n + 1,
-    ``indices`` int32 holding every non-loop edge twice). Internal ids are
-    assigned in lexicographic order of external ids, so identical inputs
-    always produce identical numbering; every deterministic tie-break
-    downstream relies on that ordering. Neighbour lists never contain the
-    node itself: nodes carrying a self-loop are listed in ``self_loops``
-    until :func:`largest_connected_component` strips them.
+    ``indices`` int32 holding every edge twice). Internal ids are assigned
+    in lexicographic order of external ids, so identical inputs always
+    produce identical numbering; every deterministic tie-break downstream
+    relies on that ordering. The arrays describe a simple graph: no
+    neighbour list holds its own node or a node twice, so ``m`` is half the
+    entries and a node's degree is its row length. A graph with no nodes
+    is rejected with :class:`InputError`.
 
     Node metadata is kept as three lists indexed by id: ``external_ids``,
     ``labels`` and ``tokens``, the token counts. The graph keeps the lists
@@ -63,33 +65,21 @@ class Graph:
 
     __slots__ = (
         "n", "m", "indptr", "indices", "adj", "_ids", "external_ids", "labels", "tokens", "degrees",
-        "self_loops", "_ext_index", "_ranking",
+        "_ext_index", "_ranking",
     )
 
-    def __init__(
-        self,
-        indptr,
-        indices,
-        external_ids: list[str],
-        labels: list[str],
-        tokens: list[int],
-        self_loops: frozenset[int] = frozenset(),
-    ):
+    def __init__(self, indptr, indices, external_ids: list[str], labels: list[str], tokens: list[int]):
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.indices = np.asarray(indices, dtype=np.int32)
         self.n = n = len(external_ids)
+        if not n:
+            raise InputError("empty input: no nodes")
         if not (len(self.indptr) == n + 1 and len(labels) == len(tokens) == n):
             raise InputError("adjacency and metadata lengths differ")
         self.external_ids, self.labels, self.tokens = external_ids, labels, tokens
-        self.self_loops = self_loops
         self._ranking = None
-        # A self-loop counts as one edge and contributes 2 to its node's
-        # degree, which keeps the handshake identity sum(k_i) == 2m intact.
-        self.m = len(self.indices) // 2 + len(self_loops)
-        degrees = np.diff(self.indptr)
-        if self_loops:
-            degrees[sorted(self_loops)] += 2
-        self.degrees = degrees.tolist()
+        self.m = len(self.indices) // 2
+        self.degrees = np.diff(self.indptr).tolist()
 
     def __getattr__(self, name: str):
         # Only reached while a lazy slot is still unset.
@@ -106,7 +96,7 @@ class Graph:
 
     @property
     def avg_degree(self) -> float:
-        return 2.0 * self.m / self.n if self.n else 0.0
+        return 2.0 * self.m / self.n
 
     def id_of(self, external_id: str) -> int:
         return self._ext_index[external_id]
@@ -118,13 +108,13 @@ class Graph:
         return self.tokens[v]
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every non-loop edge once as int64 arrays (u, w) with u < w, sorted by (u, w). O(n + m)."""
+        """Every edge once as int64 arrays (u, w) with u < w, sorted by (u, w). O(n + m)."""
         rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
         upper = rows < self.indices
         return rows[upper], self.indices[upper].astype(np.int64)
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        """Iterator over every non-loop edge once as (u, v) with u < v, in sorted order."""
+        """Iterator over every edge once as (u, v) with u < v, in sorted order."""
         u, w = self.edge_arrays()
         return zip(u.tolist(), w.tolist())
 
@@ -138,8 +128,10 @@ def load_graph(
 ) -> Graph:
     """Build a graph from raw edge and node records.
 
-    The records are unzipped into columns in O(n + m) for
-    :func:`graph_from_columns`, which states the rules and the cost.
+    A self-loop registers its node and adds no edge, so the graph is
+    simple; records naming no node raise :class:`InputError`. The records
+    are unzipped into columns in O(n + m) for :func:`graph_from_columns`,
+    which states the rules and the cost.
     """
     pairs, nodes = list(edge_records), list(node_records)
     return graph_from_columns(
@@ -163,9 +155,11 @@ def graph_from_columns(
     Edge i joins ``sources[i]`` and ``targets[i]``; node j has external id
     ``ids[j]``, label ``labels[j]`` and ``tokens[j]`` >= 0 tokens. Edge
     endpoints that name no node are registered with an empty label and
-    zero tokens. Parallel edges collapse to one; self-loops are kept (they
-    disappear with :func:`largest_connected_component`). Internal ids follow
-    lexicographic external-id order. The graph may keep the node lists.
+    zero tokens. Parallel edges collapse to one, and a self-loop is dropped
+    while the keys are built, though it still registers its node, so the
+    graph is simple. Internal ids follow lexicographic external-id order.
+    Columns naming no node at all raise :class:`InputError` ("empty input:
+    no nodes"). The graph may keep the node lists.
 
     Cost: one dict of the node ids, and one lookup in it per endpoint. The
     endpoints it lacks are collected, sorted and numbered after the nodes.
@@ -198,8 +192,6 @@ def graph_from_columns(
         known.update(extra)
         ids, labels, tokens = ids + unknown, labels + [""] * len(unknown), tokens + [0] * len(unknown)
     n = len(ids)
-    if not n:
-        raise InputError("empty input: no nodes")
     in_order = all(map(lt, ids, islice(ids, 1, None)))
     if not in_order:
         order = sorted(range(n), key=ids.__getitem__)
@@ -209,9 +201,8 @@ def graph_from_columns(
         ids, labels, tokens = (list(map(column.__getitem__, order)) for column in (ids, labels, tokens))
 
     u, w = node[: len(sources)], node[len(sources):]
-    is_loop = u == w
-    loops = frozenset(u[is_loop].tolist())
-    u, w = u[~is_loop], w[~is_loop]
+    edge = u != w
+    u, w = u[edge], w[edge]
     keys = np.concatenate((u * n + w, w * n + u))
     keys.sort()
     fresh = np.ones(len(keys), dtype=bool)
@@ -220,7 +211,7 @@ def graph_from_columns(
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
 
-    g = Graph(indptr, cols, ids, labels, tokens, loops)
+    g = Graph(indptr, cols, ids, labels, tokens)
     if in_order:
         g._ext_index = known
     return g
@@ -264,28 +255,24 @@ def _gather_rows(g: Graph, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def is_connected(g: Graph) -> bool:
     """Whether the graph has exactly one component; O(n + m) array work (see ``_component_labels``)."""
-    return g.n > 0 and not _component_labels(g.n, *g.edge_arrays()).any()
+    return not _component_labels(g.n, *g.edge_arrays()).any()
 
 
 def largest_connected_component(g: Graph) -> Graph:
-    """Induced subgraph on the largest component, with all self-loops removed.
+    """Induced subgraph on the largest component: connected, simple, with n >= 1.
 
     Size ties go to the component containing the smallest external id, which
     is the component with the smallest internal id because ids are assigned
     lexicographically. Ids are re-densified preserving relative order. A
-    connected graph without self-loops is returned as is; a connected one
-    with self-loops shares its arrays and node columns with the result.
-    Otherwise the component's rows are copied out of the arrays and
-    renumbered, and its entries of the node columns are copied. Cost:
-    component labelling plus O(n + m) array work.
+    connected graph is returned as is. Otherwise the component's rows are
+    copied out of the arrays and renumbered, and its entries of the node
+    columns are copied. Cost: component labelling plus O(n + m) array work.
     """
-    if g.n == 0:
-        raise InputError("empty input: no nodes")
     labels = _component_labels(g.n, *g.edge_arrays())
     sizes = np.bincount(labels, minlength=g.n)
     best = int(np.argmax(sizes))  # first maximum: the smallest id among equal sizes
     if sizes[best] == g.n:
-        return strip_self_loops(g)
+        return g
     keep = labels == best
     nodes = np.flatnonzero(keep)
     new_id = np.cumsum(keep) - 1
@@ -297,10 +284,3 @@ def largest_connected_component(g: Graph) -> Graph:
     pick = nodes.tolist()
     columns = (list(map(column.__getitem__, pick)) for column in (g.external_ids, g.labels, g.tokens))
     return Graph(indptr, indices, *columns)
-
-
-def strip_self_loops(g: Graph) -> Graph:
-    """Graph without its self-loops, sharing the arrays and node columns; components kept as-is."""
-    if not g.self_loops:
-        return g
-    return Graph(g.indptr, g.indices, g.external_ids, g.labels, g.tokens)

@@ -193,9 +193,10 @@ def _common_ancestor(parent_ids: list[int | None], clusters: dict[int, Cluster])
 def build_hierarchy(g: Graph, max_cluster_size: int, core: list[int] | None = None) -> Hierarchy:
     """Build the full residual-aware core hierarchy of a preprocessed graph.
 
-    Requires the output of :func:`largest_connected_component`: connected and
-    free of self-loops. ``max_cluster_size`` caps every cluster produced by
-    the splitting paths; singleton attachment may push a leaf one past it.
+    Requires a connected graph, such as the output of
+    :func:`largest_connected_component`, and raises :class:`InputError`
+    otherwise. ``max_cluster_size`` caps every cluster produced by the
+    splitting paths; singleton attachment may push a leaf one past it.
     ``core`` takes the graph's core numbers when the caller has them
     already (``core_numbers(g).core``); otherwise they are computed here.
 
@@ -206,10 +207,6 @@ def build_hierarchy(g: Graph, max_cluster_size: int, core: list[int] | None = No
     """
     if max_cluster_size < 2:
         raise ConfigError("max cluster size must be at least 2")
-    if g.n == 0:
-        raise InputError("empty graph")
-    if g.self_loops:
-        raise InputError("hierarchy input must have self-loops removed")
     eu, ew = g.edge_arrays()  # for this check and, cut to the queued clusters, the level loop
     if _component_labels(g.n, eu, ew).any():
         raise InputError("hierarchy input must be connected; extract the largest component first")

@@ -35,17 +35,22 @@ _TOLERANCE = 1e-12
 
 
 def _check_graph(g: Graph) -> None:
-    """Reject no edges (Q divides by m) and self-loops (m counts them, e_c does not)."""
+    """Reject a graph with no edges, since Q divides by m; any graph is simple by construction."""
     if g.m == 0:
         raise InputError("modularity is undefined for a graph with no edges")
-    if g.self_loops:
-        raise InputError("modularity input must have self-loops removed")
 
 
 def _check_options(d: int, epsilons: Sequence[float] = (), seed: int = 0) -> None:
-    """Reject d < 0, an epsilon not finite and positive, and seed < 0, before any work or input."""
+    """Reject a bad d, epsilon or seed, before any work or input.
+
+    d must lie in [0, 2**63): there d and (d + 1)**2 convert to floats, so
+    every threshold and bound the lab computes from d stays finite. Each
+    epsilon must be finite and positive, and the seed at least 0.
+    """
     if d < 0:
         raise ConfigError("degree cutoff d must be >= 0")
+    if d >= 2**63:
+        raise ConfigError("degree cutoff d must be < 2**63")
     if not all(0 < epsilon < math.inf for epsilon in epsilons):
         raise ConfigError("epsilon must be finite and positive")
     if seed < 0:
@@ -391,7 +396,8 @@ def enumerate_degeneracy(g: Graph, epsilon: float, d: int) -> DegeneracyReport:
 
     Enumerates every set partition of the node set (labels irrelevant),
     records the optimum Q*, and counts partitions with Q* - Q < epsilon.
-    Only graphs with n <= 12 and without self-loops are accepted. Costs
+    Any graph with an edge and n <= 12 is accepted; it is simple by
+    construction, so a loop record in the input changes no value. Costs
     the integer column passes of :func:`all_partition_assignments` and
     :func:`_modularity_vector` over Bell(n) rows, taken in blocks of at
     most ``_BLOCK_ROWS`` rows. It holds the 8·Bell(n)-byte Q vector (34 MB
@@ -499,7 +505,8 @@ def verify_sparse_bounds(g: Graph, d: int, seed: int = 0) -> SparseBoundsReport:
     The battery is one pass over its partitions, summing each one's
     community degrees once: a single move then costs O(deg v), i's base
     sensitivity O(targets · deg i) once per partition, and a pair check
-    O(n + targets · deg i). Self-loops are rejected.
+    O(n + targets · deg i). The graph needs an edge; it is simple by
+    construction, so a loop record in the input changes no value.
     """
     _check_options(d, seed=seed)
     _check_graph(g)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import chain
 
 import numpy as np
@@ -47,10 +48,16 @@ class TokenModel:
             raise ConfigError("chars per token must be finite and positive")
 
     def estimate(self, text: str) -> int:
-        """Token estimate for a text: ceil(len/chars_per_token), >= 1 if nonempty."""
+        """Token estimate for a text: ceil(len/chars_per_token), >= 1 if nonempty.
+
+        A quotient past float range is taken exactly, as fractions.
+        """
         if not text:
             return 0
-        return max(1, math.ceil(len(text) / self.chars_per_token))
+        quotient = len(text) / self.chars_per_token
+        if quotient == math.inf:
+            quotient = Fraction(len(text)) / Fraction(self.chars_per_token)
+        return max(1, math.ceil(quotient))
 
 
 def derive_max_cluster_size(token_limit: int, g: Graph) -> int:
@@ -61,8 +68,6 @@ def derive_max_cluster_size(token_limit: int, g: Graph) -> int:
     """
     if token_limit < 1:
         raise ConfigError("token limit must be positive")
-    if g.n == 0:
-        raise InputError("cannot derive a cluster size for an empty graph")
     total = sum(g.tokens)
     if total == 0:
         raise ConfigError(
@@ -83,7 +88,7 @@ def _edge_prices(g: Graph, u: np.ndarray, w: np.ndarray, overhead: int) -> np.nd
     if overhead < 0:
         raise ConfigError("edge overhead must be >= 0")
     tokens = g.tokens
-    exact = max(len(u), 1) * (2 * max(tokens, default=0) + overhead) < 2**63
+    exact = max(len(u), 1) * (2 * max(tokens) + overhead) < 2**63
     table = np.array(tokens, dtype=np.int64 if exact else object)
     return table[u] + table[w] + overhead
 

@@ -72,6 +72,9 @@ def community_stats(
     globally) until the limit cuts it off. With neither, sampled coverage is
     None.
 
+    Each percentage is the int quotient ``100 * part / total``, which is
+    correctly rounded for token counts of any size.
+
     Cost: O(n + L log L + M) for the L selected clusters with M members in
     all, plus O(k) for a sample of k picks or O(M log M) with a token limit.
     """
@@ -87,12 +90,12 @@ def community_stats(
         size = len(cluster.members)
         histogram[size] = histogram.get(size, 0) + 1
         covered |= cluster.members
-    coverage = 100.0 * sum(map(tokens.__getitem__, covered)) / total
+    coverage = 100 * sum(map(tokens.__getitem__, covered)) / total
 
     sampled: float | None = None
     if sample is not None:
         touched = set(sample.sources).union(sample.targets)
-        sampled = 100.0 * sum(map(tokens.__getitem__, touched)) / total
+        sampled = 100 * sum(map(tokens.__getitem__, touched)) / total
     elif token_limit is not None:
         if token_limit < 1:
             raise ConfigError("token limit must be positive")
@@ -109,7 +112,7 @@ def community_stats(
                 counted.add(v)
                 admitted += cost
                 room -= cost
-        sampled = 100.0 * admitted / total
+        sampled = 100 * admitted / total
 
     return CommunityStats(
         level_tag=tag,

@@ -232,10 +232,11 @@ def iter_set_partitions(n: int):
 
 
 def load_graph_oracle(edge_records, node_records=()):
-    """List-based reference ingest: (adj, meta, self_loops) as ``load_graph`` must build them.
+    """List-based reference ingest: (adj, meta) as ``load_graph`` must build them.
 
     Ids follow sorted external ids; parallel and reversed edges collapse
-    through a set of (low, high) pairs; neighbour lists are sorted.
+    through a set of (low, high) pairs; a self-loop registers its node and
+    adds no edge; neighbour lists are sorted.
     """
     meta_by_id = {}
     for rec in node_records:
@@ -246,24 +247,22 @@ def load_graph_oracle(edge_records, node_records=()):
             meta_by_id.setdefault(ext, NodeMeta(external_id=ext))
     order = sorted(meta_by_id)
     index = {ext: i for i, ext in enumerate(order)}
-    seen, loops = set(), set()
+    seen = set()
     adj = [[] for _ in order]
     for src, dst in edge_records:
         u, w = index[src], index[dst]
-        if u == w:
-            loops.add(u)
-        elif (min(u, w), max(u, w)) not in seen:
+        if u != w and (min(u, w), max(u, w)) not in seen:
             seen.add((min(u, w), max(u, w)))
             adj[u].append(w)
             adj[w].append(u)
-    return [sorted(a) for a in adj], [meta_by_id[ext] for ext in order], frozenset(loops)
+    return [sorted(a) for a in adj], [meta_by_id[ext] for ext in order]
 
 
 def lcc_oracle(adj, meta):
     """Breadth-first reference for ``largest_connected_component``: (adj, meta) it must build.
 
     Ties go to the component holding the smallest id; ids are renumbered in
-    order and self-loops (never in ``adj``) are dropped.
+    order.
     """
     seen = [False] * len(adj)
     comps = []

@@ -88,6 +88,16 @@ class TestHierarchy:
                    "--max-cluster-size", "16", "--token-limit", "8000")
         assert code == 2
 
+    def test_token_estimate_past_float_range_exits_0(self, tmp_path, capsys):
+        # 2 / 1e-320 overflows a float; the estimate is the exact ceiling instead.
+        edges, nodes = tmp_path / "edges.tsv", tmp_path / "nodes.jsonl"
+        write_edges_tsv(edges, [("a", "b")])
+        nodes.write_text('{"id": "a", "text": "xy"}\n')
+        code = run("hierarchy", "--edges", str(edges), "--nodes", str(nodes), "--chars-per-token", "1e-320")
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert json.loads(captured.out)["max_cluster_size"] == 2
+
 
 class TestMergeSampleStats:
     def make_hierarchy(self, example_inputs, tmp_path):
@@ -205,6 +215,19 @@ class TestMergeSampleStats:
         assert code == 3, err
         assert err.startswith(f"error: {h_path}: ") and message in err
 
+    @pytest.mark.parametrize(
+        "command",
+        [["stats"], ["merge"], ["sample", "--token-budget", "100"]],
+    )
+    def test_integer_past_the_digit_limit_in_hierarchy_exits_3(self, example_inputs, tmp_path, capsys, command):
+        edges, nodes = example_inputs
+        h_path = tmp_path / "h.json"
+        h_path.write_text('{"clusters": [{"id": 1' + "0" * 4999 + "}]}")
+        code = run(command[0], "--edges", edges, "--nodes", nodes, "--hierarchy", str(h_path), *command[1:])
+        err = capsys.readouterr().err
+        assert code == 3, err
+        assert err.startswith(f"error: {h_path}: invalid JSON: Exceeds the limit (4300 digits)")
+
     def test_deeply_nested_hierarchy_exits_3(self, example_inputs, tmp_path, capsys):
         edges, nodes = example_inputs
         h_path = tmp_path / "h.json"
@@ -294,7 +317,7 @@ class TestModularityCommands:
         assert payload["lower_bound"] == 16
 
     def test_degeneracy_strips_a_self_loop(self, tmp_path):
-        # The library rejects loops; the command drops them and reports the same bytes.
+        # A loop record adds no edge, so the report has the loop-free file's bytes.
         edges = self.write_four_edges(tmp_path)
         looped = tmp_path / "looped.tsv"
         write_edges_tsv(looped, [("a", "b"), ("c", "c"), ("c", "d"), ("e", "f"), ("g", "h")])
@@ -362,6 +385,15 @@ class TestPipeline:
         empty = tmp_path / "empty.tsv"
         empty.write_text("", encoding="utf-8")
         assert run("pipeline", "--edges", str(empty), "--out", str(tmp_path / "o")) == 3
+
+    def test_token_counts_past_float_range_exit_0(self, tmp_path):
+        # 10**400 converts to no float; each percentage is taken from ints.
+        edges, nodes, out = tmp_path / "edges.tsv", tmp_path / "nodes.jsonl", tmp_path / "o"
+        write_edges_tsv(edges, [("a", "b"), ("b", "c")])
+        nodes.write_text(json.dumps({"id": "a", "tokens": 10**400}) + "\n")
+        assert run("pipeline", "--edges", str(edges), "--nodes", str(nodes), "--out", str(out)) == 0
+        stats = json.loads((out / "stats.json").read_text())
+        assert stats["lf"]["coverage_pct_nodes"] == 100.0
 
     @pytest.mark.parametrize(
         "edges,tokens,options,picks",
@@ -852,6 +884,12 @@ def test_chars_per_token_not_finite_and_positive_exits_2_before_reading_input(
         ("degeneracy --d 1 --epsilon nan", "epsilon must be finite and positive"),
         ("verify-bounds --d -1", "degree cutoff d must be >= 0"),
         ("verify-bounds --d 1 --seed -1", "seed must be >= 0"),
+        ("degeneracy --d 9223372036854775808 --epsilon 0.1", "degree cutoff d must be < 2**63"),
+        ("verify-bounds --d 9223372036854775808", "degree cutoff d must be < 2**63"),
+        pytest.param(f"degeneracy --d {10**400} --epsilon 0.1", "degree cutoff d must be < 2**63",
+                     id="degeneracy-d-10**400"),
+        pytest.param(f"verify-bounds --d {10**400}", "degree cutoff d must be < 2**63",
+                     id="verify-bounds-d-10**400"),
     ],
 )
 def test_bad_stage_option_exits_2_before_reading_input(tmp_path, capsys, command, message):
@@ -920,6 +958,15 @@ class TestGenFixture:
         assert run("gen-fixture", "--n", "50", "--seed", "-1", "--out", str(out)) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: seed must be >= 0\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_n_past_int32_exits_2_before_creating_out(self, tmp_path, capsys):
+        # Only a value that fails before any allocation: a large valid n would build the graph.
+        out = tmp_path / "fix"
+        assert run("gen-fixture", "--n", str(10**400), "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: kg_sparse profile needs fewer than 2**31 nodes\n"
         assert captured.out == ""
         assert not out.exists()
 

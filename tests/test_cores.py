@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from corehier import cores
 from corehier.cores import core_numbers
-from corehier.errors import InputError
 from corehier.graph import NodeMeta, load_graph
 
 from conftest import core_numbers_oracle, make_graph, random_graph
@@ -42,24 +41,25 @@ def test_isolated_node_gets_core_zero():
     g = load_graph([("a", "b")], [NodeMeta("z")])
     dec = core_numbers(g)
     assert dec.core[g.id_of("z")] == 0
-    assert sorted(dec.shells[0]) == [g.id_of("z")]
+    assert dec.max_core == 1
 
 
-def test_self_loops_rejected():
-    g = load_graph([("a", "a"), ("a", "b")], [])
-    with pytest.raises(InputError):
-        core_numbers(g)
+def test_loop_record_adds_nothing_to_core_numbers():
+    looped = core_numbers(load_graph([("a", "a"), ("a", "b"), ("z", "z")], []))
+    assert looped == core_numbers(load_graph([("a", "b")], [NodeMeta("z")]))
+    assert looped.core == [1, 1, 0]
 
 
-def test_shells_partition_nodes():
+def test_max_core_is_the_largest_core_number():
     g = make_graph(
         [("a", "b"), ("a", "c"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "f"), ("f", "d")]
     )
     dec = core_numbers(g)
-    seen = sorted(v for nodes in dec.shells.values() for v in nodes)
-    assert seen == list(range(g.n))
-    for k, nodes in dec.shells.items():
-        assert all(dec.core[v] == k for v in nodes)
+    assert dec.core == [2, 2, 2, 2, 2, 2] and dec.max_core == 2
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        dec = core_numbers(random_graph(rng, int(rng.integers(1, 30)), int(rng.integers(0, 60))))
+        assert dec.max_core == max(dec.core)
 
 
 def test_monotone_nesting_of_cores():

@@ -392,12 +392,12 @@ external_ids = st.text(
 @st.composite
 def graphs(draw, max_nodes=8):
     """Edgeless graphs over unique, unsorted external ids: the writers read only the ids."""
-    names = draw(st.lists(external_ids, max_size=max_nodes, unique=True))
+    names = draw(st.lists(external_ids, min_size=1, max_size=max_nodes, unique=True))
     return Graph([0] * (len(names) + 1), [], names, [""] * len(names), [0] * len(names))
 
 
 def node_sets(g):
-    return st.sets(st.integers(0, g.n - 1), max_size=g.n) if g.n else st.just(set())
+    return st.sets(st.integers(0, g.n - 1), max_size=g.n)
 
 
 @st.composite
@@ -421,7 +421,7 @@ def hierarchies(draw):
         clusters=clusters,
         roots=draw(st.lists(some_id, max_size=3)) if ids else [],
         attached_singletons=draw(
-            st.dictionaries(st.integers(0, g.n - 1), some_id, max_size=g.n) if g.n and ids else st.just({})
+            st.dictionaries(st.integers(0, g.n - 1), some_id, max_size=g.n) if ids else st.just({})
         ),
         max_level=draw(st.integers(0, 5)),
         max_cluster_size=draw(st.integers(2, 200)),
@@ -457,11 +457,8 @@ def test_decomposition_writer_matches_oracle(data):
 @given(data=st.data())
 def test_sample_writer_matches_oracle(data):
     g = data.draw(graphs())
-    node = st.integers(0, g.n - 1) if g.n else st.nothing()
-    picks = data.draw(st.lists(
-        st.tuples(node, node, st.integers(0, 99), st.integers(0, 10**6)),
-        max_size=6 if g.n else 0,
-    ))
+    node = st.integers(0, g.n - 1)
+    picks = data.draw(st.lists(st.tuples(node, node, st.integers(0, 99), st.integers(0, 10**6)), max_size=6))
     sources, targets, communities, costs = [list(column) for column in zip(*picks)] or [[], [], [], []]
     result = SampleResult(sources, targets, communities, costs, sum(costs), [], 10**7)
     assert written(write_sample_tsv, result, g) == sample_to_tsv(result, g)

@@ -21,7 +21,7 @@ def test_kg_sparse_profile(seed):
     g = load_graph(edges, nodes)
     assert g.n == 1000
     assert is_connected(g)
-    assert not g.self_loops
+    assert all(a != b for a, b in edges)
     deg1 = sum(1 for k in g.degrees if k == 1) / g.n
     assert 0.50 <= deg1 <= 0.65
     assert 2.88 <= g.avg_degree <= 4.42

@@ -52,7 +52,7 @@ def test_duplicate_node_records_rejected():
 
 
 def test_zero_nodes_rejected():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="empty input: no nodes"):
         load_graph([], [])
 
 
@@ -61,18 +61,18 @@ def test_negative_tokens_rejected():
         NodeMeta("a", token_count=-1)
 
 
-def test_self_loop_kept_at_load_and_counts_in_handshake():
-    g = load_graph([("a", "a"), ("a", "b"), ("b", "c"), ("a", "c")], [])
-    assert g.m == 4
-    assert g.degrees[g.id_of("a")] == 4  # loop adds two
+def test_self_loop_registers_its_node_and_adds_no_edge():
+    g = load_graph([("a", "a"), ("a", "b"), ("b", "c"), ("a", "c"), ("z", "z")], [])
+    assert (g.n, g.m) == (4, 3)
+    assert g.degrees[g.id_of("a")] == 2
+    assert g.degrees[g.id_of("z")] == 0 and g.adj[g.id_of("z")] == []
     assert sum(g.degrees) == 2 * g.m
 
 
-def test_lcc_strips_self_loop_from_triangle():
+def test_lcc_of_looped_triangle_is_the_loaded_graph():
     g = load_graph([("a", "a"), ("a", "b"), ("b", "c"), ("a", "c")], [])
     lcc = largest_connected_component(g)
-    assert (lcc.n, lcc.m) == (3, 3)
-    assert not lcc.self_loops
+    assert lcc is g and (lcc.n, lcc.m) == (3, 3)
 
 
 def test_lcc_picks_larger_component():
@@ -95,9 +95,9 @@ def test_lcc_carries_metadata():
     assert lcc.tokens == [7, 0] and lcc.token_count(v) == 7
 
 
-def test_lcc_empty_graph_rejected():
-    with pytest.raises(InputError):
-        largest_connected_component(Graph([0], [], [], [], []))
+def test_graph_without_nodes_rejected():
+    with pytest.raises(InputError, match="empty input: no nodes"):
+        Graph([0], [], [], [], [])
 
 
 edge_lists = st.lists(
@@ -125,7 +125,6 @@ def test_handshake_and_simplicity_hold_after_load(edges):
 @given(edges=edge_lists)
 def test_lcc_output_is_connected_loopfree_min_degree_one(edges):
     lcc = largest_connected_component(load_graph(edges, []))
-    assert not lcc.self_loops
     assert is_connected(lcc)
     if lcc.n > 1:
         assert min(lcc.degrees) >= 1
@@ -165,11 +164,10 @@ def ingest_inputs(draw):
     return edges, nodes
 
 
-def assert_matches_oracle(g, adj, meta, loops):
+def assert_matches_oracle(g, adj, meta):
     assert g.adj == adj
-    assert g.degrees == [len(a) + (2 if v in loops else 0) for v, a in enumerate(adj)]
-    assert g.m == sum(map(len, adj)) // 2 + len(loops)
-    assert g.self_loops == loops
+    assert g.degrees == list(map(len, adj))
+    assert g.m == sum(map(len, adj)) // 2
     assert g.external_ids == [mt.external_id for mt in meta]
     assert g.labels == [mt.label for mt in meta]
     assert g.tokens == [mt.token_count for mt in meta]
@@ -181,13 +179,15 @@ def assert_matches_oracle(g, adj, meta, loops):
 def test_array_ingest_and_lcc_match_list_oracle(records):
     edges, nodes = records
     if not edges and not nodes:
+        with pytest.raises(InputError, match="empty input: no nodes"):
+            load_graph(edges, nodes)
         return
     g = load_graph(edges, nodes)
-    adj, meta, loops = load_graph_oracle(edges, nodes)
-    assert_matches_oracle(g, adj, meta, loops)
+    adj, meta = load_graph_oracle(edges, nodes)
+    assert_matches_oracle(g, adj, meta)
     lcc = largest_connected_component(g)
     lcc_adj, lcc_meta = lcc_oracle(adj, meta)
-    assert_matches_oracle(lcc, lcc_adj, lcc_meta, frozenset())
+    assert_matches_oracle(lcc, lcc_adj, lcc_meta)
     assert is_connected(lcc)
     assert is_connected(g) == (len(lcc_meta) == len(meta))
 

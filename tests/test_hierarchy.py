@@ -111,9 +111,6 @@ class TestTrivialShapes:
         disconnected = make_graph([("a", "b"), ("c", "d")])
         with pytest.raises(InputError):
             build_hierarchy(disconnected, 4)
-        loopy = load_graph([("a", "a"), ("a", "b")], [])
-        with pytest.raises(InputError):
-            build_hierarchy(loopy, 4)
 
 
 class TestSplitComponent:

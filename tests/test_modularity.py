@@ -297,8 +297,13 @@ class TestPartitionBlocks:
 LOOPED = [("a", "b"), ("a", "a")]
 
 
-class TestSelfLoopsRejected:
-    """m and the degrees count a loop while the internal edge counts skip it, so Q would be wrong."""
+class TestLoopRecords:
+    """A loop record adds no edge, so the lab sees the loop-free graph.
+
+    When the graph kept loops, m and the degrees counted one while the
+    internal edge counts skipped it, and Q of one community on one edge
+    came out -0.5 instead of 0.
+    """
 
     @pytest.mark.parametrize(
         "call",
@@ -315,12 +320,11 @@ class TestSelfLoopsRejected:
             "enumerate_degeneracy", "verify_sparse_bounds",
         ],
     )
-    def test_loop_raises_input_error(self, call):
-        with pytest.raises(InputError, match="modularity input must have self-loops removed"):
-            call(load_graph(LOOPED))
+    def test_loop_record_changes_no_value(self, call):
+        assert call(load_graph(LOOPED)) == call(load_graph(LOOPED[:1]))
 
     def test_loop_free_graph_gives_zero_for_one_community(self):
-        g = load_graph(LOOPED[:1])
+        g = load_graph(LOOPED)
         assert modularity(g, Partition((0, 0))).q == 0.0
         assert enumerate_degeneracy(g, 0.1, 1).q_star == 0.0
 
