@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import chain
 
 import numpy as np
@@ -50,13 +49,15 @@ class TokenModel:
     def estimate(self, text: str) -> int:
         """Token estimate for a text: ceil(len/chars_per_token), >= 1 if nonempty.
 
-        A quotient past float range is taken exactly, as fractions.
+        A quotient past float range is taken exactly, from the integer
+        ratio of ``chars_per_token``.
         """
         if not text:
             return 0
         quotient = len(text) / self.chars_per_token
         if quotient == math.inf:
-            quotient = Fraction(len(text)) / Fraction(self.chars_per_token)
+            num, den = self.chars_per_token.as_integer_ratio()
+            return -(-len(text) * den // num)
         return max(1, math.ceil(quotient))
 
 

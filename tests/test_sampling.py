@@ -1,5 +1,7 @@
 """Token accounting and round-robin selection traces and properties."""
 
+import math
+from fractions import Fraction
 from itertools import accumulate
 
 import numpy as np
@@ -32,6 +34,14 @@ class TestTokenModel:
         assert tm.estimate("abcd") == 1
         assert tm.estimate("abcde") == 2
         assert tm.estimate("x" * 12) == 3
+
+    @pytest.mark.parametrize("chars", [1e-320, 5e-324, 1e-308])
+    def test_estimate_past_float_range_is_the_exact_ceiling(self, chars):
+        # At 1e-308 one character stays in float range and seven do not.
+        for length in (1, 2, 7, 1000):
+            quotient = length / chars
+            expected = math.ceil(Fraction(length) / Fraction(chars)) if quotient == math.inf else math.ceil(quotient)
+            assert TokenModel(chars).estimate("x" * length) == expected
 
     def test_invalid_parameters(self):
         with pytest.raises(ConfigError):
