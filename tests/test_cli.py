@@ -8,10 +8,12 @@ import math
 import os
 import stat
 import threading
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -461,6 +463,29 @@ class TestPipeline:
         budget = budget_from_edge_fraction(g, 0.8)
         lines = (out / "sample.tsv").read_text().strip().split("\n")[1:]
         assert sum(int(line.split("\t")[3]) for line in lines) <= budget
+
+
+def test_load_peak_memory_is_a_small_multiple_of_the_input(tmp_path):
+    """Ingest holds a few bytes per input byte, not one ``str`` per endpoint.
+
+    A seeded edge-heavy input: 12,000 nodes and 120,000 edge records. numpy
+    reports its buffers to tracemalloc, so the peak counts the arrays too.
+    """
+    rng = np.random.default_rng(20261019)
+    names = [f"v{i:05d}" for i in range(12_000)]
+    pairs = rng.integers(0, len(names), size=(120_000, 2)).tolist()
+    write_edges_tsv(tmp_path / "edges.tsv", [(names[a], names[b]) for a, b in pairs])
+    write_nodes_jsonl(tmp_path / "nodes.jsonl", [NodeMeta(name, f"entity {i}", 10 + i % 97) for i, name in enumerate(names)])
+    size = (tmp_path / "edges.tsv").stat().st_size + (tmp_path / "nodes.jsonl").stat().st_size
+    cfg = cli.PipelineConfig(edges_path=tmp_path / "edges.tsv", nodes_path=tmp_path / "nodes.jsonl")
+    tracemalloc.start()
+    try:
+        g = cli._load(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.n == len(names)
+    assert peak <= 8 * size, f"peak {peak} B is {peak / size:.2f} x the {size} input bytes"
 
 
 def _injected_failure(*args, **kwargs):

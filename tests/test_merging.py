@@ -47,6 +47,15 @@ def test_two_hop_pair_merges_into_adjacent_cluster():
     assert small.id not in merged.clusters
 
 
+def test_merge_changes_and_returns_the_hierarchy_it_is_given():
+    g, h = build([("w", "q"), ("w", "r"), ("q", "r"), ("x", "w"), ("y", "w")], 8)
+    small = next(c for c in h.clusters.values() if c.kind == "two_hop")
+    clusters = h.clusters
+    merged, report = merge_small_clusters(g, h, MergeMode.TWO_HOP_ONLY)
+    assert merged is h and merged.clusters is clusters
+    assert report.merged and small.id not in h.clusters and small.id not in h.leaf_ids
+
+
 def test_residual_pair_only_eligible_under_extended_mode():
     edges = [
         ("a", "b"), ("b", "c"), ("c", "a"),  # triangle, 2-core
