@@ -3,10 +3,12 @@
 Extraction-style graphs are dominated by degree-1 nodes, so the hierarchy
 produces many two-node clusters. The merging passes fold those into
 neighboring leaves: the basic pass takes only two-hop pairs, the extended
-pass also takes residual pairs.
+pass also takes residual pairs. A merge changes the hierarchy it is
+given, so each pass here merges its own copy.
 """
 
 from collections import Counter
+from copy import deepcopy
 
 from corehier import (
     MergeMode,
@@ -35,11 +37,11 @@ def describe(tag, hierarchy):
 
 describe("unmerged", h)
 
-merged_2h, report_2h = merge_small_clusters(g, h, MergeMode.TWO_HOP_ONLY)
+merged_2h, report_2h = merge_small_clusters(g, deepcopy(h), MergeMode.TWO_HOP_ONLY)
 describe("two-hop only", merged_2h)
 print(f"  merged {len(report_2h.merged)} pairs, promoted {len(report_2h.promoted)}")
 
-merged_ext, report_ext = merge_small_clusters(g, h, MergeMode.RESIDUAL_AND_TWO_HOP)
+merged_ext, report_ext = merge_small_clusters(g, deepcopy(h), MergeMode.RESIDUAL_AND_TWO_HOP)
 describe("extended", merged_ext)
 print(f"  merged {len(report_ext.merged)} pairs, promoted {len(report_ext.promoted)}")
 

@@ -9,8 +9,8 @@ graph before community detection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, islice, repeat
-from operator import lt
+from itertools import compress, islice
+from operator import eq, lt
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -48,15 +48,18 @@ class Graph:
     ``labels`` and ``tokens``, the token counts. The graph keeps the lists
     it is given; nothing mutates them.
 
-    ``degrees`` is a list built on construction (O(n)). ``adj``, the same
-    neighbour lists as Python lists for the per-node loops downstream, is
-    derived from the arrays on first access in O(n + m); its entries share
-    the int objects of ``_ids``, one per node id, as the hierarchy's member
-    sets do. The external-id index behind :meth:`id_of` comes from
-    :func:`graph_from_columns` when the ids arrived in order, or is built
-    from ``external_ids`` on first use in O(n). ``_ranking`` holds the
-    sampling stage's edge ranking once it is first computed (see
-    ``sampling._ranked_edge_arrays``), and is None until then.
+    ``degrees`` is a list built on construction (O(n)). Three attributes
+    are built on first access. ``_ids`` is ``list(range(n))``, one int
+    object per node id (O(n); 8 bytes per node, and 32 per int past 256);
+    every int that names a node downstream is taken from it: the entries
+    of ``adj``, the values of the id index, the hierarchy's member sets
+    and the sample's picks, so no node id is held as two objects. ``adj``,
+    the neighbour lists as Python lists for the per-node loops downstream,
+    is derived from the arrays in O(n + m), 8 bytes per entry. The
+    external-id index behind :meth:`id_of` is built from ``external_ids``
+    in O(n). ``_ranking`` holds the sampling stage's edge ranking once it
+    is first computed (see ``sampling._ranked_edge_arrays``), and is None
+    until then.
 
     Treat instances as frozen once constructed; nothing in the package
     mutates them, which makes concurrent reads safe (two threads racing on
@@ -83,14 +86,16 @@ class Graph:
 
     def __getattr__(self, name: str):
         # Only reached while a lazy slot is still unset.
-        if name in ("adj", "_ids"):
-            self._ids = ids = list(range(self.n))
-            flat = list(map(ids.__getitem__, self.indices.tolist()))
+        if name == "_ids":
+            self._ids = list(range(self.n))
+            return self._ids
+        if name == "adj":
+            flat = list(map(self._ids.__getitem__, self.indices.tolist()))
             bounds = self.indptr.tolist()
             self.adj = list(map(flat.__getitem__, map(slice, bounds[:-1], bounds[1:])))
-            return getattr(self, name)
+            return self.adj
         if name == "_ext_index":
-            self._ext_index = dict(zip(self.external_ids, range(self.n)))
+            self._ext_index = dict(zip(self.external_ids, self._ids))
             return self._ext_index
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
@@ -129,92 +134,228 @@ def load_graph(
     """Build a graph from raw edge and node records.
 
     A self-loop registers its node and adds no edge, so the graph is
-    simple; records naming no node raise :class:`InputError`. The records
-    are unzipped into columns in O(n + m) for :func:`graph_from_columns`,
-    which states the rules and the cost.
+    simple; records naming no node raise :class:`InputError`. The endpoints
+    are encoded into :class:`EdgeSpans` and the node records unzipped into
+    columns in O(n + m) for :func:`graph_from_columns`, which states the
+    rules and the cost.
     """
-    pairs, nodes = list(edge_records), list(node_records)
+    nodes = list(node_records)
     return graph_from_columns(
-        [src for src, _ in pairs],
-        [dst for _, dst in pairs],
+        EdgeSpans.encode([end for src, dst in edge_records for end in (src, dst)]),
         [rec.external_id for rec in nodes],
         [rec.label for rec in nodes],
         [rec.token_count for rec in nodes],
     )
 
 
-def graph_from_columns(
-    sources: list[str],
-    targets: list[str],
-    ids: list[str],
-    labels: list[str],
-    tokens: list[int],
-) -> Graph:
-    """Build a graph from edge and node columns.
+@dataclass(frozen=True, eq=False)
+class EdgeSpans:
+    """Edge endpoints as UTF-8 byte spans of one buffer: no ``str`` per endpoint.
 
-    Edge i joins ``sources[i]`` and ``targets[i]``; node j has external id
-    ``ids[j]``, label ``labels[j]`` and ``tokens[j]`` >= 0 tokens. Edge
+    Endpoint j is ``data[starts[j]:ends[j]]``, and edge i joins endpoints
+    2i and 2i + 1; ``starts`` and ``ends`` are int64 arrays of equal,
+    even length. The edge readers keep the file's bytes as ``data`` and
+    record where each field lies, so the spans cost 16 bytes per endpoint
+    on top of the file; :meth:`encode` builds the same form from names.
+    """
+
+    data: bytes
+    starts: np.ndarray
+    ends: np.ndarray
+
+    @classmethod
+    def encode(cls, names: list[str]) -> EdgeSpans:
+        """The spans of ``names`` (edge i joins names 2i and 2i + 1), encoded end to end. O(total length)."""
+        return cls(*_encode(names))
+
+
+def _encode(names: list[str]) -> tuple[bytes, np.ndarray, np.ndarray]:
+    """``names`` as UTF-8 end to end, and each one's start and end offset (int64).
+
+    A lone surrogate, which a JSON string may hold, is encoded as its three
+    bytes ("surrogatepass"), so every name has bytes; UTF-8 orders bytes as
+    ``str`` orders code points. An ASCII text is encoded in one call.
+    """
+    joined = "".join(names)
+    if joined.isascii():
+        data, pieces = joined.encode("ascii"), names
+    else:
+        pieces = [name.encode("utf-8", "surrogatepass") for name in names]
+        data = b"".join(pieces)
+    lengths = np.fromiter(map(len, pieces), dtype=np.int64, count=len(pieces))
+    ends = np.cumsum(lengths)
+    return data, ends - lengths, ends
+
+
+def _stable_order(key: np.ndarray, top: int) -> np.ndarray:
+    """Stable argsort of ``key``, whose entries are ints in [0, ``top``].
+
+    The key is cast to the narrowest unsigned dtype that holds ``top``:
+    numpy sorts 8- and 16-bit keys by radix in O(len(key)), and wider ones
+    in O(len(key) log len(key)).
+    """
+    return np.argsort(key.astype(np.min_scalar_type(top)), kind="stable")
+
+
+def _fixed_keys(data: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
+    """The ``width`` bytes of ``data`` from each of ``starts``, one key each, ordered as the bytes are.
+
+    Up to 8 bytes make a big-endian uint64, more an ``S{width}`` string.
+    Every key has all ``width`` bytes, so equal keys are equal bytes: the
+    string dtype's trailing-NUL rule cannot merge two keys of one width.
+    The bytes are gathered one column at a time, so the transient memory
+    is one int64 per start, not one per byte.
+    """
+    if width <= 8:
+        keys = np.zeros(len(starts), dtype=np.uint64)
+        for j in range(width):
+            keys <<= 8
+            keys |= data[starts + j]
+        return keys
+    table = np.empty((len(starts), width), dtype=np.uint8)
+    for j in range(width):
+        table[:, j] = data[starts + j]
+    return table.view(f"S{width}").ravel()
+
+
+#: Endpoints matched per step of :func:`_join`, which bounds its transient arrays.
+_CHUNK = 1 << 16
+
+
+def _by_width(lengths: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """``(width, positions)`` for each distinct value of ``lengths``, ascending; positions ascending."""
+    counts = np.bincount(lengths)
+    order, stops = _stable_order(lengths, len(counts) - 1), np.cumsum(counts)
+    for width in np.flatnonzero(counts).tolist():
+        yield width, order[stops[width] - counts[width]:stops[width]]
+
+
+def _join(edges: EdgeSpans, ids: list[str]) -> tuple[np.ndarray, list[str]]:
+    """Each endpoint's index in ``ids``, which are distinct and in order, and the endpoints naming none.
+
+    Returns ``(node, unknown)``: ``unknown`` holds the distinct names that
+    no id matches, in order, and an endpoint naming ``unknown[q]`` gets
+    ``len(ids) + q``. Ids and endpoints are grouped by byte length, so
+    that within a group every key has the same width (see
+    :func:`_fixed_keys`). The ids' keys of each width are in order, since
+    an in-order list stays in order when filtered; for ``_CHUNK``
+    endpoints at a time, one ``np.searchsorted`` per width finds each
+    endpoint's id and an exact key comparison confirms it. The endpoints
+    no id matches are then grouped by width, sorted and numbered, and only
+    the distinct ones are decoded, one ``str`` each. Cost: O(B) to build
+    the keys of B bytes, plus O(e log n) to search e endpoints among n ids,
+    plus a sort of the unknown endpoints and of their names. Memory: the
+    result and the ids' keys, plus O(_CHUNK) transient, plus O(u) for u
+    unknown endpoints.
+    """
+    n = len(ids)
+    id_data, id_starts, id_ends = _encode(ids)
+    id_bytes, end_bytes = np.frombuffer(id_data, dtype=np.uint8), np.frombuffer(edges.data, dtype=np.uint8)
+    index = {
+        width: (ranks, _fixed_keys(id_bytes, id_starts[ranks], width))
+        for width, ranks in _by_width(id_ends - id_starts)
+    }
+    node = np.empty(len(edges.starts), dtype=np.int64)
+    lost = [np.zeros(0, dtype=np.int64)]  # the endpoints no id matches
+    for first in range(0, len(node), _CHUNK):
+        starts = edges.starts[first:first + _CHUNK]
+        for width, part in _by_width(edges.ends[first:first + _CHUNK] - starts):
+            wanted = _fixed_keys(end_bytes, starts[part], width)
+            part = part + first
+            if width not in index:
+                lost.append(part)
+                continue
+            ranks, keys = index[width]
+            at = np.searchsorted(keys, wanted)
+            np.minimum(at, len(keys) - 1, out=at)
+            found = keys[at] == wanted
+            node[part[found]] = ranks[at[found]]
+            lost.append(part[~found])
+    lost = np.concatenate(lost)
+    names: list[str] = []  # the unknown names, in order within each width
+    for width, part in _by_width(edges.ends[lost] - edges.starts[lost]):
+        part = lost[part]
+        missing = _fixed_keys(end_bytes, edges.starts[part], width)
+        order = np.argsort(missing, kind="stable")
+        missing = missing[order]
+        fresh = np.ones(len(order), dtype=bool)
+        np.not_equal(missing[1:], missing[:-1], out=fresh[1:])
+        node[part[order]] = n + len(names) + np.cumsum(fresh) - 1
+        names.extend(
+            edges.data[start:start + width].decode("utf-8", "surrogatepass")
+            for start in edges.starts[part[order[fresh]]].tolist()
+        )
+    if not names:
+        return node, []
+    order = sorted(range(len(names)), key=names.__getitem__)
+    rank = np.empty(len(names), dtype=np.int64)
+    rank[order] = np.arange(n, n + len(names))
+    tail = node >= n
+    node[tail] = rank[node[tail] - n]
+    return node, list(map(names.__getitem__, order))
+
+
+def graph_from_columns(edges: EdgeSpans, ids: list[str], labels: list[str], tokens: list[int]) -> Graph:
+    """Build a graph from edge spans and node columns.
+
+    Edge i joins endpoints 2i and 2i + 1 of ``edges``; node j has external
+    id ``ids[j]``, label ``labels[j]`` and ``tokens[j]`` >= 0 tokens. Edge
     endpoints that name no node are registered with an empty label and
     zero tokens. Parallel edges collapse to one, and a self-loop is dropped
     while the keys are built, though it still registers its node, so the
     graph is simple. Internal ids follow lexicographic external-id order.
-    Columns naming no node at all raise :class:`InputError` ("empty input:
-    no nodes"). The graph may keep the node lists.
+    A repeated id raises :class:`InputError` before an empty endpoint
+    does, and columns naming no node at all raise "empty input: no nodes".
+    The graph may keep the node lists.
 
-    Cost: one dict of the node ids, and one lookup in it per endpoint. The
-    endpoints it lacks are collected, sorted and numbered after the nodes.
-    If the ids are then in order, which an input written in id order gives,
-    that dict is the graph's id index. Otherwise one sort of the ids
-    (O(n log n) string comparisons) renumbers the endpoints by array
-    indexing, and the index is built when first used. Then an O(m log m)
-    sort of the encoded keys u * n + w of both edge directions; a key equal
-    to its predecessor is a parallel edge. The sorted keys are the CSR rows
-    in order.
+    Cost: O(n) string comparisons to see whether the ids are in order, and
+    one sort of them (O(n log n) comparisons) when they are not, which also
+    finds a repeated id. Then :func:`_join` matches the endpoints to the ids
+    by their bytes: no endpoint becomes a ``str`` unless it names no node.
+    Those are numbered after the nodes, and when one sorts before a node
+    id, a sort of the two in-order runs (O(n) comparisons) renumbers every
+    endpoint by array indexing. Then an O(m log m) sort of the encoded keys
+    u * n + w of both edge directions; a key equal to its predecessor is a
+    parallel edge. The sorted keys are the CSR rows in order. The
+    external-id index behind :meth:`Graph.id_of` is built on first use.
     """
-    known = dict(zip(ids, range(len(ids))))
-    if len(known) < len(ids):
-        seen: set[str] = set()
-        for ext in ids:
-            if ext in seen:
-                raise InputError(f"duplicate node id {ext!r}")
-            seen.add(ext)
-    if not (all(sources) and all(targets)):
+    if not all(map(lt, ids, islice(ids, 1, None))):
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        ranked = list(map(ids.__getitem__, order))
+        repeats = list(compress(islice(order, 1, None), map(eq, ranked, islice(ranked, 1, None))))
+        if repeats:  # each repeat sorts right after an earlier equal id
+            raise InputError(f"duplicate node id {ids[min(repeats)]!r}")
+        ids, labels, tokens = ranked, list(map(labels.__getitem__, order)), list(map(tokens.__getitem__, order))
+    if (edges.starts == edges.ends).any():
         raise InputError("edge with empty endpoint id")
 
-    ends = sources + targets
-    node = np.fromiter(map(known.get, ends, repeat(-1)), dtype=np.int64, count=len(ends))
-    missing = node < 0
-    if missing.any():
-        names = list(compress(ends, missing.tolist()))
-        unknown = sorted(set(names))
-        extra = dict(zip(unknown, range(len(ids), len(ids) + len(unknown))))
-        node[missing] = np.fromiter(map(extra.__getitem__, names), dtype=np.int64, count=len(names))
-        known.update(extra)
+    node, unknown = _join(edges, ids)
+    if unknown:
+        at = len(ids)
         ids, labels, tokens = ids + unknown, labels + [""] * len(unknown), tokens + [0] * len(unknown)
+        if at and ids[at - 1] > ids[at]:
+            order = sorted(range(len(ids)), key=ids.__getitem__)  # two in-order runs: one merge
+            rank = np.empty(len(ids), dtype=np.int64)
+            rank[order] = np.arange(len(ids))
+            node = rank[node]
+            ids, labels, tokens = (list(map(column.__getitem__, order)) for column in (ids, labels, tokens))
     n = len(ids)
-    in_order = all(map(lt, ids, islice(ids, 1, None)))
-    if not in_order:
-        order = sorted(range(n), key=ids.__getitem__)
-        rank = np.empty(n, dtype=np.int64)
-        rank[order] = np.arange(n)
-        node = rank[node]
-        ids, labels, tokens = (list(map(column.__getitem__, order)) for column in (ids, labels, tokens))
 
-    u, w = node[: len(sources)], node[len(sources):]
+    u, w = node[0::2], node[1::2]
     edge = u != w
     u, w = u[edge], w[edge]
+    del node, edge  # each step below frees what it no longer needs, to keep the peak low
     keys = np.concatenate((u * n + w, w * n + u))
+    del u, w
     keys.sort()
     fresh = np.ones(len(keys), dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
-    rows, cols = np.divmod(keys[fresh], n)
+    keys = keys[fresh]
+    cols = (keys % n).astype(np.int32)
+    keys //= n  # the row of each entry
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-
-    g = Graph(indptr, cols, ids, labels, tokens)
-    if in_order:
-        g._ext_index = known
-    return g
+    np.cumsum(np.bincount(keys, minlength=n), out=indptr[1:])
+    return Graph(indptr, cols, ids, labels, tokens)
 
 
 def _component_labels(n: int, u: np.ndarray, w: np.ndarray) -> np.ndarray:

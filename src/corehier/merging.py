@@ -18,7 +18,7 @@ from enum import Enum
 
 from .errors import ConfigError
 from .graph import Graph
-from .hierarchy import Cluster, Hierarchy, _best_host
+from .hierarchy import Hierarchy, _best_host
 
 
 class MergeMode(str, Enum):
@@ -63,56 +63,35 @@ class MergeReport:
         return dict(vars(self))
 
 
-def _clone_hierarchy(h: Hierarchy) -> Hierarchy:
-    clusters = {
-        cid: Cluster(
-            id=c.id,
-            members=set(c.members),
-            level=c.level,
-            kind=c.kind,
-            parent=c.parent,
-            children=list(c.children),
-            anchors=c.anchors,
-        )
-        for cid, c in h.clusters.items()
-    }
-    return Hierarchy(
-        clusters=clusters,
-        roots=list(h.roots),
-        attached_singletons=dict(h.attached_singletons),
-        max_level=h.max_level,
-        max_cluster_size=h.max_cluster_size,
-        leaf_ids=set(h.leaf_ids),
-    )
-
-
 def merge_small_clusters(
     g: Graph, h: Hierarchy, mode: MergeMode = MergeMode.TWO_HOP_ONLY
 ) -> tuple[Hierarchy, MergeReport]:
-    """Merge eligible size-2 leaf clusters into neighboring leaves.
+    """Merge eligible size-2 leaf clusters of ``h`` into neighboring leaves, in place; return ``(h, report)``.
 
-    Works on a private copy of the hierarchy. Merge targets are leaf
-    clusters only; folding a leaf into an internal cluster would pull its
-    nodes out of the leaf level entirely. Neighbor counts are re-evaluated
-    against the kept set as it grows, and all ties break toward the smallest
-    cluster id.
+    ``h`` itself is changed and returned: merged clusters leave its cluster
+    map and leaf registry, their hosts' member sets grow, and attached
+    singletons follow their cluster. Merge a ``copy.deepcopy(h)`` to keep
+    the original. Merge targets are leaf clusters only; folding a leaf
+    into an internal cluster would pull its nodes out of the leaf level
+    entirely. Neighbor counts are re-evaluated against the kept set as it
+    grows, and all ties break toward the smallest cluster id.
 
-    Cost: O(M) to copy the M member entries, plus O(k m log m) when a node
-    lies in at most k leaves (1 without shared anchors): a node's adjacency
-    is scanned when it is first covered and twice per small cluster holding
-    it, each step reads up to k cluster ids and may push onto the heap. A
-    merge unlinks the small cluster from its parent's c children in O(c).
+    Cost: O(k m log m) when a node lies in at most k leaves (1 without
+    shared anchors): a node's adjacency is scanned when it is first covered
+    and twice per small cluster holding it, each step reads up to k cluster
+    ids and may push onto the heap. A merge unlinks the small cluster from
+    its parent's c children in O(c). Memory: the coverage maps, O(M) for
+    the M leaf member entries; no cluster is copied.
     """
     mode = MergeMode(mode)
-    result = _clone_hierarchy(h)
-    report = MergeReport(mode=mode, clusters_before=len(result.clusters))
+    report = MergeReport(mode=mode, clusters_before=len(h.clusters))
 
     eligible_kinds = _ELIGIBLE_KINDS[mode]
-    leaf_ids = [c.id for c in result.leaves()]
+    leaf_ids = [c.id for c in h.leaves()]
     small_ids = [
         cid
         for cid in leaf_ids
-        if result.clusters[cid].kind in eligible_kinds and len(result.clusters[cid].members) == 2
+        if h.clusters[cid].kind in eligible_kinds and len(h.clusters[cid].members) == 2
     ]
     small_set = set(small_ids)
 
@@ -122,20 +101,20 @@ def merge_small_clusters(
     for cid in leaf_ids:
         if cid in small_set:
             continue
-        for v in result.clusters[cid].members:
+        for v in h.clusters[cid].members:
             covered_in.setdefault(v, []).append(cid)
 
     member_of_small: dict[int, list[int]] = {}
     for cid in small_ids:
-        for v in result.clusters[cid].members:
+        for v in h.clusters[cid].members:
             member_of_small.setdefault(v, []).append(cid)
 
     attached_by_cluster: dict[int, list[int]] = {}
-    for v, owner in result.attached_singletons.items():
+    for v, owner in h.attached_singletons.items():
         attached_by_cluster.setdefault(owner, []).append(v)
 
     def covered_neighbor_count(cid: int) -> int:
-        members = result.clusters[cid].members
+        members = h.clusters[cid].members
         hits = {
             w for v in members for w in g.adj[v] if w not in members and w in covered_in
         }
@@ -155,7 +134,7 @@ def merge_small_clusters(
             bumped: set[int] = set()
             for w in g.adj[v]:
                 for sid in member_of_small.get(w, ()):
-                    if sid in small_set and v not in result.clusters[sid].members:
+                    if sid in small_set and v not in h.clusters[sid].members:
                         bumped.add(sid)
             for sid in bumped:
                 counts[sid] += 1
@@ -166,20 +145,20 @@ def merge_small_clusters(
         if cid not in small_set or counts[cid] != -neg:
             continue
         small_set.discard(cid)
-        small = result.clusters[cid]
+        small = h.clusters[cid]
 
         best = _best_host(g, small.members, covered_in)
         if best is not None:
-            host = result.clusters[best]
+            host = h.clusters[best]
             new_nodes = small.members - host.members
             report.deduplicated += len(small.members) - len(new_nodes)
             host.members |= small.members
             if small.parent is not None:
-                result.clusters[small.parent].children.remove(cid)
-            del result.clusters[cid]
-            result.leaf_ids.discard(cid)
+                h.clusters[small.parent].children.remove(cid)
+            del h.clusters[cid]
+            h.leaf_ids.discard(cid)
             for v in attached_by_cluster.pop(cid, ()):
-                result.attached_singletons[v] = best
+                h.attached_singletons[v] = best
                 attached_by_cluster.setdefault(best, []).append(v)
             mark_covered(new_nodes, best)
             report.merged.append((cid, best))
@@ -187,6 +166,6 @@ def merge_small_clusters(
             mark_covered(small.members, cid)
             report.promoted.append(cid)
 
-    report.clusters_after = len(result.clusters)
-    result.max_level = max(c.level for c in result.clusters.values())
-    return result, report
+    report.clusters_after = len(h.clusters)
+    h.max_level = max(c.level for c in h.clusters.values())
+    return h, report

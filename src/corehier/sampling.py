@@ -25,7 +25,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .graph import Graph
+from .graph import Graph, _stable_order
 from .hierarchy import Hierarchy
 
 #: Flat token cost added per edge on top of both endpoint token counts,
@@ -104,16 +104,6 @@ def default_edge_costs(g: Graph, edges: Iterable[tuple[int, int]], overhead: int
     return _edge_prices(g, ends[0::2], ends[1::2], overhead).tolist()
 
 
-def _stable_order(key: np.ndarray, top: int) -> np.ndarray:
-    """Stable argsort of ``key``, whose entries are ints in [0, ``top``].
-
-    The key is cast to the narrowest unsigned dtype that holds ``top``:
-    numpy sorts 8- and 16-bit keys by radix in O(len(key)), and wider ones
-    in O(len(key) log len(key)).
-    """
-    return np.argsort(key.astype(np.min_scalar_type(top)), kind="stable")
-
-
 def _ranked_edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Edge arrays (u < w) in rank order: combined endpoint degree descending, then u, then w.
 
@@ -156,6 +146,8 @@ class SampleResult:
     Pick i is the edge (``sources[i]``, ``targets[i]``), taken for the leaf
     community ``communities[i]`` at price ``costs[i]``. The lists hold
     Python ints, not arrays, so that two results compare with ``==``.
+    ``sources`` and ``targets`` hold the graph's own node int objects
+    (``g._ids``), so they cost 8 bytes per pick each, not 40.
     """
 
     sources: list[int]
@@ -259,7 +251,9 @@ def round_robin_sample(h: Hierarchy, g: Graph, budget: int, overhead: int = DEFA
     leaf = owner[picks]
     exhausted = leaf[rounds[picks] == counts[leaf] - 1]
     name = leaf_ids.__getitem__  # cluster ids are unbounded ints, so they stay in a list
-    sources, targets, costs = u[picks].tolist(), w[picks].tolist(), prices[picks].tolist()
+    ids = g._ids
+    nodes = np.array(ids, dtype=object)  # the graph's int objects, gathered without new ones
+    sources, targets, costs = nodes[u[picks]].tolist(), nodes[w[picks]].tolist(), prices[picks].tolist()
     communities = list(map(name, leaf.tolist()))
     # Leaves without edges retire first, every other one at its last pick.
     retired = list(map(name, np.flatnonzero(counts == 0).tolist() + exhausted.tolist()))
@@ -283,8 +277,8 @@ def round_robin_sample(h: Hierarchy, g: Graph, budget: int, overhead: int = DEFA
                     retired.append(leaf_ids[p])
                     unaffordable.append(leaf_ids[p])
                     continue
-                sources.append(int(u[i]))
-                targets.append(int(w[i]))
+                sources.append(ids[u[i]])
+                targets.append(ids[w[i]])
                 communities.append(leaf_ids[p])
                 costs.append(cost)
                 remaining -= cost

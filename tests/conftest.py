@@ -231,6 +231,12 @@ def iter_set_partitions(n: int):
             maxes[j] = maxes[i]
 
 
+def edge_columns(spans):
+    """The endpoints of edge spans decoded: (sources, targets) as lists of str."""
+    names = [spans.data[a:b].decode("utf-8", "surrogatepass") for a, b in zip(spans.starts.tolist(), spans.ends.tolist())]
+    return names[0::2], names[1::2]
+
+
 def load_graph_oracle(edge_records, node_records=()):
     """List-based reference ingest: (adj, meta) as ``load_graph`` must build them.
 

@@ -8,6 +8,7 @@ instance), so no smaller constant can pass it.
 """
 
 import time
+from copy import deepcopy
 
 import numpy as np
 import pytest
@@ -61,7 +62,10 @@ def report(criterion: int, text: str) -> None:
 
 @pytest.fixture(scope="module")
 def fixture_bundle():
-    """The 100 seeded sparse fixtures with hierarchy and merges, built once."""
+    """The 100 seeded sparse fixtures with their hierarchies, built once.
+
+    Merging changes the hierarchy it is given, so each test merges a copy.
+    """
     bundle = []
     for seed in range(FIXTURE_COUNT):
         edges, nodes = generate_kg_sparse(FIXTURE_N, seed=seed)
@@ -131,8 +135,8 @@ def test_criterion_03_hierarchy_invariants_and_determinism(fixture_bundle):
 
 def test_criterion_04_merging_invariants(fixture_bundle):
     for seed, g, max_size, h in fixture_bundle:
-        merged_2h, rep_2h = merge_small_clusters(g, h, MergeMode.TWO_HOP_ONLY)
-        merged_ext, rep_ext = merge_small_clusters(g, h, MergeMode.RESIDUAL_AND_TWO_HOP)
+        merged_2h, rep_2h = merge_small_clusters(g, deepcopy(h), MergeMode.TWO_HOP_ONLY)
+        merged_ext, rep_ext = merge_small_clusters(g, deepcopy(h), MergeMode.RESIDUAL_AND_TWO_HOP)
 
         assert len(merged_ext.clusters) <= len(merged_2h.clusters) <= len(h.clusters)
 
@@ -161,7 +165,7 @@ def test_criterion_04_merging_invariants(fixture_bundle):
 
 def test_criterion_05_round_robin_budgets(fixture_bundle):
     for seed, g, max_size, h in fixture_bundle:
-        merged, _ = merge_small_clusters(g, h, MergeMode.TWO_HOP_ONLY)
+        merged, _ = merge_small_clusters(g, deepcopy(h), MergeMode.TWO_HOP_ONLY)
         for fraction in (0.8, 0.7, 0.6):
             budget = budget_from_edge_fraction(g, fraction)
             result = round_robin_sample(merged, g, budget)

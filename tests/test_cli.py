@@ -7,6 +7,8 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import threading
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
@@ -22,7 +24,7 @@ from corehier import cli, fileio
 from corehier.cli import main
 from corehier.errors import ConfigError, InputError
 from corehier.fileio import write_edges_tsv, write_nodes_jsonl
-from corehier.fixtures import three_level_example
+from corehier.fixtures import generate_kg_sparse, three_level_example
 from corehier.graph import NodeMeta
 
 
@@ -421,7 +423,11 @@ class TestPipeline:
         assert lines == ["#src\tdst\tcommunity\tcost", *picks]
 
     def test_pipeline_ingests_columns(self, example_inputs, tmp_path, monkeypatch):
-        """The CLI reads both files as columns: no NodeMeta, no edge record list, no load_graph."""
+        """The CLI reads the edges as byte spans of the file, with no str per endpoint, and the nodes as columns.
+
+        No NodeMeta, no edge record list, no load_graph, and no endpoint
+        encoded from a str.
+        """
         from corehier import graph
 
         def refuse(*args, **kwargs):
@@ -429,6 +435,7 @@ class TestPipeline:
 
         monkeypatch.setattr(NodeMeta, "__post_init__", refuse)  # every NodeMeta runs it
         monkeypatch.setattr(graph, "load_graph", refuse)
+        monkeypatch.setattr(graph.EdgeSpans, "encode", refuse)
         built = []
         original = cli.graph_from_columns
 
@@ -440,9 +447,13 @@ class TestPipeline:
         edges, nodes = example_inputs
         assert run("pipeline", "--edges", edges, "--nodes", nodes, "--out", str(tmp_path / "o")) == 0
         (columns,) = built
-        assert [type(column) for column in columns] == [list] * 5
-        sources, targets, ids, labels, tokens = columns
-        assert all(isinstance(name, str) for name in sources + targets + ids + labels)
+        spans, ids, labels, tokens = columns
+        text = Path(edges).read_bytes()
+        assert type(spans) is graph.EdgeSpans and type(spans.data) is bytes and spans.data == text
+        assert spans.starts.dtype == spans.ends.dtype == np.int64
+        assert len(spans.starts) == len(spans.ends) == 2 * text.count(b"\n")
+        assert [type(column) for column in (ids, labels, tokens)] == [list] * 3
+        assert all(isinstance(name, str) for name in ids + labels)
         assert all(type(count) is int for count in tokens)
 
     def test_sample_respects_edge_fraction_budget(self, example_inputs, tmp_path):
@@ -458,7 +469,7 @@ class TestPipeline:
             == 0
         )
         g = largest_connected_component(
-            graph_from_columns(*read_edges_tsv(edges), *read_nodes_jsonl(nodes))
+            graph_from_columns(read_edges_tsv(edges), *read_nodes_jsonl(nodes))
         )
         budget = budget_from_edge_fraction(g, 0.8)
         lines = (out / "sample.tsv").read_text().strip().split("\n")[1:]
@@ -486,6 +497,41 @@ def test_load_peak_memory_is_a_small_multiple_of_the_input(tmp_path):
         tracemalloc.stop()
     assert g.n == len(names)
     assert peak <= 8 * size, f"peak {peak} B is {peak / size:.2f} x the {size} input bytes"
+
+
+def test_commands_import_neither_fractions_nor_numpy_ma(tmp_path):
+    """``pipeline`` and the five staged subcommands leave both modules unimported.
+
+    Each adds start-up time to every command; ``np.unique`` without a
+    ``return_*`` flag imports ``numpy.ma``. The commands run in a fresh
+    interpreter on a 400-node fixture.
+    """
+    edges, nodes = generate_kg_sparse(400, seed=3)
+    write_edges_tsv(tmp_path / "edges.tsv", edges)
+    write_nodes_jsonl(tmp_path / "nodes.jsonl", nodes)
+    io = ["--edges", str(tmp_path / "edges.tsv"), "--nodes", str(tmp_path / "nodes.jsonl")]
+    h, merged = str(tmp_path / "h.json"), str(tmp_path / "merged.json")
+    calls = [
+        ["pipeline", *io, "--out", str(tmp_path / "p"), "--merge-mode", "mrc"],
+        ["decompose", *io, "--out", str(tmp_path / "dec.json")],
+        ["hierarchy", *io, "--out", h],
+        ["merge", *io, "--hierarchy", h, "--mode", "mrc", "--out", merged],
+        ["stats", *io, "--hierarchy", merged, "--level", "l1", "--out", str(tmp_path / "stats.json")],
+        ["sample", *io, "--hierarchy", merged, "--edge-fraction", "0.5", "--out", str(tmp_path / "sample.tsv")],
+    ]
+    script = (
+        "import json, sys\n"
+        "from corehier.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, sorted({'fractions', 'numpy.ma'} & set(sys.modules))]))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(calls)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[0] * len(calls), []]
 
 
 def _injected_failure(*args, **kwargs):

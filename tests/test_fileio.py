@@ -1,6 +1,7 @@
 """Parsers, writers, and hierarchy JSON round-tripping."""
 
 import json
+from copy import deepcopy
 from io import StringIO
 
 import pytest
@@ -11,7 +12,7 @@ from corehier import fileio
 from corehier.cores import CoreDecomposition, core_numbers
 from corehier.errors import InputError
 from corehier.fileio import (
-    _clean_tsv_fields,
+    _clean_tsv_spans,
     _read_edges_by_line,
     _read_nodes_by_line,
     hierarchy_from_json_obj,
@@ -27,7 +28,7 @@ from corehier.fileio import (
     write_sample_tsv,
 )
 from corehier.fixtures import three_level_example
-from corehier.graph import Graph, largest_connected_component, load_graph
+from corehier.graph import EdgeSpans, Graph, largest_connected_component, load_graph
 from corehier.hierarchy import CLUSTER_KINDS, Cluster, Hierarchy, build_hierarchy
 from corehier.merging import MergeMode, merge_small_clusters
 from corehier.sampling import (
@@ -36,12 +37,14 @@ from corehier.sampling import (
     round_robin_sample,
 )
 
+from conftest import edge_columns
+
 
 class TestEdgeFile:
     def test_parses_two_and_three_columns(self, tmp_path):
         p = tmp_path / "edges.tsv"
         p.write_text("# comment\na\tb\nb\tc\t2.5\n\n", encoding="utf-8")
-        assert read_edges_tsv(p) == (["a", "b"], ["b", "c"])
+        assert edge_columns(read_edges_tsv(p)) == (["a", "b"], ["b", "c"])
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         p = tmp_path / "edges.tsv"
@@ -69,7 +72,7 @@ class TestEdgeFile:
         p = tmp_path / "edges.tsv"
         records = [("a", "b"), ("b", "c")]
         write_edges_tsv(p, records)
-        assert list(zip(*read_edges_tsv(p))) == records
+        assert list(zip(*edge_columns(read_edges_tsv(p)))) == records
 
 
 class TestNodeFile:
@@ -180,11 +183,12 @@ class TestNodeFile:
 
 
 def outcome(read, *args):
-    """What a reader gives: its columns, or the text of its InputError."""
+    """What a reader gives: its columns (edge spans decoded), or the text of its InputError."""
     try:
-        return read(*args)
+        result = read(*args)
     except InputError as exc:
         return str(exc)
+    return edge_columns(result) if isinstance(result, EdgeSpans) else result
 
 
 def write_exact(path, text: str) -> None:
@@ -264,7 +268,7 @@ def test_written_files_take_the_bulk_paths(tmp_path, monkeypatch):
     edges, nodes = three_level_example()
     write_edges_tsv(tmp_path / "edges.tsv", edges)
     write_nodes_jsonl(tmp_path / "nodes.jsonl", nodes)
-    assert list(zip(*read_edges_tsv(tmp_path / "edges.tsv"))) == edges
+    assert list(zip(*edge_columns(read_edges_tsv(tmp_path / "edges.tsv")))) == edges
     assert list(zip(*read_nodes_jsonl(tmp_path / "nodes.jsonl"))) == [
         (r.external_id, r.label, r.token_count) for r in nodes
     ]
@@ -304,7 +308,7 @@ def test_edge_reader_matches_the_line_reader(tmp_path_factory, data):
     pairs = data.draw(st.lists(st.tuples(ids_for_files, ids_for_files), max_size=6))
     clean = "".join(f"{a}\t{b}\n" for a, b in pairs)
     if pairs:
-        assert _clean_tsv_fields(clean) is not None
+        assert _clean_tsv_spans(clean.encode("utf-8")) is not None
     text = data.draw(spliced(clean))
     p = tmp_path_factory.mktemp("edges") / "edges.tsv"
     write_exact(p, text)
@@ -353,7 +357,7 @@ class TestHierarchyJson:
     def test_merge_of_roundtripped_hierarchy_matches_direct(self):
         g, h = self.build()
         back = hierarchy_from_json_obj(hierarchy_to_json_obj(h, g), g)
-        direct, _ = merge_small_clusters(g, h, MergeMode.RESIDUAL_AND_TWO_HOP)
+        direct, _ = merge_small_clusters(g, deepcopy(h), MergeMode.RESIDUAL_AND_TWO_HOP)
         via_json, _ = merge_small_clusters(g, back, MergeMode.RESIDUAL_AND_TWO_HOP)
         assert hierarchy_to_json_obj(direct, g) == hierarchy_to_json_obj(via_json, g)
 
@@ -485,7 +489,7 @@ def test_writers_match_oracle_on_the_example():
     g = largest_connected_component(load_graph(edges, nodes))
     dec = core_numbers(g)
     h = build_hierarchy(g, 16)
-    merged, _ = merge_small_clusters(g, h, MergeMode.RESIDUAL_AND_TWO_HOP)
+    merged, _ = merge_small_clusters(g, deepcopy(h), MergeMode.RESIDUAL_AND_TWO_HOP)
     payload = {"max_core": dec.max_core, "cores": {g.external_id(v): dec.core[v] for v in range(g.n)}}
     assert written(write_decomposition_json, dec, g) == json_dumps_stable(payload)
     for hier in (h, merged):

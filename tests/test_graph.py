@@ -1,5 +1,7 @@
 """Graph loading, preprocessing, and their invariants."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,16 @@ def test_single_edge():
     g = make_graph([("a", "b")])
     assert (g.n, g.m) == (2, 1)
     assert g.adj[0] == [1] and g.adj[1] == [0]
+
+
+def test_ids_are_built_without_the_adjacency_lists():
+    """``_ids`` alone leaves ``adj`` unbuilt; both, and the id index, share its int objects."""
+    g = make_graph([("a", "b"), ("b", "c")])
+    ids = g._ids
+    with pytest.raises(AttributeError):
+        Graph.adj.__get__(g)  # the slot itself, without the lazy fallback
+    assert g.adj == [[1], [0, 2], [1]] and all(w is ids[w] for row in g.adj for w in row)
+    assert all(g._ext_index[name] is ids[v] for v, name in enumerate(g.external_ids))
 
 
 def test_duplicate_and_reversed_edges_collapse():
@@ -227,3 +239,94 @@ def test_component_labels_on_edge_subsets_match_bfs(data):
     u = np.array([a for a, _ in pairs], dtype=np.int64)
     w = np.array([b for _, b in pairs], dtype=np.int64)
     assert _component_labels(n, u, w).tolist() == component_roots_oracle(n, pairs)
+
+
+#: Pieces of the names in the byte-join tests: ASCII, two- and three-byte
+#: UTF-8, NUL, a newline and a lone surrogate (JSON can escape one), so
+#: that names share prefixes ("a", "a\x00", "ab") and byte lengths.
+ID_PIECES = ["a", "b", "\x00", "é", "漢", "\n", "\ud800"]
+#: The pieces an edge file can hold inside a field.
+TSV_PIECES = ID_PIECES[:5]
+
+
+def _names(pieces):
+    return st.lists(st.sampled_from(pieces), min_size=1, max_size=3).map("".join)
+
+
+@st.composite
+def join_inputs(draw, in_files: bool):
+    """Edge records and node ids (any order, maybe repeated) for the byte join.
+
+    Endpoints name a node or no node; in memory they may also be empty or
+    hold any piece, while in files they hold only what a TSV field can.
+    """
+    ids = draw(st.lists(_names(ID_PIECES), max_size=8))
+    if draw(st.booleans()):
+        ids += draw(st.permutations(["a", "a\x00", "ab"]))
+    fits = [x for x in ids if not set(x) - set("".join(TSV_PIECES))] if in_files else ids
+    fresh = _names(TSV_PIECES if in_files else ID_PIECES)
+    endpoint = (st.sampled_from(fits) | fresh) if fits else fresh
+    if not in_files:
+        endpoint = endpoint | st.just("")
+    return draw(st.lists(st.tuples(endpoint, endpoint), max_size=12)), draw(st.permutations(ids))
+
+
+def ingest_error(edges, ids) -> str | None:
+    """The message ingest gives for these records, checked in its order: repeated id, empty endpoint, no node."""
+    seen = set()
+    for ext in ids:
+        if ext in seen:
+            return f"duplicate node id {ext!r}"
+        seen.add(ext)
+    if not all(src and dst for src, dst in edges):
+        return "edge with empty endpoint id"
+    if not edges and not ids:
+        return "empty input: no nodes"
+    return None
+
+
+def _check_join(load, edges, ids):
+    nodes = [NodeMeta(ext, f"label {i}", i) for i, ext in enumerate(ids)]
+    message = ingest_error(edges, ids)
+    if message is not None:
+        with pytest.raises(InputError) as info:
+            load(edges, nodes)
+        assert str(info.value) == message
+        return
+    assert_matches_oracle(load(edges, nodes), *load_graph_oracle(edges, nodes))
+
+
+@settings(max_examples=300, deadline=None)
+@given(records=join_inputs(in_files=False))
+def test_byte_join_matches_the_oracle_in_memory(records):
+    _check_join(load_graph, *records)
+
+
+@settings(max_examples=300, deadline=None)
+@given(records=join_inputs(in_files=True), eol=st.sampled_from(["\n", "\r\n"]))
+def test_byte_join_matches_the_oracle_from_files(tmp_path_factory, records, eol):
+    """Through the CLI's reader: CRLF or LF lines, node ids JSON-escaped in the order drawn."""
+    from corehier import cli
+
+    def load(edges, nodes):
+        folder = tmp_path_factory.mktemp("join")
+        (folder / "edges.tsv").write_bytes("".join(f"{src}\t{dst}{eol}" for src, dst in edges).encode("utf-8"))
+        lines = (json.dumps({"id": r.external_id, "label": r.label, "tokens": r.token_count}) for r in nodes)
+        (folder / "nodes.jsonl").write_bytes("".join(line + eol for line in lines).encode("utf-8"))
+        return cli._load(cli.PipelineConfig(edges_path=folder / "edges.tsv", nodes_path=folder / "nodes.jsonl"))
+
+    _check_join(load, *records)
+
+
+def test_duplicate_id_is_reported_before_an_empty_endpoint():
+    with pytest.raises(InputError, match=r"^duplicate node id 'b'$"):
+        load_graph([("a", ""), ("", "b")], [NodeMeta("b"), NodeMeta("a"), NodeMeta("b")])
+
+
+def test_prefixes_and_nuls_stay_apart_and_unknown_names_number_after_the_nodes():
+    """Keys keep every byte: "a\x00b" and "\x00ab" differ, and "a" is not "a\x00"."""
+    edges = [("a\x00", "a"), ("ab", "z"), ("é", "a\x00\x00"), ("a\x00b", "\x00ab")]
+    g = load_graph(edges, [NodeMeta("ab"), NodeMeta("a", "A", 3), NodeMeta("a\x00b", "B", 4)])
+    assert g.external_ids == ["\x00ab", "a", "a\x00", "a\x00\x00", "a\x00b", "ab", "z", "é"]
+    assert g.labels == ["", "A", "", "", "B", "", "", ""] and g.tokens == [0, 3, 0, 0, 4, 0, 0, 0]
+    assert g.adj == [[4], [2], [1], [7], [0], [6], [5], [3]]

@@ -1,4 +1,11 @@
-"""Small-cluster merging: traces from the contract plus structural invariants."""
+"""Small-cluster merging: traces from the contract plus structural invariants.
+
+A merge changes the hierarchy it is given, so a test that compares a
+hierarchy before and after merging, or merges one build twice, merges a
+``deepcopy`` each time.
+"""
+
+from copy import deepcopy
 
 import pytest
 
@@ -29,7 +36,7 @@ def test_mode_parsing():
 
 def test_no_eligible_clusters_is_a_no_op():
     g, h = build([("a", "b"), ("b", "c"), ("c", "a")], 10)
-    merged, report = merge_small_clusters(g, h, MergeMode.TWO_HOP_ONLY)
+    merged, report = merge_small_clusters(g, deepcopy(h), MergeMode.TWO_HOP_ONLY)
     assert report.merged == [] and report.promoted == []
     assert len(merged.clusters) == len(h.clusters)
 
@@ -65,11 +72,11 @@ def test_residual_pair_only_eligible_under_extended_mode():
     residual = next(c for c in h.clusters.values() if c.kind == "residual")
     assert names_of(g, residual.members) == "xy"
 
-    merged_2h, report_2h = merge_small_clusters(g, h, MergeMode.TWO_HOP_ONLY)
+    merged_2h, report_2h = merge_small_clusters(g, deepcopy(h), MergeMode.TWO_HOP_ONLY)
     assert report_2h.merged == [] and report_2h.promoted == []
     assert len(merged_2h.clusters) == len(h.clusters)
 
-    merged_ext, report_ext = merge_small_clusters(g, h, MergeMode.RESIDUAL_AND_TWO_HOP)
+    merged_ext, report_ext = merge_small_clusters(g, deepcopy(h), MergeMode.RESIDUAL_AND_TWO_HOP)
     core = next(c for c in h.clusters.values() if c.kind == "core")
     assert report_ext.merged == [(residual.id, core.id)]
     assert names_of(g, merged_ext.clusters[core.id].members) == "abcxy"
@@ -123,8 +130,8 @@ class TestFixtureInvariants:
     def test_merge_invariants_on_sparse_fixtures(self, sparse_fixture_batch):
         for g in sparse_fixture_batch[:4]:
             h = build_hierarchy(g, 60)
-            merged_2h, rep_2h = merge_small_clusters(g, h, MergeMode.TWO_HOP_ONLY)
-            merged_ext, rep_ext = merge_small_clusters(g, h, MergeMode.RESIDUAL_AND_TWO_HOP)
+            merged_2h, rep_2h = merge_small_clusters(g, deepcopy(h), MergeMode.TWO_HOP_ONLY)
+            merged_ext, rep_ext = merge_small_clusters(g, deepcopy(h), MergeMode.RESIDUAL_AND_TWO_HOP)
 
             # count monotonicity
             assert len(merged_ext.clusters) <= len(merged_2h.clusters) <= len(h.clusters)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corehier.errors import ConfigError
+from corehier.fixtures import generate_kg_sparse
 from corehier.graph import Graph, NodeMeta, load_graph
 from corehier.hierarchy import Cluster, Hierarchy, build_hierarchy
 from corehier.graph import largest_connected_component
@@ -313,3 +314,14 @@ def test_leaves_before_a_priced_out_one_keep_their_order():
     assert result == round_robin_oracle(h, g, 8, overhead=0)
     assert result.communities == [0, 1, 0, 1] and result.costs == [2, 2, 2, 2]
     assert result.retired == [2, 0, 1] and result.unaffordable == [2, 0, 1]
+
+
+def test_picks_are_the_graph_node_ints():
+    """``sources`` and ``targets`` hold the int objects of ``g._ids``, not new ones, past the budget's bind too."""
+    edges, nodes = generate_kg_sparse(1500, seed=2)
+    g = largest_connected_component(load_graph(edges, nodes))
+    result = round_robin_sample(build_hierarchy(g, 40), g, budget_from_edge_fraction(g, 0.3))
+    picked = result.sources + result.targets
+    assert result.unaffordable  # the budget bound, so the sequential loop picked too
+    assert sum(v > 256 for v in picked) > 500  # CPython caches the ints up to 256
+    assert all(g._ids[v] is v for v in picked)
