@@ -203,8 +203,9 @@ def _fixed_keys(data: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
     Up to 8 bytes make a big-endian uint64, more an ``S{width}`` string.
     Every key has all ``width`` bytes, so equal keys are equal bytes: the
     string dtype's trailing-NUL rule cannot merge two keys of one width.
-    The bytes are gathered one column at a time, so the transient memory
-    is one int64 per start, not one per byte.
+    The bytes are copied one column at a time, or one key at a time when
+    the keys are fewer than their bytes: min(keys, width) numpy calls, and
+    no transient array larger than the keys and one int64 per start.
     """
     if width <= 8:
         keys = np.zeros(len(starts), dtype=np.uint64)
@@ -213,8 +214,12 @@ def _fixed_keys(data: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
             keys |= data[starts + j]
         return keys
     table = np.empty((len(starts), width), dtype=np.uint8)
-    for j in range(width):
-        table[:, j] = data[starts + j]
+    if width < len(starts):
+        for j in range(width):
+            table[:, j] = data[starts + j]
+    else:
+        for i, start in enumerate(starts.tolist()):
+            table[i] = data[start:start + width]
     return table.view(f"S{width}").ravel()
 
 

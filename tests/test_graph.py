@@ -330,3 +330,12 @@ def test_prefixes_and_nuls_stay_apart_and_unknown_names_number_after_the_nodes()
     assert g.external_ids == ["\x00ab", "a", "a\x00", "a\x00\x00", "a\x00b", "ab", "z", "é"]
     assert g.labels == ["", "A", "", "", "B", "", "", ""] and g.tokens == [0, 3, 0, 0, 4, 0, 0, 0]
     assert g.adj == [[4], [2], [1], [7], [0], [6], [5], [3]]
+
+
+def test_long_ids_join_by_their_bytes():
+    """Ids far wider than the number of keys of their width (one key copied per call)."""
+    long = "x" * 5000
+    g = load_graph([(long, "a"), ("b", long + "y"), (long + "\x00", long)], [NodeMeta(long, "L", 7)])
+    assert g.external_ids == ["a", "b", long, long + "\x00", long + "y"]
+    assert g.labels == ["", "", "L", "", ""] and g.tokens == [0, 0, 7, 0, 0]
+    assert g.adj == [[2], [4], [0, 3], [2], [1]]
