@@ -14,6 +14,7 @@ from operator import eq, lt
 from typing import Iterable, Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError
 
@@ -200,12 +201,12 @@ def _stable_order(key: np.ndarray, top: int) -> np.ndarray:
 def _fixed_keys(data: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
     """The ``width`` bytes of ``data`` from each of ``starts``, one key each, ordered as the bytes are.
 
-    Up to 8 bytes make a big-endian uint64, more an ``S{width}`` string.
-    Every key has all ``width`` bytes, so equal keys are equal bytes: the
-    string dtype's trailing-NUL rule cannot merge two keys of one width.
-    The bytes are copied one column at a time, or one key at a time when
-    the keys are fewer than their bytes: min(keys, width) numpy calls, and
-    no transient array larger than the keys and one int64 per start.
+    Up to 8 bytes make a big-endian uint64, built one byte column at a
+    time; more make an ``S{width}`` string, copied in one gather of
+    ``width``-byte windows. Every key has all ``width`` bytes, so equal
+    keys are equal bytes: the string dtype's trailing-NUL rule cannot merge
+    two keys of one width. No transient array is larger than the keys and
+    one int64 per start.
     """
     if width <= 8:
         keys = np.zeros(len(starts), dtype=np.uint64)
@@ -213,14 +214,7 @@ def _fixed_keys(data: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
             keys <<= 8
             keys |= data[starts + j]
         return keys
-    table = np.empty((len(starts), width), dtype=np.uint8)
-    if width < len(starts):
-        for j in range(width):
-            table[:, j] = data[starts + j]
-    else:
-        for i, start in enumerate(starts.tolist()):
-            table[i] = data[start:start + width]
-    return table.view(f"S{width}").ravel()
+    return sliding_window_view(data, width)[starts].view(f"S{width}").ravel()
 
 
 #: Endpoints matched per step of :func:`_join`, which bounds its transient arrays.
@@ -228,11 +222,17 @@ _CHUNK = 1 << 16
 
 
 def _by_width(lengths: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """``(width, positions)`` for each distinct value of ``lengths``, ascending; positions ascending."""
-    counts = np.bincount(lengths)
-    order, stops = _stable_order(lengths, len(counts) - 1), np.cumsum(counts)
-    for width in np.flatnonzero(counts).tolist():
-        yield width, order[stops[width] - counts[width]:stops[width]]
+    """``(width, positions)`` for each distinct value of ``lengths``, ascending; positions ascending.
+
+    One stable sort of the lengths, split where the sorted lengths change:
+    O(len(lengths)) memory, however wide the widest.
+    """
+    if not len(lengths):
+        return
+    order = _stable_order(lengths, int(lengths.max()))
+    ranked = lengths[order]
+    for part in np.split(order, np.flatnonzero(ranked[1:] != ranked[:-1]) + 1):
+        yield int(lengths[part[0]]), part
 
 
 def _join(edges: EdgeSpans, ids: list[str]) -> tuple[np.ndarray, list[str]]:
@@ -250,7 +250,8 @@ def _join(edges: EdgeSpans, ids: list[str]) -> tuple[np.ndarray, list[str]]:
     the distinct ones are decoded, one ``str`` each. Cost: O(B) to build
     the keys of B bytes, plus O(e log n) to search e endpoints among n ids,
     plus a sort of the unknown endpoints and of their names. Memory: the
-    result and the ids' keys, plus O(_CHUNK) transient, plus O(u) for u
+    result and the ids' keys, plus O(_CHUNK) ints and the keys of one
+    chunk's endpoints transient, plus O(u) ints and the keys of the u
     unknown endpoints.
     """
     n = len(ids)

@@ -499,6 +499,27 @@ def test_load_peak_memory_is_a_small_multiple_of_the_input(tmp_path):
     assert peak <= 8 * size, f"peak {peak} B is {peak / size:.2f} x the {size} input bytes"
 
 
+def test_load_peak_memory_with_one_very_wide_field(tmp_path):
+    """One 2 MB endpoint costs a few copies of its bytes, not a table as long as its width.
+
+    The wide id names a node and an unknown endpoint extends it, so both
+    the join and the unknown-name path key it.
+    """
+    wide = "w" * 2_000_000
+    write_edges_tsv(tmp_path / "edges.tsv", [(wide, "a"), ("a", "b"), ("b", wide + "x")])
+    write_nodes_jsonl(tmp_path / "nodes.jsonl", [NodeMeta(wide, "wide", 3), NodeMeta("a", "", 1)])
+    size = (tmp_path / "edges.tsv").stat().st_size + (tmp_path / "nodes.jsonl").stat().st_size
+    cfg = cli.PipelineConfig(edges_path=tmp_path / "edges.tsv", nodes_path=tmp_path / "nodes.jsonl")
+    tracemalloc.start()
+    try:
+        g = cli._load(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.external_ids == ["a", "b", wide, wide + "x"]
+    assert peak <= 4 * size, f"peak {peak} B is {peak / size:.2f} x the {size} input bytes"
+
+
 def test_commands_import_neither_fractions_nor_numpy_ma(tmp_path):
     """``pipeline`` and the five staged subcommands leave both modules unimported.
 

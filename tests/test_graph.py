@@ -333,7 +333,7 @@ def test_prefixes_and_nuls_stay_apart_and_unknown_names_number_after_the_nodes()
 
 
 def test_long_ids_join_by_their_bytes():
-    """Ids far wider than the number of keys of their width (one key copied per call)."""
+    """Ids far wider than 8 bytes, and than the number of keys of their width, join by all their bytes."""
     long = "x" * 5000
     g = load_graph([(long, "a"), ("b", long + "y"), (long + "\x00", long)], [NodeMeta(long, "L", 7)])
     assert g.external_ids == ["a", "b", long, long + "\x00", long + "y"]
