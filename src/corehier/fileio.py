@@ -172,11 +172,10 @@ def read_edges_tsv(path: str | Path) -> EdgeSpans:
     """
     path = Path(path)
     raw = _read_bytes(path, "edge file")
-    if not raw.isascii():
-        _decode(raw, path)  # only to reject bad bytes
+    text = None if raw.isascii() else _decode(raw, path)  # rejects bad bytes first
     spans = _clean_tsv_spans(raw)
     if spans is None:
-        return _read_edges_by_line(path, _decode(raw, path))
+        return _read_edges_by_line(path, text or raw.decode("ascii"))
     return spans
 
 
