@@ -56,11 +56,14 @@ class Graph:
     of ``adj``, the values of the id index, the hierarchy's member sets
     and the sample's picks, so no node id is held as two objects. ``adj``,
     the neighbour lists as Python lists for the per-node loops downstream,
-    is derived from the arrays in O(n + m), 8 bytes per entry. The
-    external-id index behind :meth:`id_of` is built from ``external_ids``
-    in O(n). ``_ranking`` holds the sampling stage's edge ranking once it
-    is first computed (see ``sampling._ranked_edge_arrays``), and is None
-    until then.
+    is derived from the arrays in O(n + m): one object gather of ``_ids``
+    by ``indices`` into a flat list, cut into one list per row. It keeps 8
+    bytes per entry and a list header per node; while it is built, the flat
+    list and the gathered object array hold 8 bytes per entry more each,
+    and no int is made. The external-id index behind :meth:`id_of` is built
+    from ``external_ids`` in O(n). ``_ranking`` holds the sampling stage's
+    edge ranking once it is first computed, two int32 arrays of m entries
+    (see ``sampling._ranked_edge_arrays``), and is None until then.
 
     Treat instances as frozen once constructed; nothing in the package
     mutates them, which makes concurrent reads safe (two threads racing on
@@ -91,7 +94,7 @@ class Graph:
             self._ids = list(range(self.n))
             return self._ids
         if name == "adj":
-            flat = list(map(self._ids.__getitem__, self.indices.tolist()))
+            flat = np.array(self._ids, dtype=object)[self.indices].tolist()
             bounds = self.indptr.tolist()
             self.adj = list(map(flat.__getitem__, map(slice, bounds[:-1], bounds[1:])))
             return self.adj

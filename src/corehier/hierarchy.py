@@ -358,18 +358,49 @@ def build_hierarchy(g: Graph, max_cluster_size: int, core: list[int] | None = No
     return hierarchy
 
 
-def _best_host(g: Graph, nodes, hosts_of: dict[int, list[int]]) -> int | None:
+def _host_map(n: int, clusters) -> tuple[list[int | None], dict[int, list[int]]]:
+    """Which of ``clusters`` hold each of the n nodes, as ``(first, more)``; see :func:`_add_host`.
+
+    ``first[v]`` is the id of the first cluster found holding v, None when
+    none does; ``more[v]`` lists the others, only for the nodes that several
+    clusters hold (shared anchors). Memory: 8 bytes per node, plus a dict
+    entry and a list for each node with more than one host, not a dict entry
+    and a list for every node. O(n + M) for M member entries.
+    """
+    first: list[int | None] = [None] * n
+    more: dict[int, list[int]] = {}
+    for c in clusters:
+        for v in c.members:
+            _add_host(first, more, v, c.id)
+    return first, more
+
+
+def _add_host(first: list[int | None], more: dict[int, list[int]], v: int, host: int) -> None:
+    """Record in the host map ``(first, more)`` that cluster ``host`` holds node v."""
+    if first[v] is None:
+        first[v] = host
+    else:
+        more.setdefault(v, []).append(host)
+
+
+def _best_host(g: Graph, nodes, first: list[int | None], more: dict[int, list[int]]) -> int | None:
     """The host that shares the most edges with ``nodes``, ties to the smallest id; None if none does.
 
-    An edge from a node of ``nodes`` to a node w outside them counts once
-    for each host in ``hosts_of[w]``. Cost: O(e k) for the e adjacency
-    entries of ``nodes`` when a node has at most k hosts.
+    The hosts are the host map ``(first, more)`` of :func:`_host_map`. An
+    edge from a node of ``nodes`` to a node w outside them counts once for
+    each host of w. Cost: O(e k) for the e adjacency entries of ``nodes``
+    when a node has at most k hosts: one list read per entry, and one dict
+    lookup per entry whose node has a host.
     """
     counts: dict[int, int] = {}  # a plain loop: a Counter per call made attachment ~30% slower
     for v in nodes:
         for w in g.adj[v]:
-            if w not in nodes:
-                for hid in hosts_of.get(w, ()):
+            hid = first[w]
+            if hid is None or w in nodes:
+                continue
+            counts[hid] = counts.get(hid, 0) + 1
+            if w in more:
+                for hid in more[w]:
                     counts[hid] = counts.get(hid, 0) + 1
     return min(counts, key=lambda hid: (-counts[hid], hid), default=None)
 
@@ -380,25 +411,25 @@ def _attach_global_singletons(g: Graph, h: Hierarchy, singletons: set[int]) -> N
     Target: the leaf holding the most of the singleton's neighbors, ties to
     the smallest cluster id (see :func:`_best_host`). Attachment can chain (a
     singleton may only reach the graph through another one), so passes
-    repeat until stable.
+    repeat until stable. The leaves' host map (:func:`_host_map`) takes 8
+    bytes per node of ``g``, plus an entry per node in several leaves;
+    every attached singleton is added to it. Cost: one pass over the leaf
+    members, plus one :func:`_best_host` per singleton and pass.
     """
     if not singletons:
         return
-    node_leaves: dict[int, list[int]] = {}  # anchors sit in several leaves
-    for leaf in h.leaves():
-        for v in leaf.members:
-            node_leaves.setdefault(v, []).append(leaf.id)
+    first, more = _host_map(g.n, h.leaves())
     remaining = sorted(singletons)
     while remaining:
         deferred: list[int] = []
         for v in remaining:
-            best = _best_host(g, (v,), node_leaves)
+            best = _best_host(g, (v,), first, more)
             if best is None:
                 deferred.append(v)
                 continue
             h.clusters[best].members.add(v)
             h.attached_singletons[v] = best
-            node_leaves.setdefault(v, []).append(best)
+            _add_host(first, more, v, best)
         if len(deferred) == len(remaining):
             raise VerificationError(
                 f"could not attach singletons {deferred}; graph should be connected"

@@ -18,7 +18,7 @@ from enum import Enum
 
 from .errors import ConfigError
 from .graph import Graph
-from .hierarchy import Hierarchy, _best_host
+from .hierarchy import Hierarchy, _add_host, _best_host, _host_map
 
 
 class MergeMode(str, Enum):
@@ -80,8 +80,11 @@ def merge_small_clusters(
     shared anchors): a node's adjacency is scanned when it is first covered
     and twice per small cluster holding it, each step reads up to k cluster
     ids and may push onto the heap. A merge unlinks the small cluster from
-    its parent's c children in O(c). Memory: the coverage maps, O(M) for
-    the M leaf member entries; no cluster is copied.
+    its parent's c children in O(c). Memory: the kept leaves' host map
+    (``hierarchy._host_map``), 8 bytes per node of ``g`` plus a dict entry
+    and a list per node in several leaves; the small clusters by member and
+    the attached singletons by owner, O(s + a) for s small clusters and a
+    attached singletons; no cluster is copied.
     """
     mode = MergeMode(mode)
     report = MergeReport(mode=mode, clusters_before=len(h.clusters))
@@ -95,14 +98,9 @@ def merge_small_clusters(
     ]
     small_set = set(small_ids)
 
-    # Nodes covered by the kept cluster set; shared anchor members may map to
-    # several clusters at once.
-    covered_in: dict[int, list[int]] = {}
-    for cid in leaf_ids:
-        if cid in small_set:
-            continue
-        for v in h.clusters[cid].members:
-            covered_in.setdefault(v, []).append(cid)
+    # The hosts of each node covered by the kept cluster set; shared anchor
+    # members have several.
+    first, more = _host_map(g.n, (h.clusters[cid] for cid in leaf_ids if cid not in small_set))
 
     member_of_small: dict[int, list[int]] = {}
     for cid in small_ids:
@@ -116,7 +114,7 @@ def merge_small_clusters(
     def covered_neighbor_count(cid: int) -> int:
         members = h.clusters[cid].members
         hits = {
-            w for v in members for w in g.adj[v] if w not in members and w in covered_in
+            w for v in members for w in g.adj[v] if first[w] is not None and w not in members
         }
         return len(hits)
 
@@ -127,8 +125,8 @@ def merge_small_clusters(
     def mark_covered(nodes, host_id: int) -> None:
         """Record new coverage and bump the neighbor counts of touched smalls."""
         for v in sorted(nodes):
-            first_time = v not in covered_in
-            covered_in.setdefault(v, []).append(host_id)
+            first_time = first[v] is None
+            _add_host(first, more, v, host_id)
             if not first_time:
                 continue
             bumped: set[int] = set()
@@ -147,7 +145,7 @@ def merge_small_clusters(
         small_set.discard(cid)
         small = h.clusters[cid]
 
-        best = _best_host(g, small.members, covered_in)
+        best = _best_host(g, small.members, first, more)
         if best is not None:
             host = h.clusters[best]
             new_nodes = small.members - host.members

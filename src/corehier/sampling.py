@@ -25,7 +25,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .graph import Graph, _stable_order
+from .graph import _CHUNK, Graph, _stable_order
 from .hierarchy import Hierarchy
 
 #: Flat token cost added per edge on top of both endpoint token counts,
@@ -109,17 +109,30 @@ def _ranked_edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
 
     ``g.edge_arrays()`` is already in (u, w) order, so one stable sort of
     each edge's gap below the largest degree sum sets the rank: O(n + m)
-    when every degree sum is below 65536, O(m log m) otherwise. The graph
-    is immutable, so the ranking is computed once per graph and kept in
+    when every degree sum is below 65536, O(m log m) otherwise. The ranked
+    arrays are int32, like ``g.indices``, so a product of a node id that
+    can pass 2**31 must be widened to int64 first. Each temporary is freed
+    at its last use: once the int64 key is made, the edge arrays are
+    narrowed to int32, so the sort holds them, the key, its copy narrowed
+    for the sort and the int64 order, 26 to 32 bytes per edge. The graph is
+    immutable, so the ranking is computed once per graph and kept in
     ``g._ranking``; the arrays are read-only, and later calls are O(1).
     """
     if g._ranking is None:
         u, w = g.edge_arrays()
         degrees = np.array(g.degrees, dtype=np.int64)
-        key = degrees[u] + degrees[w]
+        key = degrees[u]
+        key += degrees[w]
+        del degrees
+        u = u.astype(np.int32)
+        w = w.astype(np.int32)
         top = int(key.max(initial=0))
-        order = _stable_order(top - key, top)
-        u, w = u[order], w[order]
+        np.subtract(top, key, out=key)
+        order = _stable_order(key, top)
+        del key
+        u = u[order]
+        w = w[order]
+        del order
         u.flags.writeable = w.flags.writeable = False
         g._ranking = u, w
     return g._ranking
@@ -147,7 +160,8 @@ class SampleResult:
     community ``communities[i]`` at price ``costs[i]``. The lists hold
     Python ints, not arrays, so that two results compare with ``==``.
     ``sources`` and ``targets`` hold the graph's own node int objects
-    (``g._ids``), so they cost 8 bytes per pick each, not 40.
+    (``g._ids``) and ``communities`` the hierarchy's cluster id objects, so
+    they cost 8 bytes per pick each, not 40.
     """
 
     sources: list[int]
@@ -173,17 +187,22 @@ def community_edge_ranking(g: Graph, h: Hierarchy) -> tuple[list[int], np.ndarra
     then cluster id ascending, and ``leaf_ids[p]`` is the leaf at visit
     position p. Edge (u[i], w[i]) belongs to the leaf at position
     ``owner[i]``; ``owner`` is nondecreasing and each leaf's edges follow
-    the rank of :func:`_ranked_edge_arrays`. An edge internal to several
-    leaves (shared anchors make that possible) is owned by the first leaf
-    in visit order.
+    the rank of :func:`_ranked_edge_arrays`, and ``u`` and ``w`` are int32
+    like the ranking. An edge internal to several leaves (shared anchors
+    make that possible) is owned by the first leaf in visit order.
 
-    Leaf memberships are encoded as sorted keys node * L + position for L
-    leaves. For each ranked edge and each membership p of u, in ascending
-    order, one ``np.searchsorted`` looks up w * L + p; the first hit is the
-    owner. A stable argsort by owner then groups the edges. Cost: the
-    ranking (free once the graph has been ranked), plus O(n + M log M + m' log M) for M memberships and m'
-    lookups (one per ranked edge and leaf holding u), plus a stable sort of
-    the owned edges by owner, O(m) for fewer than 65536 leaves.
+    Leaf memberships are encoded as sorted int64 keys node * L + position
+    for L leaves. For each ranked edge and each membership p of u, in
+    ascending order, one ``np.searchsorted`` looks up w * L + p, widened to
+    int64 before the product; the first hit is the owner. The lookups run
+    over ``_CHUNK`` ranked edges at a time, as ingest's join does. A stable
+    argsort by owner then groups the owned edges. Cost: the ranking (free
+    once the graph has been ranked), plus O(n + M log M + m' log M) for M
+    memberships and m' lookups (one per ranked edge and leaf holding u),
+    plus a stable sort of the owned edges by owner, O(m) for fewer than
+    65536 leaves. Memory: the M keys and two int64 arrays of n entries,
+    O(_CHUNK k) transient per chunk when a node is in at most k leaves, and
+    a few arrays of one entry per owned edge, the result among them.
     """
     visit = sorted(h.leaves(), key=lambda c: (-c.level, c.id))
     leaf_ids = [leaf.id for leaf in visit]
@@ -193,25 +212,39 @@ def community_edge_ranking(g: Graph, h: Hierarchy) -> tuple[list[int], np.ndarra
         return leaf_ids, empty, empty, empty
     u, w = _ranked_edge_arrays(g)
     sizes = [len(leaf.members) for leaf in visit]
-    nodes = np.fromiter(chain.from_iterable(leaf.members for leaf in visit), dtype=np.int64, count=sum(sizes))
-    keys = nodes * count + np.repeat(np.arange(count), sizes)
+    keys = np.fromiter(chain.from_iterable(leaf.members for leaf in visit), dtype=np.int64, count=sum(sizes))
+    keys *= count
+    keys += np.repeat(np.arange(count), sizes)
     keys.sort()
     held = np.bincount(keys // count, minlength=g.n)  # leaves holding each node
     first = np.cumsum(held) - held  # each node's first key
-    # One lookup per (edge, leaf holding u), grouped by edge, leaves ascending.
-    tries = held[u]
-    edge = np.repeat(np.arange(len(u)), tries)
-    slot = np.arange(len(edge)) - np.repeat(np.cumsum(tries) - tries, tries) + first[u][edge]
-    wanted = w[edge] * count + keys[slot] % count
-    found = np.searchsorted(keys, wanted)
-    hit = keys[np.minimum(found, len(keys) - 1)] == wanted
-    edge, position = edge[hit], wanted[hit] % count
-    firsts = np.ones(len(edge), dtype=bool)
-    np.not_equal(edge[1:], edge[:-1], out=firsts[1:])
-    edge, position = edge[firsts], position[firsts]
+    owned, owners = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for lo in range(0, len(u), _CHUNK):
+        # One lookup per (edge, leaf holding u), grouped by edge, leaves ascending.
+        cu = u[lo:lo + _CHUNK]
+        tries = held[cu]
+        edge = np.repeat(np.arange(len(cu)), tries)
+        slot = np.repeat(first[cu] - (np.cumsum(tries) - tries), tries)
+        slot += np.arange(len(edge))
+        wanted = np.multiply(w[lo:lo + _CHUNK][edge], count, dtype=np.int64)
+        wanted += keys[slot] % count
+        del slot
+        found = np.searchsorted(keys, wanted)
+        np.minimum(found, len(keys) - 1, out=found)
+        hit = keys[found] == wanted
+        del found
+        edge, position = edge[hit], wanted[hit] % count
+        firsts = np.ones(len(edge), dtype=bool)
+        np.not_equal(edge[1:], edge[:-1], out=firsts[1:])
+        owned.append(edge[firsts] + lo)
+        owners.append(position[firsts])
+    edge, position = np.concatenate(owned), np.concatenate(owners)
+    del owned, owners
     group = _stable_order(position, count - 1)
     edge = edge[group]
-    return leaf_ids, position[group], u[edge], w[edge]
+    position = position[group]
+    del group
+    return leaf_ids, position, u[edge], w[edge]
 
 
 def round_robin_sample(h: Hierarchy, g: Graph, budget: int, overhead: int = DEFAULT_EDGE_OVERHEAD) -> SampleResult:
@@ -226,7 +259,13 @@ def round_robin_sample(h: Hierarchy, g: Graph, budget: int, overhead: int = DEFA
     pick or a retirement. Cost: :func:`community_edge_ranking`, plus
     O(n + k) array work for the k owned edges (O(k log k) when a leaf owns
     65536 edges or more), plus O(L + t) Python steps for L leaves and the
-    t visits after the budget first binds.
+    t visits after the budget first binds. Memory: beside the ranking and
+    the result, at most six arrays of one entry per owned edge at once:
+    ``owner``, ``u``, ``w``, the visit order, and two of the rounds, their
+    narrowed copy, the prices and their running sum, each array freed at
+    its last use. The picks' nodes and communities are gathered as objects
+    from ``g._ids`` and ``leaf_ids``, so of the result's lists, 8 bytes per
+    pick each, only the prices may make new ints.
     """
     if budget < 0:
         raise ConfigError("budget must be >= 0")
@@ -240,32 +279,47 @@ def round_robin_sample(h: Hierarchy, g: Graph, budget: int, overhead: int = DEFA
     # The edges come grouped by visit position, so a stable sort by round
     # orders them by (round, visit position): the order of the visits.
     order = _stable_order(rounds, int(counts.max(initial=0)))
+    del rounds
     prices = _edge_prices(g, u, w, overhead)
-    paid = np.cumsum(prices[order])
+    paid = prices[order]
+    np.cumsum(paid, out=paid)
     if not len(paid) or budget >= int(paid[-1]):
         taken = len(order)
     else:
         taken = int(np.searchsorted(paid, budget, side="right"))
-
+    remaining = budget - (int(paid[taken - 1]) if taken else 0)
+    del paid
+    refused = taken < len(order)
+    if refused:  # the first visit the budget refuses: round ``round_`` of the leaf at ``position``
+        edge = int(order[taken])
+        position = int(owner[edge])
+        round_ = edge - int(starts[position])
     picks = order[:taken]
     leaf = owner[picks]
-    exhausted = leaf[rounds[picks] == counts[leaf] - 1]
-    name = leaf_ids.__getitem__  # cluster ids are unbounded ints, so they stay in a list
+    del owner
+    # A pick is its leaf's last edge when it is the last of the leaf's run.
+    exhausted = leaf[picks == (starts + counts - 1)[leaf]]
     ids = g._ids
     nodes = np.array(ids, dtype=object)  # the graph's int objects, gathered without new ones
-    sources, targets, costs = nodes[u[picks]].tolist(), nodes[w[picks]].tolist(), prices[picks].tolist()
-    communities = list(map(name, leaf.tolist()))
+    sources = nodes[u[picks]].tolist()
+    targets = nodes[w[picks]].tolist()
+    del nodes
+    costs = prices[picks].tolist()
+    del picks, order
+    # Cluster ids are unbounded ints, so they stay objects: gathered, not rebuilt.
+    names = np.array(leaf_ids, dtype=object)
+    communities = names[leaf].tolist()
+    del leaf
     # Leaves without edges retire first, every other one at its last pick.
-    retired = list(map(name, np.flatnonzero(counts == 0).tolist() + exhausted.tolist()))
+    retired = names[np.concatenate((np.flatnonzero(counts == 0), exhausted))].tolist()
+    del names, exhausted
     unaffordable: list[int] = []
-    remaining = budget - (int(paid[taken - 1]) if taken else 0)
 
-    if taken < len(order):
+    if refused:
         # Visit by visit from the first pick the budget refuses. Every visit
         # before it was a pick, so this round still visits the leaves from
         # its position on that own more than ``round_`` edges, and the
         # leaves before it that own another edge open the next round.
-        round_, position = int(rounds[order[taken]]), int(owner[order[taken]])
         counts, starts = counts.tolist(), starts.tolist()
         current = [p for p in range(position, len(leaf_ids)) if counts[p] > round_]
         upcoming = [p for p in range(position) if counts[p] > round_ + 1]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+import tracemalloc
 from collections import Counter, deque
 
 import numpy as np
@@ -10,7 +11,9 @@ import pytest
 
 from corehier.cores import core_numbers
 from corehier.graph import Graph, NodeMeta, load_graph
+from corehier.errors import VerificationError
 from corehier.hierarchy import CLUSTER_KINDS, Hierarchy, _two_hop_split_parts
+from corehier.merging import _ELIGIBLE_KINDS, MergeMode, MergeReport
 from corehier.sampling import DEFAULT_EDGE_OVERHEAD, SampleResult
 
 
@@ -132,6 +135,134 @@ def two_hop_split_parts_oracle(g: Graph, pool, max_size: int) -> list[tuple[list
         qualifying = sorted(a for a, c in counts.items() if c >= 2 and a not in grown_set)
         out.append((grown, qualifying))
     return out
+
+def traced_peak(fn, *args):
+    """``(fn(*args), peak)``: the tracemalloc peak of the call, in bytes above what it began with.
+
+    numpy reports its buffers to tracemalloc, so the peak counts the arrays
+    too. Only allocations made during the call are traced, so what the
+    arguments already hold is not counted.
+    """
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak - start
+
+
+def best_host_oracle(g: Graph, nodes, hosts_of: dict[int, list[int]]) -> int | None:
+    """``hierarchy._best_host`` on a dict of host lists, as it was before the host map."""
+    counts: dict[int, int] = {}
+    for v in nodes:
+        for w in g.adj[v]:
+            if w not in nodes:
+                for hid in hosts_of.get(w, ()):
+                    counts[hid] = counts.get(hid, 0) + 1
+    return min(counts, key=lambda hid: (-counts[hid], hid), default=None)
+
+
+def attach_global_singletons_oracle(g: Graph, h: Hierarchy, singletons: set[int]) -> None:
+    """``hierarchy._attach_global_singletons`` with a dict of leaf lists per node, as it was before the host map."""
+    if not singletons:
+        return
+    node_leaves: dict[int, list[int]] = {}
+    for leaf in h.leaves():
+        for v in leaf.members:
+            node_leaves.setdefault(v, []).append(leaf.id)
+    remaining = sorted(singletons)
+    while remaining:
+        deferred: list[int] = []
+        for v in remaining:
+            best = best_host_oracle(g, (v,), node_leaves)
+            if best is None:
+                deferred.append(v)
+                continue
+            h.clusters[best].members.add(v)
+            h.attached_singletons[v] = best
+            node_leaves.setdefault(v, []).append(best)
+        if len(deferred) == len(remaining):
+            raise VerificationError(f"could not attach singletons {deferred}; graph should be connected")
+        remaining = deferred
+
+
+def merge_small_clusters_oracle(g: Graph, h: Hierarchy, mode: MergeMode) -> tuple[Hierarchy, MergeReport]:
+    """``merging.merge_small_clusters`` with a dict of host lists per covered node, as it was before the host map."""
+    mode = MergeMode(mode)
+    report = MergeReport(mode=mode, clusters_before=len(h.clusters))
+    leaf_ids = [c.id for c in h.leaves()]
+    small_ids = [
+        cid for cid in leaf_ids
+        if h.clusters[cid].kind in _ELIGIBLE_KINDS[mode] and len(h.clusters[cid].members) == 2
+    ]
+    small_set = set(small_ids)
+    covered_in: dict[int, list[int]] = {}
+    for cid in leaf_ids:
+        if cid not in small_set:
+            for v in h.clusters[cid].members:
+                covered_in.setdefault(v, []).append(cid)
+    member_of_small: dict[int, list[int]] = {}
+    for cid in small_ids:
+        for v in h.clusters[cid].members:
+            member_of_small.setdefault(v, []).append(cid)
+    attached_by_cluster: dict[int, list[int]] = {}
+    for v, owner in h.attached_singletons.items():
+        attached_by_cluster.setdefault(owner, []).append(v)
+
+    def covered_neighbor_count(cid: int) -> int:
+        members = h.clusters[cid].members
+        return len({w for v in members for w in g.adj[v] if w not in members and w in covered_in})
+
+    counts = {cid: covered_neighbor_count(cid) for cid in small_ids}
+    heap = [(-counts[cid], cid) for cid in small_ids]
+    heapq.heapify(heap)
+
+    def mark_covered(nodes, host_id: int) -> None:
+        for v in sorted(nodes):
+            first_time = v not in covered_in
+            covered_in.setdefault(v, []).append(host_id)
+            if not first_time:
+                continue
+            bumped: set[int] = set()
+            for w in g.adj[v]:
+                for sid in member_of_small.get(w, ()):
+                    if sid in small_set and v not in h.clusters[sid].members:
+                        bumped.add(sid)
+            for sid in bumped:
+                counts[sid] += 1
+                heapq.heappush(heap, (-counts[sid], sid))
+
+    while small_set:
+        neg, cid = heapq.heappop(heap)
+        if cid not in small_set or counts[cid] != -neg:
+            continue
+        small_set.discard(cid)
+        small = h.clusters[cid]
+        best = best_host_oracle(g, small.members, covered_in)
+        if best is not None:
+            host = h.clusters[best]
+            new_nodes = small.members - host.members
+            report.deduplicated += len(small.members) - len(new_nodes)
+            host.members |= small.members
+            if small.parent is not None:
+                h.clusters[small.parent].children.remove(cid)
+            del h.clusters[cid]
+            h.leaf_ids.discard(cid)
+            for v in attached_by_cluster.pop(cid, ()):
+                h.attached_singletons[v] = best
+                attached_by_cluster.setdefault(best, []).append(v)
+            mark_covered(new_nodes, best)
+            report.merged.append((cid, best))
+        else:
+            mark_covered(small.members, cid)
+            report.promoted.append(cid)
+
+    report.clusters_after = len(h.clusters)
+    h.max_level = max(c.level for c in h.clusters.values())
+    return h, report
+
 
 def ranked_edges(g: Graph) -> list[tuple[int, int]]:
     """Edges (u < w) by combined endpoint degree descending, then u, then w.

@@ -10,7 +10,6 @@ import stat
 import subprocess
 import sys
 import threading
-import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -26,6 +25,8 @@ from corehier.errors import ConfigError, InputError
 from corehier.fileio import write_edges_tsv, write_nodes_jsonl
 from corehier.fixtures import generate_kg_sparse, three_level_example
 from corehier.graph import NodeMeta
+
+from conftest import traced_peak
 
 
 ARTIFACTS = ["decomposition.json", "hierarchy.json", "hierarchy_merged.json",
@@ -489,12 +490,7 @@ def test_load_peak_memory_is_a_small_multiple_of_the_input(tmp_path):
     write_nodes_jsonl(tmp_path / "nodes.jsonl", [NodeMeta(name, f"entity {i}", 10 + i % 97) for i, name in enumerate(names)])
     size = (tmp_path / "edges.tsv").stat().st_size + (tmp_path / "nodes.jsonl").stat().st_size
     cfg = cli.PipelineConfig(edges_path=tmp_path / "edges.tsv", nodes_path=tmp_path / "nodes.jsonl")
-    tracemalloc.start()
-    try:
-        g = cli._load(cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    g, peak = traced_peak(cli._load, cfg)
     assert g.n == len(names)
     assert peak <= 8 * size, f"peak {peak} B is {peak / size:.2f} x the {size} input bytes"
 
@@ -510,12 +506,7 @@ def test_load_peak_memory_with_one_very_wide_field(tmp_path):
     write_nodes_jsonl(tmp_path / "nodes.jsonl", [NodeMeta(wide, "wide", 3), NodeMeta("a", "", 1)])
     size = (tmp_path / "edges.tsv").stat().st_size + (tmp_path / "nodes.jsonl").stat().st_size
     cfg = cli.PipelineConfig(edges_path=tmp_path / "edges.tsv", nodes_path=tmp_path / "nodes.jsonl")
-    tracemalloc.start()
-    try:
-        g = cli._load(cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    g, peak = traced_peak(cli._load, cfg)
     assert g.external_ids == ["a", "b", wide, wide + "x"]
     assert peak <= 4 * size, f"peak {peak} B is {peak / size:.2f} x the {size} input bytes"
 

@@ -17,7 +17,7 @@ from corehier.graph import (
     load_graph,
 )
 
-from conftest import component_roots_oracle, lcc_oracle, load_graph_oracle, make_graph
+from conftest import component_roots_oracle, lcc_oracle, load_graph_oracle, make_graph, traced_peak
 
 
 def test_single_edge():
@@ -34,6 +34,25 @@ def test_ids_are_built_without_the_adjacency_lists():
         Graph.adj.__get__(g)  # the slot itself, without the lazy fallback
     assert g.adj == [[1], [0, 2], [1]] and all(w is ids[w] for row in g.adj for w in row)
     assert all(g._ext_index[name] is ids[v] for v, name in enumerate(g.external_ids))
+
+
+def test_adjacency_build_makes_no_int_per_entry():
+    """``adj`` is gathered from ``_ids``, so its build peaks near 16 bytes per entry, not 40 or more.
+
+    3,000 nodes and 60,000 seeded edge records (~119k entries). The lists
+    keep 8 bytes per entry and a header per row; while the rows are cut,
+    the flat list and the gathered object array take 8 bytes per entry
+    each. A new int per entry would add 28 bytes per entry on its own.
+    """
+    rng = np.random.default_rng(20261019)
+    names = [f"v{i:04d}" for i in range(3000)]
+    pairs = rng.integers(0, len(names), size=(60_000, 2)).tolist()
+    g = make_graph([(names[a], names[b]) for a, b in pairs], names)
+    ids = g._ids  # built first: the lists share its ints
+    adj, peak = traced_peak(getattr, g, "adj")
+    entries = 2 * g.m
+    assert sum(map(len, adj)) == entries and all(w is ids[w] for row in adj for w in row)
+    assert peak <= 24 * entries, f"peak {peak} B is {peak / entries:.1f} B per adjacency entry"
 
 
 def test_duplicate_and_reversed_edges_collapse():

@@ -8,13 +8,24 @@ hierarchy before and after merging, or merges one build twice, merges a
 from copy import deepcopy
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import corehier.hierarchy
 
 from corehier.errors import ConfigError
-from corehier.graph import largest_connected_component
-from corehier.hierarchy import build_hierarchy
+from corehier.fixtures import generate_kg_sparse
+from corehier.graph import largest_connected_component, load_graph
+from corehier.hierarchy import _attach_global_singletons, build_hierarchy
 from corehier.merging import MergeMode, merge_small_clusters
 
-from conftest import leaf_node_multiset, make_graph
+from conftest import (
+    attach_global_singletons_oracle,
+    leaf_node_multiset,
+    make_graph,
+    merge_small_clusters_oracle,
+    traced_peak,
+)
 
 
 def names_of(g, members):
@@ -167,3 +178,57 @@ class TestFixtureInvariants:
             for small_id, host_id in rep_2h.merged + rep_ext.merged:
                 assert small_id not in merged_2h.clusters or small_id not in merged_ext.clusters
                 assert host_id in merged_2h.clusters or host_id in merged_ext.clusters
+
+
+@st.composite
+def anchored_graphs(draw):
+    """Hubs on a path, pendants on one or two hubs, and random chords.
+
+    The pendants pool at level 2 around shared hubs, so with a small cap
+    their two-hop groups split and the hubs join several leaves as shared
+    anchors.
+    """
+    hubs = draw(st.integers(2, 4))
+    n = hubs + draw(st.integers(3, 24))
+    edges = {(i, i + 1) for i in range(hubs - 1)}
+    for pendant in range(hubs, n):
+        edges |= {(hub, pendant) for hub in draw(st.sets(st.integers(0, hubs - 1), min_size=1, max_size=2))}
+    chords = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n // 2))
+    edges |= {(min(a, b), max(a, b)) for a, b in chords if a != b}
+    names = [f"v{i:02d}" for i in range(n)]
+    return make_graph([(names[a], names[b]) for a, b in sorted(edges)], names)
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=anchored_graphs(), cap=st.integers(2, 5))
+def test_host_map_matches_the_dict_of_host_lists(g, cap):
+    """Attachment and both merge modes pick the hosts that the dict of host lists per node picks."""
+    h = build_hierarchy(g, cap)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(corehier.hierarchy, "_attach_global_singletons", attach_global_singletons_oracle)
+        assert build_hierarchy(g, cap) == h
+    for mode in MergeMode:
+        assert merge_small_clusters(g, deepcopy(h), mode) == merge_small_clusters_oracle(g, deepcopy(h), mode)
+
+
+def test_host_maps_cost_a_few_bytes_per_node():
+    """Attachment and merging peak at a few dozen bytes per node, not a dict entry and a list per node.
+
+    A seeded 6,000-node sparse fixture. Attachment reruns on the finished
+    hierarchy with its attached singletons taken back out, so it must
+    rebuild it exactly.
+    """
+    edges, nodes = generate_kg_sparse(6000, seed=3)
+    g = largest_connected_component(load_graph(edges, nodes))
+    h = build_hierarchy(g, 40)  # also builds g.adj, which the peaks below leave out
+    undone = deepcopy(h)
+    for v, cid in undone.attached_singletons.items():
+        undone.clusters[cid].members.discard(v)
+    singletons, undone.attached_singletons = set(undone.attached_singletons), {}
+    _, peak = traced_peak(_attach_global_singletons, g, undone, singletons)
+    assert undone == h and len(singletons) > 500
+    assert peak <= 32 * g.n, f"attachment peak {peak} B is {peak / g.n:.1f} B per node"
+    for mode in MergeMode:
+        (_, report), peak = traced_peak(merge_small_clusters, g, deepcopy(h), mode)
+        assert len(report.merged) > 500
+        assert peak <= 80 * g.n, f"{mode.value} merge peak {peak} B is {peak / g.n:.1f} B per node"

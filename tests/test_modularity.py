@@ -2,7 +2,6 @@
 
 import importlib
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -30,7 +29,7 @@ from corehier.modularity import (
     verify_sparse_bounds,
 )
 
-from conftest import iter_set_partitions, make_graph, random_graph
+from conftest import iter_set_partitions, make_graph, random_graph, traced_peak
 
 # The package's ``modularity`` attribute is the function, not the module.
 MODULE = importlib.import_module("corehier.modularity")
@@ -214,12 +213,7 @@ class TestEnumeration:
         # comparison mask and one block; a whole int8 partition array does not fit.
         g = random_graph(np.random.default_rng(11), 11, 4)
         assert g.n == 11 and g.m > 0
-        tracemalloc.start()
-        try:
-            enumerate_degeneracy(g, 0.05, 1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(enumerate_degeneracy, g, 0.05, 1)
         assert peak <= 12 * BELL[11]
 
     def test_too_large_instances_rejected(self):

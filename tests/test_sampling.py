@@ -19,12 +19,20 @@ from corehier.sampling import (
     TokenModel,
     _ranked_edge_arrays,
     budget_from_edge_fraction,
+    community_edge_ranking,
     default_edge_costs,
     derive_max_cluster_size,
     round_robin_sample,
 )
 
-from conftest import check_round_robin_properties, make_graph, ranked_edges, round_robin_oracle
+from conftest import (
+    check_round_robin_properties,
+    community_ranking_oracle,
+    make_graph,
+    ranked_edges,
+    round_robin_oracle,
+    traced_peak,
+)
 
 
 class TestTokenModel:
@@ -325,3 +333,75 @@ def test_picks_are_the_graph_node_ints():
     assert result.unaffordable  # the budget bound, so the sequential loop picked too
     assert sum(v > 256 for v in picked) > 500  # CPython caches the ints up to 256
     assert all(g._ids[v] is v for v in picked)
+
+
+def test_communities_are_the_hierarchy_cluster_ints():
+    """``communities`` and ``retired`` hold the cluster id objects of ``h``, not new ones, past the budget's bind too."""
+    edges, nodes = generate_kg_sparse(1500, seed=2)
+    g = largest_connected_component(load_graph(edges, nodes))
+    h = build_hierarchy(g, 40)
+    result = round_robin_sample(h, g, budget_from_edge_fraction(g, 0.3))
+    assert result.unaffordable  # the budget bound, so the sequential loop picked too
+    assert sum(cid > 256 for cid in result.communities) > 100  # CPython caches the ints up to 256
+    assert all(h.clusters[cid].id is cid for cid in result.communities + result.retired)
+
+
+def test_ownership_join_is_exact_past_int32_products():
+    """Node id times leaf count passes 2**31, yet every edge finds the leaf that owns it.
+
+    100,000 nodes in 50,000 two-node leaves, each joined by its own edge,
+    and a path through the leaves whose edges no leaf owns. The ranking is
+    int32, so the lookup keys w * L + p must be widened before the product.
+    """
+    leaves = 50_000
+    names = [f"n{i:06d}" for i in range(2 * leaves)]
+    g = make_graph(list(zip(names, names[1:])), names)
+    assert (g.n - 1) * leaves >= 2**31
+    clusters = {cid: Cluster(cid, {2 * cid, 2 * cid + 1}, 1, "two_hop", None) for cid in range(leaves)}
+    h = Hierarchy(clusters, [], {}, 1, 2, leaf_ids=set(clusters))
+    leaf_ids, owner, u, w = community_edge_ranking(g, h)
+    got: dict[int, list[tuple[int, int]]] = {cid: [] for cid in leaf_ids}
+    for p, a, b in zip(owner.tolist(), u.tolist(), w.tolist()):
+        got[leaf_ids[p]].append((a, b))
+    want = community_ranking_oracle(g, h)
+    assert got == want
+    assert sum(map(len, want.values())) == leaves
+
+
+def planted_blocks(blocks: int, size: int, density: float, links: int, seed: int) -> tuple[Graph, Hierarchy]:
+    """Dense seeded blocks joined by random links, and a hierarchy whose leaves are the blocks, on three levels."""
+    rng = np.random.default_rng(seed)
+    a, b = np.triu_indices(size, 1)
+    src, dst = [], []
+    for block in range(blocks):
+        keep = rng.random(len(a)) < density
+        src += (a[keep] + block * size).tolist()
+        dst += (b[keep] + block * size).tolist()
+    ends = rng.integers(0, blocks * size, size=(links, 2))
+    src += ends[:, 0].tolist()
+    dst += ends[:, 1].tolist()
+    names = [f"n{i:05d}" for i in range(blocks * size)]
+    g = make_graph(
+        [(names[x], names[y]) for x, y in zip(src, dst)], names, {nm: 10 + i % 97 for i, nm in enumerate(names)}
+    )
+    clusters = {
+        block: Cluster(block, set(range(block * size, (block + 1) * size)), 1 + block % 3, "residual", None)
+        for block in range(blocks)
+    }
+    return g, Hierarchy(clusters, [], {}, 3, size, leaf_ids=set(clusters))
+
+
+def test_sample_peak_is_a_small_multiple_of_its_picks():
+    """Above its inputs, sampling peaks below 3.5 times the four pick lists it returns.
+
+    100 planted blocks of 80 nodes, ~147k edges, so the ownership join runs
+    in several chunks; each block is a leaf. The budget is half the edges'
+    cost, so it binds and the sequential loop runs too. The budget ranks
+    the edges first, as in the pipeline, so the ranking is an input.
+    """
+    g, h = planted_blocks(100, 80, 0.45, 5000, seed=5)
+    budget = budget_from_edge_fraction(g, 0.5)
+    result, peak = traced_peak(round_robin_sample, h, g, budget)
+    assert result.unaffordable and g.m > 2 * 65536
+    lists = 8 * (len(result.sources) + len(result.targets) + len(result.communities) + len(result.costs))
+    assert peak <= 3.5 * lists, f"peak {peak} B is {peak / lists:.2f} x the {lists} B of pick lists"
