@@ -254,6 +254,7 @@ def _load_hierarchy(path, g: Graph) -> Hierarchy:
         raise InputError(f"{path}: invalid JSON: nested too deeply") from None
     except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise InputError(f"{path}: invalid JSON: {getattr(exc, 'msg', exc)}") from None
+    del text  # not needed through the rebuild: 3.6 MiB at 58.8k nodes
     try:
         return fileio.hierarchy_from_json_obj(obj, g)
     except InputError as exc:

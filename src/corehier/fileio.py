@@ -398,7 +398,7 @@ def hierarchy_from_json_obj(obj: dict, g: Graph) -> Hierarchy:
                 raise InputError(f"cluster {cid}: unknown node {exc.args[0]!r}") from None
             except TypeError:
                 raise InputError(f"cluster {cid}: node ids must be strings") from None
-            clusters[cid] = Cluster(cid, members, level, kind, parent, [], anchors)
+            clusters[cid] = Cluster(cid, members, level, kind, parent, [], anchors)  # Cluster sorts the set
             leaf_flags[cid] = leaf
         for c in clusters.values():
             if c.parent is not None:

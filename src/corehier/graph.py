@@ -53,7 +53,7 @@ class Graph:
     are built on first access. ``_ids`` is ``list(range(n))``, one int
     object per node id (O(n); 8 bytes per node, and 32 per int past 256);
     every int that names a node downstream is taken from it: the entries
-    of ``adj``, the values of the id index, the hierarchy's member sets
+    of ``adj``, the values of the id index, the hierarchy's member lists
     and the sample's picks, so no node id is held as two objects. ``adj``,
     the neighbour lists as Python lists for the per-node loops downstream,
     is derived from the arrays in O(n + m): one object gather of ``_ids``

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -29,31 +30,37 @@ from .graph import Graph, _component_labels, _gather_rows
 CLUSTER_KINDS = ("root", "core", "residual", "two_hop")
 
 
-@dataclass
+@dataclass(slots=True)
 class Cluster:
     """One node set in the hierarchy.
 
-    ``anchors`` records members pulled in as shared anchors during two-hop
-    splitting; they belong to other clusters as well, so size and nesting
-    checks treat them separately.
+    ``members`` is an ascending list of node ids without repeats; the
+    constructor sorts whatever iterable it is given, so pass a set when it
+    may repeat a node. Built from the graph's shared node ints, a member
+    costs one 8-byte list slot, against ~60-120 bytes per entry of a small
+    set. ``anchors`` records members pulled in as shared anchors during
+    two-hop splitting; they belong to other clusters as well, so size and
+    nesting checks treat them separately.
     """
 
     id: int
-    members: set[int]
+    members: list[int]
     level: int
     kind: str
     parent: int | None = None
     children: list[int] = field(default_factory=list)
     anchors: frozenset[int] = frozenset()
 
-    def sorted_members(self) -> list[int]:
-        return sorted(self.members)
+    def __post_init__(self) -> None:
+        self.members = sorted(self.members)
 
 
 @dataclass
 class Hierarchy:
     """All clusters of one build, the leaf registry and where singletons were attached.
 
+    Each cluster's ``members`` is an ascending list (see :class:`Cluster`):
+    ~8 bytes per member entry beyond each list's fixed 56 bytes.
     ``leaf_ids`` is the authoritative retrieval-leaf registry. It is not
     simply the childless clusters: a cluster whose members all dissolved
     into singleton pools is interior bookkeeping (its content lives on in
@@ -77,7 +84,7 @@ class Hierarchy:
     def covered_nodes(self) -> set[int]:
         covered: set[int] = set()
         for leaf in self.leaves():
-            covered |= leaf.members
+            covered.update(leaf.members)
         return covered
 
 
@@ -224,11 +231,12 @@ def build_hierarchy(g: Graph, max_cluster_size: int, core: list[int] | None = No
     # in the tree but are not retrieval leaves (their content is covered by
     # two-hop groups and attachment hosts instead).
     dissolved: set[int] = set()
-    all_nodes = g._ids  # the int objects g.adj holds, so member sets add none
+    all_nodes = g._ids  # the int objects g.adj holds, so member lists add none
 
-    def new_cluster(members, level, kind, parent, anchors=frozenset()) -> Cluster:
+    def new_cluster(members: list[int], level, kind, parent, anchors=frozenset()) -> Cluster:
+        # members is ascending: Cluster's sort is linear, and its copy keeps all_nodes out of every cluster
         cid = next(counter)
-        cluster = Cluster(cid, set(members), level, kind, parent, [], frozenset(anchors))
+        cluster = Cluster(cid, members, level, kind, parent, [], frozenset(anchors))
         clusters[cid] = cluster
         if parent is not None:
             clusters[parent].children.append(cid)
@@ -267,7 +275,7 @@ def build_hierarchy(g: Graph, max_cluster_size: int, core: list[int] | None = No
                 continue
             if len(group) <= max_cluster_size:
                 parent = _common_ancestor([parent_of[v] for v in group], clusters)
-                if parent is not None and set(group) == clusters[parent].members:
+                if parent is not None and group == clusters[parent].members:
                     # Duplicate of an existing cluster: collapse. The origin
                     # clusters (necessarily childless) keep covering the nodes.
                     for v in group:
@@ -279,7 +287,7 @@ def build_hierarchy(g: Graph, max_cluster_size: int, core: list[int] | None = No
             else:
                 for grown, anchors in _two_hop_split_parts(g, group, max_cluster_size):
                     parent = _common_ancestor([parent_of[v] for v in grown], clusters)
-                    new_cluster(set(grown) | set(anchors), level, "two_hop", parent, anchors)
+                    new_cluster(sorted(grown + anchors), level, "two_hop", parent, anchors)
 
     # Level 1: after preprocessing every node has degree >= 1, so the whole
     # graph is the 1-core and the residual side is empty. Its parts fit the
@@ -411,10 +419,13 @@ def _attach_global_singletons(g: Graph, h: Hierarchy, singletons: set[int]) -> N
     Target: the leaf holding the most of the singleton's neighbors, ties to
     the smallest cluster id (see :func:`_best_host`). Attachment can chain (a
     singleton may only reach the graph through another one), so passes
-    repeat until stable. The leaves' host map (:func:`_host_map`) takes 8
-    bytes per node of ``g``, plus an entry per node in several leaves;
-    every attached singleton is added to it. Cost: one pass over the leaf
-    members, plus one :func:`_best_host` per singleton and pass.
+    repeat until stable. A singleton already in its target (a shared
+    anchor there) is recorded as attached but not listed twice. The
+    leaves' host map (:func:`_host_map`) takes 8 bytes per node of ``g``,
+    plus an entry per node in several leaves; every attached singleton is
+    added to it. Cost: one pass over the leaf members, plus one
+    :func:`_best_host` per singleton and pass, plus a binary search and an
+    O(k) list insert per singleton whose target has k members.
     """
     if not singletons:
         return
@@ -427,7 +438,10 @@ def _attach_global_singletons(g: Graph, h: Hierarchy, singletons: set[int]) -> N
             if best is None:
                 deferred.append(v)
                 continue
-            h.clusters[best].members.add(v)
+            members = h.clusters[best].members
+            i = bisect_left(members, v)
+            if i == len(members) or members[i] != v:
+                members.insert(i, v)
             h.attached_singletons[v] = best
             _add_host(first, more, v, best)
         if len(deferred) == len(remaining):

@@ -13,6 +13,7 @@ more are never touched.
 from __future__ import annotations
 
 import heapq
+from bisect import insort
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -69,7 +70,7 @@ def merge_small_clusters(
     """Merge eligible size-2 leaf clusters of ``h`` into neighboring leaves, in place; return ``(h, report)``.
 
     ``h`` itself is changed and returned: merged clusters leave its cluster
-    map and leaf registry, their hosts' member sets grow, and attached
+    map and leaf registry, their hosts' member lists grow, and attached
     singletons follow their cluster. Merge a ``copy.deepcopy(h)`` to keep
     the original. Merge targets are leaf clusters only; folding a leaf
     into an internal cluster would pull its nodes out of the leaf level
@@ -80,11 +81,14 @@ def merge_small_clusters(
     shared anchors): a node's adjacency is scanned when it is first covered
     and twice per small cluster holding it, each step reads up to k cluster
     ids and may push onto the heap. A merge unlinks the small cluster from
-    its parent's c children in O(c). Memory: the kept leaves' host map
-    (``hierarchy._host_map``), 8 bytes per node of ``g`` plus a dict entry
-    and a list per node in several leaves; the small clusters by member and
-    the attached singletons by owner, O(s + a) for s small clusters and a
-    attached singletons; no cluster is copied.
+    its parent's c children in O(c), and inserts each new node into its
+    host's member list, in time linear in the host's size; the new nodes
+    are the small's members that the host map does not place in the host.
+    Memory: the kept leaves' host map (``hierarchy._host_map``), 8 bytes
+    per node of ``g`` plus a dict entry and a list per node in several
+    leaves; the small clusters by member and the attached singletons by
+    owner, O(s + a) for s small clusters and a attached singletons; no
+    cluster is copied.
     """
     mode = MergeMode(mode)
     report = MergeReport(mode=mode, clusters_before=len(h.clusters))
@@ -123,8 +127,8 @@ def merge_small_clusters(
     heapq.heapify(heap)
 
     def mark_covered(nodes, host_id: int) -> None:
-        """Record new coverage and bump the neighbor counts of touched smalls."""
-        for v in sorted(nodes):
+        """Record new coverage of ``nodes``, ascending, and bump the neighbor counts of touched smalls."""
+        for v in nodes:
             first_time = first[v] is None
             _add_host(first, more, v, host_id)
             if not first_time:
@@ -148,9 +152,10 @@ def merge_small_clusters(
         best = _best_host(g, small.members, first, more)
         if best is not None:
             host = h.clusters[best]
-            new_nodes = small.members - host.members
+            new_nodes = [v for v in small.members if first[v] != best and best not in more.get(v, ())]
             report.deduplicated += len(small.members) - len(new_nodes)
-            host.members |= small.members
+            for v in new_nodes:
+                insort(host.members, v)
             if small.parent is not None:
                 h.clusters[small.parent].children.remove(cid)
             del h.clusters[cid]

@@ -76,7 +76,7 @@ def community_stats(
     correctly rounded for token counts of any size.
 
     Cost: O(n + L log L + M) for the L selected clusters with M members in
-    all, plus O(k) for a sample of k picks or O(M log M) with a token limit.
+    all, plus O(k) for a sample of k picks or O(M) with a token limit.
     """
     tokens = g.tokens
     total = sum(tokens)
@@ -89,7 +89,7 @@ def community_stats(
     for cluster in selected:
         size = len(cluster.members)
         histogram[size] = histogram.get(size, 0) + 1
-        covered |= cluster.members
+        covered.update(cluster.members)
     coverage = 100 * sum(map(tokens.__getitem__, covered)) / total
 
     sampled: float | None = None
@@ -103,7 +103,7 @@ def community_stats(
         admitted = 0
         for cluster in selected:
             room = token_limit
-            for v in cluster.sorted_members():
+            for v in cluster.members:
                 if v in counted:
                     continue
                 cost = tokens[v]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import heapq
 import tracemalloc
 from collections import Counter, deque
@@ -153,6 +154,24 @@ def traced_peak(fn, *args):
     return out, peak - start
 
 
+def traced_retained(fn, *args):
+    """``(fn(*args), retained)``: the bytes that the call's result keeps alive, by tracemalloc.
+
+    The bytes still traced after the call returns, less those traced when
+    it began; what the arguments already hold is not counted, and the
+    call's garbage has been freed.
+    """
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return out, retained - start
+
+
 def best_host_oracle(g: Graph, nodes, hosts_of: dict[int, list[int]]) -> int | None:
     """``hierarchy._best_host`` on a dict of host lists, as it was before the host map."""
     counts: dict[int, int] = {}
@@ -180,7 +199,8 @@ def attach_global_singletons_oracle(g: Graph, h: Hierarchy, singletons: set[int]
             if best is None:
                 deferred.append(v)
                 continue
-            h.clusters[best].members.add(v)
+            if v not in h.clusters[best].members:
+                h.clusters[best].members = sorted(h.clusters[best].members + [v])
             h.attached_singletons[v] = best
             node_leaves.setdefault(v, []).append(best)
         if len(deferred) == len(remaining):
@@ -243,9 +263,9 @@ def merge_small_clusters_oracle(g: Graph, h: Hierarchy, mode: MergeMode) -> tupl
         best = best_host_oracle(g, small.members, covered_in)
         if best is not None:
             host = h.clusters[best]
-            new_nodes = small.members - host.members
+            new_nodes = set(small.members) - set(host.members)
             report.deduplicated += len(small.members) - len(new_nodes)
-            host.members |= small.members
+            host.members = sorted(set(host.members) | set(small.members))
             if small.parent is not None:
                 h.clusters[small.parent].children.remove(cid)
             del h.clusters[cid]
@@ -492,6 +512,7 @@ def check_hierarchy_invariants(g: Graph, h: Hierarchy, max_size: int) -> None:
 
     for c in h.clusters.values():
         assert c.members, f"cluster {c.id} is empty"
+        assert all(u < v for u, v in zip(c.members, c.members[1:])), f"cluster {c.id} is not strictly ascending"
         assert c.kind in CLUSTER_KINDS
         base = set(c.members) - attached_to.get(c.id, set()) - set(c.anchors)
         assert base, f"cluster {c.id} has no base members"
@@ -507,7 +528,7 @@ def check_hierarchy_invariants(g: Graph, h: Hierarchy, max_size: int) -> None:
             assert h.is_leaf(c.id), f"{c.kind} cluster {c.id} must be a leaf"
         if c.parent is not None:
             parent = h.clusters[c.parent]
-            assert base <= parent.members, f"cluster {c.id} escapes its parent"
+            assert base <= set(parent.members), f"cluster {c.id} escapes its parent"
             assert c.level > parent.level or (c.kind != "core")
         for child in c.children:
             assert h.clusters[child].parent == c.id

@@ -8,16 +8,25 @@ from hypothesis import strategies as st
 import corehier.hierarchy
 from corehier.cores import core_numbers
 from corehier.errors import ConfigError, InputError
-from corehier.fixtures import three_level_example
-from corehier.fileio import hierarchy_to_json_obj, json_dumps_stable
+from corehier.fixtures import generate_kg_sparse, three_level_example
+from corehier.fileio import hierarchy_from_json_obj, hierarchy_to_json_obj, json_dumps_stable
 from corehier.graph import largest_connected_component, load_graph
-from corehier.hierarchy import Cluster, _common_ancestor, _two_hop_split_parts, build_hierarchy, split_component
+from corehier.hierarchy import (
+    Cluster,
+    Hierarchy,
+    _attach_global_singletons,
+    _common_ancestor,
+    _two_hop_split_parts,
+    build_hierarchy,
+    split_component,
+)
 
 from conftest import (
     check_hierarchy_invariants,
     make_graph,
     split_component_oracle,
     split_two_hop,
+    traced_retained,
     two_hop_split_parts_oracle,
 )
 
@@ -298,3 +307,50 @@ class TestTightCaps:
         for cap in (2, 3, 4, 6):
             h = build_hierarchy(g, cap)
             check_hierarchy_invariants(g, h, cap)
+
+
+def test_singleton_already_anchored_in_its_host_is_listed_once():
+    """A parked singleton that its target leaf already holds as a shared anchor is recorded, not repeated.
+
+    v's neighbours a and b lie in leaf 1, which holds v as an anchor; d's
+    neighbours c and e lie in leaf 2, where d goes between them.
+    """
+    g = make_graph([("a", "b"), ("a", "v"), ("b", "c"), ("b", "v"), ("c", "d"), ("c", "e"), ("d", "e")])
+    a, b, c, d, e, v = map(g.id_of, "abcdev")
+    h = Hierarchy(
+        clusters={
+            0: Cluster(0, {a, b, c, d, e, v}, 1, "root", None, [1, 2]),
+            1: Cluster(1, {a, b, v}, 2, "two_hop", 0, anchors=frozenset({v})),
+            2: Cluster(2, {c, e}, 2, "residual", 0),
+        },
+        roots=[0],
+        attached_singletons={},
+        max_level=2,
+        max_cluster_size=3,
+        leaf_ids={1, 2},
+    )
+    _attach_global_singletons(g, h, {v, d})
+    assert h.attached_singletons == {v: 1, d: 2}
+    assert h.clusters[1].members == [a, b, v]
+    assert h.clusters[2].members == [c, d, e]
+
+
+def test_member_lists_cost_a_few_dozen_bytes_per_entry():
+    """A built or read-back hierarchy keeps a few dozen bytes per member entry, not a set entry's 60-120.
+
+    A seeded 6,000-node sparse fixture at cap 40. The bytes counted are
+    those the result keeps alive: clusters, member lists, anchors, children
+    and the registries; the graph's lazy adjacency and id index are built
+    beforehand.
+    """
+    edges, nodes = generate_kg_sparse(6000, seed=3)
+    g = largest_connected_component(load_graph(edges, nodes))
+    assert g.adj and g._ext_index
+    h, kept = traced_retained(build_hierarchy, g, 40)
+    entries = sum(len(c.members) for c in h.clusters.values())
+    assert entries > g.n
+    assert kept <= 80 * entries, f"build keeps {kept} B, {kept / entries:.1f} B per member entry"
+    obj = hierarchy_to_json_obj(h, g)
+    back, kept = traced_retained(hierarchy_from_json_obj, obj, g)
+    assert back == h
+    assert kept <= 100 * entries, f"read-back keeps {kept} B, {kept / entries:.1f} B per member entry"

@@ -223,7 +223,7 @@ def test_host_maps_cost_a_few_bytes_per_node():
     h = build_hierarchy(g, 40)  # also builds g.adj, which the peaks below leave out
     undone = deepcopy(h)
     for v, cid in undone.attached_singletons.items():
-        undone.clusters[cid].members.discard(v)
+        undone.clusters[cid].members.remove(v)
     singletons, undone.attached_singletons = set(undone.attached_singletons), {}
     _, peak = traced_peak(_attach_global_singletons, g, undone, singletons)
     assert undone == h and len(singletons) > 500
