@@ -15,7 +15,7 @@ print(f"graph: {g.n} nodes, {g.m} edges, average degree {g.avg_degree:.2f}")
 dec = core_numbers(g)
 print(f"maximum core: {dec.max_core}")
 for k in sorted(set(dec.core)):
-    names = ", ".join(g.external_id(v) for v in range(g.n) if dec.core[v] == k)
+    names = ", ".join(g.external_ids[v] for v in range(g.n) if dec.core[v] == k)
     print(f"  shell {k}: {names}")
 
 # The defining property: inside the k-core every node keeps at least k

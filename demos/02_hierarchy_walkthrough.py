@@ -14,7 +14,7 @@ h = build_hierarchy(g, max_cluster_size=16)
 
 
 def label(cluster):
-    names = "".join(sorted(g.external_id(v) for v in cluster.members))
+    names = "".join(sorted(g.external_ids[v] for v in cluster.members))
     leaf = " (leaf)" if h.is_leaf(cluster.id) else ""
     return f"[{cluster.id}] level {cluster.level} {cluster.kind:8s} {{{names}}}{leaf}"
 
@@ -29,7 +29,7 @@ for root in h.roots:
     walk(root)
 
 print()
-print("attached singletons:", {g.external_id(v): cid for v, cid in h.attached_singletons.items()})
+print("attached singletons:", {g.external_ids[v]: cid for v, cid in h.attached_singletons.items()})
 print()
 print("Reading the tree: the 2-core {f..p} refines the root; a-b fell out as a")
 print("connected residual pair, c and d share a neighbor so they pool into a")

@@ -34,11 +34,10 @@ for fraction in (0.8, 0.7, 0.6, 0.4, 0.3, 0.2):
     budget = budget_from_edge_fraction(g, fraction)
     result = round_robin_sample(merged, g, budget)
     stats = community_stats(merged, "LF", g, sample=result)
-    nonempty = sum(1 for picks in result.edges_by_community().values() if picks)
     print(
         f"edge budget {int(fraction * 100):3d}%: token budget {budget:7d}, "
         f"selected {len(result.sources):5d} edges costing {result.total_tokens:7d} "
-        f"({nonempty} communities represented, "
+        f"({len(set(result.communities))} communities represented, "
         f"endpoint token coverage {stats.coverage_pct_sampled:.1f}%)"
     )
 

@@ -125,7 +125,7 @@ def _config(args, budget_required: bool = False) -> PipelineConfig:
 def _load(cfg: PipelineConfig) -> Graph:
     tm = TokenModel(chars_per_token=cfg.chars_per_token)
     edges = fileio.read_edges_tsv(cfg.edges_path)
-    nodes = fileio.read_nodes_jsonl(cfg.nodes_path, tm) if cfg.nodes_path else ([], [], [])
+    nodes = fileio.read_nodes_jsonl(cfg.nodes_path, tm) if cfg.nodes_path else ([], [])
     return graph_from_columns(edges, *nodes)
 
 

@@ -4,11 +4,12 @@ Edge files are TSV (``src<TAB>dst[<TAB>weight]``, ``#`` comments allowed,
 UTF-8); weights are validated but discarded since every algorithm here is
 unweighted. Node files are JSON Lines with ``id`` required and ``label``,
 ``tokens`` or ``text`` optional; ``text`` is converted to a token count by
-the supplied estimator. JSON artifacts are serialized with sorted keys,
-two-space indentation and a trailing newline so reruns are byte-identical.
+the supplied estimator, and ``label`` is accepted and ignored, as no stage
+reads it. JSON artifacts are serialized with sorted keys, two-space
+indentation and a trailing newline so reruns are byte-identical.
 
 The readers build no object per record. The node reader returns
-columns, lists of ids, labels and counts. The edge reader returns the
+columns, lists of ids and token counts. The edge reader returns the
 endpoints as :class:`~corehier.graph.EdgeSpans`, UTF-8 byte spans of one
 buffer, so no endpoint becomes a ``str``: a clean file keeps its own
 bytes, with 16 bytes of offsets per endpoint. Each reader has a bulk path
@@ -114,7 +115,7 @@ _FIELD_END[[9, 10]] = True
 #: One node record exactly as :func:`write_nodes_jsonl` writes it: strings
 #: without escapes or control characters, a token count of at most 18 digits.
 _NODE_LINE = re.compile(
-    r'^\{"id": "([^"\\\x00-\x1f]+)", "label": "([^"\\\x00-\x1f]*)", "tokens": (0|[1-9][0-9]{0,17})\}$',
+    r'^\{"id": "([^"\\\x00-\x1f]+)", "label": "[^"\\\x00-\x1f]*", "tokens": (0|[1-9][0-9]{0,17})\}$',
     re.MULTILINE,
 )
 
@@ -202,16 +203,15 @@ def _read_edges_by_line(path: Path, text: str) -> EdgeSpans:
     return EdgeSpans.encode(names)
 
 
-def read_nodes_jsonl(
-    path: str | Path, token_model: TokenModel | None = None
-) -> tuple[list[str], list[str], list[int]]:
-    """Parse a node metadata file into its id, label and token count columns.
+def read_nodes_jsonl(path: str | Path, token_model: TokenModel | None = None) -> tuple[list[str], list[int]]:
+    """Parse a node metadata file into its id and token count columns.
 
-    ``text`` fields become estimated token counts. A file whose every line
-    is a record exactly as :func:`write_nodes_jsonl` writes it, ``{"id":
-    "…", "label": "…", "tokens": N}`` with no escape or control character in
-    the strings and at most 18 digits in N, and that has no line break but
-    "\n", is read by one regular-expression scan. Any other file goes to
+    ``text`` fields become estimated token counts; a ``label`` of any JSON
+    value is accepted and not kept. A file whose every line is a record
+    exactly as :func:`write_nodes_jsonl` writes it, ``{"id": "…", "label":
+    "…", "tokens": N}`` with no escape or control character in the strings
+    and at most 18 digits in N, and that has no line break but "\n", is
+    read by one regular-expression scan. Any other file goes to
     the line-by-line reader, which gives every error with its line number.
     """
     path = Path(path)
@@ -219,11 +219,11 @@ def read_nodes_jsonl(
     if _plain_lines(text):
         found = _NODE_LINE.findall(text)
         if len(found) == text.count("\n") + (bool(text) and not text.endswith("\n")):  # one per line
-            return [f[0] for f in found], [f[1] for f in found], [int(f[2]) for f in found]
+            return [f[0] for f in found], [int(f[1]) for f in found]
     return _read_nodes_by_line(path, text, token_model or TokenModel())
 
 
-def _read_nodes_by_line(path: Path, text: str, tm: TokenModel) -> tuple[list[str], list[str], list[int]]:
+def _read_nodes_by_line(path: Path, text: str, tm: TokenModel) -> tuple[list[str], list[int]]:
     """The columns of :func:`read_nodes_jsonl`, one line of ``text`` (read from ``path``) at a time.
 
     Each line is decoded as if by ``json.loads``: the decoder's scanner reads
@@ -234,7 +234,6 @@ def _read_nodes_by_line(path: Path, text: str, tm: TokenModel) -> tuple[list[str
     """
     scan = json.JSONDecoder().scan_once
     ids: list[str] = []
-    labels: list[str] = []
     counts: list[int] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -261,9 +260,8 @@ def _read_nodes_by_line(path: Path, text: str, tm: TokenModel) -> tuple[list[str
         elif not isinstance(tokens, int) or isinstance(tokens, bool) or tokens < 0:
             raise InputError(f"{path}:{lineno}: 'tokens' must be a nonnegative integer")
         ids.append(obj["id"])
-        labels.append(str(obj.get("label", "")))
         counts.append(tokens)
-    return ids, labels, counts
+    return ids, counts
 
 
 def edges_to_tsv(records: list[tuple[str, str]]) -> str:
@@ -285,6 +283,7 @@ def write_nodes_jsonl(path: str | Path, records: list[NodeMeta]) -> None:
 
 def hierarchy_to_json_obj(h: Hierarchy, g: Graph) -> dict:
     """JSON-ready view of a hierarchy with external node ids."""
+    ext = g.external_ids
     clusters = []
     for cid in sorted(h.clusters):
         c = h.clusters[cid]
@@ -295,15 +294,13 @@ def hierarchy_to_json_obj(h: Hierarchy, g: Graph) -> dict:
                 "kind": c.kind,
                 "parent": c.parent,
                 "leaf": h.is_leaf(cid),
-                "members": sorted(g.external_id(v) for v in c.members),
-                "anchors": sorted(g.external_id(v) for v in c.anchors),
+                "members": sorted(ext[v] for v in c.members),
+                "anchors": sorted(ext[v] for v in c.anchors),
             }
         )
     return {
         "clusters": clusters,
-        "attached_singletons": {
-            g.external_id(v): cid for v, cid in sorted(h.attached_singletons.items())
-        },
+        "attached_singletons": {ext[v]: cid for v, cid in sorted(h.attached_singletons.items())},
         "roots": list(h.roots),
         "max_level": h.max_level,
         "max_cluster_size": h.max_cluster_size,
@@ -366,30 +363,34 @@ def _is_int(x) -> bool:
 def hierarchy_from_json_obj(obj: dict, g: Graph) -> Hierarchy:
     """Rebuild a hierarchy over ``g`` from its JSON form.
 
-    Malformed input raises InputError, naming the cluster where there is
-    one: a missing field, a container or value of the wrong type, a member
-    that is not a node of ``g``, a repeated id, a parent that is not a
-    cluster and a parent chain that loops. The checks are O(1) per cluster
-    on top of one lookup per member in the graph's id index.
+    Every field that :func:`write_hierarchy_json` writes is required; the
+    ``leaf`` flags are the leaf registry, which the childless clusters do
+    not give (see :class:`Hierarchy`). Malformed input raises InputError,
+    naming the cluster where there is one: a missing field, a container or
+    value of the wrong type, a member that is not a node of ``g``, a
+    repeated id, a parent that is not a cluster and a parent chain that
+    loops. The checks are O(1) per cluster on top of one lookup per member
+    in an id index built in O(n), which maps to the graph's own node ints
+    (``g._ids``), so the member lists make no int.
     """
-    lookup = g._ext_index.__getitem__
+    lookup = dict(zip(g.external_ids, g._ids)).__getitem__
     try:
         if not isinstance(obj, dict) or not isinstance(obj["clusters"], list) or not obj["clusters"]:
             raise InputError("hierarchy JSON must be an object with a nonempty 'clusters' list")
         clusters: dict[int, Cluster] = {}
-        leaf_flags: dict[int, bool | None] = {}
+        leaf_ids: set[int] = set()
         for entry in obj["clusters"]:
             if not isinstance(entry, dict) or not _is_int(entry["id"]):
                 raise InputError("every cluster must be an object with an integer 'id'")
-            cid, names, anchor_names = entry["id"], entry["members"], entry.get("anchors", [])
-            level, kind, parent, leaf = entry["level"], entry["kind"], entry["parent"], entry.get("leaf")
+            cid, names, anchor_names = entry["id"], entry["members"], entry["anchors"]
+            level, kind, parent, leaf = entry["level"], entry["kind"], entry["parent"], entry["leaf"]
             if cid in clusters:
                 raise InputError(f"cluster {cid}: duplicate id")
             if not isinstance(names, list) or not isinstance(anchor_names, list):
                 raise InputError(f"cluster {cid}: 'members' and 'anchors' must be lists")
             if not _is_int(level) or kind not in CLUSTER_KINDS or not (parent is None or _is_int(parent)):
                 raise InputError(f"cluster {cid}: bad level {level!r}, kind {kind!r} or parent {parent!r}")
-            if leaf is not None and not isinstance(leaf, bool):
+            if not isinstance(leaf, bool):
                 raise InputError(f"cluster {cid}: 'leaf' must be true or false")
             try:
                 members = set(map(lookup, names))
@@ -399,7 +400,8 @@ def hierarchy_from_json_obj(obj: dict, g: Graph) -> Hierarchy:
             except TypeError:
                 raise InputError(f"cluster {cid}: node ids must be strings") from None
             clusters[cid] = Cluster(cid, members, level, kind, parent, [], anchors)  # Cluster sorts the set
-            leaf_flags[cid] = leaf
+            if leaf:
+                leaf_ids.add(cid)
         for c in clusters.values():
             if c.parent is not None:
                 if c.parent not in clusters:
@@ -412,16 +414,8 @@ def hierarchy_from_json_obj(obj: dict, g: Graph) -> Hierarchy:
             raise InputError(f"cluster {min(clusters.keys() - set(reached))}: parent chain loops")
         for c in clusters.values():
             c.children.sort()
-        if any(flag is None for flag in leaf_flags.values()):
-            leaf_ids = {cid for cid, c in clusters.items() if not c.children}
-        else:
-            leaf_ids = {cid for cid, flag in leaf_flags.items() if flag}
-        roots = obj.get(
-            "roots",
-            [cid for cid, c in sorted(clusters.items()) if c.parent is None and c.kind == "root"],
-        )
-        max_level = obj.get("max_level", max(c.level for c in clusters.values()))
-        max_size, attached_in = obj.get("max_cluster_size", 0), obj.get("attached_singletons", {})
+        roots, max_level = obj["roots"], obj["max_level"]
+        max_size, attached_in = obj["max_cluster_size"], obj["attached_singletons"]
         if not (
             isinstance(roots, list) and all(_is_int(r) and r in clusters for r in roots)
             and _is_int(max_level) and _is_int(max_size) and isinstance(attached_in, dict)
@@ -446,9 +440,10 @@ def hierarchy_from_json_obj(obj: dict, g: Graph) -> Hierarchy:
 
 def sample_to_tsv(result: SampleResult, g: Graph) -> str:
     """Selected edges as ``src<TAB>dst<TAB>community<TAB>cost`` lines."""
+    ext = g.external_ids
     lines = ["#src\tdst\tcommunity\tcost"]
     for u, w, cid, cost in zip(result.sources, result.targets, result.communities, result.costs):
-        lines.append(f"{g.external_id(u)}\t{g.external_id(w)}\t{cid}\t{cost}")
+        lines.append(f"{ext[u]}\t{ext[w]}\t{cid}\t{cost}")
     return "\n".join(lines) + "\n"
 
 

@@ -21,7 +21,11 @@ from .errors import InputError
 
 @dataclass(frozen=True, slots=True)
 class NodeMeta:
-    """Per-node metadata: stable external id, display label, token count."""
+    """Per-node metadata: stable external id, display label, token count.
+
+    The label is written to node files; no stage reads it, and a graph does
+    not keep it.
+    """
 
     external_id: str
     label: str = ""
@@ -45,25 +49,25 @@ class Graph:
     entries and a node's degree is its row length. A graph with no nodes
     is rejected with :class:`InputError`.
 
-    Node metadata is kept as three lists indexed by id: ``external_ids``,
-    ``labels`` and ``tokens``, the token counts. The graph keeps the lists
-    it is given; nothing mutates them.
+    Node metadata is kept as two lists indexed by id: ``external_ids`` and
+    ``tokens``, the token counts. The graph keeps the lists it is given;
+    nothing mutates them.
 
-    ``degrees`` is a list built on construction (O(n)). Three attributes
-    are built on first access. ``_ids`` is ``list(range(n))``, one int
-    object per node id (O(n); 8 bytes per node, and 32 per int past 256);
-    every int that names a node downstream is taken from it: the entries
-    of ``adj``, the values of the id index, the hierarchy's member lists
+    ``degrees`` is a list built on construction (O(n)). Two attributes are
+    built on first access. ``_ids`` is ``list(range(n))``, one int object
+    per node id (O(n); 8 bytes per node, and 32 per int past 256); every
+    int that names a node downstream is taken from it: the entries of
+    ``adj``, the hierarchy's member lists (also those read back from JSON)
     and the sample's picks, so no node id is held as two objects. ``adj``,
     the neighbour lists as Python lists for the per-node loops downstream,
     is derived from the arrays in O(n + m): one object gather of ``_ids``
     by ``indices`` into a flat list, cut into one list per row. It keeps 8
     bytes per entry and a list header per node; while it is built, the flat
     list and the gathered object array hold 8 bytes per entry more each,
-    and no int is made. The external-id index behind :meth:`id_of` is built
-    from ``external_ids`` in O(n). ``_ranking`` holds the sampling stage's
-    edge ranking once it is first computed, two int32 arrays of m entries
-    (see ``sampling._ranked_edge_arrays``), and is None until then.
+    and the row bounds, read in place, 40 bytes per node; no int is made
+    per entry. ``_ranking`` holds the sampling stage's edge
+    ranking once it is first computed, two int32 arrays of m entries (see
+    ``sampling._ranked_edge_arrays``), and is None until then.
 
     Treat instances as frozen once constructed; nothing in the package
     mutates them, which makes concurrent reads safe (two threads racing on
@@ -71,19 +75,18 @@ class Graph:
     """
 
     __slots__ = (
-        "n", "m", "indptr", "indices", "adj", "_ids", "external_ids", "labels", "tokens", "degrees",
-        "_ext_index", "_ranking",
+        "n", "m", "indptr", "indices", "adj", "_ids", "external_ids", "tokens", "degrees", "_ranking",
     )
 
-    def __init__(self, indptr, indices, external_ids: list[str], labels: list[str], tokens: list[int]):
+    def __init__(self, indptr, indices, external_ids: list[str], tokens: list[int]):
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.indices = np.asarray(indices, dtype=np.int32)
         self.n = n = len(external_ids)
         if not n:
             raise InputError("empty input: no nodes")
-        if not (len(self.indptr) == n + 1 and len(labels) == len(tokens) == n):
+        if not (len(self.indptr) == n + 1 and len(tokens) == n):
             raise InputError("adjacency and metadata lengths differ")
-        self.external_ids, self.labels, self.tokens = external_ids, labels, tokens
+        self.external_ids, self.tokens = external_ids, tokens
         self._ranking = None
         self.m = len(self.indices) // 2
         self.degrees = np.diff(self.indptr).tolist()
@@ -96,25 +99,13 @@ class Graph:
         if name == "adj":
             flat = np.array(self._ids, dtype=object)[self.indices].tolist()
             bounds = self.indptr.tolist()
-            self.adj = list(map(flat.__getitem__, map(slice, bounds[:-1], bounds[1:])))
+            self.adj = list(map(flat.__getitem__, map(slice, bounds, islice(bounds, 1, None))))
             return self.adj
-        if name == "_ext_index":
-            self._ext_index = dict(zip(self.external_ids, self._ids))
-            return self._ext_index
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     @property
     def avg_degree(self) -> float:
         return 2.0 * self.m / self.n
-
-    def id_of(self, external_id: str) -> int:
-        return self._ext_index[external_id]
-
-    def external_id(self, v: int) -> str:
-        return self.external_ids[v]
-
-    def token_count(self, v: int) -> int:
-        return self.tokens[v]
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Every edge once as int64 arrays (u, w) with u < w, sorted by (u, w). O(n + m)."""
@@ -138,16 +129,15 @@ def load_graph(
     """Build a graph from raw edge and node records.
 
     A self-loop registers its node and adds no edge, so the graph is
-    simple; records naming no node raise :class:`InputError`. The endpoints
-    are encoded into :class:`EdgeSpans` and the node records unzipped into
-    columns in O(n + m) for :func:`graph_from_columns`, which states the
-    rules and the cost.
+    simple; records naming no node raise :class:`InputError`. A record's
+    ``label`` is not kept. The endpoints are encoded into :class:`EdgeSpans`
+    and the node records unzipped into columns in O(n + m) for
+    :func:`graph_from_columns`, which states the rules and the cost.
     """
     nodes = list(node_records)
     return graph_from_columns(
         EdgeSpans.encode([end for src, dst in edge_records for end in (src, dst)]),
         [rec.external_id for rec in nodes],
-        [rec.label for rec in nodes],
         [rec.token_count for rec in nodes],
     )
 
@@ -304,13 +294,12 @@ def _join(edges: EdgeSpans, ids: list[str]) -> tuple[np.ndarray, list[str]]:
     return node, list(map(names.__getitem__, order))
 
 
-def graph_from_columns(edges: EdgeSpans, ids: list[str], labels: list[str], tokens: list[int]) -> Graph:
+def graph_from_columns(edges: EdgeSpans, ids: list[str], tokens: list[int]) -> Graph:
     """Build a graph from edge spans and node columns.
 
     Edge i joins endpoints 2i and 2i + 1 of ``edges``; node j has external
-    id ``ids[j]``, label ``labels[j]`` and ``tokens[j]`` >= 0 tokens. Edge
-    endpoints that name no node are registered with an empty label and
-    zero tokens. Parallel edges collapse to one, and a self-loop is dropped
+    id ``ids[j]`` and ``tokens[j]`` >= 0 tokens. Edge endpoints that name
+    no node are registered with zero tokens. Parallel edges collapse to one, and a self-loop is dropped
     while the keys are built, though it still registers its node, so the
     graph is simple. Internal ids follow lexicographic external-id order.
     A repeated id raises :class:`InputError` before an empty endpoint
@@ -325,8 +314,7 @@ def graph_from_columns(edges: EdgeSpans, ids: list[str], labels: list[str], toke
     id, a sort of the two in-order runs (O(n) comparisons) renumbers every
     endpoint by array indexing. Then an O(m log m) sort of the encoded keys
     u * n + w of both edge directions; a key equal to its predecessor is a
-    parallel edge. The sorted keys are the CSR rows in order. The
-    external-id index behind :meth:`Graph.id_of` is built on first use.
+    parallel edge. The sorted keys are the CSR rows in order.
     """
     if not all(map(lt, ids, islice(ids, 1, None))):
         order = sorted(range(len(ids)), key=ids.__getitem__)
@@ -334,20 +322,20 @@ def graph_from_columns(edges: EdgeSpans, ids: list[str], labels: list[str], toke
         repeats = list(compress(islice(order, 1, None), map(eq, ranked, islice(ranked, 1, None))))
         if repeats:  # each repeat sorts right after an earlier equal id
             raise InputError(f"duplicate node id {ids[min(repeats)]!r}")
-        ids, labels, tokens = ranked, list(map(labels.__getitem__, order)), list(map(tokens.__getitem__, order))
+        ids, tokens = ranked, list(map(tokens.__getitem__, order))
     if (edges.starts == edges.ends).any():
         raise InputError("edge with empty endpoint id")
 
     node, unknown = _join(edges, ids)
     if unknown:
         at = len(ids)
-        ids, labels, tokens = ids + unknown, labels + [""] * len(unknown), tokens + [0] * len(unknown)
+        ids, tokens = ids + unknown, tokens + [0] * len(unknown)
         if at and ids[at - 1] > ids[at]:
             order = sorted(range(len(ids)), key=ids.__getitem__)  # two in-order runs: one merge
             rank = np.empty(len(ids), dtype=np.int64)
             rank[order] = np.arange(len(ids))
             node = rank[node]
-            ids, labels, tokens = (list(map(column.__getitem__, order)) for column in (ids, labels, tokens))
+            ids, tokens = (list(map(column.__getitem__, order)) for column in (ids, tokens))
     n = len(ids)
 
     u, w = node[0::2], node[1::2]
@@ -364,7 +352,7 @@ def graph_from_columns(edges: EdgeSpans, ids: list[str], labels: list[str], toke
     keys //= n  # the row of each entry
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys, minlength=n), out=indptr[1:])
-    return Graph(indptr, cols, ids, labels, tokens)
+    return Graph(indptr, cols, ids, tokens)
 
 
 def _component_labels(n: int, u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -432,5 +420,5 @@ def largest_connected_component(g: Graph) -> Graph:
     # A component is closed under adjacency: every neighbour is kept.
     indices = new_id[g.indices[np.repeat(keep, row_sizes)]]
     pick = nodes.tolist()
-    columns = (list(map(column.__getitem__, pick)) for column in (g.external_ids, g.labels, g.tokens))
+    columns = (list(map(column.__getitem__, pick)) for column in (g.external_ids, g.tokens))
     return Graph(indptr, indices, *columns)

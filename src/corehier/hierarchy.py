@@ -81,12 +81,6 @@ class Hierarchy:
     def leaves(self) -> list[Cluster]:
         return [self.clusters[cid] for cid in sorted(self.leaf_ids)]
 
-    def covered_nodes(self) -> set[int]:
-        covered: set[int] = set()
-        for leaf in self.leaves():
-            covered.update(leaf.members)
-        return covered
-
 
 def _grow(order, links, remaining: set[int], max_size: int) -> list[list[int]]:
     """Cut ``remaining`` into greedy clusters of at most ``max_size`` nodes, each sorted.

@@ -173,12 +173,6 @@ class SampleResult:
     budget: int
     unaffordable: list[int] = field(default_factory=list)  # subset stopped by budget
 
-    def edges_by_community(self) -> dict[int, list[tuple[int, int]]]:
-        out: dict[int, list[tuple[int, int]]] = {}
-        for u, w, cid in zip(self.sources, self.targets, self.communities):
-            out.setdefault(cid, []).append((u, w))
-        return out
-
 
 def community_edge_ranking(g: Graph, h: Hierarchy) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
     """Leaf communities in visit order and the edges each one owns, in rank order.

@@ -27,6 +27,11 @@ def make_graph(edges, names=None, tokens=None) -> Graph:
     return load_graph(edges, nodes)
 
 
+def node_id(g: Graph, name: str) -> int:
+    """The internal id of the node with external id ``name``; O(n)."""
+    return g.external_ids.index(name)
+
+
 def random_graph(rng: np.random.Generator, n: int, extra_edges: int) -> Graph:
     """Random graph: spanning-tree-ish backbone plus extra edges; may have isolates."""
     names = [f"v{i:03d}" for i in range(n)]
@@ -545,7 +550,7 @@ def check_hierarchy_invariants(g: Graph, h: Hierarchy, max_size: int) -> None:
     for v, count in seen.items():
         assert count == 1 or v in anchor_nodes, f"node {v} is covered by {count} leaves"
 
-    assert h.covered_nodes() == set(range(g.n)), "leaves must cover every node"
+    assert seen.keys() == set(range(g.n)), "leaves must cover every node"
     for cid in h.roots:
         assert h.clusters[cid].parent is None
 
@@ -567,7 +572,9 @@ def check_round_robin_properties(
         assert cost == g.tokens[u] + g.tokens[w] + overhead
 
     ranking = community_ranking_oracle(g, h)
-    by_comm = result.edges_by_community()
+    by_comm: dict[int, list[tuple[int, int]]] = {}
+    for u, w, cid in zip(result.sources, result.targets, result.communities):
+        by_comm.setdefault(cid, []).append((u, w))
     for cid, picked in by_comm.items():
         assert picked == ranking[cid][: len(picked)], f"community {cid} skipped a ranked edge"
 

@@ -48,6 +48,7 @@ from conftest import (
     core_numbers_oracle,
     leaf_node_multiset,
     make_graph,
+    node_id,
     random_graph,
 )
 
@@ -93,7 +94,7 @@ def test_criterion_02_worked_example_reproduction():
     h = build_hierarchy(g, 16)
 
     def members(c):
-        return "".join(sorted(g.external_id(v) for v in c.members))
+        return "".join(sorted(g.external_ids[v] for v in c.members))
 
     shape = {(members(c), c.level, c.kind) for c in h.clusters.values()}
     assert shape == {
@@ -113,7 +114,7 @@ def test_criterion_02_worked_example_reproduction():
     for name in ("mnop", "efgh", "ij", "kl"):
         assert by_members[name].parent == two_core.id
     assert two_core.parent == root.id
-    assert h.attached_singletons == {g.id_of("e"): by_members["efgh"].id}
+    assert h.attached_singletons == {node_id(g, "e"): by_members["efgh"].id}
     assert {members(c) for c in h.leaves()} == {"ab", "cd", "efgh", "ij", "kl", "mnop"}
     report(2, "16-node worked example decomposes into the documented structure")
 
@@ -122,7 +123,7 @@ def test_criterion_03_hierarchy_invariants_and_determinism(fixture_bundle):
     for seed, g, max_size, h in fixture_bundle:
         check_hierarchy_invariants(g, h, max_size)
         # full leaf coverage of the component
-        assert h.covered_nodes() == set(range(g.n))
+        assert leaf_node_multiset(h).keys() == set(range(g.n))
         # independent rebuild from the raw records is byte-identical
         edges, nodes = generate_kg_sparse(FIXTURE_N, seed=seed)
         g2 = largest_connected_component(load_graph(edges, nodes))

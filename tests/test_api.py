@@ -1,7 +1,9 @@
 """The package's public surface: adding or removing a name must be deliberate."""
 
+import ast
 import importlib
 import importlib.util
+import types
 from pathlib import Path
 
 import corehier
@@ -73,3 +75,37 @@ def test_every_traced_name_resolves():
         module = importlib.import_module(f"corehier.{module_name}")
         missing = [name for name in names if not callable(getattr(module, name, None))]
         assert not missing, f"corehier.{module_name} lacks {missing}"
+
+
+def test_every_public_method_has_a_caller_in_the_package():
+    """No public API that only the tests use: each public method or property of a public class is read in src/.
+
+    A method counts as used when some ``ast.Attribute`` in ``src/corehier``
+    names it outside its own definition. The match is by name, whatever the
+    receiver's type, so it can only miss a dead method, never flag a live one.
+    """
+    src = Path(corehier.__file__).resolve().parent
+    kinds = (types.FunctionType, property, classmethod, staticmethod)
+    wanted = {
+        (cls.__name__, name)
+        for cls in (getattr(corehier, public) for public in corehier.__all__)
+        if isinstance(cls, type)
+        for name, value in vars(cls).items()
+        if not name.startswith("_") and isinstance(value, kinds)
+    }
+    used: set[str] = set()
+
+    def visit(node, owner=None, inside=frozenset()):
+        if isinstance(node, ast.Attribute) and (owner, node.attr) not in inside:
+            used.add(node.attr)
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and owner:
+            inside = inside | {(owner, node.name)}
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner, inside)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")))
+    unused = sorted(f"{cls}.{name}" for cls, name in wanted if name not in used)
+    assert not unused, f"public methods no module of the package calls: {unused}"

@@ -26,7 +26,7 @@ from corehier.fileio import write_edges_tsv, write_nodes_jsonl
 from corehier.fixtures import generate_kg_sparse, three_level_example
 from corehier.graph import NodeMeta
 
-from conftest import traced_peak
+from conftest import traced_peak, traced_retained
 
 
 ARTIFACTS = ["decomposition.json", "hierarchy.json", "hierarchy_merged.json",
@@ -166,14 +166,17 @@ class TestMergeSampleStats:
         assert "missing field" not in err
 
     def test_missing_field_in_hierarchy_names_the_file(self, example_inputs, tmp_path, capsys):
+        """Every field the writer writes is required: without ``leaf`` the leaf registry is unknown."""
         edges, nodes = example_inputs
         h_path = self.make_hierarchy(example_inputs, tmp_path)
-        obj = json.loads(h_path.read_text())
-        del obj["clusters"][0]["level"]
-        h_path.write_text(json.dumps(obj))
-        code = run("merge", "--edges", edges, "--nodes", nodes, "--hierarchy", str(h_path))
-        assert code == 3
-        assert f"error: {h_path}: hierarchy JSON is missing field 'level'" in capsys.readouterr().err
+        written = h_path.read_text()
+        for field in ("level", "leaf", "anchors", "roots", "max_level", "max_cluster_size", "attached_singletons"):
+            obj = json.loads(written)
+            del (obj if field in obj else obj["clusters"][0])[field]
+            h_path.write_text(json.dumps(obj))
+            code = run("merge", "--edges", edges, "--nodes", nodes, "--hierarchy", str(h_path))
+            assert code == 3
+            assert f"error: {h_path}: hierarchy JSON is missing field '{field}'" in capsys.readouterr().err
 
     def test_unknown_parent_in_hierarchy_exits_3(self, example_inputs, tmp_path, capsys):
         edges, nodes = example_inputs
@@ -448,13 +451,13 @@ class TestPipeline:
         edges, nodes = example_inputs
         assert run("pipeline", "--edges", edges, "--nodes", nodes, "--out", str(tmp_path / "o")) == 0
         (columns,) = built
-        spans, ids, labels, tokens = columns
+        spans, ids, tokens = columns
         text = Path(edges).read_bytes()
         assert type(spans) is graph.EdgeSpans and type(spans.data) is bytes and spans.data == text
         assert spans.starts.dtype == spans.ends.dtype == np.int64
         assert len(spans.starts) == len(spans.ends) == 2 * text.count(b"\n")
-        assert [type(column) for column in (ids, labels, tokens)] == [list] * 3
-        assert all(isinstance(name, str) for name in ids + labels)
+        assert [type(column) for column in (ids, tokens)] == [list] * 2
+        assert all(isinstance(name, str) for name in ids)
         assert all(type(count) is int for count in tokens)
 
     def test_sample_respects_edge_fraction_budget(self, example_inputs, tmp_path):
@@ -509,6 +512,23 @@ def test_load_peak_memory_with_one_very_wide_field(tmp_path):
     g, peak = traced_peak(cli._load, cfg)
     assert g.external_ids == ["a", "b", wide, wide + "x"]
     assert peak <= 4 * size, f"peak {peak} B is {peak / size:.2f} x the {size} input bytes"
+
+
+def test_load_keeps_no_node_label(tmp_path):
+    """The graph keeps no label: 1 KiB labels retain no more than empty ones, within a few bytes per node.
+
+    2,000 nodes joined in pairs; the two node files differ only in their labels.
+    """
+    names = [f"v{i:04d}" for i in range(2000)]
+    write_edges_tsv(tmp_path / "edges.tsv", list(zip(names[0::2], names[1::2])))
+    retained = []
+    for label in ("", "x" * 1024):
+        nodes = tmp_path / f"nodes{len(label)}.jsonl"
+        write_nodes_jsonl(nodes, [NodeMeta(name, label, 5) for name in names])
+        g, kept = traced_retained(cli._load, cli.PipelineConfig(edges_path=tmp_path / "edges.tsv", nodes_path=nodes))
+        assert g.n == len(names)
+        retained.append(kept)
+    assert retained[1] <= retained[0] + 4 * len(names), f"retained {retained} B"
 
 
 def test_commands_import_neither_fractions_nor_numpy_ma(tmp_path):

@@ -9,11 +9,11 @@ from corehier import cores
 from corehier.cores import core_numbers
 from corehier.graph import NodeMeta, load_graph
 
-from conftest import core_numbers_oracle, make_graph, random_graph
+from conftest import core_numbers_oracle, make_graph, node_id, random_graph
 
 
 def by_name(g, dec):
-    return {g.external_id(v): dec.core[v] for v in range(g.n)}
+    return {g.external_ids[v]: dec.core[v] for v in range(g.n)}
 
 
 def test_path_is_all_core_one():
@@ -40,7 +40,7 @@ def test_k4_with_pendant():
 def test_isolated_node_gets_core_zero():
     g = load_graph([("a", "b")], [NodeMeta("z")])
     dec = core_numbers(g)
-    assert dec.core[g.id_of("z")] == 0
+    assert dec.core[node_id(g, "z")] == 0
     assert dec.max_core == 1
 
 

@@ -37,7 +37,7 @@ from corehier.sampling import (
     round_robin_sample,
 )
 
-from conftest import edge_columns
+from conftest import edge_columns, node_id
 
 
 class TestEdgeFile:
@@ -84,12 +84,11 @@ class TestNodeFile:
             '{"id": "c", "label": "gamma"}\n',
             encoding="utf-8",
         )
-        ids, labels, tokens = read_nodes_jsonl(p, TokenModel(chars_per_token=4))
-        by_id = {ext: (label, count) for ext, label, count in zip(ids, labels, tokens)}
-        assert by_id["a"][1] == 7
-        assert by_id["b"][1] == 2
-        assert by_id["c"][1] == 0
-        assert by_id["c"][0] == "gamma"
+        ids, tokens = read_nodes_jsonl(p, TokenModel(chars_per_token=4))
+        by_id = dict(zip(ids, tokens))
+        assert by_id["a"] == 7
+        assert by_id["b"] == 2
+        assert by_id["c"] == 0
 
     def test_invalid_json_and_missing_id(self, tmp_path):
         p = tmp_path / "nodes.jsonl"
@@ -165,7 +164,7 @@ class TestNodeFile:
             if not isinstance(obj, dict) or not isinstance(obj.get("id"), str):
                 expected = f"{p}:{lineno}: node records need a string 'id'"
                 break
-            expected.append((obj["id"], obj.get("label", ""), obj.get("tokens", 0)))
+            expected.append((obj["id"], obj.get("tokens", 0)))
         if isinstance(expected, str):
             with pytest.raises(InputError) as info:
                 read_nodes_jsonl(p)
@@ -177,9 +176,7 @@ class TestNodeFile:
         _, nodes = three_level_example()
         p = tmp_path / "nodes.jsonl"
         write_nodes_jsonl(p, nodes)
-        assert list(zip(*read_nodes_jsonl(p))) == [
-            (r.external_id, r.label, r.token_count) for r in nodes
-        ]
+        assert list(zip(*read_nodes_jsonl(p))) == [(r.external_id, r.token_count) for r in nodes]
 
 
 def outcome(read, *args):
@@ -231,21 +228,22 @@ def test_edge_reader_pinned_cases(tmp_path, text, expected):
     "text,expected",
     [
         ('{"id": "a", "label": "x", "tokens": 1}\n{"id": "b", "label": "", "tokens": 0}\n',
-         (["a", "b"], ["x", ""], [1, 0])),  # clean: the bulk path
+         (["a", "b"], [1, 0])),  # clean: the bulk path
         ('{"id": "a", "label": "x", "tokens": 1}\r\n{"id": "b", "label": "y", "tokens": 2}\r\n',
-         (["a", "b"], ["x", "y"], [1, 2])),  # CRLF
-        ('{"id": "a", "label": "x", "tokens": 1}', (["a"], ["x"], [1])),  # no trailing newline
+         (["a", "b"], [1, 2])),  # CRLF
+        ('{"id": "a", "label": "x", "tokens": 1}', (["a"], [1])),  # no trailing newline
         ('{"id": "a\u2028b", "label": "", "tokens": 1}\n',
          "{p}:1: invalid JSON: Unterminated string starting at"),  # a raw U+2028 splits the line
         ('{"id": "a\x85b", "label": "", "tokens": 1}\n', "{p}:1: invalid JSON: Unterminated string starting at"),
         ('{"id": "a", "label": "x", "tokens": 1}\n\n{"id": "b", "label": "y", "tokens": 2}\n',
-         (["a", "b"], ["x", "y"], [1, 2])),  # a blank line
-        ('{"id": "a\\"q", "label": "\\u0041", "tokens": 3}\n', (['a"q'], ["A"], [3])),  # escapes
-        ('{"id": "a", "label": "x", "tokens": 1234567890123456789}\n', (["a"], ["x"], [1234567890123456789])),
+         (["a", "b"], [1, 2])),  # a blank line
+        ('{"id": "a\\"q", "label": "\\u0041", "tokens": 3}\n', (['a"q'], [3])),  # escapes
+        ('{"id": "a", "label": "x", "tokens": 1234567890123456789}\n', (["a"], [1234567890123456789])),
         ('{"id": "a", "label": "x", "tokens": 01}\n', "{p}:1: invalid JSON: Expecting ',' delimiter"),
-        ('{"id": "a", "label": "x", "tokens": 1} \n', (["a"], ["x"], [1])),  # trailing space
+        ('{"id": "a", "label": "x", "tokens": 1} \n', (["a"], [1])),  # trailing space
         ('{"id": "a", "label": "x", "tokens": 1}\n{"id": "b", "label": 5}\n',
-         (["a", "b"], ["x", "5"], [1, 0])),  # one line in another shape
+         (["a", "b"], [1, 0])),  # one line in another shape
+        ('{"id": "a", "label": {"x": [null, 1.5]}, "tokens": 4}\n', (["a"], [4])),  # a label of any JSON type
         ('{"id": "a", "x": [{"y": 1}\n{"z": 2}]}\n{"id": "c"}, {"id": "d"}\n',
          "{p}:1: invalid JSON: Expecting ',' delimiter"),  # parses as three records only when joined
     ],
@@ -269,9 +267,7 @@ def test_written_files_take_the_bulk_paths(tmp_path, monkeypatch):
     write_edges_tsv(tmp_path / "edges.tsv", edges)
     write_nodes_jsonl(tmp_path / "nodes.jsonl", nodes)
     assert list(zip(*edge_columns(read_edges_tsv(tmp_path / "edges.tsv")))) == edges
-    assert list(zip(*read_nodes_jsonl(tmp_path / "nodes.jsonl"))) == [
-        (r.external_id, r.label, r.token_count) for r in nodes
-    ]
+    assert list(zip(*read_nodes_jsonl(tmp_path / "nodes.jsonl"))) == [(r.external_id, r.token_count) for r in nodes]
 
 
 #: Pieces inserted into clean files: separators, every line break
@@ -377,7 +373,7 @@ def test_sample_tsv_layout():
     assert lines[0].startswith("#src\tdst\tcommunity\tcost")
     for line, u, w, cid, price in zip(lines[1:], result.sources, result.targets, result.communities, result.costs):
         src, dst, comm, cost = line.split("\t")
-        assert (g.id_of(src), g.id_of(dst)) == (u, w)
+        assert (node_id(g, src), node_id(g, dst)) == (u, w)
         assert int(comm) == cid and int(cost) == price
 
 
@@ -397,7 +393,7 @@ external_ids = st.text(
 def graphs(draw, max_nodes=8):
     """Edgeless graphs over unique, unsorted external ids: the writers read only the ids."""
     names = draw(st.lists(external_ids, min_size=1, max_size=max_nodes, unique=True))
-    return Graph([0] * (len(names) + 1), [], names, [""] * len(names), [0] * len(names))
+    return Graph([0] * (len(names) + 1), [], names, [0] * len(names))
 
 
 def node_sets(g):
@@ -453,7 +449,7 @@ def test_decomposition_writer_matches_oracle(data):
     g = data.draw(graphs(max_nodes=12))
     dec = CoreDecomposition(data.draw(st.lists(st.integers(0, 30), min_size=g.n, max_size=g.n)),
                             data.draw(st.integers(0, 30)))
-    payload = {"cores": {g.external_id(v): dec.core[v] for v in range(g.n)}, "max_core": dec.max_core}
+    payload = {"cores": {g.external_ids[v]: dec.core[v] for v in range(g.n)}, "max_core": dec.max_core}
     assert written(write_decomposition_json, dec, g) == json_dumps_stable(payload)
 
 
@@ -479,7 +475,7 @@ def test_sample_writer_matches_oracle(data):
     ids=["empty", "single-cluster", "empty-members"],
 )
 def test_hierarchy_writer_edge_cases(clusters, roots, attached):
-    g = Graph([0, 0, 0], [], ["z\u00e9", 'a"\\'], ["", ""], [0, 0])
+    g = Graph([0, 0, 0], [], ["z\u00e9", 'a"\\'], [0, 0])
     h = Hierarchy(clusters, roots, attached, 1, 2, set(clusters))
     assert written(write_hierarchy_json, h, g) == json_dumps_stable(hierarchy_to_json_obj(h, g))
 
@@ -490,7 +486,7 @@ def test_writers_match_oracle_on_the_example():
     dec = core_numbers(g)
     h = build_hierarchy(g, 16)
     merged, _ = merge_small_clusters(g, deepcopy(h), MergeMode.RESIDUAL_AND_TWO_HOP)
-    payload = {"max_core": dec.max_core, "cores": {g.external_id(v): dec.core[v] for v in range(g.n)}}
+    payload = {"max_core": dec.max_core, "cores": {g.external_ids[v]: dec.core[v] for v in range(g.n)}}
     assert written(write_decomposition_json, dec, g) == json_dumps_stable(payload)
     for hier in (h, merged):
         assert written(write_hierarchy_json, hier, g) == json_dumps_stable(hierarchy_to_json_obj(hier, g))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corehier.errors import InputError
+from corehier.fixtures import generate_kg_sparse
 from corehier.graph import (
     Graph,
     NodeMeta,
@@ -17,7 +18,7 @@ from corehier.graph import (
     load_graph,
 )
 
-from conftest import component_roots_oracle, lcc_oracle, load_graph_oracle, make_graph, traced_peak
+from conftest import component_roots_oracle, lcc_oracle, load_graph_oracle, make_graph, node_id, traced_peak
 
 
 def test_single_edge():
@@ -27,13 +28,12 @@ def test_single_edge():
 
 
 def test_ids_are_built_without_the_adjacency_lists():
-    """``_ids`` alone leaves ``adj`` unbuilt; both, and the id index, share its int objects."""
+    """``_ids`` alone leaves ``adj`` unbuilt; ``adj`` shares its int objects."""
     g = make_graph([("a", "b"), ("b", "c")])
     ids = g._ids
     with pytest.raises(AttributeError):
         Graph.adj.__get__(g)  # the slot itself, without the lazy fallback
     assert g.adj == [[1], [0, 2], [1]] and all(w is ids[w] for row in g.adj for w in row)
-    assert all(g._ext_index[name] is ids[v] for v, name in enumerate(g.external_ids))
 
 
 def test_adjacency_build_makes_no_int_per_entry():
@@ -43,16 +43,23 @@ def test_adjacency_build_makes_no_int_per_entry():
     keep 8 bytes per entry and a header per row; while the rows are cut,
     the flat list and the gathered object array take 8 bytes per entry
     each. A new int per entry would add 28 bytes per entry on its own.
+
+    A node-heavy graph (the 6,000-node sparse fixture, ~3.3 entries per
+    node) bounds the per-node part: a row's list header (56 bytes) and its
+    slot in ``adj`` (8), and the row bounds as a list of ints (40), read in
+    place. A copy of the bounds would add 8 bytes per node.
     """
     rng = np.random.default_rng(20261019)
     names = [f"v{i:04d}" for i in range(3000)]
     pairs = rng.integers(0, len(names), size=(60_000, 2)).tolist()
-    g = make_graph([(names[a], names[b]) for a, b in pairs], names)
-    ids = g._ids  # built first: the lists share its ints
-    adj, peak = traced_peak(getattr, g, "adj")
-    entries = 2 * g.m
-    assert sum(map(len, adj)) == entries and all(w is ids[w] for row in adj for w in row)
-    assert peak <= 24 * entries, f"peak {peak} B is {peak / entries:.1f} B per adjacency entry"
+    dense = make_graph([(names[a], names[b]) for a, b in pairs], names)
+    sparse = load_graph(*generate_kg_sparse(6000, seed=3))
+    for g, per_entry, per_node in ((dense, 24, 0), (sparse, 16, 112)):
+        ids = g._ids  # built first: the lists share its ints
+        adj, peak = traced_peak(getattr, g, "adj")
+        entries = 2 * g.m
+        assert sum(map(len, adj)) == entries and all(w is ids[w] for row in adj for w in row)
+        assert peak <= per_entry * entries + per_node * g.n, f"peak {peak} B at {g.n} nodes, {entries} entries"
 
 
 def test_duplicate_and_reversed_edges_collapse():
@@ -63,18 +70,18 @@ def test_duplicate_and_reversed_edges_collapse():
 def test_isolated_node_retained_at_load():
     g = load_graph([("a", "b")], [NodeMeta("a"), NodeMeta("b"), NodeMeta("c")])
     assert g.n == 3
-    assert g.degrees[g.id_of("c")] == 0
+    assert g.degrees[node_id(g, "c")] == 0
 
 
 def test_auto_registered_endpoints_get_empty_meta():
     g = load_graph([("x", "y")], [NodeMeta("x", label="known", token_count=5)])
-    v = g.id_of("y")
-    assert g.labels[v] == "" and g.tokens[v] == 0
+    v = node_id(g, "y")
+    assert g.tokens[v] == 0
 
 
 def test_ids_follow_lexicographic_order():
     g = load_graph([("b", "a"), ("c", "b")], [])
-    assert [g.external_id(v) for v in range(g.n)] == ["a", "b", "c"]
+    assert [g.external_ids[v] for v in range(g.n)] == ["a", "b", "c"]
 
 
 def test_duplicate_node_records_rejected():
@@ -95,8 +102,8 @@ def test_negative_tokens_rejected():
 def test_self_loop_registers_its_node_and_adds_no_edge():
     g = load_graph([("a", "a"), ("a", "b"), ("b", "c"), ("a", "c"), ("z", "z")], [])
     assert (g.n, g.m) == (4, 3)
-    assert g.degrees[g.id_of("a")] == 2
-    assert g.degrees[g.id_of("z")] == 0 and g.adj[g.id_of("z")] == []
+    assert g.degrees[node_id(g, "a")] == 2
+    assert g.degrees[node_id(g, "z")] == 0 and g.adj[node_id(g, "z")] == []
     assert sum(g.degrees) == 2 * g.m
 
 
@@ -121,14 +128,14 @@ def test_lcc_tie_goes_to_smallest_external_id():
 def test_lcc_carries_metadata():
     g = load_graph([("a", "b")], [NodeMeta("a", label="alpha", token_count=7), NodeMeta("b")])
     lcc = largest_connected_component(g)
-    v = lcc.id_of("a")
-    assert lcc.labels[v] == "alpha" and lcc.tokens[v] == 7
-    assert lcc.tokens == [7, 0] and lcc.token_count(v) == 7
+    v = node_id(lcc, "a")
+    assert lcc.tokens[v] == 7
+    assert lcc.tokens == [7, 0]
 
 
 def test_graph_without_nodes_rejected():
     with pytest.raises(InputError, match="empty input: no nodes"):
-        Graph([0], [], [], [], [])
+        Graph([0], [], [], [])
 
 
 edge_lists = st.lists(
@@ -200,9 +207,8 @@ def assert_matches_oracle(g, adj, meta):
     assert g.degrees == list(map(len, adj))
     assert g.m == sum(map(len, adj)) // 2
     assert g.external_ids == [mt.external_id for mt in meta]
-    assert g.labels == [mt.label for mt in meta]
     assert g.tokens == [mt.token_count for mt in meta]
-    assert [g.id_of(mt.external_id) for mt in meta] == list(range(len(meta)))
+    assert [node_id(g, mt.external_id) for mt in meta] == list(range(len(meta)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -347,7 +353,7 @@ def test_prefixes_and_nuls_stay_apart_and_unknown_names_number_after_the_nodes()
     edges = [("a\x00", "a"), ("ab", "z"), ("é", "a\x00\x00"), ("a\x00b", "\x00ab")]
     g = load_graph(edges, [NodeMeta("ab"), NodeMeta("a", "A", 3), NodeMeta("a\x00b", "B", 4)])
     assert g.external_ids == ["\x00ab", "a", "a\x00", "a\x00\x00", "a\x00b", "ab", "z", "é"]
-    assert g.labels == ["", "A", "", "", "B", "", "", ""] and g.tokens == [0, 3, 0, 0, 4, 0, 0, 0]
+    assert g.tokens == [0, 3, 0, 0, 4, 0, 0, 0]
     assert g.adj == [[4], [2], [1], [7], [0], [6], [5], [3]]
 
 
@@ -356,5 +362,5 @@ def test_long_ids_join_by_their_bytes():
     long = "x" * 5000
     g = load_graph([(long, "a"), ("b", long + "y"), (long + "\x00", long)], [NodeMeta(long, "L", 7)])
     assert g.external_ids == ["a", "b", long, long + "\x00", long + "y"]
-    assert g.labels == ["", "", "L", "", ""] and g.tokens == [0, 0, 7, 0, 0]
+    assert g.tokens == [0, 0, 7, 0, 0]
     assert g.adj == [[2], [4], [0, 3], [2], [1]]

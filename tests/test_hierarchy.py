@@ -24,6 +24,7 @@ from corehier.hierarchy import (
 from conftest import (
     check_hierarchy_invariants,
     make_graph,
+    node_id,
     split_component_oracle,
     split_two_hop,
     traced_retained,
@@ -32,7 +33,7 @@ from conftest import (
 
 
 def names_of(g, members):
-    return "".join(sorted(g.external_id(v) for v in members))
+    return "".join(sorted(g.external_ids[v] for v in members))
 
 
 def build_three_level(max_size=16):
@@ -70,7 +71,7 @@ class TestWorkedExample:
         assert (kl.level, kl.kind, kl.parent) == (3, "residual", two_core.id)
 
         assert len(h.clusters) == 8
-        assert h.attached_singletons == {g.id_of("e"): fgh.id}
+        assert h.attached_singletons == {node_id(g, "e"): fgh.id}
         assert h.roots == [root.id]
         assert h.max_level == 3
 
@@ -105,7 +106,7 @@ class TestTrivialShapes:
         # the duplicate at level 3 collapsed into one cluster at its deepest level
         assert leaf.level == 3 and leaf.kind == "core"
         assert names_of(g, leaf.members) == "abcdp"  # pendant attached afterwards
-        assert h.attached_singletons == {g.id_of("p"): leaf.id}
+        assert h.attached_singletons == {node_id(g, "p"): leaf.id}
 
     def test_single_node_graph(self):
         g = largest_connected_component(load_graph([("a", "a")], []))
@@ -130,12 +131,12 @@ class TestSplitComponent:
     def test_path_split_trace(self):
         g = make_graph([("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")])
         parts = split_component(g, range(5), 3)
-        assert [[g.external_id(v) for v in p] for p in parts] == [["a", "b", "c"], ["d", "e"]]
+        assert [[g.external_ids[v] for v in p] for p in parts] == [["a", "b", "c"], ["d", "e"]]
 
     def test_star_split_leaves_singletons(self):
         g = make_graph([("x", c) for c in "abcde"])
         parts = split_component(g, range(6), 3)
-        named = [sorted(g.external_id(v) for v in p) for p in parts]
+        named = [sorted(g.external_ids[v] for v in p) for p in parts]
         assert named == [["a", "b", "x"], ["c"], ["d"], ["e"]]
 
     def test_outputs_partition_input_and_respect_cap(self):
@@ -165,25 +166,25 @@ class TestSplitTwoHop:
         # x, y, z hang off w1; u hangs off w2; w2 stays out (one link only)
         edges = [("ax", "w1"), ("ay", "w1"), ("az", "w1"), ("bu", "w2"), ("w1", "hub"), ("w2", "hub")]
         g = make_graph(edges)
-        pool = [g.id_of(n) for n in ("ax", "ay", "az", "bu")]
+        pool = [node_id(g, n) for n in ("ax", "ay", "az", "bu")]
         parts = split_two_hop(g, pool, 3)
-        named = {frozenset(g.external_id(v) for v in p) for p in parts}
+        named = {frozenset(g.external_ids[v] for v in p) for p in parts}
         assert named == {frozenset({"ax", "ay", "az", "w1"}), frozenset({"bu"})}
 
     def test_six_nodes_one_anchor_gives_two_clusters_with_anchor(self):
         edges = [(f"h{i}", "w") for i in range(6)] + [("w", "z")]
         g = make_graph(edges)
-        pool = [g.id_of(f"h{i}") for i in range(6)]
+        pool = [node_id(g, f"h{i}") for i in range(6)]
         parts = split_two_hop(g, pool, 3)
         assert len(parts) == 2
         for p in parts:
-            names = {g.external_id(v) for v in p}
+            names = {g.external_ids[v] for v in p}
             assert "w" in names and len(names) == 4
 
     def test_outputs_cover_pool_exactly_once(self):
         edges = [(f"p{i}", f"w{i % 3}") for i in range(9)] + [("w0", "w1"), ("w1", "w2")]
         g = make_graph(edges)
-        pool = [g.id_of(f"p{i}") for i in range(9)]
+        pool = [node_id(g, f"p{i}") for i in range(9)]
         parts = split_two_hop(g, pool, 4)
         grown = sorted(v for p in parts for v in p if v in set(pool))
         assert grown == sorted(pool)
@@ -221,10 +222,10 @@ class TestSharedGrower:
 
     def test_hub_pool_split_is_pinned(self):
         g = hub_graph()
-        pool = [v for v in range(g.n) if g.external_id(v) not in ("a", "b", "c")]
+        pool = [v for v in range(g.n) if g.external_ids[v] not in ("a", "b", "c")]
         parts = _two_hop_split_parts(g, pool, 4)
         assert parts == two_hop_split_parts_oracle(g, pool, 4)
-        named = [([g.external_id(v) for v in grown], [g.external_id(v) for v in anchors]) for grown, anchors in parts]
+        named = [([g.external_ids[v] for v in grown], [g.external_ids[v] for v in anchors]) for grown, anchors in parts]
         assert named == [
             (["a0", "a1", "ab0", "ab1"], ["a", "b"]),
             (["b0", "b1", "b2", "bc"], ["b"]),
@@ -316,7 +317,7 @@ def test_singleton_already_anchored_in_its_host_is_listed_once():
     neighbours c and e lie in leaf 2, where d goes between them.
     """
     g = make_graph([("a", "b"), ("a", "v"), ("b", "c"), ("b", "v"), ("c", "d"), ("c", "e"), ("d", "e")])
-    a, b, c, d, e, v = map(g.id_of, "abcdev")
+    a, b, c, d, e, v = (node_id(g, x) for x in "abcdev")
     h = Hierarchy(
         clusters={
             0: Cluster(0, {a, b, c, d, e, v}, 1, "root", None, [1, 2]),
@@ -340,12 +341,12 @@ def test_member_lists_cost_a_few_dozen_bytes_per_entry():
 
     A seeded 6,000-node sparse fixture at cap 40. The bytes counted are
     those the result keeps alive: clusters, member lists, anchors, children
-    and the registries; the graph's lazy adjacency and id index are built
-    beforehand.
+    and the registries; the graph's lazy adjacency, and with it ``_ids``,
+    is built beforehand. The read-back's members are ``_ids``' own ints.
     """
     edges, nodes = generate_kg_sparse(6000, seed=3)
     g = largest_connected_component(load_graph(edges, nodes))
-    assert g.adj and g._ext_index
+    assert g.adj
     h, kept = traced_retained(build_hierarchy, g, 40)
     entries = sum(len(c.members) for c in h.clusters.values())
     assert entries > g.n
@@ -353,4 +354,6 @@ def test_member_lists_cost_a_few_dozen_bytes_per_entry():
     obj = hierarchy_to_json_obj(h, g)
     back, kept = traced_retained(hierarchy_from_json_obj, obj, g)
     assert back == h
+    assert all(v is g._ids[v] for c in back.clusters.values() for v in (*c.members, *c.anchors))
+    assert all(v is g._ids[v] for v in back.attached_singletons)
     assert kept <= 100 * entries, f"read-back keeps {kept} B, {kept / entries:.1f} B per member entry"

@@ -24,12 +24,13 @@ from conftest import (
     leaf_node_multiset,
     make_graph,
     merge_small_clusters_oracle,
+    node_id,
     traced_peak,
 )
 
 
 def names_of(g, members):
-    return "".join(sorted(g.external_id(v) for v in members))
+    return "".join(sorted(g.external_ids[v] for v in members))
 
 
 def build(edges, cap):
@@ -101,7 +102,7 @@ def _hand_hierarchy(g, member_names, kinds):
     for cid, (names, kind) in enumerate(zip(member_names, kinds)):
         clusters[cid] = Cluster(
             id=cid,
-            members={g.id_of(nm) for nm in names},
+            members={node_id(g, nm) for nm in names},
             level=1,
             kind=kind,
             parent=None,

@@ -29,6 +29,7 @@ from conftest import (
     check_round_robin_properties,
     community_ranking_oracle,
     make_graph,
+    node_id,
     ranked_edges,
     round_robin_oracle,
     traced_peak,
@@ -104,7 +105,7 @@ def two_community_fixture():
     ]
     g = make_graph(edges, tokens={"a0": 25, "a1": 25, "a2": 25, "b0": 30, "b1": 30})
     deg = g.degrees
-    a0, a1, a2, b0, b1 = (g.id_of(n) for n in ("a0", "a1", "a2", "b0", "b1"))
+    a0, a1, a2, b0, b1 = (node_id(g, n) for n in ("a0", "a1", "a2", "b0", "b1"))
     assert deg[a0] + deg[a1] == 7
     assert deg[a0] + deg[a2] == 5
     assert deg[b0] + deg[b1] == 6
@@ -316,7 +317,7 @@ def test_leaves_before_a_priced_out_one_keep_their_order():
     """The budget binds mid-round at the third leaf; the two before it go on, in visit order."""
     triangles = [(f"{x}{i}", f"{x}{j}") for x in "abc" for i, j in ((0, 1), (0, 2), (1, 2))]
     g = make_graph(triangles, tokens={f"{x}{i}": 100 if x == "c" else 1 for x in "abc" for i in range(3)})
-    clusters = {cid: Cluster(cid, {g.id_of(f"{x}{i}") for i in range(3)}, 1, "residual", None) for cid, x in enumerate("abc")}
+    clusters = {cid: Cluster(cid, {node_id(g, f"{x}{i}") for i in range(3)}, 1, "residual", None) for cid, x in enumerate("abc")}
     h = Hierarchy(clusters, [], {}, 1, 3, leaf_ids={0, 1, 2})
     result = round_robin_sample(h, g, 8, overhead=0)
     assert result == round_robin_oracle(h, g, 8, overhead=0)

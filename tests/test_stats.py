@@ -9,11 +9,11 @@ from corehier.hierarchy import build_hierarchy
 from corehier.sampling import round_robin_sample
 from corehier.stats import community_stats, select_level
 
-from conftest import make_graph
+from conftest import make_graph, node_id
 
 
 def names_of(g, members):
-    return "".join(sorted(g.external_id(v) for v in members))
+    return "".join(sorted(g.external_ids[v] for v in members))
 
 
 def build_three_level():
@@ -71,8 +71,8 @@ class TestCoverage:
         from corehier.hierarchy import Cluster, Hierarchy
 
         clusters = {
-            0: Cluster(0, {lcc.id_of("a"), lcc.id_of("b"), lcc.id_of("c")}, 1, "root", None),
-            1: Cluster(1, {lcc.id_of("d")}, 1, "two_hop", None),
+            0: Cluster(0, {node_id(lcc, "a"), node_id(lcc, "b"), node_id(lcc, "c")}, 1, "root", None),
+            1: Cluster(1, {node_id(lcc, "d")}, 1, "two_hop", None),
         }
         fake = Hierarchy(clusters, [0], {}, 1, 10, leaf_ids={0, 1})
         stats = community_stats(fake, "LF", lcc)  # both clusters are registered leaves
@@ -108,7 +108,7 @@ class TestSampledCoverage:
         result = round_robin_sample(h, g, 60)
         stats = community_stats(h, "LF", g, sample=result)
         touched = {*result.sources, *result.targets}
-        expected = 100.0 * sum(g.token_count(v) for v in touched) / sum(g.tokens)
+        expected = 100.0 * sum(g.tokens[v] for v in touched) / sum(g.tokens)
         assert stats.coverage_pct_sampled == pytest.approx(expected)
         assert stats.coverage_pct_sampled < 100.0
 
