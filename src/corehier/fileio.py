@@ -368,10 +368,11 @@ def hierarchy_from_json_obj(obj: dict, g: Graph) -> Hierarchy:
     not give (see :class:`Hierarchy`). Malformed input raises InputError,
     naming the cluster where there is one: a missing field, a container or
     value of the wrong type, a member that is not a node of ``g``, a
-    repeated id, a parent that is not a cluster and a parent chain that
-    loops. The checks are O(1) per cluster on top of one lookup per member
-    in an id index built in O(n), which maps to the graph's own node ints
-    (``g._ids``), so the member lists make no int.
+    repeated id, a parent that is not a cluster, a parent chain that
+    loops, a cluster marked leaf that has children and a ``roots`` entry
+    that has a parent. The checks are O(1) per cluster on top of one
+    lookup per member in an id index built in O(n), which maps to the
+    graph's own node ints (``g._ids``), so the member lists make no int.
     """
     lookup = dict(zip(g.external_ids, g._ids)).__getitem__
     try:
@@ -414,6 +415,9 @@ def hierarchy_from_json_obj(obj: dict, g: Graph) -> Hierarchy:
             raise InputError(f"cluster {min(clusters.keys() - set(reached))}: parent chain loops")
         for c in clusters.values():
             c.children.sort()
+        for cid in sorted(leaf_ids):
+            if clusters[cid].children:
+                raise InputError(f"cluster {cid}: marked leaf but has children {clusters[cid].children}")
         roots, max_level = obj["roots"], obj["max_level"]
         max_size, attached_in = obj["max_cluster_size"], obj["attached_singletons"]
         if not (
@@ -422,6 +426,9 @@ def hierarchy_from_json_obj(obj: dict, g: Graph) -> Hierarchy:
             and all(_is_int(cid) and cid in clusters for cid in attached_in.values())
         ):
             raise InputError("bad 'roots', 'max_level', 'max_cluster_size' or 'attached_singletons'")
+        for cid in roots:
+            if clusters[cid].parent is not None:
+                raise InputError(f"cluster {cid}: listed in 'roots' but has parent {clusters[cid].parent}")
         try:
             attached = {lookup(ext): cid for ext, cid in attached_in.items()}
         except KeyError as exc:

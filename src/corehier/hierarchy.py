@@ -82,37 +82,41 @@ class Hierarchy:
         return [self.clusters[cid] for cid in sorted(self.leaf_ids)]
 
 
-def _grow(order, links, remaining: set[int], max_size: int) -> list[list[int]]:
-    """Cut ``remaining`` into greedy clusters of at most ``max_size`` nodes, each sorted.
+def _grow(order, remaining: bytearray, ids: list[int], max_size: int, absorb):
+    """Cut the flagged nodes into greedy clusters of at most ``max_size`` nodes; yield each as it closes.
 
-    Each cluster starts from the first node of ``order`` still in
-    ``remaining``, then keeps absorbing the remaining node with the most
-    entries in the absorbed nodes' ``links(u)``, ties to the smallest id.
-    Absorbed nodes leave ``remaining``. A heap takes each count as it
-    rises; since counts only rise, a node's current entry comes out before
-    its stale ones, which are skipped once it is absorbed. Cost:
-    O(|order| + L log L) for the L entries that the ``links`` calls yield,
-    one call per absorbed node.
+    Each cluster starts from the first node of ``order`` still flagged in
+    ``remaining``, then keeps absorbing the flagged node with the highest
+    count, ties to the smallest id; absorbed nodes are unflagged. The heap
+    holds plain ints ``v - c * n`` for node v at count c (n = ``len(ids)``),
+    so its smallest key is the highest count, then the smallest id.
+    ``absorb(v, heap)`` is called for every absorbed node but the one that
+    fills the cluster: it raises the counts that v adds to and pushes their
+    new keys. Counts only rise within a cluster, so a node's current key
+    comes out before its stale ones, which are skipped once it is absorbed.
+
+    Yields ``(grown, heap)`` per cluster: the members in absorption order,
+    as ``ids`` entries, and the keys never popped, so the caller can reset
+    the counts its cluster raised before the next one starts. Cost:
+    O(|order|), plus O(log H) to pop each key pushed into a heap of at most
+    H keys, plus the ``absorb`` calls.
     """
-    out: list[list[int]] = []
+    n = len(ids)
+    pop = heapq.heappop
     for seed in order:
-        if seed not in remaining:
+        if not remaining[seed]:
             continue
         grown: list[int] = []
-        conn: dict[int, int] = {}
-        heap = [(0, seed)]
-        while len(grown) < max_size and heap:
-            v = heapq.heappop(heap)[1]
-            if v not in remaining:
-                continue  # stale heap entry
-            remaining.discard(v)
-            grown.append(v)
-            for w in links(v):
-                if w in remaining:
-                    conn[w] = conn.get(w, 0) + 1
-                    heapq.heappush(heap, (-conn[w], w))
-        out.append(sorted(grown))
-    return out
+        heap = [seed]
+        while heap:
+            v = pop(heap) % n
+            if remaining[v]:
+                remaining[v] = 0
+                grown.append(ids[v])
+                if len(grown) == max_size:
+                    break
+                absorb(v, heap)
+        yield grown, heap
 
 
 def split_component(g: Graph, members, max_size: int) -> list[list[int]]:
@@ -122,45 +126,105 @@ def split_component(g: Graph, members, max_size: int) -> list[list[int]]:
     unassigned seed, repeatedly absorbing the frontier node with the most
     neighbors already inside, so reachable nodes are never stranded. Ties
     everywhere go to the smallest id. Sets of size <= max_size come back
-    unchanged. Cost: O(k log k) to order the k members by degree, plus
-    O(e log e) for the e adjacency entries of the members.
+    whole. Every member returned is the graph's own int (``g._ids``).
+
+    State is flat and node-indexed: a ``bytearray`` of remaining flags and
+    a list of counts, which each cluster resets through the keys left in
+    its heap. Cost: O(n) to set up the state for the graph's n nodes, one
+    O(k log k) sort of the k members by (degree descending, id), and
+    O(log e) per adjacency entry of the members, e entries in all; the node
+    that fills a cluster is not scanned.
     """
-    remaining = set(members)
-    if len(remaining) <= max_size:
-        return [sorted(remaining)]
-    order = sorted(remaining, key=lambda v: (-g.degrees[v], v))
-    return _grow(order, g.adj.__getitem__, remaining, max_size)
+    n, ids, adj = g.n, g._ids, g.adj
+    remaining = bytearray(n)
+    for v in members:
+        remaining[v] = 1
+    nodes = np.flatnonzero(np.frombuffer(remaining, dtype=np.uint8))
+    if len(nodes) <= max_size:
+        return [list(map(ids.__getitem__, nodes.tolist()))]
+    # ids entries: the loop keeps 8 bytes per node in order, not 40 for new ints
+    order = list(map(ids.__getitem__, nodes[np.lexsort((nodes, -np.diff(g.indptr)[nodes]))].tolist()))
+    del nodes
+    count = [0] * n
+    push = heapq.heappush
+
+    def absorb(v: int, heap: list[int]) -> None:
+        for w in adj[v]:
+            if remaining[w]:
+                c = count[w] + 1
+                count[w] = c
+                push(heap, w - c * n)
+
+    out: list[list[int]] = []
+    for grown, heap in _grow(order, remaining, ids, max_size, absorb):
+        for key in heap:  # every remaining node whose count rose has a key here
+            count[key % n] = 0
+        grown.sort()
+        out.append(grown)
+    return out
 
 
 def _two_hop_split_parts(g: Graph, pool, max_size: int) -> list[tuple[list[int], list[int]]]:
-    """Split an oversized 2-hop group; yields (grown members, qualifying anchors).
+    """Split an oversized 2-hop group into (grown members, qualifying anchors) pairs.
 
     Anchors are the outside neighbors of the pool. Clusters grow (see
     :func:`_grow`) from the seed with the largest anchor set, preferring the
     candidate whose anchor sets overlap the grown cluster's the most;
     afterwards every anchor adjacent to at least two grown members is
-    attached to the cluster. Cost: O(p log p + d) for p pool nodes with d
-    adjacency entries, plus O(s log s) for the s = sum over anchors of (pool
-    nodes sharing it)^2 overlap entries: quadratic in a pool that shares one
-    anchor.
+    attached to the cluster. Every node returned is the graph's own int
+    (``g._ids``).
+
+    A candidate's overlap is the sum, over its anchors a, of k_a, the number
+    of grown members that hold a, so each cluster keeps one counter per
+    anchor. The free members that hold a alone all score k_a, and the
+    smallest of them is their best: each raise of k_a pushes one key, for
+    that member. Only members with several anchors keep explicit counts,
+    raised by a walk over those members of a. Cost: O(n) to flag the pool
+    among the graph's n nodes, O(p log p + d) for p pool nodes with d
+    adjacency entries, and O(log H) per key pushed: one per anchor entry of
+    an absorbed node, plus one per free member walked, where each raise of
+    k_a walks a's members with several anchors. A pool whose members each
+    have one anchor, such as a hub's pendants, costs O(p + d) pushes.
     """
-    pool_set = set(pool)
-    anchors_of = {u: set(g.adj[u]).difference(pool_set) for u in pool_set}
-    sharing: dict[int, list[int]] = {}
-    for u, anchors in anchors_of.items():
-        for a in anchors:
-            sharing.setdefault(a, []).append(u)
+    n, ids, adj = g.n, g._ids, g.adj
+    nodes = sorted(set(pool))
+    remaining = bytearray(n)
+    for u in nodes:
+        remaining[u] = 1
+    anchors_of: dict[int, list[int]] = {}
+    singles: dict[int, list[int]] = {}  # anchor -> members that hold it alone, descending
+    multis: dict[int, list[int]] = {}  # anchor -> members that hold it among others
+    for u in reversed(nodes):
+        anchors_of[u] = anchors = [a for a in adj[u] if not remaining[a]]
+        if len(anchors) == 1:
+            singles.setdefault(anchors[0], []).append(u)
+        else:
+            for a in anchors:
+                multis.setdefault(a, []).append(u)
+    k: dict[int, int] = {}  # per cluster: anchor -> grown members holding it
+    score: dict[int, int] = {}  # per cluster: multi-anchor member -> overlap
+    push = heapq.heappush
 
-    def links(u: int):
-        """Each pool node once per anchor it shares with ``u``, lazily: the counts sum to the overlaps."""
-        for a in anchors_of[u]:
-            yield from sharing[a]
+    def absorb(v: int, heap: list[int]) -> None:
+        for a in anchors_of[v]:
+            k[a] = c = k.get(a, 0) + 1
+            free = singles.get(a)
+            while free and not remaining[free[-1]]:
+                free.pop()
+            if free:
+                push(heap, free[-1] - c * n)
+            for w in multis.get(a, ()):
+                if remaining[w]:
+                    score[w] = s = score.get(w, 0) + 1
+                    push(heap, w - s * n)
 
-    order = sorted(pool_set, key=lambda u: (-len(anchors_of[u]), u))
+    order = sorted(nodes, key=lambda u: -len(anchors_of[u]))  # stable: ties stay in id order
     out: list[tuple[list[int], list[int]]] = []
-    for grown in _grow(order, links, pool_set, max_size):
+    for grown, _ in _grow(order, remaining, ids, max_size, absorb):
+        k.clear()
+        score.clear()
         counts = Counter(a for u in grown for a in anchors_of[u])
-        out.append((grown, sorted(a for a, c in counts.items() if c >= 2)))
+        out.append((sorted(grown), sorted(a for a, c in counts.items() if c >= 2)))
     return out
 
 

@@ -205,9 +205,11 @@ class TestMergeSampleStats:
             (lambda obj: obj["clusters"][0].update(parent=obj["clusters"][0]["id"]), "parent chain loops"),
             (lambda obj: obj.update(roots=5), "bad 'roots'"),
             (lambda obj: obj.update(attached_singletons={"e": [1]}), "'attached_singletons'"),
+            (lambda obj: obj["clusters"][0].update(leaf=True), "cluster 0: marked leaf but has children [1, 2, 3]"),
+            (lambda obj: obj.update(roots=[1]), "cluster 1: listed in 'roots' but has parent 0"),
         ],
         ids=["nested-member", "int-clusters", "str-level", "str-members", "duplicate-id",
-             "self-parent", "int-roots", "list-host"],
+             "self-parent", "int-roots", "list-host", "leaf-with-children", "root-with-parent"],
     )
     def test_malformed_hierarchy_exits_3(
         self, example_inputs, tmp_path, capsys, mutate, message, command

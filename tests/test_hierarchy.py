@@ -1,5 +1,9 @@
 """Hierarchy construction: worked examples, splitting procedures, invariants."""
 
+import heapq
+from itertools import combinations
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +31,7 @@ from conftest import (
     node_id,
     split_component_oracle,
     split_two_hop,
+    traced_peak,
     traced_retained,
     two_hop_split_parts_oracle,
 )
@@ -201,6 +206,26 @@ def connected_graphs(draw):
     return make_graph([(names[a], names[b]) for a, b in sorted(edges)], names)
 
 
+@st.composite
+def hub_pools(draw):
+    """1-3 hubs in a path with 5-40 pendants each, some pendants holding a second anchor; the pendants as pool.
+
+    A second anchor is another hub, or one of two outside nodes x and y
+    that hang off the first hub.
+    """
+    hubs = draw(st.integers(1, 3))
+    edges = {(f"h{i}", f"h{i + 1}") for i in range(hubs - 1)} | {("h0", "x"), ("h0", "y")}
+    pendants = []
+    for i in range(hubs):
+        for j in range(draw(st.integers(5, 40))):
+            pendants.append(f"p{i}{j:02d}")
+            edges.add((f"h{i}", pendants[-1]))
+    second = st.sampled_from([f"h{i}" for i in range(hubs)] + ["x", "y"])
+    edges.update(draw(st.lists(st.tuples(second, st.sampled_from(pendants)), max_size=12)))
+    g = make_graph(sorted(edges))
+    return g, {node_id(g, name) for name in pendants}
+
+
 def hub_graph():
     """Hubs a, b, c with six pendants each; ab0 and ab1 hang off a and b, bc off b and c."""
     edges = [(hub, f"{hub}{i}") for hub in "abc" for i in range(6)]
@@ -212,11 +237,14 @@ class TestSharedGrower:
     """Both growers run one greedy loop; the oracles are the two loops they replaced."""
 
     @settings(max_examples=300, deadline=None)
-    @given(g=connected_graphs(), data=st.data())
-    def test_growers_match_the_oracles(self, g, data):
-        cap = data.draw(st.integers(2, 6), label="cap")
+    @given(case=connected_graphs().map(lambda g: (g, set(range(g.n)))) | hub_pools(), data=st.data())
+    def test_growers_match_the_oracles(self, case, data):
+        g, natural = case
+        cap = data.draw(st.integers(2, 8), label="cap")
         every = set(range(g.n))
-        pool = data.draw(st.just(every) | st.sets(st.sampled_from(sorted(every)), min_size=1), label="pool")
+        pool = data.draw(
+            st.just(natural) | st.just(every) | st.sets(st.sampled_from(sorted(every)), min_size=1), label="pool"
+        )
         assert split_component(g, pool, cap) == split_component_oracle(g, pool, cap)
         assert _two_hop_split_parts(g, pool, cap) == two_hop_split_parts_oracle(g, pool, cap)
 
@@ -250,6 +278,60 @@ class TestSharedGrower:
         assert build_hierarchy(g, cap) == h
         assert calls, "the hub graph no longer splits an oversized two-hop group"
         check_hierarchy_invariants(g, h, cap)
+
+
+def test_hub_splits_push_a_linear_number_of_keys(monkeypatch):
+    """A 4-clique whose hub carries 3,000 pendants, cap 8: at most 2 (p + d) heap pushes.
+
+    Counted, not timed; p counts the nodes split and d their adjacency
+    entries. ``split_component`` pushes at most one key per adjacency entry
+    of an absorbed node, and ``_two_hop_split_parts`` one per anchor entry
+    of an absorbed node, so c = 2 leaves room for the seeds. Counting every
+    pool member once per shared anchor of each absorbed node would push
+    ~p^2 / 2 keys.
+    """
+    edges = [*combinations("hxyz", 2)] + [("h", f"p{i:04d}") for i in range(3000)]
+    g = make_graph(edges)
+    pushes = []
+
+    def counted(heap, key):
+        pushes.append(key)
+        heapq.heappush(heap, key)
+
+    monkeypatch.setattr(corehier.hierarchy, "heapq", SimpleNamespace(heappush=counted, heappop=heapq.heappop))
+    pendants = [v for v in range(g.n) if g.degrees[v] == 1]
+    parts = _two_hop_split_parts(g, pendants, 8)
+    assert len(parts) == 375
+    assert len(pushes) <= 2 * (len(pendants) + sum(g.degrees[v] for v in pendants))
+    pushes.clear()
+    split_component(g, range(g.n), 8)
+    assert len(pushes) <= 2 * (g.n + 2 * g.m)
+    pushes.clear()
+    check_hierarchy_invariants(g, build_hierarchy(g, 8), 8)
+    assert len(pushes) <= 2 * (g.n + 2 * g.m)
+
+
+def test_growers_return_the_graphs_own_ints_and_keep_a_small_peak():
+    """Every node either grower returns is ``g._ids``' own int, and the split peaks at under 100 bytes per node.
+
+    A seeded 6,000-node sparse fixture at cap 40; the callers pass fresh
+    ints. The peak is ``split_component``'s tracemalloc peak over the whole
+    graph, its result included: 152 bytes per node when the state was a set,
+    a dict per cluster and a sorted list of (degree, id) tuples; ~70 with
+    the flat state.
+    """
+    edges, nodes = generate_kg_sparse(6000, seed=3)
+    g = largest_connected_component(load_graph(edges, nodes))
+    assert g.adj
+    parts = split_component(g, range(g.n), 40)
+    assert sorted(v for part in parts for v in part) == list(range(g.n))
+    pool = set(np.flatnonzero(np.array(g.degrees) == 1).tolist())
+    split = _two_hop_split_parts(g, pool, 40)
+    assert sum(len(grown) for grown, _ in split) == len(pool)
+    returned = [v for part in parts for v in part] + [v for grown, anchors in split for v in grown + anchors]
+    assert all(v is g._ids[v] for v in returned)
+    parts, peak = traced_peak(split_component, g, g._ids, 40)
+    assert peak <= 100 * g.n, f"split_component peaks at {peak / g.n:.1f} B per node"
 
 
 def test_common_ancestor_is_the_deepest_shared_cluster():
