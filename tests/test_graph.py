@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corehier import graph
 from corehier.errors import InputError
 from corehier.fixtures import generate_kg_sparse
 from corehier.graph import (
+    EdgeSpans,
     Graph,
     NodeMeta,
     _component_labels,
+    _join,
     is_connected,
     largest_connected_component,
     load_graph,
@@ -341,6 +344,40 @@ def test_byte_join_matches_the_oracle_from_files(tmp_path_factory, records, eol)
         return cli._load(cli.PipelineConfig(edges_path=folder / "edges.tsv", nodes_path=folder / "nodes.jsonl"))
 
     _check_join(load, *records)
+
+
+def join_oracle(names: list[str], ids: list[str]) -> tuple[list[int], list[str]]:
+    """``_join`` by dict: each endpoint's index in ``ids``, unknown names numbered after them in sorted order."""
+    index = {ext: i for i, ext in enumerate(ids)}
+    unknown = sorted(set(names) - index.keys())
+    index.update((ext, len(ids) + q) for q, ext in enumerate(unknown))
+    return [index[name] for name in names], unknown
+
+
+@pytest.mark.parametrize("chunk", [3, 1 << 16])
+def test_join_does_not_depend_on_endpoint_order(monkeypatch, chunk):
+    """Sorted and shuffled endpoints get the same nodes, as the dict oracle numbers them.
+
+    Ids of 1 to 8 bytes (integer keys) and wider (``S{width}`` keys), a
+    non-ASCII one among them; endpoints repeated, and unknown names that
+    sort before, between and after the ids, of widths that ids have and
+    do not have. ``chunk`` endpoints are matched per step.
+    """
+    monkeypatch.setattr(graph, "_CHUNK", chunk)
+    rng = np.random.default_rng(7)
+    ids = sorted({"m" * width + str(i) for width in range(12) for i in range(3)} | {"\u00e9t\u00e9", "b"})
+    unknown = ["A", "Aaaaaaaaaaaaa", "c", "mz", "mmmmmmmmmmmmmmmmmmmm", "zz", "\u00ff", "\u6f22\u5b57\u6f22\u5b57"]
+    pool = ids + unknown
+    names = [pool[i] for i in rng.integers(0, len(pool), size=400)] + ids + unknown
+    expected, expected_unknown = join_oracle(names, ids)
+    node, found = _join(EdgeSpans.encode(names), ids)
+    assert node.tolist() == expected and found == expected_unknown
+    ranked = sorted(names)
+    node, found = _join(EdgeSpans.encode(ranked), ids)
+    assert node.tolist() == join_oracle(ranked, ids)[0] and found == expected_unknown
+    shuffle = rng.permutation(len(names))
+    node, found = _join(EdgeSpans.encode([names[i] for i in shuffle]), ids)
+    assert node.tolist() == [expected[i] for i in shuffle] and found == expected_unknown
 
 
 def test_duplicate_id_is_reported_before_an_empty_endpoint():

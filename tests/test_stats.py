@@ -3,13 +3,13 @@
 import pytest
 
 from corehier.errors import ConfigError, InputError
-from corehier.fixtures import three_level_example
+from corehier.fixtures import generate_kg_sparse, three_level_example
 from corehier.graph import NodeMeta, largest_connected_component, load_graph
 from corehier.hierarchy import build_hierarchy
 from corehier.sampling import round_robin_sample
 from corehier.stats import community_stats, select_level
 
-from conftest import make_graph, node_id
+from conftest import make_graph, node_id, traced_peak
 
 
 def names_of(g, members):
@@ -122,3 +122,17 @@ class TestSampledCoverage:
     def test_without_inputs_sampled_coverage_is_none(self):
         g, h = build_three_level()
         assert community_stats(h, "LF", g).coverage_pct_sampled is None
+
+
+@pytest.mark.parametrize("tag", ["L1", "LF"])
+def test_coverage_flags_take_a_few_bytes_per_node(tag):
+    """Covered and counted nodes are flags, not sets of ints (~36 bytes per node each).
+
+    A token limit that admits every member makes the counted flags cover the level.
+    """
+    edges, nodes = generate_kg_sparse(6000, seed=3)
+    g = largest_connected_component(load_graph(edges, nodes))
+    h = build_hierarchy(g, 40)
+    stats, peak = traced_peak(community_stats, h, tag, g, None, 10**9)
+    assert stats.coverage_pct_sampled == stats.coverage_pct
+    assert peak <= 8 * g.n, f"peak {peak} B is {peak / g.n:.1f} B per node"
