@@ -22,7 +22,7 @@ for k in sorted(set(dec.core)):
 # neighbors, no matter how the rest of the graph looks.
 for k in range(1, dec.max_core + 1):
     members = {v for v in range(g.n) if dec.core[v] >= k}
-    min_internal = min(sum(1 for w in g.adj[v] if w in members) for v in members)
+    min_internal = min(sum(1 for w in g.indices[g.indptr[v]:g.indptr[v + 1]] if w in members) for v in members)
     print(f"  {k}-core has {len(members)} nodes, minimum internal degree {min_internal}")
 
 print()

@@ -329,12 +329,13 @@ def cmd_verify_bounds(args) -> int:
 def _cyclic_gc_paused():
     """Pause Python's cyclic garbage collector; restore its state on exit.
 
-    The stages allocate millions of small objects (adjacency lists, cluster
-    sets, edge tuples) that form no reference cycles, so reference counting
-    frees them all. Each allocation burst still triggers collections that
-    traverse every live object; on the ~100k-edge acceptance graph those
-    passes took about a third of the pipeline's time. The few cycles made
-    meanwhile (argument parsing) are collected once the collector resumes.
+    The stages allocate millions of small objects (heap keys, cluster
+    member lists, host-map entries) that form no reference cycles, so
+    reference counting frees them all. Each allocation burst still triggers
+    collections that traverse every live object; on the ~100k-edge
+    acceptance graph those passes took about a third of the pipeline's
+    time. The few cycles made meanwhile (argument parsing) are collected
+    once the collector resumes.
     """
     was_enabled = gc.isenabled()
     gc.disable()

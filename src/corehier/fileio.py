@@ -15,7 +15,7 @@ buffer, so no endpoint becomes a ``str``: a clean file keeps its own
 bytes, with 16 bytes of offsets per endpoint. Each reader has a bulk path
 for the clean layout of its writer: an edge file whose every line is
 ``src<TAB>dst`` with nothing to strip, and a node file whose every line
-is a record as :func:`write_nodes_jsonl` writes it, are parsed on their
+is a record as :func:`nodes_to_jsonl` writes it, are parsed on their
 bytes by array operations: the structural bytes (tabs and newlines;
 newlines and quotes) are found first, and each field is read at its
 position. A file with any other line break than "\n" (``str.splitlines``
@@ -52,7 +52,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .cores import CoreDecomposition
 from .errors import InputError
-from .graph import EdgeSpans, Graph, NodeMeta
+from .graph import _CHUNK, EdgeSpans, Graph, NodeMeta, _fixed_keys
 from .hierarchy import CLUSTER_KINDS, Cluster, Hierarchy
 from .sampling import SampleResult, TokenModel
 
@@ -100,6 +100,28 @@ def read_utf8(path: str | Path, what: str) -> str:
     return _decode(_read_bytes(path, what), path)
 
 
+def _check_utf8(raw: bytes, path: str | Path) -> None:
+    """Raise InputError as ``_decode`` does if ``raw`` is not UTF-8, holding no more than one block's text.
+
+    An ASCII ``raw`` passes at once. Any other is decoded in blocks, each
+    ending at the first newline ``_NODE_BLOCK`` bytes or more past its
+    start; no multi-byte character holds a newline byte, so no cut splits
+    one. At the first bad block, ``_decode`` decodes the whole file for
+    the ``path:line`` message. O(len(raw)).
+    """
+    if raw.isascii():
+        return
+    view = memoryview(raw)
+    start = 0
+    while start < len(raw):
+        end = raw.find(b"\n", start + _NODE_BLOCK - 1) + 1 or len(raw)
+        try:
+            str(view[start:end], "utf-8")
+        except UnicodeDecodeError:
+            _decode(raw, path)
+        start = end
+
+
 #: The line breaks ``str.splitlines`` honours besides "\n": six ASCII bytes
 #: ("\x0b", "\x0c", "\r", "\x1c"-"\x1e"), and three characters that UTF-8
 #: writes in two or three bytes, which only a file that is not ASCII holds.
@@ -111,12 +133,25 @@ _WIDE_BREAKS = [brk.encode("utf-8") for brk in "\x85\u2028\u2029"]
 _ASCII_SPACE = np.zeros(256, dtype=bool)
 _ASCII_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
 
+#: The other characters ``str.strip`` removes, less the three line breaks
+#: of ``_WIDE_BREAKS``, as their UTF-8 bytes read as big-endian ints,
+#: ascending: U+00A0 in two bytes; U+1680, U+2000-U+200A, U+202F, U+205F
+#: and U+3000 in three. Two-byte keys are below 0x10000, three-byte keys
+#: above 0xE00000.
+_WIDE_SPACES = np.array(
+    [
+        int.from_bytes(ch.encode("utf-8"), "big")
+        for ch in "\u00a0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u202f\u205f\u3000"
+    ],
+    dtype=np.uint64,
+)
+
 #: The bytes of an edge file by role, a ``bytes.translate`` table: 1 ends
 #: a field of a clean file ("\t" and "\n"), 2 is an ASCII line break that
 #: a clean file does not hold, 0 is any other byte.
 _TSV_ROLE = bytes(1 if byte in (9, 10) else 2 if byte in _ASCII_BREAKS else 0 for byte in range(256))
 
-#: The bytes a node record as :func:`write_nodes_jsonl` writes it may
+#: The bytes a node record as :func:`nodes_to_jsonl` writes it may
 #: hold: all but the control bytes (the ASCII line breaks among them) and
 #: the backslash, which starts every escape; "\n" ends the record.
 _NODE_TEXT = bytes(byte for byte in range(256) if byte == 10 or (byte >= 32 and byte != ord("\\")))
@@ -128,8 +163,8 @@ _LABEL_OPEN = np.frombuffer(b'", "label": "', dtype=np.uint8)
 _TOKENS_OPEN = np.frombuffer(b'", "tokens": ', dtype=np.uint8)
 
 #: The fewest bytes of a node file that :func:`_clean_node_columns` parses
-#: per step (a step runs on to the next line end); it bounds the transient
-#: arrays.
+#: per step, and of any file that :func:`_check_utf8` decodes per step (a
+#: step runs on to the next line end); it bounds the transient arrays.
 _NODE_BLOCK = 1 << 18
 
 
@@ -140,12 +175,15 @@ def _clean_tsv_spans(raw: bytes) -> EdgeSpans | None:
     optional) and no line break but "\n"; every line has exactly one tab;
     no field is empty or starts or ends with whitespace; no line starts
     with ``#``. Any other file gives None. The layout is checked on the
-    bytes with array operations; a field whose first or last byte is not
-    ASCII is also decoded and compared with its ``strip()``. Besides the
-    spans it returns, the check holds about two bytes per file byte. One
-    table lookup over the bytes finds the field ends and the ASCII line
-    breaks; the multi-byte breaks are searched for only in a file that is
-    not ASCII.
+    bytes with array operations. One table lookup over the bytes finds the
+    field ends and the ASCII line breaks; the multi-byte breaks are
+    searched for only in a file that is not ASCII. A field whose first or
+    last byte is not ASCII has the UTF-8 bytes of its first and last two
+    and three bytes compared with ``_WIDE_SPACES``: as ``raw`` is UTF-8,
+    a field starts (ends) with one of those characters exactly when its
+    first (last) bytes are that character's bytes. These fields are
+    checked ``_CHUNK`` at a time. Besides the spans it returns, the check
+    holds about two bytes per file byte.
     """
     if not raw or (not raw.isascii() and any(brk in raw for brk in _WIDE_BREAKS)):
         return None
@@ -169,10 +207,18 @@ def _clean_tsv_spans(raw: bytes) -> EdgeSpans | None:
     if _ASCII_SPACE[firsts].any() or _ASCII_SPACE[lasts].any() or (firsts[0::2] == ord("#")).any():
         return None
     wide = np.flatnonzero((firsts >= 0x80) | (lasts >= 0x80))
-    for start, end in zip(starts[wide].tolist(), ends[wide].tolist()):
-        field = raw[start:end].decode("utf-8")
-        if field != field.strip():
-            return None
+    del firsts, lasts
+    for first in range(0, len(wide), _CHUNK):
+        part = wide[first:first + _CHUNK]
+        field_starts, field_ends = starts[part], ends[part]
+        for width in (2, 3):
+            fits = field_ends - field_starts >= width
+            for at in (field_starts[fits], field_ends[fits] - width):
+                keys = _fixed_keys(data, at, width)
+                found = np.searchsorted(_WIDE_SPACES, keys)
+                np.minimum(found, len(_WIDE_SPACES) - 1, out=found)
+                if (_WIDE_SPACES[found] == keys).any():
+                    return None
     return EdgeSpans(raw, starts, ends)
 
 
@@ -184,16 +230,17 @@ def read_edges_tsv(path: str | Path) -> EdgeSpans:
     and no endpoint becomes a ``str``. Any other file goes to the
     line-by-line reader, which skips blank and ``#`` lines, strips the
     fields, checks the weight column and fails on a malformed line with its
-    line number. Memory: the file's bytes, kept as the spans' buffer, plus
-    16 bytes per endpoint; the line-by-line reader also holds one ``str``
-    per endpoint until it encodes them.
+    line number. Bad UTF-8 is reported first, wherever it lies (see
+    ``_check_utf8``). Memory: the file's bytes, kept as the spans' buffer,
+    plus 16 bytes per endpoint; the line-by-line reader also holds the
+    decoded text and one ``str`` per endpoint until it encodes them.
     """
     path = Path(path)
     raw = _read_bytes(path, "edge file")
-    text = None if raw.isascii() else _decode(raw, path)  # rejects bad bytes first
+    _check_utf8(raw, path)
     spans = _clean_tsv_spans(raw)
     if spans is None:
-        return _read_edges_by_line(path, text or raw.decode("ascii"))
+        return _read_edges_by_line(path, _decode(raw, path))
     return spans
 
 
@@ -225,7 +272,7 @@ def read_nodes_jsonl(path: str | Path, token_model: TokenModel | None = None) ->
 
     ``text`` fields become estimated token counts; a ``label`` of any JSON
     value is accepted and not kept. A file whose every line is a record
-    exactly as :func:`write_nodes_jsonl` writes it, ``{"id": "…", "label":
+    exactly as :func:`nodes_to_jsonl` writes it, ``{"id": "…", "label":
     "…", "tokens": N}`` with no escape or control character in the strings
     and at most 18 digits in N, and that has no line break but "\n", is
     parsed on its bytes by array operations (see ``_clean_node_columns``).
@@ -237,6 +284,7 @@ def read_nodes_jsonl(path: str | Path, token_model: TokenModel | None = None) ->
     """
     path = Path(path)
     raw = _read_bytes(path, "node file")
+    _check_utf8(raw, path)
     columns = _clean_node_columns(raw)
     if columns is None:
         return _read_nodes_by_line(path, _decode(raw, path), token_model or TokenModel())
@@ -246,17 +294,17 @@ def read_nodes_jsonl(path: str | Path, token_model: TokenModel | None = None) ->
 def _clean_node_columns(raw: bytes) -> tuple[list[str], list[int]] | None:
     """The columns of :func:`read_nodes_jsonl`, if every line of ``raw`` is a clean record.
 
-    None if ``raw`` holds a byte that no clean record holds (one
-    ``bytes.translate`` over a 256-byte table, which copies only such
-    bytes), a multi-byte line break (searched for only when ``raw`` is not
-    ASCII) or bad UTF-8, or if a line is not a clean record. The lines are
-    parsed in blocks (see ``_clean_node_block``), each ending at the first
-    line end ``_NODE_BLOCK`` bytes or more past its start, so no transient
-    array grows with the file; a line longer than a block makes a block of
-    its own.
+    ``raw`` is valid UTF-8 (see ``_check_utf8``). None if ``raw`` holds a
+    byte that no clean record holds (one ``bytes.translate`` over a
+    256-byte table, which copies only such bytes) or a multi-byte line
+    break (searched for only when ``raw`` is not ASCII), or if a line is
+    not a clean record. The lines are parsed in blocks (see
+    ``_clean_node_block``), each ending at the first line end
+    ``_NODE_BLOCK`` bytes or more past its start, so no transient array
+    grows with the file; a line longer than a block makes a block of its
+    own.
     """
-    is_ascii = raw.isascii()
-    if raw.translate(None, _NODE_TEXT) or (not is_ascii and any(brk in raw for brk in _WIDE_BREAKS)):
+    if raw.translate(None, _NODE_TEXT) or (not raw.isascii() and any(brk in raw for brk in _WIDE_BREAKS)):
         return None
     ids: list[str] = []
     counts: list[int] = []
@@ -264,11 +312,6 @@ def _clean_node_columns(raw: bytes) -> tuple[list[str], list[int]] | None:
     start = 0
     while start < len(raw):
         end = raw.find(b"\n", start + _NODE_BLOCK - 1) + 1 or len(raw)
-        if not is_ascii:
-            try:
-                str(view[start:end], "utf-8")
-            except UnicodeDecodeError:
-                return None
         block = _clean_node_block(np.frombuffer(view[start:end], dtype=np.uint8))
         if block is None:
             return None
@@ -386,14 +429,6 @@ def edges_to_tsv(records: list[tuple[str, str]]) -> str:
 def nodes_to_jsonl(records: list[NodeMeta]) -> str:
     fields = ({"id": rec.external_id, "label": rec.label, "tokens": rec.token_count} for rec in records)
     return "\n".join(json.dumps(obj, sort_keys=True) for obj in fields) + "\n"
-
-
-def write_edges_tsv(path: str | Path, records: list[tuple[str, str]]) -> None:
-    Path(path).write_text(edges_to_tsv(records), encoding="utf-8")
-
-
-def write_nodes_jsonl(path: str | Path, records: list[NodeMeta]) -> None:
-    Path(path).write_text(nodes_to_jsonl(records), encoding="utf-8")
 
 
 def hierarchy_to_json_obj(h: Hierarchy, g: Graph) -> dict:

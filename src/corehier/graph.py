@@ -57,17 +57,19 @@ class Graph:
     built on first access. ``_ids`` is ``list(range(n))``, one int object
     per node id (O(n); 8 bytes per node, and 32 per int past 256); every
     int that names a node downstream is taken from it: the entries of
-    ``adj``, the hierarchy's member lists (also those read back from JSON)
-    and the sample's picks, so no node id is held as two objects. ``adj``,
-    the neighbour lists as Python lists for the per-node loops downstream,
-    is derived from the arrays in O(n + m): one object gather of ``_ids``
-    by ``indices`` into a flat list, cut into one list per row. It keeps 8
-    bytes per entry and a list header per node; while it is built, the flat
-    list and the gathered object array hold 8 bytes per entry more each,
-    and the row bounds, read in place, 40 bytes per node; no int is made
-    per entry. ``_ranking`` holds the sampling stage's edge
-    ranking once it is first computed, two int32 arrays of m entries (see
-    ``sampling._ranked_edge_arrays``), and is None until then.
+    ``_rows``, the hierarchy's member lists (also those read back from
+    JSON) and the sample's picks, so no node id is held as two objects.
+    ``_rows`` is ``(flat, bounds)``, the CSR rows as Python lists for the
+    per-node loops downstream: ``flat`` is ``indices`` with each id
+    replaced by its ``_ids`` int, ``bounds`` is ``indptr.tolist()``, and v's
+    neighbours are ``flat[bounds[v]:bounds[v + 1]]``. It is derived in
+    O(n + m) by one object gather of ``_ids`` by ``indices``, and keeps 8
+    bytes per entry and 40 per node; no int is made per entry. While
+    ``flat`` is built, the gathered object array holds 8 bytes per entry
+    more, and it is freed before ``bounds`` is built. ``_ranking`` holds
+    the sampling stage's edge ranking once it is first computed, two int32
+    arrays of m entries (see ``sampling._ranked_edge_arrays``), and is None
+    until then.
 
     Treat instances as frozen once constructed; nothing in the package
     mutates them, which makes concurrent reads safe (two threads racing on
@@ -75,7 +77,7 @@ class Graph:
     """
 
     __slots__ = (
-        "n", "m", "indptr", "indices", "adj", "_ids", "external_ids", "tokens", "degrees", "_ranking",
+        "n", "m", "indptr", "indices", "_rows", "_ids", "external_ids", "tokens", "degrees", "_ranking",
     )
 
     def __init__(self, indptr, indices, external_ids: list[str], tokens: list[int]):
@@ -96,11 +98,10 @@ class Graph:
         if name == "_ids":
             self._ids = list(range(self.n))
             return self._ids
-        if name == "adj":
+        if name == "_rows":
             flat = np.array(self._ids, dtype=object)[self.indices].tolist()
-            bounds = self.indptr.tolist()
-            self.adj = list(map(flat.__getitem__, map(slice, bounds, islice(bounds, 1, None))))
-            return self.adj
+            self._rows = flat, self.indptr.tolist()
+            return self._rows
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     @property

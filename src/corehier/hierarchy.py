@@ -135,7 +135,7 @@ def split_component(g: Graph, members, max_size: int) -> list[list[int]]:
     O(log e) per adjacency entry of the members, e entries in all; the node
     that fills a cluster is not scanned.
     """
-    n, ids, adj = g.n, g._ids, g.adj
+    n, ids, (flat, bounds) = g.n, g._ids, g._rows
     remaining = bytearray(n)
     for v in members:
         remaining[v] = 1
@@ -149,7 +149,7 @@ def split_component(g: Graph, members, max_size: int) -> list[list[int]]:
     push = heapq.heappush
 
     def absorb(v: int, heap: list[int]) -> None:
-        for w in adj[v]:
+        for w in flat[bounds[v]:bounds[v + 1]]:
             if remaining[w]:
                 c = count[w] + 1
                 count[w] = c
@@ -186,7 +186,7 @@ def _two_hop_split_parts(g: Graph, pool, max_size: int) -> list[tuple[list[int],
     k_a walks a's members with several anchors. A pool whose members each
     have one anchor, such as a hub's pendants, costs O(p + d) pushes.
     """
-    n, ids, adj = g.n, g._ids, g.adj
+    n, ids, (flat, bounds) = g.n, g._ids, g._rows
     nodes = sorted(set(pool))
     remaining = bytearray(n)
     for u in nodes:
@@ -195,7 +195,7 @@ def _two_hop_split_parts(g: Graph, pool, max_size: int) -> list[tuple[list[int],
     singles: dict[int, list[int]] = {}  # anchor -> members that hold it alone, descending
     multis: dict[int, list[int]] = {}  # anchor -> members that hold it among others
     for u in reversed(nodes):
-        anchors_of[u] = anchors = [a for a in adj[u] if not remaining[a]]
+        anchors_of[u] = anchors = [a for a in flat[bounds[u]:bounds[u + 1]] if not remaining[a]]
         if len(anchors) == 1:
             singles.setdefault(anchors[0], []).append(u)
         else:
@@ -293,7 +293,7 @@ def build_hierarchy(g: Graph, max_cluster_size: int, core: list[int] | None = No
     # in the tree but are not retrieval leaves (their content is covered by
     # two-hop groups and attachment hosts instead).
     dissolved: set[int] = set()
-    all_nodes = g._ids  # the int objects g.adj holds, so member lists add none
+    all_nodes = g._ids  # the int objects g._rows holds, so member lists add none
 
     def new_cluster(members: list[int], level, kind, parent, anchors=frozenset()) -> Cluster:
         # members is ascending: Cluster's sort is linear, and its copy keeps all_nodes out of every cluster
@@ -462,9 +462,10 @@ def _best_host(g: Graph, nodes, first: list[int | None], more: dict[int, list[in
     when a node has at most k hosts: one list read per entry, and one dict
     lookup per entry whose node has a host.
     """
+    flat, bounds = g._rows
     counts: dict[int, int] = {}  # a plain loop: a Counter per call made attachment ~30% slower
     for v in nodes:
-        for w in g.adj[v]:
+        for w in flat[bounds[v]:bounds[v + 1]]:
             hid = first[w]
             if hid is None or w in nodes:
                 continue

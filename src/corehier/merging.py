@@ -115,10 +115,12 @@ def merge_small_clusters(
     for v, owner in h.attached_singletons.items():
         attached_by_cluster.setdefault(owner, []).append(v)
 
+    flat, bounds = g._rows
+
     def covered_neighbor_count(cid: int) -> int:
         members = h.clusters[cid].members
         hits = {
-            w for v in members for w in g.adj[v] if first[w] is not None and w not in members
+            w for v in members for w in flat[bounds[v]:bounds[v + 1]] if first[w] is not None and w not in members
         }
         return len(hits)
 
@@ -134,7 +136,7 @@ def merge_small_clusters(
             if not first_time:
                 continue
             bumped: set[int] = set()
-            for w in g.adj[v]:
+            for w in flat[bounds[v]:bounds[v + 1]]:
                 for sid in member_of_small.get(w, ()):
                     if sid in small_set and v not in h.clusters[sid].members:
                         bumped.add(sid)

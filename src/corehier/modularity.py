@@ -125,9 +125,10 @@ def _move_delta(g: Graph, p: Partition, v: int, target: int, degree_sums: dict[i
     source = p.assignment[v]
     if target == source:
         return 0.0
+    flat, bounds = g._rows
     d_src = 0
     d_tgt = 0
-    for w in g.adj[v]:
+    for w in flat[bounds[v]:bounds[v + 1]]:
         cw = p.assignment[w]
         if cw == source:
             d_src += 1
@@ -522,8 +523,8 @@ def verify_sparse_bounds(g: Graph, d: int, seed: int = 0) -> SparseBoundsReport:
         holds = True
 
     low = [v for v in range(g.n) if g.degrees[v] <= d]
-    adjacency = [set(a) for a in g.adj]
-    partners = {i: [j for j in low if j > i and j not in adjacency[i]] for i in low}
+    flat, bounds = g._rows
+    partners = {i: [j for j in low if j > i and j not in flat[bounds[i]:bounds[i + 1]]] for i in low}
     pair_bound = pair_perturbation_bound(d, g.m)
     move_checks = move_violations = pair_checks = pair_violations = 0
     move_max_ratio = 0.0

@@ -120,7 +120,7 @@ def _ranked_edge_arrays(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """
     if g._ranking is None:
         u, w = g.edge_arrays()
-        degrees = np.array(g.degrees, dtype=np.int64)
+        degrees = np.diff(g.indptr)
         key = degrees[u]
         key += degrees[w]
         del degrees

@@ -6,6 +6,7 @@ import gc
 import heapq
 import tracemalloc
 from collections import Counter, deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import pytest
 from corehier.cores import core_numbers
 from corehier.graph import Graph, NodeMeta, load_graph
 from corehier.errors import VerificationError
+from corehier.fileio import edges_to_tsv, nodes_to_jsonl
 from corehier.hierarchy import CLUSTER_KINDS, Hierarchy, _two_hop_split_parts
 from corehier.merging import _ELIGIBLE_KINDS, MergeMode, MergeReport
 from corehier.sampling import DEFAULT_EDGE_OVERHEAD, SampleResult
@@ -25,6 +27,29 @@ def make_graph(edges, names=None, tokens=None) -> Graph:
     tokens = tokens or {}
     nodes = [NodeMeta(external_id=nm, token_count=tokens.get(nm, 0)) for nm in names]
     return load_graph(edges, nodes)
+
+
+def write_edges_tsv(path, records) -> None:
+    """Write ``(src, dst)`` name pairs as an edge file, one ``src<TAB>dst`` line each."""
+    Path(path).write_text(edges_to_tsv(records), encoding="utf-8")
+
+
+def write_nodes_jsonl(path, records) -> None:
+    """Write :class:`NodeMeta` records as a node file in the layout ``gen-fixture`` writes."""
+    Path(path).write_text(nodes_to_jsonl(records), encoding="utf-8")
+
+
+def adjacency(g: Graph) -> list[list[int]]:
+    """Every node's neighbours in ascending order, rebuilt from ``g.edges()``: the oracles' own view of the rows.
+
+    ``g.edges()`` is sorted by (u, w), so each row fills in ascending order.
+    O(n + m); callers that read many rows build it once.
+    """
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for u, w in g.edges():
+        adj[u].append(w)
+        adj[w].append(u)
+    return adj
 
 
 def node_id(g: Graph, name: str) -> int:
@@ -68,6 +93,7 @@ def split_component_oracle(g: Graph, members, max_size: int) -> list[list[int]]:
     if len(remaining) <= max_size:
         return [sorted(remaining)]
     seed_order = sorted(remaining, key=lambda v: (-g.degrees[v], v))
+    adj = adjacency(g)
     out: list[list[int]] = []
     for seed in seed_order:
         if seed not in remaining:
@@ -76,7 +102,7 @@ def split_component_oracle(g: Graph, members, max_size: int) -> list[list[int]]:
         grown = [seed]
         conn: dict[int, int] = {}
         heap: list[tuple[int, int]] = []
-        for w in g.adj[seed]:
+        for w in adj[seed]:
             if w in remaining:
                 conn[w] = conn.get(w, 0) + 1
                 heapq.heappush(heap, (-conn[w], w))
@@ -86,7 +112,7 @@ def split_component_oracle(g: Graph, members, max_size: int) -> list[list[int]]:
                 continue  # stale heap entry
             remaining.discard(v)
             grown.append(v)
-            for w in g.adj[v]:
+            for w in adj[v]:
                 if w in remaining:
                     conn[w] = conn.get(w, 0) + 1
                     heapq.heappush(heap, (-conn[w], w))
@@ -98,8 +124,9 @@ def two_hop_split_parts_oracle(g: Graph, pool, max_size: int) -> list[tuple[list
     """``_two_hop_split_parts`` with its own growth loop and overlap scores, as it was before the growers were shared."""
     pool_sorted = sorted(pool)
     pool_set = set(pool_sorted)
-    anchor_set = {w for u in pool_sorted for w in g.adj[u]} - pool_set
-    anchors_of = {u: frozenset(anchor_set.intersection(g.adj[u])) for u in pool_sorted}
+    adj = adjacency(g)
+    anchor_set = {w for u in pool_sorted for w in adj[u]} - pool_set
+    anchors_of = {u: frozenset(anchor_set.intersection(adj[u])) for u in pool_sorted}
     sharing: dict[int, list[int]] = {}
     for u in pool_sorted:
         for a in anchors_of[u]:
@@ -135,7 +162,7 @@ def two_hop_split_parts_oracle(g: Graph, pool, max_size: int) -> list[tuple[list
         grown_set = set(grown)
         counts: dict[int, int] = {}
         for u in grown:
-            for w in g.adj[u]:
+            for w in adj[u]:
                 if w in anchor_set:
                     counts[w] = counts.get(w, 0) + 1
         qualifying = sorted(a for a, c in counts.items() if c >= 2 and a not in grown_set)
@@ -177,11 +204,11 @@ def traced_retained(fn, *args):
     return out, retained - start
 
 
-def best_host_oracle(g: Graph, nodes, hosts_of: dict[int, list[int]]) -> int | None:
-    """``hierarchy._best_host`` on a dict of host lists, as it was before the host map."""
+def best_host_oracle(adj: list[list[int]], nodes, hosts_of: dict[int, list[int]]) -> int | None:
+    """``hierarchy._best_host`` on a dict of host lists, as it was before the host map; ``adj`` from :func:`adjacency`."""
     counts: dict[int, int] = {}
     for v in nodes:
-        for w in g.adj[v]:
+        for w in adj[v]:
             if w not in nodes:
                 for hid in hosts_of.get(w, ()):
                     counts[hid] = counts.get(hid, 0) + 1
@@ -192,6 +219,7 @@ def attach_global_singletons_oracle(g: Graph, h: Hierarchy, singletons: set[int]
     """``hierarchy._attach_global_singletons`` with a dict of leaf lists per node, as it was before the host map."""
     if not singletons:
         return
+    adj = adjacency(g)
     node_leaves: dict[int, list[int]] = {}
     for leaf in h.leaves():
         for v in leaf.members:
@@ -200,7 +228,7 @@ def attach_global_singletons_oracle(g: Graph, h: Hierarchy, singletons: set[int]
     while remaining:
         deferred: list[int] = []
         for v in remaining:
-            best = best_host_oracle(g, (v,), node_leaves)
+            best = best_host_oracle(adj, (v,), node_leaves)
             if best is None:
                 deferred.append(v)
                 continue
@@ -235,10 +263,11 @@ def merge_small_clusters_oracle(g: Graph, h: Hierarchy, mode: MergeMode) -> tupl
     attached_by_cluster: dict[int, list[int]] = {}
     for v, owner in h.attached_singletons.items():
         attached_by_cluster.setdefault(owner, []).append(v)
+    adj = adjacency(g)
 
     def covered_neighbor_count(cid: int) -> int:
         members = h.clusters[cid].members
-        return len({w for v in members for w in g.adj[v] if w not in members and w in covered_in})
+        return len({w for v in members for w in adj[v] if w not in members and w in covered_in})
 
     counts = {cid: covered_neighbor_count(cid) for cid in small_ids}
     heap = [(-counts[cid], cid) for cid in small_ids]
@@ -251,7 +280,7 @@ def merge_small_clusters_oracle(g: Graph, h: Hierarchy, mode: MergeMode) -> tupl
             if not first_time:
                 continue
             bumped: set[int] = set()
-            for w in g.adj[v]:
+            for w in adj[v]:
                 for sid in member_of_small.get(w, ()):
                     if sid in small_set and v not in h.clusters[sid].members:
                         bumped.add(sid)
@@ -265,7 +294,7 @@ def merge_small_clusters_oracle(g: Graph, h: Hierarchy, mode: MergeMode) -> tupl
             continue
         small_set.discard(cid)
         small = h.clusters[cid]
-        best = best_host_oracle(g, small.members, covered_in)
+        best = best_host_oracle(adj, small.members, covered_in)
         if best is not None:
             host = h.clusters[best]
             new_nodes = set(small.members) - set(host.members)
@@ -471,6 +500,7 @@ def component_roots_oracle(n: int, pairs) -> list[int]:
 
 def core_numbers_oracle(g: Graph) -> list[int]:
     """Brute force: for each k, peel degree < k to fixpoint; survivors have core >= k."""
+    adj = adjacency(g)
     core = [0] * g.n
     for k in range(1, g.n + 1):
         alive = set(range(g.n))
@@ -478,7 +508,7 @@ def core_numbers_oracle(g: Graph) -> list[int]:
         while changed:
             changed = False
             for v in sorted(alive):
-                if sum(1 for w in g.adj[v] if w in alive) < k:
+                if sum(1 for w in adj[v] if w in alive) < k:
                     alive.discard(v)
                     changed = True
         if not alive:
@@ -488,7 +518,7 @@ def core_numbers_oracle(g: Graph) -> list[int]:
     return core
 
 
-def _connected_within(g: Graph, nodes: set[int]) -> bool:
+def _connected_within(adj: list[list[int]], nodes: set[int]) -> bool:
     if not nodes:
         return False
     start = next(iter(nodes))
@@ -496,7 +526,7 @@ def _connected_within(g: Graph, nodes: set[int]) -> bool:
     dq = deque([start])
     while dq:
         u = dq.popleft()
-        for w in g.adj[u]:
+        for w in adj[u]:
             if w in nodes and w not in seen:
                 seen.add(w)
                 dq.append(w)
@@ -511,6 +541,7 @@ def check_hierarchy_invariants(g: Graph, h: Hierarchy, max_size: int) -> None:
     clusters by design.
     """
     core = core_numbers(g).core
+    adj = adjacency(g)
     attached_to: dict[int, set[int]] = {}
     for v, cid in h.attached_singletons.items():
         attached_to.setdefault(cid, set()).add(v)
@@ -525,10 +556,10 @@ def check_hierarchy_invariants(g: Graph, h: Hierarchy, max_size: int) -> None:
             assert len(base) <= max_size, f"cluster {c.id} exceeds the size cap"
         if c.kind in ("root", "core"):
             assert min(core[v] for v in base) >= c.level
-            assert _connected_within(g, base), f"core cluster {c.id} is disconnected"
+            assert _connected_within(adj, base), f"core cluster {c.id} is disconnected"
         if c.kind == "residual":
             assert max(core[v] for v in base) < c.level
-            assert _connected_within(g, base)
+            assert _connected_within(adj, base)
         if c.kind in ("residual", "two_hop"):
             assert h.is_leaf(c.id), f"{c.kind} cluster {c.id} must be a leaf"
         if c.parent is not None:

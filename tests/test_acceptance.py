@@ -18,8 +18,6 @@ from corehier.cli import PipelineConfig, run_pipeline
 from corehier.fileio import (
     hierarchy_to_json_obj,
     json_dumps_stable,
-    write_edges_tsv,
-    write_nodes_jsonl,
 )
 from corehier.fixtures import generate_kg_sparse, three_level_example
 from corehier.graph import NodeMeta, largest_connected_component, load_graph
@@ -43,6 +41,7 @@ from corehier.sampling import (
 )
 
 from conftest import (
+    adjacency,
     check_hierarchy_invariants,
     check_round_robin_properties,
     core_numbers_oracle,
@@ -50,6 +49,8 @@ from conftest import (
     make_graph,
     node_id,
     random_graph,
+    write_edges_tsv,
+    write_nodes_jsonl,
 )
 
 TOL = 1e-12
@@ -147,6 +148,7 @@ def test_criterion_04_merging_invariants(fixture_bundle):
             assert set(before) == set(after)
             assert sum(before.values()) - sum(after.values()) == rep.deduplicated
 
+        adj = adjacency(g)
         for merged, kinds in (
             (merged_2h, ("two_hop",)),
             (merged_ext, ("two_hop", "residual")),
@@ -158,7 +160,7 @@ def test_criterion_04_merging_invariants(fixture_bundle):
             for leaf in merged.leaves():
                 if leaf.kind in kinds and len(leaf.members) == 2:
                     for v in leaf.members:
-                        for w in g.adj[v]:
+                        for w in adj[v]:
                             if w not in leaf.members:
                                 assert not (covered.get(w, set()) - {leaf.id})
     report(4, f"{FIXTURE_COUNT} fixtures: merge exhaustiveness, monotone counts, node conservation")
@@ -219,7 +221,7 @@ def test_criterion_07_pair_perturbation_bound():
             continue
         d = int(rng.integers(1, 4))
         low = [v for v in range(g.n) if 1 <= g.degrees[v] <= d]
-        adj = [set(a) for a in g.adj]
+        adj = adjacency(g)
         pairs = [(i, j) for i in low for j in low if i < j and j not in adj[i]]
         if not pairs:
             continue

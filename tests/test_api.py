@@ -65,13 +65,18 @@ def test_every_public_name_resolves():
     assert set(PUBLIC) <= namespace.keys()
 
 
-def test_every_traced_name_resolves():
-    """perfbench's tracer looks each traced function up by name, so a rename breaks ``--trace 1``."""
+def traced() -> dict[str, list[str]]:
+    """perfbench's ``TRACED``: the function names its tracer wraps, by corehier module."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    for module_name, names in tracing.TRACED.items():
+    return tracing.TRACED
+
+
+def test_every_traced_name_resolves():
+    """perfbench's tracer looks each traced function up by name, so a rename breaks ``--trace 1``."""
+    for module_name, names in traced().items():
         module = importlib.import_module(f"corehier.{module_name}")
         missing = [name for name in names if not callable(getattr(module, name, None))]
         assert not missing, f"corehier.{module_name} lacks {missing}"
@@ -109,3 +114,42 @@ def test_every_public_method_has_a_caller_in_the_package():
         visit(ast.parse(path.read_text(encoding="utf-8")))
     unused = sorted(f"{cls}.{name}" for cls, name in wanted if name not in used)
     assert not unused, f"public methods no module of the package calls: {unused}"
+
+
+def test_every_public_module_level_name_has_a_caller_in_the_package():
+    """No public API that only the tests use: each public function or class of a module is read in src/.
+
+    A module-level name counts as used when some ``ast.Name`` or
+    ``ast.Attribute`` in ``src/corehier`` names it outside its own
+    definition, when it is in ``corehier.__all__``, or when perfbench's
+    tracer wraps it (``TRACED``). Imports do not count. The match is by
+    name, so it can only miss a dead name, never flag a live one.
+    """
+    src = Path(corehier.__file__).resolve().parent
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(src.glob("*.py"))}
+    used: set[str] = set()
+
+    def visit(node, inside=None):
+        if isinstance(node, ast.Name) and node.id != inside:
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr != inside:
+            used.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    defined: list[tuple[str, str]] = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(node, node.name)
+                if not node.name.startswith("_"):
+                    defined.append((module, node.name))
+            else:
+                visit(node)
+    wrapped = {(module, name) for module, names in traced().items() for name in names}
+    unused = sorted(
+        f"{module}.{name}"
+        for module, name in defined
+        if name not in used and name not in corehier.__all__ and (module, name) not in wrapped
+    )
+    assert not unused, f"public module-level names no module of the package reads: {unused}"

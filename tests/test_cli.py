@@ -22,11 +22,10 @@ from hypothesis import strategies as st
 from corehier import cli, fileio
 from corehier.cli import main
 from corehier.errors import ConfigError, InputError
-from corehier.fileio import write_edges_tsv, write_nodes_jsonl
 from corehier.fixtures import generate_kg_sparse, three_level_example
 from corehier.graph import NodeMeta
 
-from conftest import traced_peak, traced_retained
+from conftest import traced_peak, traced_retained, write_edges_tsv, write_nodes_jsonl
 
 
 ARTIFACTS = ["decomposition.json", "hierarchy.json", "hierarchy_merged.json",

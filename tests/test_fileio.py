@@ -24,9 +24,7 @@ from corehier.fileio import (
     read_nodes_jsonl,
     sample_to_tsv,
     write_decomposition_json,
-    write_edges_tsv,
     write_hierarchy_json,
-    write_nodes_jsonl,
     write_sample_tsv,
 )
 from corehier.fixtures import three_level_example
@@ -39,7 +37,7 @@ from corehier.sampling import (
     round_robin_sample,
 )
 
-from conftest import edge_columns, node_id, traced_peak, traced_retained
+from conftest import edge_columns, node_id, traced_peak, traced_retained, write_edges_tsv, write_nodes_jsonl
 
 
 class TestEdgeFile:
@@ -224,6 +222,63 @@ def test_edge_reader_pinned_cases(tmp_path, text, expected):
         expected = expected.format(p=p)
     assert outcome(read_edges_tsv, p) == expected
     assert outcome(_read_edges_by_line, p, text) == expected
+
+
+#: The characters beyond ASCII that ``str.strip`` removes, less the three line breaks.
+WIDE_SPACES = "\u00a0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u202f\u205f\u3000"
+
+
+def test_wide_spaces_are_the_strip_set_beyond_ascii_less_the_line_breaks():
+    stripped = "".join(chr(c) for c in range(0x80, 0x110000) if chr(c).isspace())
+    assert stripped == "".join(sorted(WIDE_SPACES + "\x85\u2028\u2029"))
+    assert fileio._WIDE_SPACES.tolist() == [int.from_bytes(ch.encode("utf-8"), "big") for ch in WIDE_SPACES]
+
+
+@pytest.mark.parametrize("space", list(WIDE_SPACES), ids=lambda ch: f"U+{ord(ch):04X}")
+def test_edge_fields_that_start_or_end_with_a_wide_space_are_stripped(tmp_path, space):
+    """Such a field leaves the bulk path, at either end of either column and at the file's end; inside a field it stays."""
+    p = tmp_path / "edges.tsv"
+    for text in (
+        f"{space}a\tb\n", f"a{space}\tb\n", f"a\t{space}\u6f22\n", f"a\t\u6f22{space}\n",
+        f"\u00e9\tb\nc\t\u00e9{space}", f"a\t{space}\n", f"{space}{space}\tb\n",
+    ):
+        write_exact(p, text)
+        assert _clean_tsv_spans(text.encode("utf-8")) is None
+        assert outcome(read_edges_tsv, p) == outcome(_read_edges_by_line, p, text)
+    text = f"a{space}b\t\u6f22{space}\u00e9\n"
+    write_exact(p, text)
+    assert _clean_tsv_spans(text.encode("utf-8")) is not None
+    assert outcome(read_edges_tsv, p) == ([f"a{space}b"], [f"\u6f22{space}\u00e9"])
+
+
+@pytest.mark.parametrize("near", ["\u00a1", "\u00bf", "\u1681", "\u200b", "\u2030", "\u205e", "\u3001", "\u2fff"])
+def test_edge_fields_that_end_with_a_near_miss_stay_on_the_bulk_path(tmp_path, near):
+    """Characters whose UTF-8 bytes differ from a space's in one byte are kept at a field's ends."""
+    p = tmp_path / "edges.tsv"
+    text = f"{near}a\t{near}\nb{near}\t{near}{near}"
+    write_exact(p, text)
+    assert _clean_tsv_spans(text.encode("utf-8")) is not None
+    assert outcome(read_edges_tsv, p) == ([f"{near}a", f"b{near}"], [near, near + near])
+
+
+def test_non_ascii_edge_file_peaks_within_five_times_its_bytes(tmp_path, monkeypatch):
+    """A clean edge file of non-ASCII ids is checked on its bytes, with no decoded text.
+
+    60,000 seeded edges over 20,000 ids ``漢00001字`` (1.44 MB). The peak
+    counts the file's bytes and the spans (16 bytes per 12-byte field):
+    about 2.3x the file before any check. Decoding the whole file, and
+    each field whose first or last byte is not ASCII, peaked at 11.8x.
+    """
+    rng = np.random.default_rng(20261020)
+    names = [f"\u6f22{i:05d}\u5b57" for i in range(20_000)]
+    pairs = rng.integers(0, len(names), size=(60_000, 2)).tolist()
+    p = tmp_path / "edges.tsv"
+    write_exact(p, "".join(f"{names[a]}\t{names[b]}\n" for a, b in pairs))
+    monkeypatch.setattr(fileio, "_read_edges_by_line", None)  # the bulk path must take it
+    spans, peak = traced_peak(read_edges_tsv, p)
+    assert edge_columns(spans) == ([names[a] for a, _ in pairs], [names[b] for _, b in pairs])
+    size = p.stat().st_size
+    assert peak <= 5 * size, f"peak {peak} B is {peak / size:.2f} x the {size} file bytes"
 
 
 @pytest.mark.parametrize(

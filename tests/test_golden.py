@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from corehier.cli import main
-from corehier.fileio import write_edges_tsv, write_nodes_jsonl
 from corehier.fixtures import generate_kg_sparse, three_level_example
 from corehier.graph import NodeMeta
+
+from conftest import write_edges_tsv, write_nodes_jsonl
 
 ARTIFACTS = (
     "decomposition.json",

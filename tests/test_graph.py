@@ -24,45 +24,57 @@ from corehier.graph import (
 from conftest import component_roots_oracle, lcc_oracle, load_graph_oracle, make_graph, node_id, traced_peak
 
 
+def csr_rows(g):
+    """Every row of the CSR arrays as a list of ints: ``indices[indptr[v]:indptr[v + 1]]`` for each v."""
+    bounds = g.indptr.tolist()
+    return [g.indices[a:b].tolist() for a, b in zip(bounds, bounds[1:])]
+
+
 def test_single_edge():
     g = make_graph([("a", "b")])
     assert (g.n, g.m) == (2, 1)
-    assert g.adj[0] == [1] and g.adj[1] == [0]
+    assert csr_rows(g) == [[1], [0]]
 
 
-def test_ids_are_built_without_the_adjacency_lists():
-    """``_ids`` alone leaves ``adj`` unbuilt; ``adj`` shares its int objects."""
+def test_ids_are_built_without_the_row_view():
+    """``_ids`` alone leaves ``_rows`` unbuilt; ``_rows`` holds the CSR rows as ``_ids``' own int objects."""
     g = make_graph([("a", "b"), ("b", "c")])
     ids = g._ids
     with pytest.raises(AttributeError):
-        Graph.adj.__get__(g)  # the slot itself, without the lazy fallback
-    assert g.adj == [[1], [0, 2], [1]] and all(w is ids[w] for row in g.adj for w in row)
+        Graph._rows.__get__(g)  # the slot itself, without the lazy fallback
+    flat, bounds = g._rows
+    assert bounds == [0, 1, 3, 4] and flat == [1, 0, 2, 1]
+    assert all(w is ids[w] for w in flat)
+    assert not hasattr(g, "adj")
 
 
-def test_adjacency_build_makes_no_int_per_entry():
-    """``adj`` is gathered from ``_ids``, so its build peaks near 16 bytes per entry, not 40 or more.
+def test_row_view_build_makes_no_int_per_entry():
+    """``_rows`` is gathered from ``_ids``, so its build peaks near 16 bytes per entry, not 40 or more.
 
-    3,000 nodes and 60,000 seeded edge records (~119k entries). The lists
-    keep 8 bytes per entry and a header per row; while the rows are cut,
-    the flat list and the gathered object array take 8 bytes per entry
-    each. A new int per entry would add 28 bytes per entry on its own.
+    3,000 nodes and 60,000 seeded edge records (~119k entries). The flat
+    list keeps 8 bytes per entry; while it is built, the gathered object
+    array takes 8 bytes per entry more, and ``_ids`` as an object array 8
+    bytes per node. A new int per entry would add 28 bytes per entry on
+    its own.
 
     A node-heavy graph (the 6,000-node sparse fixture, ~3.3 entries per
-    node) bounds the per-node part: a row's list header (56 bytes) and its
-    slot in ``adj`` (8), and the row bounds as a list of ints (40), read in
-    place. A copy of the bounds would add 8 bytes per node.
+    node) bounds the per-node part: the row bounds, a list of ints (40
+    bytes per node), are built once the object arrays are freed, so they
+    add ~13.5 bytes per node beyond 16 per entry. A list per row, as a
+    list of lists keeps, would add 64 bytes per node.
     """
     rng = np.random.default_rng(20261019)
     names = [f"v{i:04d}" for i in range(3000)]
     pairs = rng.integers(0, len(names), size=(60_000, 2)).tolist()
     dense = make_graph([(names[a], names[b]) for a, b in pairs], names)
     sparse = load_graph(*generate_kg_sparse(6000, seed=3))
-    for g, per_entry, per_node in ((dense, 24, 0), (sparse, 16, 112)):
-        ids = g._ids  # built first: the lists share its ints
-        adj, peak = traced_peak(getattr, g, "adj")
+    for g in (dense, sparse):
+        ids = g._ids  # built first: the row view shares its ints
+        (flat, bounds), peak = traced_peak(getattr, g, "_rows")
         entries = 2 * g.m
-        assert sum(map(len, adj)) == entries and all(w is ids[w] for row in adj for w in row)
-        assert peak <= per_entry * entries + per_node * g.n, f"peak {peak} B at {g.n} nodes, {entries} entries"
+        assert bounds == g.indptr.tolist() and flat == g.indices.tolist()
+        assert all(w is ids[w] for w in flat)
+        assert peak <= 16 * entries + 24 * g.n, f"peak {peak} B at {g.n} nodes, {entries} entries"
 
 
 def test_duplicate_and_reversed_edges_collapse():
@@ -106,7 +118,7 @@ def test_self_loop_registers_its_node_and_adds_no_edge():
     g = load_graph([("a", "a"), ("a", "b"), ("b", "c"), ("a", "c"), ("z", "z")], [])
     assert (g.n, g.m) == (4, 3)
     assert g.degrees[node_id(g, "a")] == 2
-    assert g.degrees[node_id(g, "z")] == 0 and g.adj[node_id(g, "z")] == []
+    assert g.degrees[node_id(g, "z")] == 0 and csr_rows(g)[node_id(g, "z")] == []
     assert sum(g.degrees) == 2 * g.m
 
 
@@ -155,11 +167,12 @@ edge_lists = st.lists(
 def test_handshake_and_simplicity_hold_after_load(edges):
     g = load_graph(edges, [])
     assert sum(g.degrees) == 2 * g.m
+    rows = csr_rows(g)
     for v in range(g.n):
-        assert g.adj[v] == sorted(set(g.adj[v]))
-        assert v not in g.adj[v]
-        for w in g.adj[v]:
-            assert v in g.adj[w]
+        assert rows[v] == sorted(set(rows[v]))
+        assert v not in rows[v]
+        for w in rows[v]:
+            assert v in rows[w]
 
 
 @settings(max_examples=80, deadline=None)
@@ -177,7 +190,7 @@ def test_lcc_output_is_connected_loopfree_min_degree_one(edges):
 def test_load_is_deterministic(edges):
     a = load_graph(edges, [])
     b = load_graph(list(edges), [])
-    assert a.adj == b.adj
+    assert csr_rows(a) == csr_rows(b)
     assert a.external_ids == b.external_ids
 
 
@@ -206,7 +219,7 @@ def ingest_inputs(draw):
 
 
 def assert_matches_oracle(g, adj, meta):
-    assert g.adj == adj
+    assert csr_rows(g) == adj
     assert g.degrees == list(map(len, adj))
     assert g.m == sum(map(len, adj)) // 2
     assert g.external_ids == [mt.external_id for mt in meta]
@@ -391,7 +404,7 @@ def test_prefixes_and_nuls_stay_apart_and_unknown_names_number_after_the_nodes()
     g = load_graph(edges, [NodeMeta("ab"), NodeMeta("a", "A", 3), NodeMeta("a\x00b", "B", 4)])
     assert g.external_ids == ["\x00ab", "a", "a\x00", "a\x00\x00", "a\x00b", "ab", "z", "é"]
     assert g.tokens == [0, 3, 0, 0, 4, 0, 0, 0]
-    assert g.adj == [[4], [2], [1], [7], [0], [6], [5], [3]]
+    assert csr_rows(g) == [[4], [2], [1], [7], [0], [6], [5], [3]]
 
 
 def test_long_ids_join_by_their_bytes():
@@ -400,4 +413,4 @@ def test_long_ids_join_by_their_bytes():
     g = load_graph([(long, "a"), ("b", long + "y"), (long + "\x00", long)], [NodeMeta(long, "L", 7)])
     assert g.external_ids == ["a", "b", long, long + "\x00", long + "y"]
     assert g.tokens == [0, 0, 7, 0, 0]
-    assert g.adj == [[2], [4], [0, 3], [2], [1]]
+    assert csr_rows(g) == [[2], [4], [0, 3], [2], [1]]

@@ -322,7 +322,7 @@ def test_growers_return_the_graphs_own_ints_and_keep_a_small_peak():
     """
     edges, nodes = generate_kg_sparse(6000, seed=3)
     g = largest_connected_component(load_graph(edges, nodes))
-    assert g.adj
+    assert g._rows  # built beforehand, so the peak below leaves it out
     parts = split_component(g, range(g.n), 40)
     assert sorted(v for part in parts for v in part) == list(range(g.n))
     pool = set(np.flatnonzero(np.array(g.degrees) == 1).tolist())
@@ -423,12 +423,12 @@ def test_member_lists_cost_a_few_dozen_bytes_per_entry():
 
     A seeded 6,000-node sparse fixture at cap 40. The bytes counted are
     those the result keeps alive: clusters, member lists, anchors, children
-    and the registries; the graph's lazy adjacency, and with it ``_ids``,
+    and the registries; the graph's lazy row view, and with it ``_ids``,
     is built beforehand. The read-back's members are ``_ids``' own ints.
     """
     edges, nodes = generate_kg_sparse(6000, seed=3)
     g = largest_connected_component(load_graph(edges, nodes))
-    assert g.adj
+    assert g._rows
     h, kept = traced_retained(build_hierarchy, g, 40)
     entries = sum(len(c.members) for c in h.clusters.values())
     assert entries > g.n

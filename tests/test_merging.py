@@ -20,6 +20,7 @@ from corehier.hierarchy import _attach_global_singletons, build_hierarchy
 from corehier.merging import MergeMode, merge_small_clusters
 
 from conftest import (
+    adjacency,
     attach_global_singletons_oracle,
     leaf_node_multiset,
     make_graph,
@@ -157,6 +158,7 @@ class TestFixtureInvariants:
 
             # post-merge: no surviving eligible size-2 cluster has a neighbor
             # inside another kept leaf
+            adj = adjacency(g)
             for merged, kinds in (
                 (merged_2h, ("two_hop",)),
                 (merged_ext, ("two_hop", "residual")),
@@ -168,7 +170,7 @@ class TestFixtureInvariants:
                 for leaf in merged.leaves():
                     if leaf.kind in kinds and len(leaf.members) == 2:
                         for v in leaf.members:
-                            for w in g.adj[v]:
+                            for w in adj[v]:
                                 if w in leaf.members:
                                     continue
                                 assert not (covered.get(w, set()) - {leaf.id}), (
@@ -221,7 +223,7 @@ def test_host_maps_cost_a_few_bytes_per_node():
     """
     edges, nodes = generate_kg_sparse(6000, seed=3)
     g = largest_connected_component(load_graph(edges, nodes))
-    h = build_hierarchy(g, 40)  # also builds g.adj, which the peaks below leave out
+    h = build_hierarchy(g, 40)  # also builds g._rows, which the peaks below leave out
     undone = deepcopy(h)
     for v, cid in undone.attached_singletons.items():
         undone.clusters[cid].members.remove(v)

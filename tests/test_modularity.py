@@ -29,7 +29,7 @@ from corehier.modularity import (
     verify_sparse_bounds,
 )
 
-from conftest import iter_set_partitions, make_graph, random_graph, traced_peak
+from conftest import adjacency, iter_set_partitions, make_graph, random_graph, traced_peak
 
 # The package's ``modularity`` attribute is the function, not the module.
 MODULE = importlib.import_module("corehier.modularity")
@@ -417,7 +417,7 @@ class TestPairPerturbation:
                 continue
             d = int(rng.integers(1, 4))
             low = [v for v in range(g.n) if 1 <= g.degrees[v] <= d]
-            adj = [set(a) for a in g.adj]
+            adj = adjacency(g)
             pairs = [(i, j) for i in low for j in low if i < j and j not in adj[i]]
             if not pairs:
                 continue
