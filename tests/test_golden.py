@@ -153,6 +153,45 @@ MULTI_LEVEL_SHA256 = {
 }
 
 
+# (merge mode, --max-cluster-size or None for the derived cap) -> sha256 of
+# each artifact, in ARTIFACTS order, for generate_kg_sparse(6000, seed=3):
+# thousands of stranded degree-1 pendants at level 1, pooled and attached.
+KG6000_SHA256 = {
+    ('m2hc', None): (
+        '29d37d0918517cfafd35022f28bc79c18db895f5f1b685362e189e4e1897947d',
+        '1bd6069c9e25310daa64b606d808b00cf8c03578a4c1ad9e9b6e85919d550101',
+        'ac8077f8cb38440de4aef92a30338436afb7036be5e6ab1bc366b489bc4d37d5',
+        'e389d66f66fd433163aed7611d4cc605308dc1d4b2b14ba32fc9e3d448b368b7',
+        '2f09ca691b57211890c28f98c46b75c9306c2103df9d2b78287dc18b8d4dc09b',
+        'b6ed6853283cb5c8b040f78121daa5b8a750245f0793f2eb8c4c347adcfc8820',
+    ),
+    ('m2hc', 40): (
+        '29d37d0918517cfafd35022f28bc79c18db895f5f1b685362e189e4e1897947d',
+        '12b7d7e1ef1472ab17c3909fd75d517f52d4cde85c90761c0e5969e38278081d',
+        '11e4721bde904051567428f9db23cc90d66fedc65bbfafd7b88239096e331348',
+        '156fe8cca4d704f7c447479541094e4b3f36bf0663212a4dd386dffc794f4c54',
+        'ca2006ffda3cea58c7e96c5a271f008a178564becb592b2142571380e193fec6',
+        '6c256e04705eaeb72eba17c20e1282230979b520d1af314c17a79810d12992e4',
+    ),
+    ('mrc', None): (
+        '29d37d0918517cfafd35022f28bc79c18db895f5f1b685362e189e4e1897947d',
+        '1bd6069c9e25310daa64b606d808b00cf8c03578a4c1ad9e9b6e85919d550101',
+        'e0ce453d6a85ae1034119f2fcd850dd8158e88b3563a6cee2e8d467ffa394f21',
+        '53699cbe62d75865faec8a9d6f7ebd917d7c37d93e4c3d1d5921f5dd520c8c12',
+        '358cc7385523bf1ccd8108f59e9af232af7b59a5619a7d83a7c21458d9e55468',
+        '2694f678e0b97945a59dde818c6a659f4194dcce54522382c6733cbde775ee6e',
+    ),
+    ('mrc', 40): (
+        '29d37d0918517cfafd35022f28bc79c18db895f5f1b685362e189e4e1897947d',
+        '12b7d7e1ef1472ab17c3909fd75d517f52d4cde85c90761c0e5969e38278081d',
+        '5ef81ea3b7ed191183043c2dca3848a4388fcedd20bcc8be0ace47eff44c6705',
+        'fea944bc6ccc468b4274d2de040ff8e45df51bbc57fbfdcad6f30d8a5301a67e',
+        'cf9446ae06a08b036764a8a2e27cafd94ee1e4ce5252fdbcadcf47a9957b3cc4',
+        '4472f58dfd8cda527f375cb2a05fc3d6535a617106dbdb79a6ef5edc62bf9ec6',
+    ),
+}
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -181,6 +220,27 @@ def test_multi_level_pipeline_artifacts_match_golden_hashes(mode, tmp_path):
     assert main(argv) == 0
     got = tuple(sha256((out / name).read_bytes()) for name in ARTIFACTS)
     assert dict(zip(ARTIFACTS, got)) == dict(zip(ARTIFACTS, MULTI_LEVEL_SHA256[mode]))
+
+
+@pytest.fixture(scope="module")
+def kg6000_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("kg6000")
+    edges, nodes = generate_kg_sparse(6000, seed=3)
+    write_edges_tsv(d / "edges.tsv", edges)
+    write_nodes_jsonl(d / "nodes.jsonl", nodes)
+    return d
+
+
+@pytest.mark.parametrize("mode,cap", sorted(KG6000_SHA256, key=str))
+def test_kg6000_pipeline_artifacts_match_golden_hashes(mode, cap, kg6000_files, tmp_path):
+    out = tmp_path / "out"
+    argv = ["pipeline", "--edges", str(kg6000_files / "edges.tsv"), "--nodes", str(kg6000_files / "nodes.jsonl"),
+            "--out", str(out), "--merge-mode", mode]
+    if cap is not None:
+        argv += ["--max-cluster-size", str(cap)]
+    assert main(argv) == 0
+    got = tuple(sha256((out / name).read_bytes()) for name in ARTIFACTS)
+    assert dict(zip(ARTIFACTS, got)) == dict(zip(ARTIFACTS, KG6000_SHA256[mode, cap]))
 
 
 def test_costs_past_int64_are_exact(tmp_path):
