@@ -43,7 +43,9 @@ about 20 MB against none.
 from __future__ import annotations
 
 import json
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote
+from operator import lt
 from pathlib import Path
 from typing import TextIO
 
@@ -478,22 +480,30 @@ def write_hierarchy_json(out: TextIO, h: Hierarchy, g: Graph) -> None:
 
     Member and anchor ids are sorted as strings per cluster, exactly as
     :func:`hierarchy_to_json_obj` sorts them, so the order holds whatever
-    the internal numbering.
+    the internal numbering. Cost: one string sort and one quoted name per
+    member or anchor entry, O(1) per cluster besides; an empty list is
+    written as ``[]`` without building one, and each kind is quoted once.
     """
     ext = g.external_ids
+    leaf_ids = h.leaf_ids
+    kinds = {kind: _quote(kind) for kind in CLUSTER_KINDS}
     attached = [
         f"{_quote(name)}: {cid}"
         for name, cid in sorted((ext[v], cid) for v, cid in h.attached_singletons.items())
     ]
     out.write(f'{{\n  "attached_singletons": {_json_block(attached, "    ", "{}")},\n  "clusters": [')
+    entry = ",\n        "
+
+    def names(nodes) -> str:  # _json_block of the nodes' quoted names in string order, at a cluster field's depth
+        return f"[\n        {entry.join(map(_quote, sorted(map(ext.__getitem__, nodes))))}\n      ]" if nodes else "[]"
+
     sep = "\n    "
     for cid in sorted(h.clusters):
         c = h.clusters[cid]
-        members = _json_block(list(map(_quote, sorted(map(ext.__getitem__, c.members)))), " " * 8)
-        anchors = _json_block(list(map(_quote, sorted(map(ext.__getitem__, c.anchors)))), " " * 8)
+        members, anchors = names(c.members), names(c.anchors)
         out.write(
             f'{sep}{{\n      "anchors": {anchors},\n      "id": {c.id},\n'
-            f'      "kind": {_quote(c.kind)},\n      "leaf": {"true" if h.is_leaf(cid) else "false"},\n'
+            f'      "kind": {kinds[c.kind]},\n      "leaf": {"true" if cid in leaf_ids else "false"},\n'
             f'      "level": {c.level},\n      "members": {members},\n'
             f'      "parent": {"null" if c.parent is None else c.parent}\n    }}'
         )
@@ -521,8 +531,11 @@ def hierarchy_from_json_obj(obj: dict, g: Graph) -> Hierarchy:
     repeated id, a parent that is not a cluster, a parent chain that
     loops, a cluster marked leaf that has children and a ``roots`` entry
     that has a parent. The checks are O(1) per cluster on top of one
-    lookup per member in an id index built in O(n), which maps to the
-    graph's own node ints (``g._ids``), so the member lists make no int.
+    lookup and one comparison per member in an id index built in O(n),
+    which maps to the graph's own node ints (``g._ids``), so the member
+    lists make no int. A list the writer wrote is strictly ascending and is
+    kept as read; only one out of order or with repeats passes through a
+    set and a sort.
     """
     lookup = dict(zip(g.external_ids, g._ids)).__getitem__
     try:
@@ -544,13 +557,15 @@ def hierarchy_from_json_obj(obj: dict, g: Graph) -> Hierarchy:
             if not isinstance(leaf, bool):
                 raise InputError(f"cluster {cid}: 'leaf' must be true or false")
             try:
-                members = set(map(lookup, names))
+                members = list(map(lookup, names))
                 anchors = frozenset(map(lookup, anchor_names))
             except KeyError as exc:
                 raise InputError(f"cluster {cid}: unknown node {exc.args[0]!r}") from None
             except TypeError:
                 raise InputError(f"cluster {cid}: node ids must be strings") from None
-            clusters[cid] = Cluster(cid, members, level, kind, parent, [], anchors)  # Cluster sorts the set
+            if not all(map(lt, members, islice(members, 1, None))):
+                members = set(members)  # out of order or repeated: Cluster sorts the set
+            clusters[cid] = Cluster(cid, members, level, kind, parent, [], anchors)
             if leaf:
                 leaf_ids.add(cid)
         for c in clusters.values():

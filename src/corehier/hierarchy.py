@@ -128,23 +128,33 @@ def split_component(g: Graph, members, max_size: int) -> list[list[int]]:
     everywhere go to the smallest id. Sets of size <= max_size come back
     whole. Every member returned is the graph's own int (``g._ids``).
 
+    Seeds of degree 2 or more grow first. Every member of higher degree is
+    taken by the time the first degree-1 seed comes up, so a degree-1 member
+    left then is stranded unless its one neighbour is left too (an isolated
+    edge, only in a disconnected graph). When none is, the members left
+    (degree 1, then degree 0, each in id order) come back as one-member
+    parts in one array step, without passing through the grower.
+
     State is flat and node-indexed: a ``bytearray`` of remaining flags and
     a list of counts, which each cluster resets through the keys left in
     its heap. Cost: O(n) to set up the state for the graph's n nodes, one
     O(k log k) sort of the k members by (degree descending, id), and
-    O(log e) per adjacency entry of the members, e entries in all; the node
-    that fills a cluster is not scanned.
+    O(log e) per adjacency entry of the grown members, e entries in all;
+    the node that fills a cluster is not scanned, and a stranded member
+    costs O(1) array work and its one-member list.
     """
     n, ids, (flat, bounds) = g.n, g._ids, g._rows
     remaining = bytearray(n)
     for v in members:
         remaining[v] = 1
-    nodes = np.flatnonzero(np.frombuffer(remaining, dtype=np.uint8))
+    left = np.frombuffer(remaining, dtype=np.uint8)  # a view: it follows the grower's writes
+    nodes = np.flatnonzero(left)
     if len(nodes) <= max_size:
         return [list(map(ids.__getitem__, nodes.tolist()))]
-    # ids entries: the loop keeps 8 bytes per node in order, not 40 for new ints
-    order = list(map(ids.__getitem__, nodes[np.lexsort((nodes, -np.diff(g.indptr)[nodes]))].tolist()))
-    del nodes
+    degree = np.diff(g.indptr)[nodes]
+    nodes = nodes[np.lexsort((nodes, -degree))]
+    head = int(np.count_nonzero(degree >= 2))
+    del degree
     count = [0] * n
     push = heapq.heappush
 
@@ -156,11 +166,24 @@ def split_component(g: Graph, members, max_size: int) -> list[list[int]]:
                 push(heap, w - c * n)
 
     out: list[list[int]] = []
-    for grown, heap in _grow(order, remaining, ids, max_size, absorb):
-        for key in heap:  # every remaining node whose count rose has a key here
-            count[key % n] = 0
-        grown.sort()
-        out.append(grown)
+
+    def grow(order: np.ndarray) -> None:
+        # ids entries: the loop keeps 8 bytes per node in order, not 40 for new ints
+        for grown, heap in _grow(list(map(ids.__getitem__, order.tolist())), remaining, ids, max_size, absorb):
+            for key in heap:  # every remaining node whose count rose has a key here
+                count[key % n] = 0
+            grown.sort()
+            out.append(grown)
+
+    grow(nodes[:head])
+    tail = nodes[head:]
+    tail = tail[left[tail] == 1]  # the members of degree 1 or 0 that no cluster took
+    starts = g.indptr[tail]
+    partners = g.indices[starts[g.indptr[tail + 1] > starts]]  # each degree-1 member's one neighbour
+    if left[partners].any():  # an isolated edge, whose two ends grow together
+        grow(tail)
+    else:
+        out += [[v] for v in map(ids.__getitem__, tail.tolist())]
     return out
 
 
@@ -304,25 +327,27 @@ def build_hierarchy(g: Graph, max_cluster_size: int, core: list[int] | None = No
             clusters[parent].children.append(cid)
         return cluster
 
-    def pool_singletons(level: int, pooled: list[tuple[int, int | None]]) -> None:
-        """Group this level's singleton clusters by 2-hop reachability.
+    def pool_singletons(level: int, nodes: np.ndarray, parent_of: dict[int, int] | None) -> None:
+        """Group this level's singleton clusters, ``nodes`` in ascending order, by 2-hop reachability.
 
-        Two pooled nodes belong together when they are adjacent or share a
-        neighbor in the full graph. Groups of one go to the global singleton
-        set; larger groups become two-hop clusters, split when oversized.
-        A group identical to an existing cluster is a duplicate: it is not
+        ``parent_of`` maps each pooled node to the cluster it was split off;
+        it is None at level 1, where no pooled node has one. Two pooled
+        nodes belong together when they are adjacent or share a neighbor in
+        the full graph. Groups of one go to the global singleton set; larger
+        groups become two-hop clusters, split when oversized. A group
+        identical to an existing cluster is a duplicate: it is not
         re-created, and the clusters covering its nodes stay leaves.
 
         Each pooled node is linked to its pooled neighbours and to the
         smallest pooled neighbour of each of its neighbours; one labelling
         of the links names each group by its smallest member. Cost:
         O((p + d) log(p + d)) array work for p pooled nodes with d adjacency
-        entries, labelling rounds of O(n + d), O(1) Python work per group.
+        entries, labelling rounds of O(n + d), and O(1) Python work per group
+        plus, above level 1, a :func:`_common_ancestor` search for its
+        parent; at level 1 the parent is None and nothing is searched.
         """
-        if not pooled:
+        if not len(nodes):
             return
-        parent_of = dict(pooled)
-        nodes = np.array(sorted(parent_of))
         nbrs, counts = _gather_rows(g, nodes)
         src = np.repeat(nodes, counts)
         # Rows come in ascending node order, so a neighbour's first entry
@@ -336,7 +361,7 @@ def build_hierarchy(g: Graph, max_cluster_size: int, core: list[int] | None = No
                 global_singletons.add(group[0])
                 continue
             if len(group) <= max_cluster_size:
-                parent = _common_ancestor([parent_of[v] for v in group], clusters)
+                parent = None if parent_of is None else _common_ancestor([parent_of[v] for v in group], clusters)
                 if parent is not None and group == clusters[parent].members:
                     # Duplicate of an existing cluster: collapse. The origin
                     # clusters (necessarily childless) keep covering the nodes.
@@ -348,7 +373,7 @@ def build_hierarchy(g: Graph, max_cluster_size: int, core: list[int] | None = No
                 new_cluster(group, level, "two_hop", parent)
             else:
                 for grown, anchors in _two_hop_split_parts(g, group, max_cluster_size):
-                    parent = _common_ancestor([parent_of[v] for v in grown], clusters)
+                    parent = None if parent_of is None else _common_ancestor([parent_of[v] for v in grown], clusters)
                     new_cluster(sorted(grown + anchors), level, "two_hop", parent, anchors)
 
     # Level 1: after preprocessing every node has degree >= 1, so the whole
@@ -359,14 +384,16 @@ def build_hierarchy(g: Graph, max_cluster_size: int, core: list[int] | None = No
     if g.n == 1:
         new_cluster(all_nodes, 1, "root", None)
     else:
-        pooled: list[tuple[int, int | None]] = []
-        for part in ([all_nodes] if g.n <= max_cluster_size else split_component(g, all_nodes, max_cluster_size)):
-            if len(part) == 1:
-                pooled.append((part[0], None))
-            else:
-                rank_of[part] = len(queue)
-                queue.append(new_cluster(part, 1, "root", None).id)
-        pool_singletons(1, pooled)
+        # The parts and the nodes in them end to end; one-member parts go to
+        # the pool in one array step, the others become queued roots.
+        parts = [all_nodes] if g.n <= max_cluster_size else split_component(g, all_nodes, max_cluster_size)
+        sizes = np.fromiter(map(len, parts), dtype=np.intp, count=len(parts))
+        flat = np.fromiter(itertools.chain.from_iterable(parts), dtype=np.intp, count=g.n)
+        kept = sizes > 1
+        rank_of[flat] = np.repeat(np.where(kept, np.cumsum(kept) - 1, -1), sizes)
+        queue = [new_cluster(part, 1, "root", None).id for part in itertools.compress(parts, kept.tolist())]
+        pool_singletons(1, np.sort(flat[np.cumsum(sizes)[~kept] - 1]), None)
+        del parts, flat
     # The queued nodes, ascending within each cluster, and the edges inside queued clusters.
     nodes = np.flatnonzero(rank_of >= 0)
     inside = (rank_of[eu] == rank_of[ew]) & (rank_of[eu] >= 0)
@@ -388,7 +415,7 @@ def build_hierarchy(g: Graph, max_cluster_size: int, core: list[int] | None = No
         nodes, keys, parts = _runs(keys, nodes, all_nodes)
         rank_of[nodes] = -1
         next_queue: list[int] = []
-        pooled = []
+        pooled: list[tuple[int, int]] = []
         for tag, part in zip((keys // g.n).tolist(), parts):
             cluster = clusters[queue[tag >> 1]]
             is_residual = tag & 1
@@ -411,7 +438,8 @@ def build_hierarchy(g: Graph, max_cluster_size: int, core: list[int] | None = No
         # A split cluster whose members all went to the pool is interior
         # bookkeeping unless the pool hands it back.
         dissolved.update(cid for _, cid in pooled if not clusters[cid].children)
-        pool_singletons(level, pooled)
+        parent_of = dict(pooled)
+        pool_singletons(level, np.array(sorted(parent_of), dtype=np.intp), parent_of)
         nodes = nodes[rank_of[nodes] >= 0]
         eu, ew = eu[~(res_u | res_w)], ew[~(res_u | res_w)]
         queue = next_queue
@@ -482,22 +510,33 @@ def _attach_global_singletons(g: Graph, h: Hierarchy, singletons: set[int]) -> N
     Target: the leaf holding the most of the singleton's neighbors, ties to
     the smallest cluster id (see :func:`_best_host`). Attachment can chain (a
     singleton may only reach the graph through another one), so passes
-    repeat until stable. A singleton already in its target (a shared
-    anchor there) is recorded as attached but not listed twice. The
-    leaves' host map (:func:`_host_map`) takes 8 bytes per node of ``g``,
-    plus an entry per node in several leaves; every attached singleton is
-    added to it. Cost: one pass over the leaf members, plus one
-    :func:`_best_host` per singleton and pass, plus a binary search and an
-    O(k) list insert per singleton whose target has k members.
+    repeat until stable. A singleton with one neighbour w that has at most
+    one host takes w's host (or waits for the next pass when w has none)
+    without a :func:`_best_host` call, which would pick the same. A
+    singleton already in its target (a shared anchor there) is recorded as
+    attached but not listed twice; its host map entry still gains the target
+    once more, so every later :func:`_best_host` counts an edge to it twice
+    for that leaf. The leaves' host map (:func:`_host_map`) takes 8 bytes
+    per node of ``g``, plus an entry per node in several leaves; every
+    attached singleton is added to it. Cost: one pass over the leaf
+    members, plus O(1) per singleton and pass with one neighbour of at most
+    one host, one :func:`_best_host` per other singleton and pass, and a
+    binary search and an O(k) list insert per singleton whose target has k
+    members.
     """
     if not singletons:
         return
     first, more = _host_map(g.n, h.leaves())
+    flat, bounds = g._rows
     remaining = sorted(singletons)
     while remaining:
         deferred: list[int] = []
         for v in remaining:
-            best = _best_host(g, (v,), first, more)
+            lo = bounds[v]
+            if bounds[v + 1] - lo == 1 and flat[lo] not in more:
+                best = first[flat[lo]]
+            else:
+                best = _best_host(g, (v,), first, more)
             if best is None:
                 deferred.append(v)
                 continue

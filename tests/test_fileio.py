@@ -492,6 +492,19 @@ class TestHierarchyJson:
             )
             assert sorted(rc.children) == sorted(c.children)
 
+    def test_members_out_of_order_and_repeated_read_back_sorted(self):
+        """A hand-written cluster whose members are shuffled and repeated reads back as the written one does."""
+        g, h = self.build()
+        obj = hierarchy_to_json_obj(h, g)
+        messy = deepcopy(obj)
+        for entry in messy["clusters"]:
+            names = entry["members"]
+            entry["members"] = names[::-1] + names[: len(names) // 2 + 1]
+        assert any(len(entry["members"]) > 2 for entry in messy["clusters"])
+        back = hierarchy_from_json_obj(messy, g)
+        assert back == hierarchy_from_json_obj(obj, g) == h
+        assert all(v is g._ids[v] for c in back.clusters.values() for v in c.members)
+
     def test_merge_of_roundtripped_hierarchy_matches_direct(self):
         g, h = self.build()
         back = hierarchy_from_json_obj(hierarchy_to_json_obj(h, g), g)

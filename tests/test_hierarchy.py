@@ -207,6 +207,21 @@ def connected_graphs(draw):
 
 
 @st.composite
+def graphs_with_isolated_edges(draw):
+    """A connected graph plus 1-4 isolated edges and up to 2 isolated nodes, under names that interleave with it.
+
+    Only a disconnected graph has an isolated edge: two degree-1 nodes that
+    hold each other, which ``split_component`` cannot emit as stranded.
+    """
+    g = draw(connected_graphs())
+    edges = [(g.external_ids[u], g.external_ids[w]) for u, w in g.edges()]
+    pairs = draw(st.integers(1, 4))
+    edges += [(f"v{2 * i:02d}e", f"v{2 * i + 1:02d}e") for i in range(pairs)]
+    names = sorted({x for e in edges for x in e} | {f"v{i:02d}i" for i in range(draw(st.integers(0, 2)))})
+    return make_graph(edges, names)
+
+
+@st.composite
 def hub_pools(draw):
     """1-3 hubs in a path with 5-40 pendants each, some pendants holding a second anchor; the pendants as pool.
 
@@ -237,7 +252,10 @@ class TestSharedGrower:
     """Both growers run one greedy loop; the oracles are the two loops they replaced."""
 
     @settings(max_examples=300, deadline=None)
-    @given(case=connected_graphs().map(lambda g: (g, set(range(g.n)))) | hub_pools(), data=st.data())
+    @given(
+        case=(connected_graphs() | graphs_with_isolated_edges()).map(lambda g: (g, set(range(g.n)))) | hub_pools(),
+        data=st.data(),
+    )
     def test_growers_match_the_oracles(self, case, data):
         g, natural = case
         cap = data.draw(st.integers(2, 8), label="cap")
@@ -309,6 +327,30 @@ def test_hub_splits_push_a_linear_number_of_keys(monkeypatch):
     pushes.clear()
     check_hierarchy_invariants(g, build_hierarchy(g, 8), 8)
     assert len(pushes) <= 2 * (g.n + 2 * g.m)
+
+
+def test_stranded_pendants_skip_the_grower(monkeypatch):
+    """The hub graph above, cap 8: only the two seeds of degree 2 or more grow clusters.
+
+    The hub's cluster takes 7 pendants and the other three clique nodes
+    make one more; the other 2,993 pendants are stranded and come back as
+    one-member parts without passing through ``_grow``.
+    """
+    edges = [*combinations("hxyz", 2)] + [("h", f"p{i:04d}") for i in range(3000)]
+    g = make_graph(edges)
+    grow = corehier.hierarchy._grow
+    yielded = []
+
+    def counted(*args):
+        for cluster in grow(*args):
+            yielded.append(cluster)
+            yield cluster
+
+    monkeypatch.setattr(corehier.hierarchy, "_grow", counted)
+    parts = split_component(g, range(g.n), 8)
+    assert len(yielded) == 2
+    assert parts == split_component_oracle(g, range(g.n), 8)
+    assert sum(len(part) == 1 for part in parts) == 2993
 
 
 def test_growers_return_the_graphs_own_ints_and_keep_a_small_peak():

@@ -16,7 +16,7 @@ import corehier.hierarchy
 from corehier.errors import ConfigError
 from corehier.fixtures import generate_kg_sparse
 from corehier.graph import largest_connected_component, load_graph
-from corehier.hierarchy import _attach_global_singletons, build_hierarchy
+from corehier.hierarchy import Cluster, Hierarchy, _attach_global_singletons, build_hierarchy
 from corehier.merging import MergeMode, merge_small_clusters
 
 from conftest import (
@@ -185,11 +185,13 @@ class TestFixtureInvariants:
 
 @st.composite
 def anchored_graphs(draw):
-    """Hubs on a path, pendants on one or two hubs, and random chords.
+    """Hubs on a path, pendants on one or two hubs, random chords, and tails.
 
     The pendants pool at level 2 around shared hubs, so with a small cap
     their two-hop groups split and the hubs join several leaves as shared
-    anchors.
+    anchors. Each tail hangs off one earlier node, a tail included, so
+    some parked singletons have one neighbour held by several leaves, and
+    some sit next to other parked singletons and attach in a later pass.
     """
     hubs = draw(st.integers(2, 4))
     n = hubs + draw(st.integers(3, 24))
@@ -198,6 +200,9 @@ def anchored_graphs(draw):
         edges |= {(hub, pendant) for hub in draw(st.sets(st.integers(0, hubs - 1), min_size=1, max_size=2))}
     chords = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n // 2))
     edges |= {(min(a, b), max(a, b)) for a, b in chords if a != b}
+    tails = draw(st.integers(0, 6))
+    edges |= {(draw(st.integers(0, tail - 1)), tail) for tail in range(n, n + tails)}
+    n += tails
     names = [f"v{i:02d}" for i in range(n)]
     return make_graph([(names[a], names[b]) for a, b in sorted(edges)], names)
 
@@ -212,6 +217,43 @@ def test_host_map_matches_the_dict_of_host_lists(g, cap):
         assert build_hierarchy(g, cap) == h
     for mode in MergeMode:
         assert merge_small_clusters(g, deepcopy(h), mode) == merge_small_clusters_oracle(g, deepcopy(h), mode)
+
+
+def test_attachment_through_one_neighbour_matches_the_oracle():
+    """Singletons with one neighbour, of one host or of two, and chains of singletons, against the oracle.
+
+    Leaves 1 and 2 both hold w as a shared anchor, and leaf 2 holds v as
+    one. e's one neighbour c lies in leaf 2 alone, so e goes there; x's one
+    neighbour w lies in both leaves, a tie that goes to leaf 1. v ties too
+    and joins leaf 1, so y, whose one neighbour is v, ties between leaf 2,
+    v's first host, and leaf 1, and goes to leaf 1. t reaches the leaves
+    only through x, and s only through t, which both come earlier in id
+    order: t waits one pass, s two.
+    """
+    g = make_graph([("a", "b"), ("a", "v"), ("a", "w"), ("b", "v"), ("b", "w"), ("c", "d"), ("c", "e"),
+                    ("c", "v"), ("c", "w"), ("d", "v"), ("d", "w"), ("s", "t"), ("t", "x"), ("v", "y"),
+                    ("w", "x")])
+    a, b, c, d, e, s, t, v, w, x, y = (node_id(g, name) for name in "abcdestvwxy")
+    h = Hierarchy(
+        clusters={
+            0: Cluster(0, range(g.n), 1, "root", None, [1, 2]),
+            1: Cluster(1, {a, b, w}, 2, "two_hop", 0, anchors=frozenset({w})),
+            2: Cluster(2, {c, d, v, w}, 2, "two_hop", 0, anchors=frozenset({v, w})),
+        },
+        roots=[0],
+        attached_singletons={},
+        max_level=2,
+        max_cluster_size=3,
+        leaf_ids={1, 2},
+    )
+    singletons = {e, s, t, v, x, y}
+    want = deepcopy(h)
+    attach_global_singletons_oracle(g, want, singletons)
+    _attach_global_singletons(g, h, singletons)
+    assert h == want
+    assert h.attached_singletons == {e: 2, v: 1, x: 1, y: 1, t: 1, s: 1}
+    assert h.clusters[1].members == [a, b, s, t, v, w, x, y]
+    assert h.clusters[2].members == [c, d, e, v, w]
 
 
 def test_host_maps_cost_a_few_bytes_per_node():
