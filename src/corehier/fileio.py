@@ -26,18 +26,25 @@ same endpoints or columns. On a 2-core host, at 58.8k nodes and 97k
 edges, the bulk paths read the edges in about 10 ms and the nodes in
 about 25 ms, against about 75 ms each line by line.
 
-The large artifacts are streamed: :func:`write_decomposition_json`,
-:func:`write_hierarchy_json` and :func:`write_sample_tsv` write to an open
-text file piece by piece (one cluster, one map entry or one line at a
-time), and produce exactly the bytes of :func:`json_dumps_stable` on the
-matching object (:func:`hierarchy_to_json_obj` for a hierarchy) and of
-:func:`sample_to_tsv`. They sort each id list as strings, as those
-functions do, escape each id once with the C function ``json.dumps`` uses,
-and hold at most one cluster's text in memory. Building the object and
-encoding it with ``indent=2`` instead runs the pure-Python encoder and
-holds every piece of the document at once: at 58.8k nodes a hierarchy
-took 0.55 s that way against 0.14 s streamed, and its peak memory grew by
-about 20 MB against none.
+The large artifacts are streamed: :func:`write_decomposition_json` and
+:func:`write_hierarchy_json` write to an open text file piece by piece
+(one cluster or one map entry at a time), and produce exactly the bytes
+of :func:`json_dumps_stable` on the matching object
+(:func:`hierarchy_to_json_obj` for a hierarchy). They sort each id list as
+strings, as those functions do, escape each id once with the C function
+``json.dumps`` uses, and hold at most one cluster's text in memory.
+Building the object and encoding it with ``indent=2`` instead runs the
+pure-Python encoder and holds every piece of the document at once: at
+58.8k nodes a hierarchy took 0.55 s that way against 0.14 s streamed, and
+its peak memory grew by about 20 MB against none.
+
+:func:`write_sample_tsv` produces the bytes of :func:`sample_to_tsv` from
+the sample's arrays without a ``str`` per line: it encodes the ids once,
+then assembles each chunk of ``_SAMPLE_CHUNK`` lines as one byte array by
+array gathers, and writes it as one ``str``. On a 2-core host, on the
+205k picks of a 30k-node planted-blocks graph, this took 83-86 ms
+against 187-254 ms for one f-string per line, and the chunk's arrays
+peaked at 1.4 MiB whatever the number of picks.
 """
 
 from __future__ import annotations
@@ -54,7 +61,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .cores import CoreDecomposition
 from .errors import InputError
-from .graph import _CHUNK, EdgeSpans, Graph, NodeMeta, _fixed_keys
+from .graph import _CHUNK, EdgeSpans, Graph, NodeMeta, _encode, _fixed_keys
 from .hierarchy import CLUSTER_KINDS, Cluster, Hierarchy
 from .sampling import SampleResult, TokenModel
 
@@ -611,7 +618,11 @@ def hierarchy_from_json_obj(obj: dict, g: Graph) -> Hierarchy:
 
 
 def sample_to_tsv(result: SampleResult, g: Graph) -> str:
-    """Selected edges as ``src<TAB>dst<TAB>community<TAB>cost`` lines."""
+    """Selected edges as ``src<TAB>dst<TAB>community<TAB>cost`` lines, one f-string per line.
+
+    The reference format, and the oracle :func:`write_sample_tsv` is
+    tested against.
+    """
     ext = g.external_ids
     lines = ["#src\tdst\tcommunity\tcost"]
     for u, w, cid, cost in zip(result.sources, result.targets, result.communities, result.costs):
@@ -619,9 +630,76 @@ def sample_to_tsv(result: SampleResult, g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: Picks per chunk of :func:`write_sample_tsv`; each chunk is one ``write``.
+_SAMPLE_CHUNK = 4096
+
+#: ``_POWERS[j]`` is 10**(j + 1), the least value of j + 2 decimal digits; 10**19 < 2**64.
+_POWERS = 10 ** np.arange(1, 20, dtype=np.uint64)
+
+
+def _decimal_spans(column: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(data, first, lengths)``: the decimal text of each value is ``data[first[i]:first[i] + lengths[i]]``.
+
+    ``column`` is not empty. Nonnegative integer arrays are written digit
+    by digit, by vectorised division by 10, right-aligned in rows as wide
+    as the widest value. Any other column (negative values, object arrays
+    of exact ints) goes through ``str``.
+    """
+    if column.dtype.kind in "iu" and column.min() >= 0:
+        values = column.astype(np.uint64)
+        lengths = np.searchsorted(_POWERS, values, side="right") + 1
+        width = int(lengths.max())
+        digits = np.empty((len(values), width), dtype=np.uint8)
+        for place in range(width - 1, -1, -1):
+            digits[:, place] = values % 10
+            values //= 10
+        digits += ord("0")
+        return digits.reshape(-1), np.arange(width, width * (len(values) + 1), width) - lengths, lengths
+    data, starts, ends = _encode(list(map(str, column.tolist())))
+    return np.frombuffer(data, dtype=np.uint8), starts, ends - starts
+
+
+def _copy_spans(out: np.ndarray, at: np.ndarray, data: np.ndarray, first: np.ndarray, lengths: np.ndarray) -> None:
+    """Copy ``data[first[i]:first[i] + lengths[i]]`` to ``out[at[i]:]`` for every i, in one gather."""
+    before = np.cumsum(lengths) - lengths
+    to = np.repeat(at - before, lengths)
+    to += np.arange(len(to))
+    out[to] = data[to + np.repeat(first - at, lengths)]
+
+
 def write_sample_tsv(out: TextIO, result: SampleResult, g: Graph) -> None:
-    """Write ``sample_to_tsv(result, g)`` to ``out``, one selected edge per line."""
-    ext = g.external_ids
+    """Write ``sample_to_tsv(result, g)`` to ``out``, ``_SAMPLE_CHUNK`` lines per ``write``.
+
+    The external ids are encoded once by ``graph._encode``, into one UTF-8
+    byte array with offsets. Each chunk of picks is then assembled as
+    bytes: every line's length is computed first, both names are gathered
+    from the ids' bytes, the community and cost are written as decimal
+    digits, and the tabs and newlines are set. The chunk is decoded and
+    written as one ``str``, so any text sink works. Cost: O(n + total id
+    bytes) to encode the ids, plus O(b) array work for the b bytes
+    written. Memory: the ids' bytes and n + 1 int64 offsets, plus a few
+    arrays of one int64 per byte of one chunk, whatever the number of
+    picks.
+    """
     out.write("#src\tdst\tcommunity\tcost\n")
-    for u, w, cid, cost in zip(result.sources, result.targets, result.communities, result.costs):
-        out.write(f"{ext[u]}\t{ext[w]}\t{cid}\t{cost}\n")
+    encoded, starts, ends = _encode(g.external_ids)
+    names = np.frombuffer(encoded, dtype=np.uint8)
+    columns = result.sources, result.targets, result.communities, result.costs
+    for lo in range(0, len(result.sources), _SAMPLE_CHUNK):
+        src, dst, cid, cost = (column[lo:lo + _SAMPLE_CHUNK] for column in columns)
+        fields = [
+            (names, starts[src], ends[src] - starts[src]),
+            (names, starts[dst], ends[dst] - starts[dst]),
+            _decimal_spans(cid),
+            _decimal_spans(cost),
+        ]
+        widths = sum(lengths for _, _, lengths in fields) + len(fields)
+        at = np.cumsum(widths)
+        text = np.empty(int(at[-1]), dtype=np.uint8)
+        at -= widths
+        for (data, first, lengths), sep in zip(fields, b"\t\t\t\n"):
+            _copy_spans(text, at, data, first, lengths)
+            at += lengths
+            text[at] = sep
+            at += 1
+        out.write(str(text, "utf-8", "surrogatepass"))

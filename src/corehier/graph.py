@@ -57,8 +57,8 @@ class Graph:
     built on first access. ``_ids`` is ``list(range(n))``, one int object
     per node id (O(n); 8 bytes per node, and 32 per int past 256); every
     int that names a node downstream is taken from it: the entries of
-    ``_rows``, the hierarchy's member lists (also those read back from
-    JSON) and the sample's picks, so no node id is held as two objects.
+    ``_rows`` and the hierarchy's member lists (also those read back from
+    JSON), so no node id is held as two objects.
     ``_rows`` is ``(flat, bounds)``, the CSR rows as Python lists for the
     per-node loops downstream: ``flat`` is ``indices`` with each id
     replaced by its ``_ids`` int, ``bounds`` is ``indptr.tolist()``, and v's
@@ -168,8 +168,10 @@ def _encode(names: list[str]) -> tuple[bytes, np.ndarray, np.ndarray]:
     """``names`` as UTF-8 end to end, and each one's start and end offset (int64).
 
     A lone surrogate, which a JSON string may hold, is encoded as its three
-    bytes ("surrogatepass"), so every name has bytes; UTF-8 orders bytes as
-    ``str`` orders code points. An ASCII text is encoded in one call.
+    bytes ("surrogatepass"), so every name has bytes and they decode back
+    to the same ``str``; UTF-8 orders bytes as ``str`` orders code points.
+    An ASCII text is encoded in one call. The offsets are two views of one
+    array of len(names) + 1 bounds, 8 bytes per name.
     """
     joined = "".join(names)
     if joined.isascii():
@@ -177,9 +179,9 @@ def _encode(names: list[str]) -> tuple[bytes, np.ndarray, np.ndarray]:
     else:
         pieces = [name.encode("utf-8", "surrogatepass") for name in names]
         data = b"".join(pieces)
-    lengths = np.fromiter(map(len, pieces), dtype=np.int64, count=len(pieces))
-    ends = np.cumsum(lengths)
-    return data, ends - lengths, ends
+    bounds = np.zeros(len(pieces) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, pieces), dtype=np.int64, count=len(pieces)), out=bounds[1:])
+    return data, bounds[:-1], bounds[1:]
 
 
 def _stable_order(key: np.ndarray, top: int) -> np.ndarray:

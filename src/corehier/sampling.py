@@ -152,22 +152,32 @@ def budget_from_edge_fraction(g: Graph, fraction: float, overhead: int = DEFAULT
     return int(_edge_prices(g, u[:count], w[:count], overhead).sum())
 
 
-@dataclass
+def _int64_or_exact(values: list[int]) -> np.ndarray:
+    """``values`` as int64 when every one fits, else as an object array of the exact ints."""
+    fits = not values or (-(2**63) <= min(values) and max(values) < 2**63)
+    return np.array(values, dtype=np.int64 if fits else object)
+
+
+@dataclass(eq=False)
 class SampleResult:
-    """Ordered picks, as parallel lists, with the per-community stop reasons.
+    """Ordered picks, as parallel arrays, with the per-community stop reasons.
 
     Pick i is the edge (``sources[i]``, ``targets[i]``), taken for the leaf
-    community ``communities[i]`` at price ``costs[i]``. The lists hold
-    Python ints, not arrays, so that two results compare with ``==``.
-    ``sources`` and ``targets`` hold the graph's own node int objects
-    (``g._ids``) and ``communities`` the hierarchy's cluster id objects, so
-    they cost 8 bytes per pick each, not 40.
+    community ``communities[i]`` at price ``costs[i]``. ``sources`` and
+    ``targets`` are int32 node ids, like the ranking. ``communities`` is
+    int64 when every leaf id fits, and ``costs`` when no sum of prices can
+    pass int64 (the rule of ``_edge_prices``); otherwise each is an object
+    array of exact ints. So the four columns take 24 bytes per pick when
+    every value fits. ``retired`` and
+    ``unaffordable`` are lists of cluster ids. Equality is identity:
+    compare two results column by column, for example with
+    ``np.array_equal``.
     """
 
-    sources: list[int]
-    targets: list[int]
-    communities: list[int]
-    costs: list[int]
+    sources: np.ndarray
+    targets: np.ndarray
+    communities: np.ndarray
+    costs: np.ndarray
     total_tokens: int
     retired: list[int]  # every community, in stop order (exhausted or priced out)
     budget: int
@@ -202,8 +212,8 @@ def community_edge_ranking(g: Graph, h: Hierarchy) -> tuple[list[int], np.ndarra
     leaf_ids = [leaf.id for leaf in visit]
     count = len(visit)
     if not count:
-        empty = np.zeros(0, dtype=np.int64)
-        return leaf_ids, empty, empty, empty
+        none = np.zeros(0, dtype=np.int32)
+        return leaf_ids, np.zeros(0, dtype=np.int64), none, none
     u, w = _ranked_edge_arrays(g)
     sizes = [len(leaf.members) for leaf in visit]
     keys = np.fromiter(chain.from_iterable(leaf.members for leaf in visit), dtype=np.int64, count=sum(sizes))
@@ -257,9 +267,10 @@ def round_robin_sample(h: Hierarchy, g: Graph, budget: int, overhead: int = DEFA
     the result, at most six arrays of one entry per owned edge at once:
     ``owner``, ``u``, ``w``, the visit order, and two of the rounds, their
     narrowed copy, the prices and their running sum, each array freed at
-    its last use. The picks' nodes and communities are gathered as objects
-    from ``g._ids`` and ``leaf_ids``, so of the result's lists, 8 bytes per
-    pick each, only the prices may make new ints.
+    its last use. The result's columns are gathered from ``u``, ``w``, the
+    prices and the leaf ids by visit position, 24 bytes per pick when
+    every value fits in int64; the t sequential visits add two short lists
+    of picks, concatenated onto the columns once.
     """
     if budget < 0:
         raise ConfigError("budget must be >= 0")
@@ -293,30 +304,28 @@ def round_robin_sample(h: Hierarchy, g: Graph, budget: int, overhead: int = DEFA
     del owner
     # A pick is its leaf's last edge when it is the last of the leaf's run.
     exhausted = leaf[picks == (starts + counts - 1)[leaf]]
-    ids = g._ids
-    nodes = np.array(ids, dtype=object)  # the graph's int objects, gathered without new ones
-    sources = nodes[u[picks]].tolist()
-    targets = nodes[w[picks]].tolist()
-    del nodes
-    costs = prices[picks].tolist()
+    sources, targets, costs = u[picks], w[picks], prices[picks]
     del picks, order
-    # Cluster ids are unbounded ints, so they stay objects: gathered, not rebuilt.
-    names = np.array(leaf_ids, dtype=object)
-    communities = names[leaf].tolist()
+    names = _int64_or_exact(leaf_ids)
+    communities = names[leaf]
     del leaf
     # Leaves without edges retire first, every other one at its last pick.
-    retired = names[np.concatenate((np.flatnonzero(counts == 0), exhausted))].tolist()
-    del names, exhausted
+    retired = [leaf_ids[p] for p in np.concatenate((np.flatnonzero(counts == 0), exhausted)).tolist()]
+    del exhausted
     unaffordable: list[int] = []
 
     if refused:
         # Visit by visit from the first pick the budget refuses. Every visit
         # before it was a pick, so this round still visits the leaves from
         # its position on that own more than ``round_`` edges, and the
-        # leaves before it that own another edge open the next round.
+        # leaves before it that own another edge open the next round. The
+        # loop's picks, as edge indices and visit positions, are gathered
+        # onto the columns once it ends.
         counts, starts = counts.tolist(), starts.tolist()
         current = [p for p in range(position, len(leaf_ids)) if counts[p] > round_]
         upcoming = [p for p in range(position) if counts[p] > round_ + 1]
+        edges: list[int] = []
+        positions: list[int] = []
         while current:
             for p in current:
                 i = starts[p] + round_
@@ -325,16 +334,19 @@ def round_robin_sample(h: Hierarchy, g: Graph, budget: int, overhead: int = DEFA
                     retired.append(leaf_ids[p])
                     unaffordable.append(leaf_ids[p])
                     continue
-                sources.append(ids[u[i]])
-                targets.append(ids[w[i]])
-                communities.append(leaf_ids[p])
-                costs.append(cost)
+                edges.append(i)
+                positions.append(p)
                 remaining -= cost
                 if counts[p] > round_ + 1:
                     upcoming.append(p)
                 else:
                     retired.append(leaf_ids[p])
             current, upcoming, round_ = upcoming, [], round_ + 1
+        more = np.array(edges, dtype=np.intp)
+        sources = np.concatenate((sources, u[more]))
+        targets = np.concatenate((targets, w[more]))
+        costs = np.concatenate((costs, prices[more]))
+        communities = np.concatenate((communities, names[np.array(positions, dtype=np.intp)]))
 
     return SampleResult(
         sources=sources,

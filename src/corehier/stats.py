@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 
+import numpy as np
+
 from .errors import ConfigError, InputError
 from .graph import Graph
 from .hierarchy import Cluster, Hierarchy
@@ -77,10 +79,11 @@ def community_stats(
     correctly rounded for token counts of any size.
 
     Cost: O(n + L log L + M) for the L selected clusters with M members in
-    all, plus O(k) for a sample of k picks or O(M) with a token limit.
-    Memory: the nodes covered and the nodes counted against the limit are
-    flagged in two bytearrays of n bytes; sets of node ints took about
-    36 bytes per node each, and set kg-pipeline's peak RSS.
+    all, plus O(n + k) for a sample of k picks or O(M) with a token limit.
+    Memory: the nodes covered, the sample's endpoints and the nodes
+    counted against the limit are flagged in arrays of n bytes; sets of
+    node ints took about 36 bytes per node each, and set kg-pipeline's
+    peak RSS.
     """
     tokens = g.tokens
     total = sum(tokens)
@@ -99,8 +102,10 @@ def community_stats(
 
     sampled: float | None = None
     if sample is not None:
-        touched = set(sample.sources).union(sample.targets)
-        sampled = 100 * sum(map(tokens.__getitem__, touched)) / total
+        touched = np.zeros(g.n, dtype=bool)
+        touched[sample.sources] = True
+        touched[sample.targets] = True
+        sampled = 100 * sum(compress(tokens, touched.tobytes())) / total
     elif token_limit is not None:
         if token_limit < 1:
             raise ConfigError("token limit must be positive")

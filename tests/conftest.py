@@ -347,8 +347,21 @@ def community_ranking_oracle(g: Graph, h: Hierarchy) -> dict[int, list[tuple[int
     return out
 
 
+def sample_fields(result: SampleResult) -> tuple:
+    """Every field of ``result``, the pick columns as lists of exact ints: what two equal samples share.
+
+    ``SampleResult`` compares by identity, and its pick columns are arrays,
+    while :func:`round_robin_oracle` gives lists; this reads both alike.
+    """
+    columns = result.sources, result.targets, result.communities, result.costs
+    return (*([int(x) for x in column] for column in columns),
+            result.total_tokens, result.retired, result.budget, result.unaffordable)
+
+
 def round_robin_oracle(h: Hierarchy, g: Graph, budget: int, overhead: int = DEFAULT_EDGE_OVERHEAD) -> SampleResult:
     """Visit-by-visit reference for ``round_robin_sample`` on :func:`community_ranking_oracle`.
+
+    Its pick columns are lists of Python ints, appended visit by visit.
 
     Leaves are visited by level descending, then id, one queue of owned
     edges each. A visit takes the head edge if the remaining budget affords

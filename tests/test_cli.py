@@ -128,6 +128,33 @@ class TestMergeSampleStats:
         assert report["clusters_after"] == len(merged["clusters"])
         assert report["mode"] == "residual_and_two_hop"
 
+    def test_sample_prints_exact_ints_past_int64(self, tmp_path, capsys):
+        """A cluster id of 10**20 and prices of 2**63 - 1 each, summing past int64, print exactly.
+
+        Without a node file every token count is 0, so each edge of the path
+        a-b-c costs the overhead; the read-back hierarchy's one cluster is
+        the leaf that owns both edges, which tie on degree sum.
+        """
+        edges = tmp_path / "edges.tsv"
+        edges.write_text("a\tb\nb\tc\n", encoding="utf-8")
+        cid = 10**20
+        h_path = tmp_path / "h.json"
+        h_path.write_text(json.dumps({
+            "clusters": [{"id": cid, "level": 1, "kind": "root", "parent": None, "leaf": True,
+                          "members": ["a", "b", "c"], "anchors": []}],
+            "attached_singletons": {}, "roots": [cid], "max_level": 1, "max_cluster_size": 3,
+        }), encoding="utf-8")
+        argv = ["sample", "--edges", str(edges), "--hierarchy", str(h_path),
+                "--token-budget", "99999999999999999999999", "--overhead", "9223372036854775807"]
+        want = ("#src\tdst\tcommunity\tcost\n"
+                "a\tb\t100000000000000000000\t9223372036854775807\n"
+                "b\tc\t100000000000000000000\t9223372036854775807\n")
+        assert run(*argv) == 0
+        assert capsys.readouterr().out == want
+        out = tmp_path / "sample.tsv"
+        assert run(*argv, "--out", str(out)) == 0
+        assert out.read_text(encoding="utf-8") == want
+
     def test_sample_requires_exactly_one_budget_flag(self, example_inputs, tmp_path):
         edges, nodes = example_inputs
         h_path = self.make_hierarchy(example_inputs, tmp_path)

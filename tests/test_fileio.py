@@ -1,8 +1,10 @@
 """Parsers, writers, and hierarchy JSON round-tripping."""
 
 import json
+import math
 from copy import deepcopy
 from io import StringIO
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from corehier.merging import MergeMode, merge_small_clusters
 from corehier.sampling import (
     SampleResult,
     TokenModel,
+    _int64_or_exact,
     round_robin_sample,
 )
 
@@ -608,15 +611,93 @@ def test_decomposition_writer_matches_oracle(data):
     assert written(write_decomposition_json, dec, g) == json_dumps_stable(payload)
 
 
-@settings(max_examples=200, deadline=None)
+#: 0, and each power of ten with the value below it, up to int64's largest:
+#: every width a decimal in int64 can take, at both of its ends.
+DECIMAL_EDGES = [0, *(10**j + d for j in range(1, 19) for d in (-1, 0)), 2**63 - 1]
+
+#: Columns the writer prints by digits (nonnegative int64), and by ``str``
+#: (negative int64, and exact ints past int64 in an object array).
+NUMBERS = {
+    "digits": st.sampled_from(DECIMAL_EDGES) | st.integers(0, 2**63 - 1),
+    "signed": st.integers(-(2**63), 2**63 - 1),
+    "exact": st.integers(-(2**70), 2**70) | st.sampled_from([2**63, 2**64, 10**20, -(2**63) - 1]),
+}
+
+
+def sample_of(sources, targets, communities, costs) -> SampleResult:
+    """Picks in the columns the sampler makes: int32 nodes, int64-or-exact communities and costs."""
+    nodes = [np.array(column, dtype=np.int32) for column in (sources, targets)]
+    return SampleResult(*nodes, _int64_or_exact(communities), _int64_or_exact(costs), 0, [], 0)
+
+
+@settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_sample_writer_matches_oracle(data):
+    """Byte for byte against ``sample_to_tsv``, across chunks of 1, 2, 7 and the default picks."""
     g = data.draw(graphs())
-    node = st.integers(0, g.n - 1)
-    picks = data.draw(st.lists(st.tuples(node, node, st.integers(0, 99), st.integers(0, 10**6)), max_size=6))
-    sources, targets, communities, costs = [list(column) for column in zip(*picks)] or [[], [], [], []]
-    result = SampleResult(sources, targets, communities, costs, sum(costs), [], 10**7)
-    assert written(write_sample_tsv, result, g) == sample_to_tsv(result, g)
+    k = data.draw(st.integers(0, 20))
+    node = st.lists(st.integers(0, g.n - 1), min_size=k, max_size=k)
+    sources, targets = data.draw(node), data.draw(node)
+    communities, costs = (
+        data.draw(st.lists(NUMBERS[data.draw(st.sampled_from(sorted(NUMBERS)))], min_size=k, max_size=k))
+        for _ in range(2)
+    )
+    result = sample_of(sources, targets, communities, costs)
+    with patch.object(fileio, "_SAMPLE_CHUNK", data.draw(st.sampled_from([1, 2, 7, fileio._SAMPLE_CHUNK]))):
+        assert written(write_sample_tsv, result, g) == sample_to_tsv(result, g)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, fileio._SAMPLE_CHUNK])
+def test_sample_writer_pinned_cases(chunk, monkeypatch):
+    """Zero picks, every decimal width in both columns, and exact ints past int64, at each chunk size."""
+    monkeypatch.setattr(fileio, "_SAMPLE_CHUNK", chunk)
+    g = Graph([0] * 5, [], ["a", "\u00e9t\u00e9", "\U0001f600", "\ud800"], [0] * 4)
+    empty = sample_of([], [], [], [])
+    assert written(write_sample_tsv, empty, g) == sample_to_tsv(empty, g) == "#src\tdst\tcommunity\tcost\n"
+    k = len(DECIMAL_EDGES)
+    ends = [i % 4 for i in range(k)], [(i * 3 + 1) % 4 for i in range(k)]
+    widths = sample_of(*ends, DECIMAL_EDGES, DECIMAL_EDGES[::-1])
+    assert widths.communities.dtype == widths.costs.dtype == np.int64
+    text = written(write_sample_tsv, widths, g)
+    assert text == sample_to_tsv(widths, g)
+    assert text.splitlines()[-1] == f"\u00e9t\u00e9\ta\t{2**63 - 1}\t0"
+    exact = sample_of([0, 1, 2], [3, 2, 1], [2**63, -1, 10**20], [0, 2**64, -(2**63)])
+    assert exact.communities.dtype == exact.costs.dtype == object
+    assert written(write_sample_tsv, exact, g) == sample_to_tsv(exact, g)
+
+
+class CountingSink:
+    """A text sink that keeps nothing: it counts its ``write`` calls and characters."""
+
+    def __init__(self):
+        self.writes = self.chars = 0
+
+    def write(self, text: str) -> int:
+        self.writes += 1
+        self.chars += len(text)
+        return len(text)
+
+
+def test_sample_writer_memory_is_set_by_the_chunk_not_the_picks():
+    """On 120k picks the writer peaks, above its inputs, within a bound per chunk, in one write per chunk.
+
+    1,000 ids, so the encoded ids and their offsets take under 20 kB. Each
+    line is about 32 bytes, and a chunk's bytes are assembled with a few
+    int64 arrays per byte of one field, so the peak is set by the chunk:
+    it measured 290 bytes per pick of a chunk at 4,096 and 16,384 picks
+    per chunk (1.1 and 4.4 MiB), while the text written is 3.6 MiB.
+    """
+    rng = np.random.default_rng(7)
+    g = Graph([0] * 1001, [], [f"node{i:05d}" for i in range(1000)], [0] * 1000)
+    k = 120_000
+    ends = rng.integers(0, 1000, size=(2, k))
+    result = sample_of(*ends, rng.integers(0, 10**6, size=k).tolist(), rng.integers(0, 10**4, size=k).tolist())
+    sink = CountingSink()
+    _, peak = traced_peak(write_sample_tsv, sink, result, g)
+    chunk = fileio._SAMPLE_CHUNK
+    assert sink.writes <= math.ceil(k / chunk) + 1
+    assert sink.chars > 30 * k
+    assert peak <= 400 * chunk, f"peak {peak} B is {peak / chunk:.0f} B per pick of a {chunk}-pick chunk"
 
 
 @pytest.mark.parametrize(

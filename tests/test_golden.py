@@ -11,6 +11,7 @@ import json
 import numpy as np
 import pytest
 
+from corehier import fileio
 from corehier.cli import main
 from corehier.fixtures import generate_kg_sparse, three_level_example
 from corehier.graph import NodeMeta
@@ -241,6 +242,14 @@ def test_kg6000_pipeline_artifacts_match_golden_hashes(mode, cap, kg6000_files, 
     assert main(argv) == 0
     got = tuple(sha256((out / name).read_bytes()) for name in ARTIFACTS)
     assert dict(zip(ARTIFACTS, got)) == dict(zip(ARTIFACTS, KG6000_SHA256[mode, cap]))
+
+
+@pytest.mark.parametrize("mode,cap", sorted(KG6000_SHA256, key=str))
+def test_kg6000_golden_hashes_hold_across_sample_chunk_seams(mode, cap, kg6000_files, tmp_path, monkeypatch):
+    """The same pinned hashes with ``sample.tsv`` written 300 picks per chunk, so that many chunk seams are crossed."""
+    monkeypatch.setattr(fileio, "_SAMPLE_CHUNK", 300)
+    test_kg6000_pipeline_artifacts_match_golden_hashes(mode, cap, kg6000_files, tmp_path)
+    assert len((tmp_path / "out" / "sample.tsv").read_text(encoding="utf-8").splitlines()) > 4 * 300
 
 
 def test_costs_past_int64_are_exact(tmp_path):

@@ -8,7 +8,7 @@ hierarchy before and after merging, or merges one build twice, merges a
 from copy import deepcopy
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import corehier.hierarchy
@@ -183,16 +183,40 @@ class TestFixtureInvariants:
                 assert host_id in merged_2h.clusters or host_id in merged_ext.clusters
 
 
+#: At cap 3, one-neighbour attachment must look past w's first host here.
+#: v01 anchors the level-2 two-hop leaf of v06 and v07 (id 4), then is
+#: pooled alone at level 3 and attaches to the leaf of v02, v03 and v04
+#: (id 1), a tie it wins by id. zz hangs off v01 alone and is stranded at
+#: level 1; v01's hosts, 4 then 1, tie for it, so it goes to leaf 1, where
+#: ``first[v01]`` would send it to leaf 4.
+ANCHOR_THEN_ATTACHED = [
+    ("v00", "v01"), ("v00", "v11"), ("v01", "v02"), ("v01", "v04"), ("v01", "v06"), ("v01", "v07"),
+    ("v01", "v11"), ("v01", "zz"), ("v02", "v03"), ("v02", "v04"), ("v02", "v07"), ("v03", "v04"),
+    ("v03", "v06"), ("v03", "v07"), ("v06", "v16"), ("v07", "v20"),
+]
+
+
 @st.composite
 def anchored_graphs(draw):
-    """Hubs on a path, pendants on one or two hubs, random chords, and tails.
+    """Hubs on a path, pendants on one or two hubs, random chords, and tails; or the graph above, varied.
 
     The pendants pool at level 2 around shared hubs, so with a small cap
     their two-hop groups split and the hubs join several leaves as shared
     anchors. Each tail hangs off one earlier node, a tail included, so
     some parked singletons have one neighbour held by several leaves, and
     some sit next to other parked singletons and attach in a later pass.
+    Random hubs almost never make a parked singleton that is already a
+    shared anchor of a leaf of larger id, so one draw in four is
+    ``ANCHOR_THEN_ATTACHED`` with up to two tails and a chord added; about
+    a third of those variants keep the case.
     """
+    if draw(st.integers(0, 3)) == 0:
+        names = sorted({x for edge in ANCHOR_THEN_ATTACHED for x in edge})
+        node = st.sampled_from(names)
+        edges = set(ANCHOR_THEN_ATTACHED)
+        edges |= {(draw(node), f"zz{i}") for i in range(draw(st.integers(0, 2)))}
+        edges |= {tuple(sorted(pair)) for pair in draw(st.lists(st.tuples(node, node), max_size=1)) if pair[0] != pair[1]}
+        return make_graph(sorted(edges))
     hubs = draw(st.integers(2, 4))
     n = hubs + draw(st.integers(3, 24))
     edges = {(i, i + 1) for i in range(hubs - 1)}
@@ -209,6 +233,7 @@ def anchored_graphs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(g=anchored_graphs(), cap=st.integers(2, 5))
+@example(g=make_graph(ANCHOR_THEN_ATTACHED), cap=3)
 def test_host_map_matches_the_dict_of_host_lists(g, cap):
     """Attachment and both merge modes pick the hosts that the dict of host lists per node picks."""
     h = build_hierarchy(g, cap)
