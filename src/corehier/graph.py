@@ -69,7 +69,9 @@ class Graph:
     more, and it is freed before ``bounds`` is built. ``_ranking`` holds
     the sampling stage's edge ranking once it is first computed, two int32
     arrays of m entries (see ``sampling._ranked_edge_arrays``), and is None
-    until then.
+    until then. ``_connected`` records whether the graph has one component:
+    :func:`largest_connected_component` sets it on its input and its
+    result, :func:`is_connected` on first call, and it is None until then.
 
     Treat instances as frozen once constructed; nothing in the package
     mutates them, which makes concurrent reads safe (two threads racing on
@@ -78,6 +80,7 @@ class Graph:
 
     __slots__ = (
         "n", "m", "indptr", "indices", "_rows", "_ids", "external_ids", "tokens", "degrees", "_ranking",
+        "_connected",
     )
 
     def __init__(self, indptr, indices, external_ids: list[str], tokens: list[int]):
@@ -89,7 +92,7 @@ class Graph:
         if not (len(self.indptr) == n + 1 and len(tokens) == n):
             raise InputError("adjacency and metadata lengths differ")
         self.external_ids, self.tokens = external_ids, tokens
-        self._ranking = None
+        self._ranking = self._connected = None
         self.m = len(self.indices) // 2
         self.degrees = np.diff(self.indptr).tolist()
 
@@ -368,27 +371,38 @@ def graph_from_columns(edges: EdgeSpans, ids: list[str], tokens: list[int]) -> G
     return Graph(indptr, cols, ids, tokens)
 
 
-def _component_labels(n: int, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _component_labels(n: int, u: np.ndarray, w: np.ndarray, label: np.ndarray | None = None, active=None) -> np.ndarray:
     """The smallest node id in each node's component under the edges (u[i], w[i]), as int64.
 
     Any pairs over ``range(n)`` will do, repeated or reversed; a node no
-    edge touches labels itself. Every node starts as its own root. Each
-    round hooks the larger root of every edge that still joins two trees
-    onto the smaller one, then jumps pointers until every node points at a
-    root; pointers only decrease, so each tree's root is its smallest
-    member. Edges inside one tree are dropped for good. A round costs
-    O(n + m') for the m' edges still joining trees plus O(n) per pointer
-    jump, and the number of trees falls geometrically on the graphs seen so
-    far (a path with shuffled ids takes about log_3 n rounds).
+    edge touches labels itself. Every node starts as its own root, unless
+    ``label`` continues an earlier labelling: there, each entry already
+    names the smallest node of its component under earlier edges, and the
+    array is updated in place and returned. ``active`` (an index array, or
+    None for every node) must list every node in a component that an edge
+    touches, earlier edges included; only those are pointer-jumped, and the
+    other nodes must label themselves. Each round hooks the larger root of
+    every edge that still joins two trees onto the smaller one, then jumps
+    pointers until every node points at a root; pointers only decrease, so
+    each tree's root is its smallest member. Edges inside one tree are
+    dropped for good. A round costs O(a + m') for the a active nodes and
+    the m' edges still joining trees, plus O(a) per pointer jump, and the
+    number of trees falls geometrically on the graphs seen so far (a path
+    with shuffled ids takes about log_3 n rounds).
     """
-    label, lu, lw = np.arange(n), u, w
+    if label is None:
+        label, lu, lw = np.arange(n), u, w
+    else:
+        lu, lw = label[u], label[w]
+    nodes = slice(None) if active is None else active
     while True:
         np.minimum.at(label, np.maximum(lu, lw), np.minimum(lu, lw))
+        at = label[nodes]
         while True:
-            jumped = label[label]
-            if np.array_equal(jumped, label):
+            jumped = label[at]
+            if np.array_equal(jumped, at):
                 break
-            label = jumped
+            label[nodes] = at = jumped
         lu, lw = label[u], label[w]
         apart = lu != lw
         if not apart.any():
@@ -405,8 +419,15 @@ def _gather_rows(g: Graph, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def is_connected(g: Graph) -> bool:
-    """Whether the graph has exactly one component; O(n + m) array work (see ``_component_labels``)."""
-    return not _component_labels(g.n, *g.edge_arrays()).any()
+    """Whether the graph has exactly one component.
+
+    Read from ``g._connected`` when it is set, as on every output of
+    :func:`largest_connected_component`; otherwise O(n + m) array work
+    (see ``_component_labels``), recorded there.
+    """
+    if g._connected is None:
+        g._connected = not _component_labels(g.n, *g.edge_arrays()).any()
+    return g._connected
 
 
 def largest_connected_component(g: Graph) -> Graph:
@@ -417,12 +438,15 @@ def largest_connected_component(g: Graph) -> Graph:
     lexicographically. Ids are re-densified preserving relative order. A
     connected graph is returned as is. Otherwise the component's rows are
     copied out of the arrays and renumbered, and its entries of the node
-    columns are copied. Cost: component labelling plus O(n + m) array work.
+    columns are copied. The result is recorded as connected, and the input
+    as connected or not (``_connected``), so :func:`is_connected` labels
+    neither again. Cost: component labelling plus O(n + m) array work.
     """
     labels = _component_labels(g.n, *g.edge_arrays())
     sizes = np.bincount(labels, minlength=g.n)
     best = int(np.argmax(sizes))  # first maximum: the smallest id among equal sizes
-    if sizes[best] == g.n:
+    g._connected = bool(sizes[best] == g.n)
+    if g._connected:
         return g
     keep = labels == best
     nodes = np.flatnonzero(keep)
@@ -434,4 +458,6 @@ def largest_connected_component(g: Graph) -> Graph:
     indices = new_id[g.indices[np.repeat(keep, row_sizes)]]
     pick = nodes.tolist()
     columns = (list(map(column.__getitem__, pick)) for column in (g.external_ids, g.tokens))
-    return Graph(indptr, indices, *columns)
+    lcc = Graph(indptr, indices, *columns)
+    lcc._connected = True
+    return lcc

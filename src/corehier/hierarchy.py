@@ -7,8 +7,9 @@ components of the residual part become leaf clusters. Oversized components
 are broken up by greedy seed growth. Singleton clusters produced at a level
 are pooled, grouped by 2-hop reachability in the full graph, and either
 emitted as two-hop clusters or parked as global singletons, which are
-attached to neighboring leaves once the level loop ends. Components at every
-level and 2-hop groups are labelled on the CSR arrays by the shared labeller.
+attached to neighboring leaves once the level loop ends. The components of
+every level are labelled once, before the level loop, by one sweep down the
+core levels; 2-hop groups are labelled per level by the same labeller.
 Every choice breaks ties by smallest internal id, so the result is fully
 deterministic.
 """
@@ -25,7 +26,7 @@ import numpy as np
 
 from .cores import core_numbers
 from .errors import ConfigError, InputError, VerificationError
-from .graph import Graph, _component_labels, _gather_rows
+from .graph import Graph, _component_labels, _gather_rows, _stable_order, is_connected
 
 CLUSTER_KINDS = ("root", "core", "residual", "two_hop")
 
@@ -278,36 +279,102 @@ def _common_ancestor(parent_ids: list[int | None], clusters: dict[int, Cluster])
     return ids.pop() if len(ids) == 1 else None
 
 
+def _nested_labels(g: Graph, queued: np.ndarray, rank_of: np.ndarray, core_of: np.ndarray, top: int):
+    """Label the components of every level 2..``top`` of the level-1 parts at once.
+
+    ``queued`` lists the nodes of the queued level-1 parts, ``rank_of``
+    gives each node's part (-1 outside them) and ``core_of`` its core
+    number, ``top`` the largest. A cluster queued at level L is a component
+    of its part's nodes of core >= L - 1 (or the part itself), so its
+    residual side is its nodes of core L - 1, and the sides' components
+    at L are those of the whole part on core L - 1 and on core >= L: a path
+    inside the part on either side stays inside every cluster above it.
+
+    Returns ``(residual, by_level, pos)``. ``residual`` labels every node
+    with the smallest node of its component under the edges inside a part
+    whose ends share a core number: one labelling gives the residual side
+    of every level. For the core sides, the inside edges are ordered once
+    by descending smaller core number, and a top-down sweep adds those of
+    level L and continues the labelling over the nodes of core >= L only.
+    ``by_level[L]`` holds the labels of those nodes as int32, in the order
+    of ``queued`` sorted by descending core, where node v sits at
+    ``pos[v]``. Every label is its component's smallest node.
+
+    Cost: O(n + m) array work and one stable sort on a narrow key, plus the
+    labelling rounds. The sweep hands each edge over once, and it
+    pointer-jumps only the n_L queued nodes of core >= L at level L; the
+    n_L sum to at most 2m, and so do the stored labels.
+    """
+    eu, ew = g.edge_arrays()
+    inside = rank_of[eu] == rank_of[ew]
+    inside &= rank_of[eu] >= 0
+    eu = eu[inside]
+    ew = ew[inside]
+    del inside
+    lo, hi = core_of[eu], core_of[ew]
+    same = lo == hi
+    residual = _component_labels(g.n, eu[same], ew[same])
+    del same
+    np.minimum(lo, hi, out=lo)
+    del hi
+    # Edges of level top first; those of level 1 come last and are cut off.
+    edge_count = np.bincount(lo, minlength=top + 1)
+    edge_end = np.cumsum(edge_count[::-1])
+    order = _stable_order(top - lo, top)[:len(lo) - edge_count[:2].sum()]
+    del lo
+    eu = eu[order]
+    ew = ew[order]
+    del order
+    by_core = queued[_stable_order(top - core_of[queued], top)]
+    pos = np.empty(g.n, dtype=np.intp)
+    pos[by_core] = np.arange(len(by_core))
+    node_end = np.cumsum(np.bincount(core_of[queued], minlength=top + 1)[::-1])
+    label = np.arange(g.n)
+    by_level: list[np.ndarray | None] = [None] * (top + 1)
+    for level in range(top, 1, -1):
+        stop = edge_end[top - level]
+        active = by_core[:node_end[top - level]]
+        _component_labels(g.n, eu[stop - edge_count[level]:stop], ew[stop - edge_count[level]:stop], label, active)
+        by_level[level] = label[active].astype(np.int32)
+    return residual, by_level, pos
+
+
 def build_hierarchy(g: Graph, max_cluster_size: int, core: list[int] | None = None) -> Hierarchy:
     """Build the full residual-aware core hierarchy of a preprocessed graph.
 
     Requires a connected graph, such as the output of
     :func:`largest_connected_component`, and raises :class:`InputError`
-    otherwise. ``max_cluster_size`` caps every cluster produced by the
-    splitting paths. Singleton attachment has no size bound, and neither
-    has merging (:func:`~corehier.merging.merge_small_clusters`), so a leaf
-    may end up well past the cap: on perfbench's ``kg_sparse`` input (58.8k
-    nodes, seed 1) at cap 122, 146 leaves of the built hierarchy are past
-    it, the largest with 175 members.
+    otherwise; :func:`is_connected` reads the record that function leaves,
+    so its output is not labelled again. ``max_cluster_size`` caps every
+    cluster produced by the splitting paths. Singleton attachment has no
+    size bound, and neither has merging
+    (:func:`~corehier.merging.merge_small_clusters`), so a leaf may end up
+    well past the cap: on perfbench's ``kg_sparse`` input (58.8k nodes,
+    seed 1) at cap 122, 146 leaves of the built hierarchy are past it, the
+    largest with 175 members.
     ``core`` takes the graph's core numbers when the caller has them
     already (``core_numbers(g).core``); otherwise they are computed here.
 
-    Cost: level 1 is one :func:`split_component` of the graph. Each later
-    level does O(n + q log q + e) array work for the q nodes and e edges
-    still inside queued clusters, labelling rounds of O(n + e), O(1) Python
-    work per component, and the pooling (see ``pool_singletons``).
+    Cost: level 1 is one :func:`split_component` of the graph. Then
+    :func:`_nested_labels` labels the components of every later level at
+    once, handing each edge to the labeller at most twice: O(n + m) array
+    work plus the labelling rounds. Each later level only sorts the q
+    nodes still queued by (cluster, side, stored label), O(q log q), with
+    O(1) Python work per component, plus the pooling (see
+    ``pool_singletons``). A node is queued at no more levels than its core
+    number, so the q sum to at most 2m over all levels.
     """
     if max_cluster_size < 2:
         raise ConfigError("max cluster size must be at least 2")
-    eu, ew = g.edge_arrays()  # for this check and, cut to the queued clusters, the level loop
-    if _component_labels(g.n, eu, ew).any():
+    if not is_connected(g):
         raise InputError("hierarchy input must be connected; extract the largest component first")
 
     if core is None:
         core = core_numbers(g).core
     elif len(core) != g.n:
         raise InputError(f"core numbers given for {len(core)} nodes; the graph has {g.n}")
-    core_of = np.asarray(core)
+    top = max(core)
+    core_of = np.asarray(core, dtype=np.min_scalar_type(top))
 
     clusters: dict[int, Cluster] = {}
     counter = itertools.count()
@@ -394,55 +461,60 @@ def build_hierarchy(g: Graph, max_cluster_size: int, core: list[int] | None = No
         queue = [new_cluster(part, 1, "root", None).id for part in itertools.compress(parts, kept.tolist())]
         pool_singletons(1, np.sort(flat[np.cumsum(sizes)[~kept] - 1]), None)
         del parts, flat
-    # The queued nodes, ascending within each cluster, and the edges inside queued clusters.
+    # The queued nodes, ascending within each cluster, and each queued cluster's size.
     nodes = np.flatnonzero(rank_of >= 0)
-    inside = (rank_of[eu] == rank_of[ew]) & (rank_of[eu] >= 0)
-    eu, ew = eu[inside], ew[inside]
-    for level in range(2, max(core) + 1):
-        # Tag each queued node 2 * queue position + (residual side), label the
-        # edges whose ends share a tag, and sort by (tag, smallest member):
-        # components come in creation order, each in ascending node order.
-        residual = core_of < level
-        res_u, res_w = residual[eu], residual[ew]
-        same = res_u == res_w
-        # A queued cluster is connected, so it has both sides exactly when an
-        # edge joins them; a cluster on one side is one component, unlabelled.
-        mixed = np.zeros(len(queue), dtype=bool)
-        mixed[rank_of[eu[~same]]] = True
-        same &= mixed[rank_of[eu]]
-        label = _component_labels(g.n, eu[same], ew[same])
-        keys = (2 * rank_of[nodes] + residual[nodes]) * g.n + np.where(mixed[rank_of[nodes]], label[nodes], 0)
-        nodes, keys, parts = _runs(keys, nodes, all_nodes)
-        rank_of[nodes] = -1
+    sizes = np.bincount(rank_of[nodes], minlength=len(queue))
+    residual_label, by_level, pos = _nested_labels(g, nodes, rank_of, core_of, top)
+    for level in range(2, top + 1):
+        # Tag each queued node 2 * queue position + (residual side) and sort
+        # by (tag, smallest member of its side's component): components come
+        # in creation order, each in ascending node order.
+        core_side = core_of[nodes] >= level
+        label = residual_label[nodes]
+        label[core_side] = by_level[level][pos[nodes[core_side]]]
+        by_level[level] = None
+        keys = (2 * rank_of[nodes] + ~core_side) * g.n + label
+        order = np.argsort(keys, kind="stable")
+        nodes, keys = nodes[order], keys[order]
+        heads = np.flatnonzero(np.diff(keys, prepend=-1))
+        lengths = np.diff(heads, append=len(nodes))
+        tags = keys[heads] // g.n
+        # A run as large as its cluster leaves the cluster whole. All core,
+        # the cluster survives at this level: the would-be duplicate child
+        # collapses and the cluster records the deeper level. All residual
+        # (a uniform shell), it simply stays a leaf. Only the other runs
+        # need their members.
+        whole = lengths == sizes[tags >> 1]
+        members = list(map(all_nodes.__getitem__, nodes[np.repeat(~whole, lengths)].tolist()))
         next_queue: list[int] = []
         pooled: list[tuple[int, int]] = []
-        for tag, part in zip((keys // g.n).tolist(), parts):
-            cluster = clusters[queue[tag >> 1]]
-            is_residual = tag & 1
-            if len(part) == len(cluster.members):
-                # All core: the cluster survives at this level; collapse the
-                # would-be duplicate child and record the deeper level. All
-                # residual (a uniform shell): it simply stays a leaf.
-                if is_residual:
-                    continue
-                cluster.level = level
-            elif len(part) == 1:
-                pooled.append((part[0], cluster.id))
+        at = 0
+        for tag, length, is_whole in zip(tags.tolist(), lengths.tolist(), whole.tolist()):
+            cid, is_residual = queue[tag >> 1], tag & 1
+            if is_whole:
+                if not is_residual:
+                    clusters[cid].level = level
+                    next_queue.append(cid)
                 continue
+            part = members[at:at + length]
+            at += length
+            if length == 1:
+                pooled.append((part[0], cid))
             else:
-                cluster = new_cluster(part, level, "residual" if is_residual else "core", cluster.id)
-                if is_residual:
-                    continue
-            rank_of[part] = len(next_queue)
-            next_queue.append(cluster.id)
+                cluster = new_cluster(part, level, "residual" if is_residual else "core", cid)
+                if not is_residual:
+                    next_queue.append(cluster.id)
+        requeued = ((tags & 1) == 0) & (lengths > 1)
+        rank_of[nodes] = np.repeat(np.where(requeued, np.cumsum(requeued) - 1, -1), lengths)
+        sizes = lengths[requeued]
         # A split cluster whose members all went to the pool is interior
         # bookkeeping unless the pool hands it back.
         dissolved.update(cid for _, cid in pooled if not clusters[cid].children)
         parent_of = dict(pooled)
         pool_singletons(level, np.array(sorted(parent_of), dtype=np.intp), parent_of)
         nodes = nodes[rank_of[nodes] >= 0]
-        eu, ew = eu[~(res_u | res_w)], ew[~(res_u | res_w)]
         queue = next_queue
+    del nodes, rank_of, sizes, residual_label, by_level, pos
 
     hierarchy = Hierarchy(
         clusters=clusters,
