@@ -39,6 +39,31 @@ def write_nodes_jsonl(path, records) -> None:
     Path(path).write_text(nodes_to_jsonl(records), encoding="utf-8")
 
 
+def planted_block_records(seed=5, blocks=24, size=50, links=1500, density=(0.05, 0.5)):
+    """Dense blocks of rising density joined by random links; max core 19 by default.
+
+    Block b draws each of its internal pairs with a probability spread
+    evenly over ``density``; external ids are a seeded shuffle, so blocks
+    are not contiguous in id order. ``links`` random pairs join different
+    blocks (pairs within one block are dropped). Tokens are uniform in
+    [10, 120]. A few blocks of ~100 nodes at density up to 0.9 give a core
+    past 60.
+    """
+    rng = np.random.default_rng(seed)
+    n = blocks * size
+    names = [f"e{i:05d}" for i in rng.permutation(n)]
+    iu, ju = np.triu_indices(size, 1)
+    edges = []
+    for b, p in enumerate(np.linspace(*density, blocks)):
+        keep = rng.random(len(iu)) < p
+        edges += [(names[b * size + i], names[b * size + j])
+                  for i, j in zip(iu[keep].tolist(), ju[keep].tolist())]
+    a, c = rng.integers(0, n, size=(2, links))
+    edges += [(names[x], names[y]) for x, y in zip(a.tolist(), c.tolist()) if x // size != y // size]
+    tokens = rng.integers(10, 121, size=n).tolist()
+    return edges, [NodeMeta(nm, f"entity {nm}", t) for nm, t in zip(names, tokens)]
+
+
 def adjacency(g: Graph) -> list[list[int]]:
     """Every node's neighbours in ascending order, rebuilt from ``g.edges()``: the oracles' own view of the rows.
 
@@ -551,7 +576,10 @@ def check_hierarchy_invariants(g: Graph, h: Hierarchy, max_size: int) -> None:
 
     Size and nesting checks exclude attached singletons and shared anchors:
     attachment is allowed to overflow the cap, and anchors belong to other
-    clusters by design.
+    clusters by design. A core or residual cluster's base is a component of
+    its side of the parent's base: connected, and closed under adjacency
+    within the parent's base nodes of core >= its level (core) or below it
+    (residual).
     """
     core = core_numbers(g).core
     adj = adjacency(g)
@@ -579,6 +607,12 @@ def check_hierarchy_invariants(g: Graph, h: Hierarchy, max_size: int) -> None:
             parent = h.clusters[c.parent]
             assert base <= set(parent.members), f"cluster {c.id} escapes its parent"
             assert c.level > parent.level or (c.kind != "core")
+        if c.kind in ("core", "residual"):
+            # A component, not only a connected part: no edge leaves the base
+            # for a node of its side in the parent's base.
+            parent_base = set(parent.members) - attached_to.get(parent.id, set()) - set(parent.anchors)
+            side = {v for v in parent_base if (core[v] >= c.level) == (c.kind == "core")}
+            assert not {w for v in base for w in adj[v] if w in side} - base, f"{c.kind} cluster {c.id} is not maximal"
         for child in c.children:
             assert h.clusters[child].parent == c.id
 

@@ -20,6 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corehier import cli, fileio
+from corehier import graph as graph_module
+from corehier import hierarchy as hierarchy_module
 from corehier.cli import main
 from corehier.errors import ConfigError, InputError
 from corehier.fixtures import generate_kg_sparse, three_level_example
@@ -44,6 +46,32 @@ def example_inputs(tmp_path):
 
 def run(*argv):
     return main(list(argv))
+
+
+def test_pipeline_labels_the_full_edge_set_once(tmp_path, monkeypatch):
+    """The component labelling of the whole graph runs once, in ``largest_connected_component``.
+
+    Counted through both modules' references to the labeller, leaving out
+    the per-level pooling; ``build_hierarchy`` reads the connectivity
+    record instead of labelling the component again.
+    """
+    edges, nodes = generate_kg_sparse(2000, seed=1)
+    write_edges_tsv(tmp_path / "edges.tsv", edges)
+    write_nodes_jsonl(tmp_path / "nodes.jsonl", nodes)
+    m = graph_module.largest_connected_component(graph_module.load_graph(edges, nodes)).m
+    labeller = graph_module._component_labels
+    sizes = []
+
+    def counted(n, u, w, *rest):
+        if sys._getframe(1).f_code.co_name != "pool_singletons":
+            sizes.append(len(u))
+        return labeller(n, u, w, *rest)
+
+    monkeypatch.setattr(graph_module, "_component_labels", counted)
+    monkeypatch.setattr(hierarchy_module, "_component_labels", counted)
+    assert run("pipeline", "--edges", str(tmp_path / "edges.tsv"), "--nodes", str(tmp_path / "nodes.jsonl"),
+               "--out", str(tmp_path / "out")) == 0
+    assert sum(size >= m for size in sizes) == 1
 
 
 class TestDecompose:

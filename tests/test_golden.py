@@ -16,7 +16,7 @@ from corehier.cli import main
 from corehier.fixtures import generate_kg_sparse, three_level_example
 from corehier.graph import NodeMeta
 
-from conftest import write_edges_tsv, write_nodes_jsonl
+from conftest import planted_block_records, write_edges_tsv, write_nodes_jsonl
 
 ARTIFACTS = (
     "decomposition.json",
@@ -109,28 +109,6 @@ def fixture_records(name):
     return generate_kg_sparse(2000, seed=seed)
 
 
-def planted_block_records(seed=5, blocks=24, size=50, links=1500):
-    """Dense blocks of rising density joined by random links; max core 19.
-
-    Block b draws each of its internal pairs with probability spread evenly
-    over 0.05-0.5; external ids are a seeded shuffle, so blocks are not
-    contiguous in id order. Tokens are uniform in [10, 120].
-    """
-    rng = np.random.default_rng(seed)
-    n = blocks * size
-    names = [f"e{i:05d}" for i in rng.permutation(n)]
-    iu, ju = np.triu_indices(size, 1)
-    edges = []
-    for b, p in enumerate(np.linspace(0.05, 0.5, blocks)):
-        keep = rng.random(len(iu)) < p
-        edges += [(names[b * size + i], names[b * size + j])
-                  for i, j in zip(iu[keep].tolist(), ju[keep].tolist())]
-    a, c = rng.integers(0, n, size=(2, links))
-    edges += [(names[x], names[y]) for x, y in zip(a.tolist(), c.tolist()) if x // size != y // size]
-    tokens = rng.integers(10, 121, size=n).tolist()
-    return edges, [NodeMeta(nm, f"entity {nm}", t) for nm, t in zip(names, tokens)]
-
-
 # merge mode -> sha256 of each artifact, in ARTIFACTS order, for the planted
 # blocks under a cap of 6: 19 core levels, and oversized two-hop groups split
 # at levels 1 and 5-15.
@@ -150,6 +128,30 @@ MULTI_LEVEL_SHA256 = {
         '7ed314d98e73d7153b31e52665e6864e9c56aab396179631b988118c8775ec64',
         'b58154fef3b4a6eefab207e2ac514d857ce94ef6c5225d4e881cba7652bcac26',
         '2cbecab68dd27b0cab586e7ffe7331a920d6cdbcdf785cfdfb9394debd175187',
+    ),
+}
+
+
+# merge mode -> sha256 of each artifact, in ARTIFACTS order, for the planted
+# blocks under the cap the default token limit derives (123): each level-1
+# part holds whole blocks, so the clusters split at every one of the 19
+# core levels.
+MULTI_LEVEL_DERIVED_CAP_SHA256 = {
+    'm2hc': (
+        '76abfdfb61799e25c6dad882f6d755e0d2191291308b9f7aca26240cc7bee9d0',
+        'b863af7657f6ac8de6c56fa7fb75d8b21d9fb2b8f2d6e3e9c9ffd196df854659',
+        '48feb46f18a4d4ed12ba07b1bff47fea49905094b62c4912ab3568ad2e5bab11',
+        'b3b140cf05c7f6b226857f511b3c8186e885b364390dcd91b098e8eb98fb95db',
+        '192ea6d8ee9a5ae5ba1b6862ea10867a5fa92ed636850878f90cfb79c810750a',
+        'fece5202391fcf9651c3bb9297ba64fb53e32173d8ea82d6ee343c04410f33e3',
+    ),
+    'mrc': (
+        '76abfdfb61799e25c6dad882f6d755e0d2191291308b9f7aca26240cc7bee9d0',
+        'b863af7657f6ac8de6c56fa7fb75d8b21d9fb2b8f2d6e3e9c9ffd196df854659',
+        '6cc74bba0587527455a816e04795849727e996bcfd295de3d15fc4ab2643ba74',
+        '1ebe19e441b371f50c17ae72b2f7f3f9adeb429f0f8348a658bf200466c058d2',
+        'c48bc697860429697374b8082d35fd1c72bd77d2820d45d1dac914d6229a8b04',
+        '670d6755d3ac427650ac8769cffae45033ab8b974fdf6d9d1dfdd376330495ec',
     ),
 }
 
@@ -221,6 +223,21 @@ def test_multi_level_pipeline_artifacts_match_golden_hashes(mode, tmp_path):
     assert main(argv) == 0
     got = tuple(sha256((out / name).read_bytes()) for name in ARTIFACTS)
     assert dict(zip(ARTIFACTS, got)) == dict(zip(ARTIFACTS, MULTI_LEVEL_SHA256[mode]))
+
+
+@pytest.mark.parametrize("mode", sorted(MULTI_LEVEL_DERIVED_CAP_SHA256))
+def test_multi_level_pipeline_at_the_derived_cap_matches_golden_hashes(mode, tmp_path):
+    edges, nodes = planted_block_records()
+    write_edges_tsv(tmp_path / "edges.tsv", edges)
+    write_nodes_jsonl(tmp_path / "nodes.jsonl", nodes)
+    out = tmp_path / "out"
+    argv = ["pipeline", "--edges", str(tmp_path / "edges.tsv"), "--nodes", str(tmp_path / "nodes.jsonl"),
+            "--out", str(out), "--merge-mode", mode]
+    assert main(argv) == 0
+    hobj = json.loads((out / "hierarchy.json").read_text(encoding="utf-8"))
+    assert (hobj["max_cluster_size"], hobj["max_level"]) == (123, 19)
+    got = tuple(sha256((out / name).read_bytes()) for name in ARTIFACTS)
+    assert dict(zip(ARTIFACTS, got)) == dict(zip(ARTIFACTS, MULTI_LEVEL_DERIVED_CAP_SHA256[mode]))
 
 
 @pytest.fixture(scope="module")

@@ -282,6 +282,39 @@ def test_component_labels_on_edge_subsets_match_bfs(data):
     assert _component_labels(n, u, w).tolist() == component_roots_oracle(n, pairs)
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_component_labels_continue_from_given_labels(data):
+    """Labelling a second batch of edges on top of the first's labels gives the labels of both batches."""
+    n = data.draw(st.integers(1, 40))
+    node = st.integers(0, n - 1)
+    pairs = data.draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    cut = data.draw(st.integers(0, len(pairs)))
+    u = np.array([a for a, _ in pairs], dtype=np.int64)
+    w = np.array([b for _, b in pairs], dtype=np.int64)
+    label = _component_labels(n, u[:cut], w[:cut])
+    # Every node an edge touches; the others label themselves.
+    active = data.draw(st.sampled_from([None, np.unique(np.concatenate((u, w)))]))
+    assert _component_labels(n, u[cut:], w[cut:], label, active) is label
+    assert label.tolist() == component_roots_oracle(n, pairs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(edges=edge_lists)
+def test_connectivity_record_agrees_with_a_fresh_labelling(edges):
+    """``is_connected`` reads what ``largest_connected_component`` records, and it matches one labelling."""
+    def labelled(g):
+        return not _component_labels(g.n, *g.edge_arrays()).any()
+
+    g = load_graph(edges, [])
+    assert g._connected is None
+    assert is_connected(g) == labelled(g) == g._connected
+    g = load_graph(edges, [])
+    lcc = largest_connected_component(g)
+    assert g._connected is labelled(g) and is_connected(g) == labelled(g)
+    assert lcc._connected is True and labelled(lcc)
+
+
 #: Pieces of the names in the byte-join tests: ASCII, two- and three-byte
 #: UTF-8, NUL, a newline and a lone surrogate (JSON can escape one), so
 #: that names share prefixes ("a", "a\x00", "ab") and byte lengths.

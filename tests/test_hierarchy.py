@@ -1,6 +1,7 @@
 """Hierarchy construction: worked examples, splitting procedures, invariants."""
 
 import heapq
+import sys
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -14,7 +15,7 @@ from corehier.cores import core_numbers
 from corehier.errors import ConfigError, InputError
 from corehier.fixtures import generate_kg_sparse, three_level_example
 from corehier.fileio import hierarchy_from_json_obj, hierarchy_to_json_obj, json_dumps_stable
-from corehier.graph import largest_connected_component, load_graph
+from corehier.graph import EdgeSpans, graph_from_columns, largest_connected_component, load_graph
 from corehier.hierarchy import (
     Cluster,
     Hierarchy,
@@ -29,6 +30,7 @@ from conftest import (
     check_hierarchy_invariants,
     make_graph,
     node_id,
+    planted_block_records,
     split_component_oracle,
     split_two_hop,
     traced_peak,
@@ -126,6 +128,18 @@ class TestTrivialShapes:
         disconnected = make_graph([("a", "b"), ("c", "d")])
         with pytest.raises(InputError):
             build_hierarchy(disconnected, 4)
+
+
+def test_graphs_without_a_connectivity_record_are_still_checked():
+    """A disconnected graph built from columns carries no record; the builder labels it and rejects it."""
+    g = graph_from_columns(EdgeSpans.encode(["a", "b", "c", "d"]), ["a", "b", "c", "d", "e"], [1] * 5)
+    assert g._connected is None
+    with pytest.raises(InputError, match="must be connected"):
+        build_hierarchy(g, 4)
+    assert g._connected is False
+    assert largest_connected_component(g).n == 2
+    with pytest.raises(InputError, match="must be connected"):
+        build_hierarchy(g, 4)
 
 
 class TestSplitComponent:
@@ -327,6 +341,60 @@ def test_hub_splits_push_a_linear_number_of_keys(monkeypatch):
     pushes.clear()
     check_hierarchy_invariants(g, build_hierarchy(g, 8), 8)
     assert len(pushes) <= 2 * (g.n + 2 * g.m)
+
+
+@st.composite
+def planted_block_graphs(draw):
+    """The largest component of 2-5 seeded dense blocks of 4-14 nodes (max core up to ~12), and a cap in [2, n]."""
+    lo = draw(st.floats(0.1, 0.6))
+    records = planted_block_records(
+        seed=draw(st.integers(0, 2**32 - 1)),
+        blocks=draw(st.integers(2, 5)),
+        size=draw(st.integers(4, 14)),
+        links=draw(st.integers(0, 15)),
+        density=(lo, draw(st.floats(lo, 0.95))),
+    )
+    g = largest_connected_component(load_graph(*records))
+    return g, draw(st.integers(2, max(2, g.n)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(planted_block_graphs())
+def test_core_and_residual_clusters_are_components_on_planted_blocks(case):
+    """Multi-level graphs, every cap: each core and residual cluster is a whole component of its side."""
+    g, cap = case
+    check_hierarchy_invariants(g, build_hierarchy(g, cap), cap)
+
+
+#: Planted blocks with a deep core: 8 blocks of 90 nodes at density 0.2-0.9 (720 nodes, 18,458 edges, max core 73).
+DEEP_CORE_BLOCKS = dict(seed=11, blocks=8, size=90, links=800, density=(0.2, 0.9))
+
+
+@pytest.mark.parametrize("blocks,levels", [({}, 19), (DEEP_CORE_BLOCKS, 73)], ids=["golden-blocks", "deep-core"])
+def test_level_loop_hands_each_edge_to_the_labeller_once(blocks, levels, monkeypatch):
+    """At cap 123, the builder hands at most 2m edge entries to the labeller outside the pooling.
+
+    Counted, not timed. One labelling of the same-core edges inside the
+    level-1 parts gives every residual side, and the top-down sweep adds
+    each other inside edge once, so c = 2. Observed: 1.40m on the golden
+    planted blocks (9,520 edges, 19 levels) and 1.53m on the deep-core
+    blocks. Labelling the edges still inside queued clusters again at every
+    level, and the whole graph once more to check connectivity, read 5.88m
+    and 3.04m.
+    """
+    entries = []
+    labeller = corehier.hierarchy._component_labels
+
+    def counted(n, u, w, *rest):
+        if sys._getframe(1).f_code.co_name != "pool_singletons":
+            entries.append(len(u))
+        return labeller(n, u, w, *rest)
+
+    monkeypatch.setattr(corehier.hierarchy, "_component_labels", counted)
+    g = largest_connected_component(load_graph(*planted_block_records(**blocks)))
+    h = build_hierarchy(g, 123)
+    assert h.max_level == levels
+    assert sum(entries) <= 2 * g.m
 
 
 def test_stranded_pendants_skip_the_grower(monkeypatch):
