@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import stat
 import sys
@@ -48,9 +47,6 @@ DEFAULT_TOKEN_LIMIT = 8000
 DEFAULT_EDGE_FRACTION = 0.8
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_INPUT = 3
-EXIT_VERIFICATION = 4
 
 
 @dataclass
@@ -248,12 +244,7 @@ def _outputs(out_dir: Path | None = None):
 
 def _load_hierarchy(path, g: Graph) -> Hierarchy:
     text = fileio.read_utf8(path, "hierarchy file")
-    try:
-        obj = json.loads(text)
-    except RecursionError:
-        raise InputError(f"{path}: invalid JSON: nested too deeply") from None
-    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
-        raise InputError(f"{path}: invalid JSON: {getattr(exc, 'msg', exc)}") from None
+    obj = fileio.parse_json(text, path)
     del text  # not needed through the rebuild: 3.6 MiB at 58.8k nodes
     try:
         return fileio.hierarchy_from_json_obj(obj, g)
@@ -322,7 +313,7 @@ def cmd_verify_bounds(args) -> int:
     report = verify_sparse_bounds(g, args.d, seed=args.seed)
     with _outputs() as put:
         put(args.out, _write_json, report.to_json_obj())
-    return EXIT_OK if report.all_ok else EXIT_VERIFICATION
+    return EXIT_OK if report.all_ok else VerificationError.exit_code
 
 
 @contextmanager
@@ -484,15 +475,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with _cyclic_gc_paused():
             return args.fn(args)
-    except ConfigError as exc:
+    except CoreHierError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except VerificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -390,6 +390,16 @@ def _clean_node_block(data: np.ndarray) -> tuple[list[str], list[int]] | None:
     return ids, tokens.tolist()
 
 
+def parse_json(text: str, where) -> object:
+    """``json.loads(text)``; invalid JSON raises :class:`InputError` naming ``where``."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise InputError(f"{where}: invalid JSON: nested too deeply") from None
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+        raise InputError(f"{where}: invalid JSON: {getattr(exc, 'msg', exc)}") from None
+
+
 def _read_nodes_by_line(path: Path, text: str, tm: TokenModel) -> tuple[list[str], list[int]]:
     """The columns of :func:`read_nodes_jsonl`, one line of ``text`` (read from ``path``) at a time.
 
@@ -410,12 +420,7 @@ def _read_nodes_by_line(path: Path, text: str, tm: TokenModel) -> tuple[list[str
         except (StopIteration, ValueError, RecursionError):
             end = -1
         if end != len(line):
-            try:
-                obj = json.loads(line)
-            except RecursionError:
-                raise InputError(f"{path}:{lineno}: invalid JSON: nested too deeply") from None
-            except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
-                raise InputError(f"{path}:{lineno}: invalid JSON: {getattr(exc, 'msg', exc)}") from None
+            obj = parse_json(line, f"{path}:{lineno}")
         if not isinstance(obj, dict) or not isinstance(obj.get("id"), str) or not obj["id"]:
             raise InputError(f"{path}:{lineno}: node records need a string 'id'")
         tokens = obj.get("tokens")

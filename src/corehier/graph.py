@@ -241,8 +241,9 @@ def _join(edges: EdgeSpans, ids: list[str]) -> tuple[np.ndarray, list[str]]:
     """Each endpoint's index in ``ids``, which are distinct and in order, and the endpoints naming none.
 
     Returns ``(node, unknown)``: ``unknown`` holds the distinct names that
-    no id matches, in order, and an endpoint naming ``unknown[q]`` gets
-    ``len(ids) + q``. Ids and endpoints are grouped by byte length, so
+    no id matches, ordered by their byte width, then by their bytes (which
+    is their order within one width), and an endpoint naming ``unknown[q]``
+    gets ``len(ids) + q``. Ids and endpoints are grouped by byte length, so
     that within a group every key has the same width (see
     :func:`_fixed_keys`). The ids' keys of each width are in order, since
     an in-order list stays in order when filtered. For ``_CHUNK``
@@ -256,7 +257,8 @@ def _join(edges: EdgeSpans, ids: list[str]) -> tuple[np.ndarray, list[str]]:
     numbered, and only the distinct ones are decoded, one ``str`` each.
     Cost: O(B) to build the keys of B bytes, plus O(e log c) to sort e
     endpoints in chunks of c = ``_CHUNK`` and O(e log n) to search them
-    among n ids, plus a sort of the unknown endpoints and of their names.
+    among n ids, plus O(u log u) to sort the keys of the u unknown
+    endpoints within each width.
     Memory: the result and the ids' keys, plus O(_CHUNK) ints and the keys
     of one chunk's endpoints transient, plus O(u) ints and the keys of the
     u unknown endpoints.
@@ -287,7 +289,7 @@ def _join(edges: EdgeSpans, ids: list[str]) -> tuple[np.ndarray, list[str]]:
             node[part[found]] = ranks[at[found]]
             lost.append(part[~found])
     lost = np.concatenate(lost)
-    names: list[str] = []  # the unknown names, in order within each width
+    names: list[str] = []  # the unknown names, by width, then in order
     for width, part in _by_width(edges.ends[lost] - edges.starts[lost]):
         part = lost[part]
         missing = _fixed_keys(end_bytes, edges.starts[part], width)
@@ -300,14 +302,7 @@ def _join(edges: EdgeSpans, ids: list[str]) -> tuple[np.ndarray, list[str]]:
             edges.data[start:start + width].decode("utf-8", "surrogatepass")
             for start in edges.starts[part[order[fresh]]].tolist()
         )
-    if not names:
-        return node, []
-    order = sorted(range(len(names)), key=names.__getitem__)
-    rank = np.empty(len(names), dtype=np.int64)
-    rank[order] = np.arange(n, n + len(names))
-    tail = node >= n
-    node[tail] = rank[node[tail] - n]
-    return node, list(map(names.__getitem__, order))
+    return node, names
 
 
 def graph_from_columns(edges: EdgeSpans, ids: list[str], tokens: list[int]) -> Graph:
@@ -326,11 +321,13 @@ def graph_from_columns(edges: EdgeSpans, ids: list[str], tokens: list[int]) -> G
     one sort of them (O(n log n) comparisons) when they are not, which also
     finds a repeated id. Then :func:`_join` matches the endpoints to the ids
     by their bytes: no endpoint becomes a ``str`` unless it names no node.
-    Those are numbered after the nodes, and when one sorts before a node
-    id, a sort of the two in-order runs (O(n) comparisons) renumbers every
-    endpoint by array indexing. Then an O(m log m) sort of the encoded keys
-    u * n + w of both edge directions; a key equal to its predecessor is a
-    parallel edge. The sorted keys are the CSR rows in order.
+    When some name no node, one sort of the ids and those names renumbers
+    every endpoint by array indexing. The ids are one in-order run and the
+    names one run per byte width, so for k names of b widths the sort takes
+    O((n + k) log(b + 1)) comparisons. Then an O(m log m) sort of the
+    encoded keys u * n + w of both edge directions; a key equal to its
+    predecessor is a parallel edge. The sorted keys are the CSR rows in
+    order.
     """
     if not all(map(lt, ids, islice(ids, 1, None))):
         order = sorted(range(len(ids)), key=ids.__getitem__)
@@ -344,14 +341,12 @@ def graph_from_columns(edges: EdgeSpans, ids: list[str], tokens: list[int]) -> G
 
     node, unknown = _join(edges, ids)
     if unknown:
-        at = len(ids)
         ids, tokens = ids + unknown, tokens + [0] * len(unknown)
-        if at and ids[at - 1] > ids[at]:
-            order = sorted(range(len(ids)), key=ids.__getitem__)  # two in-order runs: one merge
-            rank = np.empty(len(ids), dtype=np.int64)
-            rank[order] = np.arange(len(ids))
-            node = rank[node]
-            ids, tokens = (list(map(column.__getitem__, order)) for column in (ids, tokens))
+        order = sorted(range(len(ids)), key=ids.__getitem__)  # in-order runs: the ids, then one per width
+        rank = np.empty(len(ids), dtype=np.int64)
+        rank[order] = np.arange(len(ids))
+        node = rank[node]
+        ids, tokens = (list(map(column.__getitem__, order)) for column in (ids, tokens))
     n = len(ids)
 
     u, w = node[0::2], node[1::2]

@@ -252,16 +252,28 @@ def _two_hop_split_parts(g: Graph, pool, max_size: int) -> list[tuple[list[int],
     return out
 
 
-def _runs(keys: np.ndarray, nodes: np.ndarray, ids: list[int]):
-    """Sort ``nodes`` stably by ``keys``; return them, each run's key and its members as ``ids`` entries.
+def _two_hop_groups(g: Graph, nodes: np.ndarray) -> list[list[int]]:
+    """``nodes`` (ascending) grouped by 2-hop reachability in ``g``: each group ascending, as ``g._ids`` entries.
 
-    Runs come in ascending key order. Cost: one O(k log k) sort of the k nodes plus O(k) to cut.
+    Two nodes of ``nodes`` share a group when a chain of steps joins them,
+    each step between two of them that are adjacent or share a neighbour.
+    One labelling of their own CSR rows finds the groups: every node is
+    linked to each of its neighbours, so a chain between two of them
+    passes other nodes only as shared neighbours. Each group is named by
+    its smallest member, and the groups come in the order of their names.
+    Cost: for p nodes with d adjacency entries among the graph's n nodes,
+    O(n + d) array work, the labelling rounds, and one stable sort of p
+    keys below n (see :func:`~corehier.graph._stable_order`).
     """
-    order = np.argsort(keys, kind="stable")
-    keys, nodes = keys[order], nodes[order]
-    heads = np.flatnonzero(np.diff(keys, prepend=keys[:1] - 1)).tolist()
-    members = list(map(ids.__getitem__, nodes.tolist()))
-    return nodes, keys[heads], list(map(members.__getitem__, map(slice, heads, heads[1:] + [len(members)])))
+    nbrs, counts = _gather_rows(g, nodes)
+    root = _component_labels(g.n, np.repeat(nodes, counts), nbrs)[nodes]
+    name = np.full(g.n, g.n)
+    np.minimum.at(name, root, nodes)  # a label may be a neighbour outside nodes
+    keys = name[root]
+    order = _stable_order(keys, g.n)
+    heads = np.flatnonzero(np.diff(keys[order], prepend=-1)).tolist()
+    members = list(map(g._ids.__getitem__, nodes[order].tolist()))
+    return list(map(members.__getitem__, map(slice, heads, heads[1:] + [len(members)])))
 
 
 def _common_ancestor(parent_ids: list[int | None], clusters: dict[int, Cluster]) -> int | None:
@@ -349,11 +361,13 @@ def build_hierarchy(g: Graph, max_cluster_size: int, core: list[int] | None = No
     cluster produced by the splitting paths. Singleton attachment has no
     size bound, and neither has merging
     (:func:`~corehier.merging.merge_small_clusters`), so a leaf may end up
-    well past the cap: on perfbench's ``kg_sparse`` input (58.8k nodes,
-    seed 1) at cap 122, 146 leaves of the built hierarchy are past it, the
-    largest with 175 members.
+    well past the cap.
     ``core`` takes the graph's core numbers when the caller has them
     already (``core_numbers(g).core``); otherwise they are computed here.
+    A graph of one node has no edge, so its node has core 0; the result is
+    one root at level 1 over that node, which is also its one leaf. Every
+    other root, and every core cluster, has members of core at least its
+    level.
 
     Cost: level 1 is one :func:`split_component` of the graph. Then
     :func:`_nested_labels` labels the components of every later level at
@@ -400,30 +414,20 @@ def build_hierarchy(g: Graph, max_cluster_size: int, core: list[int] | None = No
         ``parent_of`` maps each pooled node to the cluster it was split off;
         it is None at level 1, where no pooled node has one. Two pooled
         nodes belong together when they are adjacent or share a neighbor in
-        the full graph. Groups of one go to the global singleton set; larger
-        groups become two-hop clusters, split when oversized. A group
-        identical to an existing cluster is a duplicate: it is not
-        re-created, and the clusters covering its nodes stay leaves.
+        the full graph (see :func:`_two_hop_groups`). Groups of one go to
+        the global singleton set; larger groups become two-hop clusters,
+        split when oversized. A group identical to an existing cluster is a
+        duplicate: it is not re-created, and the clusters covering its
+        nodes stay leaves.
 
-        Each pooled node is linked to its pooled neighbours and to the
-        smallest pooled neighbour of each of its neighbours; one labelling
-        of the links names each group by its smallest member. Cost:
-        O((p + d) log(p + d)) array work for p pooled nodes with d adjacency
-        entries, labelling rounds of O(n + d), and O(1) Python work per group
-        plus, above level 1, a :func:`_common_ancestor` search for its
-        parent; at level 1 the parent is None and nothing is searched.
+        Cost: that of :func:`_two_hop_groups` for p pooled nodes with d
+        adjacency entries, and O(1) Python work per group plus, above level
+        1, a :func:`_common_ancestor` search for its parent; at level 1 the
+        parent is None and nothing is searched.
         """
         if not len(nodes):
             return
-        nbrs, counts = _gather_rows(g, nodes)
-        src = np.repeat(nodes, counts)
-        # Rows come in ascending node order, so a neighbour's first entry
-        # names its smallest pooled neighbour.
-        _, first, entry = np.unique(nbrs, return_index=True, return_inverse=True)
-        adjacent = np.isin(nbrs, nodes, kind="table")  # a lookup table; the default sorts, far slower
-        u, w = np.concatenate((src[adjacent], src)), np.concatenate((nbrs[adjacent], src[first][entry]))
-        root = _component_labels(g.n, u, w)
-        for group in _runs(root[nodes], nodes, all_nodes)[2]:
+        for group in _two_hop_groups(g, nodes):
             if len(group) == 1:
                 global_singletons.add(group[0])
                 continue
@@ -446,6 +450,8 @@ def build_hierarchy(g: Graph, max_cluster_size: int, core: list[int] | None = No
     # Level 1: after preprocessing every node has degree >= 1, so the whole
     # graph is the 1-core and the residual side is empty. Its parts fit the
     # size cap and children are subsets, so later levels never split for size.
+    # A graph of one node has no edge: its node has core 0, and it makes one
+    # root at level 1, which is also the hierarchy's one leaf.
     queue: list[int] = []
     rank_of = np.full(g.n, -1)  # queue position of each node's cluster; -1 outside the queue
     if g.n == 1:
@@ -453,17 +459,16 @@ def build_hierarchy(g: Graph, max_cluster_size: int, core: list[int] | None = No
     else:
         # The parts and the nodes in them end to end; one-member parts go to
         # the pool in one array step, the others become queued roots.
-        parts = [all_nodes] if g.n <= max_cluster_size else split_component(g, all_nodes, max_cluster_size)
-        sizes = np.fromiter(map(len, parts), dtype=np.intp, count=len(parts))
+        parts = split_component(g, all_nodes, max_cluster_size)
+        lengths = np.fromiter(map(len, parts), dtype=np.intp, count=len(parts))
         flat = np.fromiter(itertools.chain.from_iterable(parts), dtype=np.intp, count=g.n)
-        kept = sizes > 1
-        rank_of[flat] = np.repeat(np.where(kept, np.cumsum(kept) - 1, -1), sizes)
+        kept = lengths > 1
+        rank_of[flat] = np.repeat(np.where(kept, np.cumsum(kept) - 1, -1), lengths)
         queue = [new_cluster(part, 1, "root", None).id for part in itertools.compress(parts, kept.tolist())]
-        pool_singletons(1, np.sort(flat[np.cumsum(sizes)[~kept] - 1]), None)
+        pool_singletons(1, np.sort(flat[np.cumsum(lengths)[~kept] - 1]), None)
         del parts, flat
-    # The queued nodes, ascending within each cluster, and each queued cluster's size.
+    # The queued nodes, ascending within each cluster.
     nodes = np.flatnonzero(rank_of >= 0)
-    sizes = np.bincount(rank_of[nodes], minlength=len(queue))
     residual_label, by_level, pos = _nested_labels(g, nodes, rank_of, core_of, top)
     for level in range(2, top + 1):
         # Tag each queued node 2 * queue position + (residual side) and sort
@@ -479,12 +484,15 @@ def build_hierarchy(g: Graph, max_cluster_size: int, core: list[int] | None = No
         heads = np.flatnonzero(np.diff(keys, prepend=-1))
         lengths = np.diff(heads, append=len(nodes))
         tags = keys[heads] // g.n
-        # A run as large as its cluster leaves the cluster whole. All core,
-        # the cluster survives at this level: the would-be duplicate child
-        # collapses and the cluster records the deeper level. All residual
-        # (a uniform shell), it simply stays a leaf. Only the other runs
-        # need their members.
-        whole = lengths == sizes[tags >> 1]
+        # A run that is its cluster's only run leaves the cluster whole. All
+        # core, the cluster survives at this level: the would-be duplicate
+        # child collapses and the cluster records the deeper level. All
+        # residual (a uniform shell), it simply stays a leaf. Only the other
+        # runs need their members. first[i]: run i starts its cluster (and
+        # first[-1], past the last run, is set), so run i is whole when run
+        # i + 1 starts the next cluster.
+        first = np.diff(tags >> 1, prepend=-1, append=len(queue)) != 0
+        whole = first[:-1] & first[1:]
         members = list(map(all_nodes.__getitem__, nodes[np.repeat(~whole, lengths)].tolist()))
         next_queue: list[int] = []
         pooled: list[tuple[int, int]] = []
@@ -506,7 +514,6 @@ def build_hierarchy(g: Graph, max_cluster_size: int, core: list[int] | None = No
                     next_queue.append(cluster.id)
         requeued = ((tags & 1) == 0) & (lengths > 1)
         rank_of[nodes] = np.repeat(np.where(requeued, np.cumsum(requeued) - 1, -1), lengths)
-        sizes = lengths[requeued]
         # A split cluster whose members all went to the pool is interior
         # bookkeeping unless the pool hands it back.
         dissolved.update(cid for _, cid in pooled if not clusters[cid].children)
@@ -514,7 +521,7 @@ def build_hierarchy(g: Graph, max_cluster_size: int, core: list[int] | None = No
         pool_singletons(level, np.array(sorted(parent_of), dtype=np.intp), parent_of)
         nodes = nodes[rank_of[nodes] >= 0]
         queue = next_queue
-    del nodes, rank_of, sizes, residual_label, by_level, pos
+    del nodes, rank_of, residual_label, by_level, pos
 
     hierarchy = Hierarchy(
         clusters=clusters,

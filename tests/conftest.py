@@ -194,6 +194,28 @@ def two_hop_split_parts_oracle(g: Graph, pool, max_size: int) -> list[tuple[list
         out.append((grown, qualifying))
     return out
 
+
+def two_hop_groups_oracle(g: Graph, nodes) -> list[list[int]]:
+    """``_two_hop_groups`` by BFS: ``nodes`` grouped under "adjacent or share a neighbour", by smallest member."""
+    adj = adjacency(g)
+    pooled = set(nodes)
+    groups: list[list[int]] = []
+    seen: set[int] = set()
+    for start in sorted(pooled):
+        if start in seen:
+            continue
+        group, queue = {start}, deque([start])
+        while queue:
+            u = queue.popleft()
+            near = set(adj[u]).union(*(adj[w] for w in adj[u]))
+            for v in (near & pooled) - group:
+                group.add(v)
+                queue.append(v)
+        seen |= group
+        groups.append(sorted(group))
+    return groups
+
+
 def traced_peak(fn, *args):
     """``(fn(*args), peak)``: the tracemalloc peak of the call, in bytes above what it began with.
 
@@ -574,15 +596,22 @@ def _connected_within(adj: list[list[int]], nodes: set[int]) -> bool:
 def check_hierarchy_invariants(g: Graph, h: Hierarchy, max_size: int) -> None:
     """Structural invariants every finished hierarchy must satisfy.
 
-    Size and nesting checks exclude attached singletons and shared anchors:
-    attachment is allowed to overflow the cap, and anchors belong to other
-    clusters by design. A core or residual cluster's base is a component of
-    its side of the parent's base: connected, and closed under adjacency
-    within the parent's base nodes of core >= its level (core) or below it
-    (residual).
+    Every root and core cluster has members of core at least its level,
+    except in a graph of one node, whose one root sits at level 1 over a
+    node of core 0. Size and nesting checks exclude attached singletons and
+    shared anchors: attachment is allowed to overflow the cap, and anchors
+    belong to other clusters by design. A core or residual cluster's base
+    is a component of its side of the parent's base: connected, and closed
+    under adjacency within the parent's base nodes of core >= its level
+    (core) or below it (residual).
     """
     core = core_numbers(g).core
     adj = adjacency(g)
+    if g.n == 1:
+        # No edge, so core 0: the node makes one root at level 1, which is the one leaf.
+        assert core == [0]
+        assert [(c.kind, c.level, c.members) for c in h.clusters.values()] == [("root", 1, [0])]
+        assert h.leaf_ids == set(h.clusters)
     attached_to: dict[int, set[int]] = {}
     for v, cid in h.attached_singletons.items():
         attached_to.setdefault(cid, set()).add(v)
@@ -596,7 +625,7 @@ def check_hierarchy_invariants(g: Graph, h: Hierarchy, max_size: int) -> None:
         if c.kind != "root":
             assert len(base) <= max_size, f"cluster {c.id} exceeds the size cap"
         if c.kind in ("root", "core"):
-            assert min(core[v] for v in base) >= c.level
+            assert g.n == 1 or min(core[v] for v in base) >= c.level
             assert _connected_within(adj, base), f"core cluster {c.id} is disconnected"
         if c.kind == "residual":
             assert max(core[v] for v in base) < c.level

@@ -51,9 +51,10 @@ def run(*argv):
 def test_pipeline_labels_the_full_edge_set_once(tmp_path, monkeypatch):
     """The component labelling of the whole graph runs once, in ``largest_connected_component``.
 
-    Counted through both modules' references to the labeller, leaving out
-    the per-level pooling; ``build_hierarchy`` reads the connectivity
-    record instead of labelling the component again.
+    Counted through both modules' references to the labeller; the
+    per-level pooling hands over only the pooled nodes' rows, fewer than m
+    entries. ``build_hierarchy`` reads the connectivity record instead of
+    labelling the component again.
     """
     edges, nodes = generate_kg_sparse(2000, seed=1)
     write_edges_tsv(tmp_path / "edges.tsv", edges)
@@ -63,8 +64,7 @@ def test_pipeline_labels_the_full_edge_set_once(tmp_path, monkeypatch):
     sizes = []
 
     def counted(n, u, w, *rest):
-        if sys._getframe(1).f_code.co_name != "pool_singletons":
-            sizes.append(len(u))
+        sizes.append(len(u))
         return labeller(n, u, w, *rest)
 
     monkeypatch.setattr(graph_module, "_component_labels", counted)

@@ -394,6 +394,15 @@ def clean_record(ext: str, label: str, count: int) -> str:
 RECORDS = "".join(clean_record(f"n{i:0{1 + i % 4}d}", "entity " * (i % 3), i * 7) for i in range(12))
 
 
+def test_twenty_quotes_on_two_lines_not_ten_each_leave_the_bulk_path(tmp_path):
+    """Ten quotes per line on average is not ten on each line: the line reader takes the file."""
+    text = '{"id": "a", "label": "b", "tokens": 1, "x": "y"}\n{"id": "c", "tokens": 2}\n'
+    assert _clean_node_columns(text.encode("utf-8")) is None
+    p = tmp_path / "nodes.jsonl"
+    write_exact(p, text)
+    assert read_nodes_jsonl(p) == (["a", "c"], [1, 2])
+
+
 @pytest.mark.parametrize("block", [1, 16, 64, 200])
 @pytest.mark.parametrize(
     "text,bulk",
@@ -494,6 +503,13 @@ class TestHierarchyJson:
                 c.parent,
             )
             assert sorted(rc.children) == sorted(c.children)
+
+    def test_unknown_attached_singleton_rejected(self):
+        g, h = self.build()
+        obj = hierarchy_to_json_obj(h, g)
+        obj["attached_singletons"] = {"zzz": h.roots[0]}
+        with pytest.raises(InputError, match=r"^attached_singletons: unknown node 'zzz'$"):
+            hierarchy_from_json_obj(obj, g)
 
     def test_members_out_of_order_and_repeated_read_back_sorted(self):
         """A hand-written cluster whose members are shuffled and repeated reads back as the written one does."""

@@ -109,6 +109,12 @@ def test_zero_nodes_rejected():
         load_graph([], [])
 
 
+@pytest.mark.parametrize("indptr,tokens", [([0, 0], [0, 0]), ([0], [0, 0]), ([0, 0, 0], [0])])
+def test_graph_columns_of_the_wrong_length_rejected(indptr, tokens):
+    with pytest.raises(InputError, match=r"^adjacency and metadata lengths differ$"):
+        Graph(indptr, [], ["a", "b"], tokens)
+
+
 def test_negative_tokens_rejected():
     with pytest.raises(InputError):
         NodeMeta("a", token_count=-1)
@@ -393,9 +399,10 @@ def test_byte_join_matches_the_oracle_from_files(tmp_path_factory, records, eol)
 
 
 def join_oracle(names: list[str], ids: list[str]) -> tuple[list[int], list[str]]:
-    """``_join`` by dict: each endpoint's index in ``ids``, unknown names numbered after them in sorted order."""
+    """``_join`` by dict: each endpoint's index in ``ids``, unknown names numbered after them by UTF-8 width, then bytes."""
     index = {ext: i for i, ext in enumerate(ids)}
-    unknown = sorted(set(names) - index.keys())
+    utf8 = {name: name.encode("utf-8", "surrogatepass") for name in set(names) - index.keys()}
+    unknown = sorted(utf8, key=lambda name: (len(utf8[name]), utf8[name]))
     index.update((ext, len(ids) + q) for q, ext in enumerate(unknown))
     return [index[name] for name in names], unknown
 

@@ -84,6 +84,13 @@ class TestModularityValues:
         with pytest.raises(InputError):
             modularity(g, Partition((0, 1)))
 
+    def test_partition_of_the_wrong_length_rejected(self):
+        with pytest.raises(InputError, match=r"^partition must cover exactly the graph's nodes$"):
+            modularity(two_triangles(), Partition((0, 0, 0, 1, 1)))
+
+    def test_move_to_the_own_community_changes_nothing(self):
+        assert move_delta(two_triangles(), Partition((0, 0, 0, 1, 1, 1)), 4, 1) == 0.0
+
 
 class TestSensitivity:
     def test_single_edge_split_off(self):
@@ -147,6 +154,12 @@ class TestEnumeration:
         rows = all_partition_assignments(n)
         assert len(rows) == BELL[n]
         assert len({tuple(r) for r in rows.tolist()}) == BELL[n]
+
+    def test_assignments_need_one_to_twelve_nodes(self):
+        with pytest.raises(ConfigError, match=r"^need at least one node to enumerate partitions$"):
+            all_partition_assignments(0)
+        with pytest.raises(InputError, match=r"^exhaustive enumeration supports n <= 12, got 13$"):
+            all_partition_assignments(13)
 
     def test_fast_rows_match_reference_generator(self):
         for n in range(1, 10):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corehier.errors import ConfigError
+from corehier.errors import ConfigError, InputError
 from corehier.fixtures import generate_kg_sparse
 from corehier.graph import Graph, NodeMeta, load_graph
 from corehier.hierarchy import Cluster, Hierarchy, build_hierarchy
@@ -430,3 +430,19 @@ def test_sample_peak_is_a_small_multiple_of_its_picks():
     columns = sum(c.nbytes for c in (result.sources, result.targets, result.communities, result.costs))
     assert columns == 24 * len(result.sources)
     assert peak <= 3.5 * columns, f"peak {peak} B is {peak / columns:.2f} x the {columns} B of pick columns"
+
+
+def test_derived_cap_needs_a_positive_token_limit():
+    with pytest.raises(ConfigError, match=r"^token limit must be positive$"):
+        derive_max_cluster_size(0, make_graph([("a", "b")], tokens={"a": 5, "b": 5}))
+
+
+def test_edge_fraction_budget_rejects_a_negative_overhead():
+    with pytest.raises(ConfigError, match=r"^edge overhead must be >= 0$"):
+        budget_from_edge_fraction(make_graph([("a", "b")]), 1.0, overhead=-1)
+
+
+def test_sample_of_a_hierarchy_without_clusters_is_rejected():
+    h = Hierarchy(clusters={}, roots=[], attached_singletons={}, max_level=0, max_cluster_size=2)
+    with pytest.raises(InputError, match=r"^hierarchy has no clusters$"):
+        round_robin_sample(h, make_graph([("a", "b")]), 10)

@@ -96,6 +96,12 @@ class TestCoverage:
         with pytest.raises(InputError):
             community_stats(h, "LF", g)
 
+    def test_token_limit_must_be_positive(self):
+        g = largest_connected_component(make_graph([("a", "b")], tokens={"a": 5, "b": 5}))
+        h = build_hierarchy(g, 10)
+        with pytest.raises(ConfigError, match=r"^token limit must be positive$"):
+            community_stats(h, "LF", g, token_limit=0)
+
     def test_histogram_counts_sizes(self):
         g, h = build_three_level()
         stats = community_stats(h, "LF", g)
