@@ -30,9 +30,9 @@ The large artifacts are streamed: :func:`write_decomposition_json` and
 :func:`write_hierarchy_json` write to an open text file piece by piece
 (one cluster or one map entry at a time), and produce exactly the bytes
 of :func:`json_dumps_stable` on the matching object
-(:func:`hierarchy_to_json_obj` for a hierarchy). They sort each id list as
-strings, as those functions do, escape each id once with the C function
-``json.dumps`` uses, and hold at most one cluster's text in memory.
+(:func:`hierarchy_to_json_obj` for a hierarchy). They write ids in node
+order, which is their string order, escape each id once with the C
+function ``json.dumps`` uses, and hold at most one cluster's text.
 Building the object and encoding it with ``indent=2`` instead runs the
 pure-Python encoder and holds every piece of the document at once: at
 58.8k nodes a hierarchy took 0.55 s that way against 0.14 s streamed, and
@@ -54,7 +54,7 @@ from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote
 from operator import lt
 from pathlib import Path
-from typing import TextIO
+from typing import Iterator, TextIO
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -109,26 +109,36 @@ def read_utf8(path: str | Path, what: str) -> str:
     return _decode(_read_bytes(path, what), path)
 
 
-def _check_utf8(raw: bytes, path: str | Path) -> None:
-    """Raise InputError as ``_decode`` does if ``raw`` is not UTF-8, holding no more than one block's text.
+def _line_blocks(raw: bytes) -> Iterator[memoryview]:
+    """``raw`` cut into consecutive blocks, as views that copy nothing.
 
-    An ASCII ``raw`` passes at once. Any other is decoded in blocks, each
-    ending at the first newline ``_NODE_BLOCK`` bytes or more past its
-    start; no multi-byte character holds a newline byte, so no cut splits
-    one. At the first bad block, ``_decode`` decodes the whole file for
-    the ``path:line`` message. O(len(raw)).
+    Each block ends at the first line end ``_NODE_BLOCK`` bytes or more
+    past its start, or at the end of ``raw``, so a line longer than a
+    block makes a block of its own. No multi-byte UTF-8 character holds a
+    newline byte, so no cut splits one.
     """
-    if raw.isascii():
-        return
     view = memoryview(raw)
     start = 0
     while start < len(raw):
         end = raw.find(b"\n", start + _NODE_BLOCK - 1) + 1 or len(raw)
+        yield view[start:end]
+        start = end
+
+
+def _check_utf8(raw: bytes, path: str | Path) -> None:
+    """Raise InputError as ``_decode`` does if ``raw`` is not UTF-8, holding no more than one block's text.
+
+    An ASCII ``raw`` passes at once. Any other is decoded one block of
+    ``_line_blocks`` at a time. At the first bad block, ``_decode`` decodes
+    the whole file for the ``path:line`` message. O(len(raw)).
+    """
+    if raw.isascii():
+        return
+    for block in _line_blocks(raw):
         try:
-            str(view[start:end], "utf-8")
+            str(block, "utf-8")
         except UnicodeDecodeError:
             _decode(raw, path)
-        start = end
 
 
 #: The line breaks ``str.splitlines`` honours besides "\n": six ASCII bytes
@@ -171,9 +181,8 @@ _ID_OPEN = np.frombuffer(b'{"id": "', dtype=np.uint8)
 _LABEL_OPEN = np.frombuffer(b'", "label": "', dtype=np.uint8)
 _TOKENS_OPEN = np.frombuffer(b'", "tokens": ', dtype=np.uint8)
 
-#: The fewest bytes of a node file that :func:`_clean_node_columns` parses
-#: per step, and of any file that :func:`_check_utf8` decodes per step (a
-#: step runs on to the next line end); it bounds the transient arrays.
+#: The fewest bytes of a block of :func:`_line_blocks`, the unit in which
+#: files are decoded and node files parsed; it bounds the transient arrays.
 _NODE_BLOCK = 1 << 18
 
 
@@ -307,26 +316,20 @@ def _clean_node_columns(raw: bytes) -> tuple[list[str], list[int]] | None:
     byte that no clean record holds (one ``bytes.translate`` over a
     256-byte table, which copies only such bytes) or a multi-byte line
     break (searched for only when ``raw`` is not ASCII), or if a line is
-    not a clean record. The lines are parsed in blocks (see
-    ``_clean_node_block``), each ending at the first line end
-    ``_NODE_BLOCK`` bytes or more past its start, so no transient array
-    grows with the file; a line longer than a block makes a block of its
-    own.
+    not a clean record. The lines are parsed one block of ``_line_blocks``
+    at a time (see ``_clean_node_block``), so no transient array grows
+    with the file.
     """
     if raw.translate(None, _NODE_TEXT) or (not raw.isascii() and any(brk in raw for brk in _WIDE_BREAKS)):
         return None
     ids: list[str] = []
     counts: list[int] = []
-    view = memoryview(raw)
-    start = 0
-    while start < len(raw):
-        end = raw.find(b"\n", start + _NODE_BLOCK - 1) + 1 or len(raw)
-        block = _clean_node_block(np.frombuffer(view[start:end], dtype=np.uint8))
-        if block is None:
+    for block in _line_blocks(raw):
+        columns = _clean_node_block(np.frombuffer(block, dtype=np.uint8))
+        if columns is None:
             return None
-        ids += block[0]
-        counts += block[1]
-        start = end
+        ids += columns[0]
+        counts += columns[1]
     return ids, counts
 
 
@@ -475,14 +478,13 @@ def write_decomposition_json(out: TextIO, dec: CoreDecomposition, g: Graph) -> N
     """Write ``{"cores": {external id: core number}, "max_core": …}`` to ``out``.
 
     The bytes are those of :func:`json_dumps_stable` on that object, written
-    one node at a time in external-id order.
+    one node at a time in node order, which is external-id order (see
+    :class:`~corehier.graph.Graph`).
     """
-    ext = g.external_ids
-    core = dec.core
     out.write('{\n  "cores": {')
     sep = "\n    "
-    for v in sorted(range(len(ext)), key=ext.__getitem__):
-        out.write(f"{sep}{_quote(ext[v])}: {core[v]}")
+    for name, k in zip(g.external_ids, dec.core):
+        out.write(f"{sep}{_quote(name)}: {k}")
         sep = ",\n    "
     out.write(f'\n  }},\n  "max_core": {dec.max_core}\n}}\n')
 
@@ -490,29 +492,27 @@ def write_decomposition_json(out: TextIO, dec: CoreDecomposition, g: Graph) -> N
 def write_hierarchy_json(out: TextIO, h: Hierarchy, g: Graph) -> None:
     """Write ``json_dumps_stable(hierarchy_to_json_obj(h, g))`` to ``out``, one cluster at a time.
 
-    Member and anchor ids are sorted as strings per cluster, exactly as
-    :func:`hierarchy_to_json_obj` sorts them, so the order holds whatever
-    the internal numbering. Cost: one string sort and one quoted name per
-    member or anchor entry, O(1) per cluster besides; an empty list is
-    written as ``[]`` without building one, and each kind is quoted once.
+    Names are written in node order, the string order that function sorts
+    them in (see :class:`~corehier.graph.Graph`): members in their list
+    order, anchors and attached singletons sorted by node id. Cost: one
+    quoted name per member or anchor entry and an int sort of the anchors,
+    O(1) per cluster besides; an empty list is written as ``[]``, and each
+    kind is quoted once.
     """
     ext = g.external_ids
     leaf_ids = h.leaf_ids
     kinds = {kind: _quote(kind) for kind in CLUSTER_KINDS}
-    attached = [
-        f"{_quote(name)}: {cid}"
-        for name, cid in sorted((ext[v], cid) for v, cid in h.attached_singletons.items())
-    ]
+    attached = [f"{_quote(ext[v])}: {cid}" for v, cid in sorted(h.attached_singletons.items())]
     out.write(f'{{\n  "attached_singletons": {_json_block(attached, "    ", "{}")},\n  "clusters": [')
     entry = ",\n        "
 
-    def names(nodes) -> str:  # _json_block of the nodes' quoted names in string order, at a cluster field's depth
-        return f"[\n        {entry.join(map(_quote, sorted(map(ext.__getitem__, nodes))))}\n      ]" if nodes else "[]"
+    def names(nodes) -> str:  # _json_block of the quoted names of nodes, ascending, at a cluster field's depth
+        return f"[\n        {entry.join(map(_quote, map(ext.__getitem__, nodes)))}\n      ]" if nodes else "[]"
 
     sep = "\n    "
     for cid in sorted(h.clusters):
         c = h.clusters[cid]
-        members, anchors = names(c.members), names(c.anchors)
+        members, anchors = names(c.members), names(sorted(c.anchors))
         out.write(
             f'{sep}{{\n      "anchors": {anchors},\n      "id": {c.id},\n'
             f'      "kind": {kinds[c.kind]},\n      "leaf": {"true" if cid in leaf_ids else "false"},\n'

@@ -44,10 +44,12 @@ class Graph:
     ``indices`` int32 holding every edge twice). Internal ids are assigned
     in lexicographic order of external ids, so identical inputs always
     produce identical numbering; every deterministic tie-break downstream
-    relies on that ordering. The arrays describe a simple graph: no
-    neighbour list holds its own node or a node twice, so ``m`` is half the
-    entries and a node's degree is its row length. A graph with no nodes
-    is rejected with :class:`InputError`.
+    relies on that ordering, and the writers write in it. The constructor
+    checks it: an id out of order or repeated raises :class:`InputError`
+    naming the first such pair (O(n) comparisons), and so does a graph
+    with no nodes. The arrays describe a simple graph: no neighbour list
+    holds its own node or a node twice, so ``m`` is half the entries and a
+    node's degree is its row length.
 
     Node metadata is kept as two lists indexed by id: ``external_ids`` and
     ``tokens``, the token counts. The graph keeps the lists it is given;
@@ -91,6 +93,9 @@ class Graph:
             raise InputError("empty input: no nodes")
         if not (len(self.indptr) == n + 1 and len(tokens) == n):
             raise InputError("adjacency and metadata lengths differ")
+        if not all(map(lt, external_ids, islice(external_ids, 1, None))):
+            raise InputError("node ids must be strictly ascending: {!r} before {!r}".format(
+                *next(pair for pair in zip(external_ids, external_ids[1:]) if not lt(*pair))))
         self.external_ids, self.tokens = external_ids, tokens
         self._ranking = self._connected = None
         self.m = len(self.indices) // 2
@@ -429,8 +434,9 @@ def largest_connected_component(g: Graph) -> Graph:
     """Induced subgraph on the largest component: connected, simple, with n >= 1.
 
     Size ties go to the component containing the smallest external id, which
-    is the component with the smallest internal id because ids are assigned
-    lexicographically. Ids are re-densified preserving relative order. A
+    is the component with the smallest internal id because a graph's ids
+    are ascending (see :class:`Graph`). Ids are re-densified preserving
+    relative order, so the result's ids are ascending too. A
     connected graph is returned as is. Otherwise the component's rows are
     copied out of the arrays and renumbered, and its entries of the node
     columns are copied. The result is recorded as connected, and the input

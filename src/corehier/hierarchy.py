@@ -262,11 +262,13 @@ def _two_hop_groups(g: Graph, nodes: np.ndarray) -> list[list[int]]:
     passes other nodes only as shared neighbours. Each group is named by
     its smallest member, and the groups come in the order of their names.
     Cost: for p nodes with d adjacency entries among the graph's n nodes,
-    O(n + d) array work, the labelling rounds, and one stable sort of p
-    keys below n (see :func:`~corehier.graph._stable_order`).
+    two O(n) array fills (the labels and the names), the labelling rounds,
+    which pointer-jump only the p + d row entries (O(p + d) per round), and
+    one stable sort of p keys below n (see
+    :func:`~corehier.graph._stable_order`).
     """
     nbrs, counts = _gather_rows(g, nodes)
-    root = _component_labels(g.n, np.repeat(nodes, counts), nbrs)[nodes]
+    root = _component_labels(g.n, np.repeat(nodes, counts), nbrs, None, np.concatenate((nodes, nbrs)))[nodes]
     name = np.full(g.n, g.n)
     np.minimum.at(name, root, nodes)  # a label may be a neighbour outside nodes
     keys = name[root]
@@ -436,10 +438,7 @@ def build_hierarchy(g: Graph, max_cluster_size: int, core: list[int] | None = No
                 if parent is not None and group == clusters[parent].members:
                     # Duplicate of an existing cluster: collapse. The origin
                     # clusters (necessarily childless) keep covering the nodes.
-                    for v in group:
-                        origin = parent_of[v]
-                        if origin is not None:
-                            dissolved.discard(origin)
+                    dissolved.difference_update(map(parent_of.__getitem__, group))
                     continue
                 new_cluster(group, level, "two_hop", parent)
             else:

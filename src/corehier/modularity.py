@@ -339,11 +339,6 @@ def degeneracy_thresholds(g: Graph, d: int) -> tuple[float, float]:
     """
     _check_options(d)
     _check_graph(g)
-    return _thresholds(g, d)
-
-
-def _thresholds(g: Graph, d: int) -> tuple[float, float]:
-    """:func:`degeneracy_thresholds` of a checked graph and cutoff."""
     kbar = g.avg_degree
     statement = d * (2.0 + kbar) / (2.0 * g.m)
     proof = d * (2.0 + kbar) / ((d + 1) * kbar) + d * d / ((d + 1) ** 2 * kbar * kbar)
@@ -376,7 +371,7 @@ def _degeneracy_reports(g: Graph, epsilons: Sequence[float], d: int) -> list[Deg
     q_values = _partition_q(g)
     q_star = float(q_values.max())
     n_le_d = sum(1 for k in g.degrees if k <= d)
-    statement, proof = _thresholds(g, d)
+    statement, proof = degeneracy_thresholds(g, d)
     return [
         DegeneracyReport(
             d=d,
@@ -511,7 +506,7 @@ def verify_sparse_bounds(g: Graph, d: int, seed: int = 0) -> SparseBoundsReport:
     """
     _check_options(d, seed=seed)
     _check_graph(g)
-    statement, proof_eps = _thresholds(g, d)
+    statement, proof_eps = degeneracy_thresholds(g, d)
     if proof_eps > 0:
         report, at_statement = _degeneracy_reports(g, [proof_eps, statement], d)
         statement_count = at_statement.degenerate_count

@@ -7,6 +7,10 @@ and CHANGES.md records it.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -267,6 +271,19 @@ def test_kg6000_golden_hashes_hold_across_sample_chunk_seams(mode, cap, kg6000_f
     monkeypatch.setattr(fileio, "_SAMPLE_CHUNK", 300)
     test_kg6000_pipeline_artifacts_match_golden_hashes(mode, cap, kg6000_files, tmp_path)
     assert len((tmp_path / "out" / "sample.tsv").read_text(encoding="utf-8").splitlines()) > 4 * 300
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "12345"])
+def test_kg6000_golden_hashes_hold_under_any_hash_seed(hash_seed, kg6000_files, tmp_path):
+    """The pinned m2hc hashes from a fresh interpreter per hash seed: no artifact depends on ``str`` hashing."""
+    out = tmp_path / "out"
+    argv = ["pipeline", "--edges", str(kg6000_files / "edges.tsv"), "--nodes", str(kg6000_files / "nodes.jsonl"),
+            "--out", str(out), "--merge-mode", "m2hc"]
+    env = {**os.environ, "PYTHONPATH": str(Path(fileio.__file__).resolve().parents[1]), "PYTHONHASHSEED": hash_seed}
+    proc = subprocess.run([sys.executable, "-m", "corehier.cli", *argv], env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+    got = tuple(sha256((out / name).read_bytes()) for name in ARTIFACTS)
+    assert dict(zip(ARTIFACTS, got)) == dict(zip(ARTIFACTS, KG6000_SHA256["m2hc", None]))
 
 
 def test_costs_past_int64_are_exact(tmp_path):

@@ -159,6 +159,17 @@ def test_graph_without_nodes_rejected():
         Graph([0], [], [], [])
 
 
+@pytest.mark.parametrize(
+    "ids,pair",
+    [(["b", "a"], "'b' before 'a'"), (["a", "a"], "'a' before 'a'"), (["a", "c", "b", "b"], "'c' before 'b'")],
+    ids=["out-of-order", "repeated", "first-pair-named"],
+)
+def test_graph_rejects_ids_out_of_order_or_repeated(ids, pair):
+    """The node order is the constructor's to check: the message names the first pair not strictly ascending."""
+    with pytest.raises(InputError, match=rf"^node ids must be strictly ascending: {pair}$"):
+        Graph([0] * (len(ids) + 1), [], ids, [0] * len(ids))
+
+
 edge_lists = st.lists(
     st.tuples(st.integers(0, 14), st.integers(0, 14)).map(
         lambda t: (f"n{t[0]:02d}", f"n{t[1]:02d}")
@@ -454,3 +465,34 @@ def test_long_ids_join_by_their_bytes():
     assert g.external_ids == ["a", "b", long, long + "\x00", long + "y"]
     assert g.tokens == [0, 0, 7, 0, 0]
     assert csr_rows(g) == [[2], [4], [0, 3], [2], [1]]
+
+
+#: Pieces of 1 to 4 UTF-8 bytes: ASCII, a NUL, 2- and 3-byte letters, a lone surrogate, an astral character.
+ORDER_PIECES = ID_PIECES + ["\U0001f600"]
+
+
+def strictly_ascending(ids: list[str]) -> bool:
+    return all(a < b for a, b in zip(ids, ids[1:]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_every_builder_returns_strictly_ascending_ids(data):
+    """``load_graph`` (so ``graph_from_columns``) with unknown endpoints, and the LCC of a disconnected graph.
+
+    Node records come in any order, and endpoints that name no node have
+    one to twelve UTF-8 bytes. Four astral characters make names no draw
+    repeats: an isolated node and one extra edge, so the graph has at
+    least two components.
+    """
+    names = data.draw(st.lists(_names(ORDER_PIECES), min_size=1, max_size=10, unique=True))
+    known = data.draw(st.permutations(names))[: data.draw(st.integers(0, len(names)))]
+    pair = st.tuples(st.sampled_from(names), st.sampled_from(names))
+    far = "\U0001f600" * 4
+    edges = data.draw(st.lists(pair, max_size=12)) + [(far + "a", far + "b")]
+    nodes = [NodeMeta(ext, token_count=i) for i, ext in enumerate(known + [far])]
+    expected = sorted({far, *known}.union(*edges))
+    g = load_graph(edges, nodes)
+    assert strictly_ascending(g.external_ids) and g.external_ids == expected
+    lcc = largest_connected_component(g)
+    assert strictly_ascending(lcc.external_ids) and set(lcc.external_ids) < set(expected)

@@ -283,6 +283,24 @@ def test_two_hop_groups_join_a_hubs_pendants_and_adjacent_nodes():
     assert groups == [["a", "b"], ["e"], ["p0", "p1", "p2"]]
 
 
+def test_two_hop_groups_jump_only_the_pooled_rows(monkeypatch):
+    """Five pooled pendants of a 2,000-node graph: the labeller jumps their p + d row entries, not all n nodes."""
+    g = largest_connected_component(load_graph(*generate_kg_sparse(2000, seed=1)))
+    nodes = np.flatnonzero(np.array(g.degrees) == 1)[:5]
+    bound = len(nodes) + int(np.array(g.degrees)[nodes].sum())
+    labeller = corehier.hierarchy._component_labels
+    active = []
+
+    def counted(n, u, w, label=None, rows=None):
+        active.append(rows)
+        return labeller(n, u, w, label, rows)
+
+    monkeypatch.setattr(corehier.hierarchy, "_component_labels", counted)
+    groups = _two_hop_groups(g, nodes)
+    assert groups == two_hop_groups_oracle(g, set(nodes.tolist()))
+    assert len(active) == 1 and active[0] is not None and len(active[0]) <= bound < g.n
+
+
 def hub_graph():
     """Hubs a, b, c with six pendants each; ab0 and ab1 hang off a and b, bc off b and c."""
     edges = [(hub, f"{hub}{i}") for hub in "abc" for i in range(6)]
