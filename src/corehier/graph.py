@@ -47,9 +47,11 @@ class Graph:
     relies on that ordering, and the writers write in it. The constructor
     checks it: an id out of order or repeated raises :class:`InputError`
     naming the first such pair (O(n) comparisons), and so does a graph
-    with no nodes. The arrays describe a simple graph: no neighbour list
-    holds its own node or a node twice, so ``m`` is half the entries and a
-    node's degree is its row length.
+    with no nodes or arrays of the wrong lengths. Nothing else is checked:
+    the rows must be simple and symmetric (no row holds its own node or a
+    node twice; w is in v's row iff v is in w's), so ``m`` is half the
+    entries and a node's degree is its row length, and every token count
+    must be >= 0. Every builder in the package guarantees both.
 
     Node metadata is kept as two lists indexed by id: ``external_ids`` and
     ``tokens``, the token counts. The graph keeps the lists it is given;

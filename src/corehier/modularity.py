@@ -1,7 +1,7 @@
 """Exact modularity, node-move sensitivity, and degeneracy enumeration.
 
 Everything here runs in double precision; at the enumeration scale allowed
-(n <= 12, so 2m <= a few dozen) values stay well conditioned and agree with
+(n <= 12, so 2m <= 132) values stay well conditioned and agree with
 exact rationals to far better than the 1e-12 tolerance used by the tests.
 """
 
@@ -22,8 +22,8 @@ NEW_COMMUNITY = -1
 #: Exhaustive enumeration cap; Bell(12) ~ 4.2M partitions.
 MAX_ENUMERATION_NODES = 12
 
-#: Most rows in one enumeration block. A block and its Q temporaries then
-#: take about 1.5 MB, while the per-block call overhead stays small: at
+#: Most rows in one enumeration block. A block and its temporaries then
+#: take about 1.7 MB, while the per-block call overhead stays small: at
 #: n = 12 the enumeration streams 133 blocks built on 8-label prefixes.
 _BLOCK_ROWS = 1 << 15
 
@@ -212,8 +212,8 @@ def _fill_completions(rows: np.ndarray, first: int, tops: np.ndarray, tails: np.
     rows has exactly their ``tails[tops, width - first]`` rows in total.
     Column i is the last label of every distinct length-(i + 1) prefix,
     each repeated over its completions, so each column is written in one
-    integer pass; the last pass briefly holds two int64 vectors of
-    len(rows) entries.
+    integer pass. The last column is written as computed, since every
+    prefix there is a whole row; that pass briefly holds two int64 vectors.
     """
     width = rows.shape[1]
     maxes = tops  # largest label of each distinct prefix
@@ -221,6 +221,9 @@ def _fill_completions(rows: np.ndarray, first: int, tops: np.ndarray, tails: np.
         counts = maxes.astype(np.int64) + 2
         starts = np.repeat(np.cumsum(counts) - counts, counts)
         labels = (np.arange(len(starts)) - starts).astype(np.int8)
+        if i == width - 1:
+            rows[:, i] = labels
+            return
         maxes = np.maximum(np.repeat(maxes, counts), labels)
         rows[:, i] = np.repeat(labels, tails[maxes, width - 1 - i])
 
@@ -279,36 +282,46 @@ def _modularity_vector(g: Graph, assignments: np.ndarray) -> np.ndarray:
     """Q = intra/m - sum_c (K_c/2m)^2 for every assignment row.
 
     ``assignments`` holds restricted growth strings, so column v carries
-    labels <= v and community c's degree sum K_c collects only columns
-    v >= c. K_c is summed exactly in int16, and its square is looked up in
-    a table of (k/2m)^2 for k = 0..2m; the squares are added in label
-    order, so every Q has the bits of the per-label float formula. Costs
-    one integer pass over the rows per edge and per (label c, column
-    v >= c) pair with nonzero degree: at most m + n(n+1)/2 passes, each
+    labels <= min(v, top), top being the rows' largest label. K_0..K_top
+    are summed exactly in one array of ``np.min_scalar_type(2m)``: each
+    column of nonzero degree d meets its labels in one broadcast
+    comparison, scaled by d. Each (K_c/2m)^2 is then taken in float64 as in
+    the per-label float formula and added in label order, so every Q has
+    that formula's bits. Costs one row pass per edge and per (label c,
+    column v >= c) pair with nonzero degree, at most m + n(n+1)/2, each
     contiguous when ``assignments`` is column-major. Besides the input it
-    holds two int16, one bool and three float64 vectors of len(assignments)
-    entries; :func:`_partition_q` passes blocks of at most ``_BLOCK_ROWS``
-    rows, so each float64 vector is at most 256 KB.
+    holds K (top + 1 bytes per row at n <= 12), its broadcast buffer until
+    K is built, a byte of edge counts and two float64 vectors: 28.1 bytes
+    per row on the largest n = 12 block (top 8), about 1 MB.
     """
     m = g.m
     rows = len(assignments)
-    intra = np.zeros(rows, dtype=np.int16)
+    top = int(assignments.max(initial=0))
+    intra = np.zeros(rows, dtype=np.min_scalar_type(m))
+    same = np.empty(rows, dtype=bool)
     for u, w in g.edges():
-        intra += assignments[:, u] == assignments[:, w]
-    square = (np.arange(2 * m + 1) / (2.0 * m)) ** 2
-    penalty = np.zeros(rows)
-    k_c = np.empty(rows, dtype=np.int16)
-    in_c = np.empty(rows, dtype=bool)
-    for c in range(g.n):
-        k_c.fill(0)
-        for v in range(c, g.n):
-            if g.degrees[v]:
-                np.equal(assignments[:, v], c, out=in_c)
-                np.add(k_c, g.degrees[v], out=k_c, where=in_c)
-        penalty += square[k_c]
-    q = intra / m
-    q -= penalty
-    return q
+        np.equal(assignments[:, u], assignments[:, w], out=same)
+        intra += same
+    k = np.zeros((top + 1, rows), dtype=np.min_scalar_type(2 * m))
+    hit = np.empty_like(k)
+    labels = np.arange(top + 1, dtype=assignments.dtype)[:, None]
+    for v, d in enumerate(g.degrees):
+        if d:
+            c = min(v, top) + 1
+            np.equal(assignments[:, v], labels[:c], out=hit[:c])
+            if d > 1:
+                hit[:c] *= d
+            k[:c] += hit[:c]
+    del hit, same
+    penalty, x = np.zeros(rows), np.empty(rows)
+    for k_c in k:
+        x[:] = k_c
+        x /= 2.0 * m
+        x *= x
+        penalty += x
+    np.divide(intra, m, out=x)
+    x -= penalty
+    return x
 
 
 @dataclass(frozen=True)
@@ -351,7 +364,7 @@ def _partition_q(g: Graph) -> np.ndarray:
     Each block of :func:`_partition_blocks` goes through
     :func:`_modularity_vector` into its slice of one float64 vector, so the
     values have the bits of a whole-array pass. Holds 8·Bell(n) bytes for
-    the result plus one block and its temporaries.
+    the result plus one block and its temporaries, about 1.7 MB at n = 12.
     """
     q = np.empty(int(_growth_tails(g.n)[0, -1]))
     start = 0
@@ -397,7 +410,7 @@ def enumerate_degeneracy(g: Graph, epsilon: float, d: int) -> DegeneracyReport:
     the integer column passes of :func:`all_partition_assignments` and
     :func:`_modularity_vector` over Bell(n) rows, taken in blocks of at
     most ``_BLOCK_ROWS`` rows. It holds the 8·Bell(n)-byte Q vector (34 MB
-    at n = 12), plus one block with its temporaries (about 1.5 MB) while Q
+    at n = 12), plus one block with its temporaries (about 1.7 MB) while Q
     is computed, then one Bell(n)-byte comparison mask for the count.
     """
     _check_options(d, [epsilon])
@@ -496,8 +509,8 @@ def verify_sparse_bounds(g: Graph, d: int, seed: int = 0) -> SparseBoundsReport:
       any positive epsilon, so the enumeration is skipped as vacuous.
 
     The same enumeration, run before the battery, also counts partitions
-    at the statement-level tolerance (``statement_count``), with the memory
-    of :func:`enumerate_degeneracy`: 8·Bell(n) bytes of Q plus one block.
+    at the statement-level tolerance (``statement_count``), at the cost of
+    :func:`enumerate_degeneracy`: 8·Bell(n) bytes of Q plus one block.
     The battery is one pass over its partitions, summing each one's
     community degrees once: a single move then costs O(deg v), i's base
     sensitivity O(targets · deg i) once per partition, and a pair check

@@ -247,10 +247,14 @@ def test_criterion_07_pair_perturbation_bound():
 def test_criterion_08_degeneracy_lower_bound():
     # headline instance: four disjoint edges
     g = make_graph([("a", "b"), ("c", "d"), ("e", "f"), ("g", "h")])
-    _, proof_eps = degeneracy_thresholds(g, 1)
+    statement_eps, proof_eps = degeneracy_thresholds(g, 1)
     rep = enumerate_degeneracy(g, proof_eps, 1)
     assert rep.n_le_d == 8 and rep.lower_bound == 16
     assert rep.degenerate_count >= rep.lower_bound
+    # the proof tolerance admits every partition here; the statement's does not
+    at_statement = enumerate_degeneracy(g, statement_eps, 1)
+    assert at_statement.degenerate_count == 74
+    assert at_statement.degenerate_count >= at_statement.lower_bound
 
     rng = np.random.default_rng(8)
     checked = 0
@@ -261,15 +265,20 @@ def test_criterion_08_degeneracy_lower_bound():
         if g.m == 0 or g.n > 10:
             continue
         d = 1
-        _, proof_eps = degeneracy_thresholds(g, d)
+        statement_eps, proof_eps = degeneracy_thresholds(g, d)
         start = time.perf_counter()
         rep = enumerate_degeneracy(g, proof_eps, d)
         elapsed = time.perf_counter() - start
         max_seconds = max(max_seconds, elapsed)
         assert elapsed < 5.0
         assert rep.degenerate_count >= rep.lower_bound
+        assert enumerate_degeneracy(g, statement_eps, d).degenerate_count >= rep.lower_bound
         checked += 1
-    report(8, f"degeneracy >= 2^(n_low/(d+1)) on 21 graphs; slowest enumeration {max_seconds:.2f}s")
+    report(
+        8,
+        "degeneracy >= 2^(n_low/(d+1)) at the proof and the statement tolerance on 21 graphs; "
+        f"slowest enumeration {max_seconds:.2f}s",
+    )
 
 
 def test_criterion_09_modularity_unit_values():

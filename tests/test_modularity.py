@@ -14,6 +14,7 @@ from corehier.graph import load_graph
 from corehier.modularity import (
     NEW_COMMUNITY,
     Partition,
+    _BLOCK_ROWS,
     _degeneracy_reports,
     _modularity_vector,
     _partition_blocks,
@@ -38,6 +39,7 @@ TOL = 1e-12
 
 BELL = {
     1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140, 9: 21147, 10: 115975, 11: 678570,
+    12: 4213597,
 }
 
 
@@ -299,6 +301,65 @@ class TestPartitionBlocks:
                 reports = _degeneracy_reports(g, epsilons, 1)
                 assert [r.degenerate_count for r in reports] == expected
                 assert all(r.q_star == float(q_star) for r in reports)
+
+
+
+@pytest.fixture(scope="module")
+def full_size_blocks():
+    """Blocks of the n = 12 enumeration: the first, a middle one, one of top 10, the last, the largest.
+
+    A block's top is its largest label: 8 in the first and the largest
+    block, 9 in the middle one and 11 only in the last, so the four named
+    blocks cover every top. The first pass checks every block's length and
+    keeps none; the second keeps only the chosen blocks.
+    """
+    sizes = [(len(b), int(b.max())) for b in _partition_blocks(12, _BLOCK_ROWS)]
+    assert sum(rows for rows, _ in sizes) == BELL[12]
+    assert all(rows <= _BLOCK_ROWS for rows, _ in sizes)
+    wanted = {
+        "first": 0,
+        "middle": len(sizes) // 2,
+        "top10": next(k for k, (_, top) in enumerate(sizes) if top == 10),
+        "last": len(sizes) - 1,
+        "largest": max(range(len(sizes)), key=lambda k: sizes[k][0]),
+    }
+    assert [sizes[wanted[name]][1] for name in ("first", "middle", "top10", "last")] == [8, 9, 10, 11]
+    kept = {k: b for k, b in enumerate(_partition_blocks(12, _BLOCK_ROWS)) if k in wanted.values()}
+    return {name: kept[k] for name, k in wanted.items()}
+
+
+def full_size_graphs():
+    """A seeded sparse 12-node graph, K12 (K_c reaches 2m = 132) and a perfect matching (every d = 1)."""
+    names = [f"v{i:02d}" for i in range(12)]
+    sparse = random_graph(np.random.default_rng(12), 12, 3)
+    complete = make_graph([(a, b) for i, a in enumerate(names) for b in names[i + 1:]], names)
+    matching = make_graph([(names[i], names[i + 1]) for i in range(0, 12, 2)], names)
+    assert sparse.n == 12 and sparse.m and max(sparse.degrees) > 1
+    assert complete.m == 66 and set(matching.degrees) == {1}
+    return {"sparse": sparse, "complete": complete, "matching": matching}
+
+
+class TestFullSizeBlocks:
+    """The blocked kernel at the enumeration cap, n = 12, against the float oracle."""
+
+    @pytest.mark.parametrize("graph", ["sparse", "complete", "matching"])
+    @pytest.mark.parametrize("block", ["first", "middle", "top10", "last"])
+    def test_block_q_is_bit_identical_to_float_formula(self, full_size_blocks, graph, block):
+        g = full_size_graphs()[graph]
+        rows = full_size_blocks[block]
+        new = _modularity_vector(g, rows)
+        oracle = float_modularity_vector(g, rows)
+        assert np.array_equal(new.view(np.int64), oracle.view(np.int64))
+
+    def test_kernel_peak_memory_per_row_is_bounded(self, full_size_blocks):
+        # At top = 8, K and its broadcast buffer take 9 B per row each; the
+        # broadcast is freed before the two float64 vectors are made, so the
+        # peak is K, the edge counts, those vectors and numpy's cast buffer:
+        # 28.1 B per row.
+        rows = full_size_blocks["largest"]
+        assert int(rows.max()) == 8
+        _, peak = traced_peak(_modularity_vector, full_size_graphs()["sparse"], rows)
+        assert peak <= 32 * len(rows)
 
 
 LOOPED = [("a", "b"), ("a", "a")]
