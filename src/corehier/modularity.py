@@ -1,8 +1,8 @@
 """Exact modularity, node-move sensitivity, and degeneracy enumeration.
 
-Everything here runs in double precision; at the enumeration scale allowed
-(n <= 12, so 2m <= 132) values stay well conditioned and agree with
-exact rationals to far better than the 1e-12 tolerance used by the tests.
+Single values run in double precision. The enumeration (n <= 12) scores
+every partition by the exact integer S = 4m·intra - sum_c K_c^2 = 4m^2·Q,
+and takes the float formula only at the top score and on a cutoff's level.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ NEW_COMMUNITY = -1
 #: Exhaustive enumeration cap; Bell(12) ~ 4.2M partitions.
 MAX_ENUMERATION_NODES = 12
 
-#: Most rows in one enumeration block. A block and its temporaries then
-#: take about 1.7 MB, while the per-block call overhead stays small: at
-#: n = 12 the enumeration streams 133 blocks built on 8-label prefixes.
+#: Most rows in one enumeration block. A block and its temporaries, all the
+#: enumeration holds, take about 1.9 MB, and the per-block call overhead stays
+#: small: at n = 12 the enumeration streams 133 blocks built on 8-label prefixes.
 _BLOCK_ROWS = 1 << 15
 
 #: Seeded random partitions in :func:`verify_sparse_bounds`' battery, besides the two trivial ones.
@@ -278,21 +278,16 @@ def all_partition_assignments(n: int) -> np.ndarray:
     return rows
 
 
-def _modularity_vector(g: Graph, assignments: np.ndarray) -> np.ndarray:
-    """Q = intra/m - sum_c (K_c/2m)^2 for every assignment row.
+def _label_sums(g: Graph, assignments: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact (intra, K) of every assignment row: its intra-community edges and K_0..K_top.
 
     ``assignments`` holds restricted growth strings, so column v carries
-    labels <= min(v, top), top being the rows' largest label. K_0..K_top
-    are summed exactly in one array of ``np.min_scalar_type(2m)``: each
-    column of nonzero degree d meets its labels in one broadcast
-    comparison, scaled by d. Each (K_c/2m)^2 is then taken in float64 as in
-    the per-label float formula and added in label order, so every Q has
-    that formula's bits. Costs one row pass per edge and per (label c,
-    column v >= c) pair with nonzero degree, at most m + n(n+1)/2, each
-    contiguous when ``assignments`` is column-major. Besides the input it
-    holds K (top + 1 bytes per row at n <= 12), its broadcast buffer until
-    K is built, a byte of edge counts and two float64 vectors: 28.1 bytes
-    per row on the largest n = 12 block (top 8), about 1 MB.
+    labels <= min(v, top), top being the rows' largest label. K is one
+    array of ``np.min_scalar_type(2m)``: each column of nonzero degree d
+    meets its labels in one broadcast comparison, scaled by d. Costs one
+    row pass per edge and per (label c, column v >= c) pair with nonzero
+    degree, at most m + n(n+1)/2, each contiguous when ``assignments`` is
+    column-major.
     """
     m = g.m
     rows = len(assignments)
@@ -312,8 +307,22 @@ def _modularity_vector(g: Graph, assignments: np.ndarray) -> np.ndarray:
             if d > 1:
                 hit[:c] *= d
             k[:c] += hit[:c]
-    del hit, same
-    penalty, x = np.zeros(rows), np.empty(rows)
+    return intra, k
+
+
+def _modularity_vector(g: Graph, assignments: np.ndarray) -> np.ndarray:
+    """Q = intra/m - sum_c (K_c/2m)^2 for every assignment row.
+
+    Each (K_c/2m)^2 of :func:`_label_sums` is taken in float64 as in the
+    per-label float formula and added in label order, so every Q has that
+    formula's bits, whichever rows share the call. Besides the input it
+    holds K (top + 1 bytes per row at n <= 12), its broadcast buffer until
+    K is built, a byte of edge counts and two float64 vectors: 28.1 bytes
+    per row on the largest n = 12 block (top 8), about 1 MB.
+    """
+    m = g.m
+    intra, k = _label_sums(g, assignments)
+    penalty, x = np.zeros(len(assignments)), np.empty(len(assignments))
     for k_c in k:
         x[:] = k_c
         x /= 2.0 * m
@@ -324,6 +333,16 @@ def _modularity_vector(g: Graph, assignments: np.ndarray) -> np.ndarray:
     return x
 
 
+def _scores(g: Graph, assignments: np.ndarray) -> np.ndarray:
+    """Exact int32 score S = 4m·intra - sum_c K_c^2 = 4m^2·Q of every row; |S| <= 4m^2 <= 17,424."""
+    intra, k = _label_sums(g, assignments)
+    s = np.multiply(intra, 4 * g.m, dtype=np.int32)
+    square = np.empty_like(s)
+    for k_c in k:
+        s -= np.multiply(k_c, k_c, out=square, dtype=np.int32)
+    return s
+
+
 @dataclass(frozen=True)
 class DegeneracyReport:
     """Near-optimal partition count against the exponential lower bound."""
@@ -332,7 +351,7 @@ class DegeneracyReport:
     n_le_d: int
     epsilon: float
     q_star: float
-    degenerate_count: int  # partitions with Q* - Q < epsilon
+    degenerate_count: int  # partitions whose float Q > fl(q_star - epsilon)
     lower_bound: int  # 2 ** floor(n_le_d / (d + 1))
     statement_threshold: float  # d (2 + kbar) / (2m)
     proof_threshold: float  # C1 + C2
@@ -358,31 +377,50 @@ def degeneracy_thresholds(g: Graph, d: int) -> tuple[float, float]:
     return statement, proof
 
 
-def _partition_q(g: Graph) -> np.ndarray:
-    """Q of every set partition of g's nodes, in the row order of :func:`all_partition_assignments`.
-
-    Each block of :func:`_partition_blocks` goes through
-    :func:`_modularity_vector` into its slice of one float64 vector, so the
-    values have the bits of a whole-array pass. Holds 8·Bell(n) bytes for
-    the result plus one block and its temporaries, about 1.7 MB at n = 12.
-    """
-    q = np.empty(int(_growth_tails(g.n)[0, -1]))
-    start = 0
-    for block in _partition_blocks(g.n, _BLOCK_ROWS):
-        q[start:start + len(block)] = _modularity_vector(g, block)
-        start += len(block)
-    return q
-
-
 def _degeneracy_reports(g: Graph, epsilons: Sequence[float], d: int) -> list[DegeneracyReport]:
-    """One :class:`DegeneracyReport` per epsilon from a single enumeration of a checked graph."""
+    """One :class:`DegeneracyReport` per epsilon from one enumeration of a checked graph, rarely two.
+
+    A pass over :func:`_partition_blocks` counts every row's exact
+    :func:`_scores` in a histogram of the 8m^2 + 1 levels and takes the
+    float Q of :func:`_modularity_vector` only for each block's rows at
+    the running top score. A count is of the rows whose float Q exceeds
+    c = fl(q_star - epsilon), as one comparison over all float Qs counts:
+
+    * the float formula is off S / 4m^2 by under 1e-14 (fewer than 50
+      roundings of values at most 1), and levels lie 1/4m^2 >= 5.7e-5 apart;
+    * so the largest float Q lies among the rows with the top S;
+    * and S decides "float Q > c" for every row unless S lies within 1e-6
+      of c·4m^2. That level's rows, if any, get their float Q in a second pass.
+
+    Holds one block with its temporaries, about 1.9 MB at n = 12, and a
+    few vectors of 8m^2 + 1 entries, at most 279 KB each (on K12).
+    """
     if g.n > MAX_ENUMERATION_NODES:
         raise InputError(
             f"instance too large: exhaustive enumeration needs n <= {MAX_ENUMERATION_NODES}"
             f" (got n={g.n}); sampling-based estimation is out of scope"
         )
-    q_values = _partition_q(g)
-    q_star = float(q_values.max())
+    scale = 4 * g.m * g.m
+    levels = np.arange(-scale, scale + 1)
+    hist = np.zeros(len(levels), dtype=np.int64)
+    top, q_star = -scale - 1, -math.inf
+    for block in _partition_blocks(g.n, _BLOCK_ROWS):
+        s = _scores(g, block)
+        hist += np.bincount(s + scale, minlength=len(levels))
+        best = int(s.max())
+        if best >= top:
+            q = float(_modularity_vector(g, block[s == best]).max())
+            q_star, top = (q if best > top else max(q_star, q)), best
+    cutoffs = [q_star - epsilon for epsilon in epsilons]
+    gaps = [levels - cutoff * scale for cutoff in cutoffs]
+    counts = [int(hist[gap > 1e-6].sum()) for gap in gaps]
+    near = [levels[(np.abs(gap) <= 1e-6) & (hist > 0)] for gap in gaps]
+    on_level = {i: int(level[0]) for i, level in enumerate(near) if len(level)}
+    if on_level:
+        for block in _partition_blocks(g.n, _BLOCK_ROWS):
+            s = _scores(g, block)
+            for i, level in on_level.items():
+                counts[i] += int((_modularity_vector(g, block[s == level]) > cutoffs[i]).sum())
     n_le_d = sum(1 for k in g.degrees if k <= d)
     statement, proof = degeneracy_thresholds(g, d)
     return [
@@ -391,12 +429,12 @@ def _degeneracy_reports(g: Graph, epsilons: Sequence[float], d: int) -> list[Deg
             n_le_d=n_le_d,
             epsilon=float(epsilon),
             q_star=q_star,
-            degenerate_count=int((q_values > q_star - epsilon).sum()),
+            degenerate_count=count,
             lower_bound=2 ** (n_le_d // (d + 1)),
             statement_threshold=statement,
             proof_threshold=proof,
         )
-        for epsilon in epsilons
+        for epsilon, count in zip(epsilons, counts)
     ]
 
 
@@ -404,14 +442,14 @@ def enumerate_degeneracy(g: Graph, epsilon: float, d: int) -> DegeneracyReport:
     """Count partitions within epsilon of optimal modularity, exhaustively.
 
     Enumerates every set partition of the node set (labels irrelevant),
-    records the optimum Q*, and counts partitions with Q* - Q < epsilon.
-    Any graph with an edge and n <= 12 is accepted; it is simple by
-    construction, so a loop record in the input changes no value. Costs
-    the integer column passes of :func:`all_partition_assignments` and
-    :func:`_modularity_vector` over Bell(n) rows, taken in blocks of at
-    most ``_BLOCK_ROWS`` rows. It holds the 8·Bell(n)-byte Q vector (34 MB
-    at n = 12), plus one block with its temporaries (about 1.7 MB) while Q
-    is computed, then one Bell(n)-byte comparison mask for the count.
+    records the optimum Q*, and counts partitions with Q* - Q < epsilon:
+    those whose float Q exceeds fl(Q* - epsilon). Any graph with an edge
+    and n <= 12 is accepted; it is simple by construction, so a loop
+    record in the input changes no value. Costs the integer column passes
+    of :func:`all_partition_assignments` and :func:`_scores` over Bell(n)
+    rows, taken in blocks of at most ``_BLOCK_ROWS`` rows, and a second
+    such pass only when the cutoff lands on an attained score. It holds
+    one block with its temporaries, about 1.9 MB, whatever Bell(n) is.
     """
     _check_options(d, [epsilon])
     _check_graph(g)
@@ -510,7 +548,7 @@ def verify_sparse_bounds(g: Graph, d: int, seed: int = 0) -> SparseBoundsReport:
 
     The same enumeration, run before the battery, also counts partitions
     at the statement-level tolerance (``statement_count``), at the cost of
-    :func:`enumerate_degeneracy`: 8·Bell(n) bytes of Q plus one block.
+    :func:`enumerate_degeneracy`: one block and its temporaries.
     The battery is one pass over its partitions, summing each one's
     community degrees once: a single move then costs O(deg v), i's base
     sensitivity O(targets · deg i) once per partition, and a pair check

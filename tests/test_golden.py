@@ -345,12 +345,12 @@ def test_disconnected_input_stdout_matches_golden_hash(command, tmp_path, capsys
 
 
 
-def lab_edges():
-    """A seeded 10-node graph: a random tree plus three random chords; six nodes have degree <= 2."""
-    rng = np.random.default_rng(7)
-    names = [f"v{i:02d}" for i in range(10)]
-    edges = [(names[i], names[int(rng.integers(0, i))]) for i in range(1, 10)]
-    edges += [(names[a], names[b]) for a, b in rng.integers(0, 10, size=(3, 2)).tolist() if a != b]
+def lab_edges(n=10, seed=7):
+    """A seeded n-node graph: a random tree plus three random chords; by default six nodes have degree <= 2."""
+    rng = np.random.default_rng(seed)
+    names = [f"v{i:02d}" for i in range(n)]
+    edges = [(names[i], names[int(rng.integers(0, i))]) for i in range(1, n)]
+    edges += [(names[a], names[b]) for a, b in rng.integers(0, n, size=(3, 2)).tolist() if a != b]
     return edges
 
 
@@ -368,6 +368,31 @@ def test_lab_stdout_matches_golden_hash(command, tmp_path, capsys):
     write_edges_tsv(tmp_path / "edges.tsv", lab_edges())
     assert main([command[0], "--edges", str(tmp_path / "edges.tsv"), *command[1:]]) == 0
     assert sha256(capsys.readouterr().out.encode("utf-8")) == LAB_STDOUT_SHA256[command]
+
+
+LAB_INPUTS = {
+    "lab12": lambda: lab_edges(12, seed=12),  # at the enumeration cap: Bell(12) partitions
+    "four-edges": lambda: [("a", "b"), ("c", "d"), ("e", "f"), ("g", "h")],
+}
+
+# (input, lab subcommand, options) -> sha256 of its stdout on ``LAB_INPUTS[input]()``.
+# On four disjoint edges the cutoff 0.75 - 0.375 is a Q that partitions attain.
+LAB_INPUT_STDOUT_SHA256 = {
+    ('lab12', 'degeneracy', '--epsilon', '0.02', '--d', '1'):
+        '1898f15340625049a5b9924b314aaba8477bdebba75b36f520624152d2a423dd',
+    ('lab12', 'verify-bounds', '--d', '1'):
+        'da4e08335e533a9ba2c90e3e38b1485483830a9f016829c3ad6d02046e24b8cc',
+    ('four-edges', 'degeneracy', '--epsilon', '0.375', '--d', '1'):
+        'd614dd521e0d328124d7865c114032dc27087eab4c687c4f701c0b0e02c6231f',
+}
+
+
+@pytest.mark.parametrize("key", sorted(LAB_INPUT_STDOUT_SHA256), ids=" ".join)
+def test_lab_stdout_per_input_matches_golden_hash(key, tmp_path, capsys):
+    name, command, *options = key
+    write_edges_tsv(tmp_path / "edges.tsv", LAB_INPUTS[name]())
+    assert main([command, "--edges", str(tmp_path / "edges.tsv"), *options]) == 0
+    assert sha256(capsys.readouterr().out.encode("utf-8")) == LAB_INPUT_STDOUT_SHA256[key]
 
 # subcommand options -> sha256 of its stdout on the disconnected input, reading
 # the ``hierarchy`` output of that input.

@@ -16,9 +16,10 @@ from corehier.modularity import (
     Partition,
     _BLOCK_ROWS,
     _degeneracy_reports,
+    _label_sums,
     _modularity_vector,
     _partition_blocks,
-    _partition_q,
+    _scores,
     all_partition_assignments,
     degeneracy_thresholds,
     enumerate_degeneracy,
@@ -55,6 +56,20 @@ def float_modularity_vector(g, assignments):
         k_c = (assignments == cid) @ deg
         penalty += (k_c / two_m) ** 2
     return intra / g.m - penalty
+
+
+def partition_q(g):
+    """Q of every partition of g's nodes, block by block under the current ``_BLOCK_ROWS``: the float oracle."""
+    return np.concatenate([_modularity_vector(g, b) for b in _partition_blocks(g.n, MODULE._BLOCK_ROWS)])
+
+
+def integer_scores(g, assignments):
+    """S = 4m·intra - sum_c K_c^2 over assignment rows by the per-label formula, in int64."""
+    deg = np.asarray(g.degrees, dtype=np.int64)
+    intra = np.zeros(len(assignments), dtype=np.int64)
+    for u, w in g.edges():
+        intra += assignments[:, u] == assignments[:, w]
+    return 4 * g.m * intra - sum(((assignments == cid) @ deg) ** 2 for cid in range(g.n))
 
 
 def two_triangles():
@@ -224,12 +239,12 @@ class TestEnumeration:
 
     def test_enumeration_peak_memory_is_bounded(self):
         # numpy reports its buffers to tracemalloc, so the peak is deterministic.
-        # 12 bytes per partition leaves room for the float64 Q vector, one
-        # comparison mask and one block; a whole int8 partition array does not fit.
-        g = random_graph(np.random.default_rng(11), 11, 4)
-        assert g.n == 11 and g.m > 0
+        # The enumeration holds one block and its temporaries, whatever Bell(n)
+        # is: 1,861,350 B observed at n = 12, where a float64 Q vector of every
+        # partition would take 33.7 MB on its own.
+        g = full_size_graphs()["sparse"]
         _, peak = traced_peak(enumerate_degeneracy, g, 0.05, 1)
-        assert peak <= 12 * BELL[11]
+        assert peak <= 2_500_000
 
     def test_too_large_instances_rejected(self):
         rng = np.random.default_rng(0)
@@ -284,8 +299,16 @@ class TestPartitionBlocks:
             whole = _modularity_vector(g, all_partition_assignments(g.n))
             for limit in block_limits(g.n):
                 monkeypatch.setattr(MODULE, "_BLOCK_ROWS", limit)
-                blocked = _partition_q(g)
+                blocked = partition_q(g)
                 assert np.array_equal(blocked.view(np.int64), whole.view(np.int64))
+
+    def test_blocked_scores_match_whole_array_scores(self):
+        for g in seeded_graphs(77, range(2, 11)):
+            whole = _scores(g, all_partition_assignments(g.n))
+            assert whole.dtype == np.int32
+            for limit in block_limits(g.n):
+                blocked = [_scores(g, b) for b in _partition_blocks(g.n, limit)]
+                assert np.array_equal(np.concatenate(blocked), whole)
 
     def test_report_counts_match_whole_array_counts(self, monkeypatch):
         for g in seeded_graphs(78, range(3, 10)):
@@ -302,6 +325,45 @@ class TestPartitionBlocks:
                 assert [r.degenerate_count for r in reports] == expected
                 assert all(r.q_star == float(q_star) for r in reports)
 
+
+def count_passes(monkeypatch):
+    """The n of every enumeration pass the lab starts from now on, through ``_partition_blocks``."""
+    calls = []
+    blocks = MODULE._partition_blocks
+
+    def counted(n, max_rows):
+        calls.append(n)
+        return blocks(n, max_rows)
+
+    monkeypatch.setattr(MODULE, "_partition_blocks", counted)
+    return calls
+
+
+class TestEnumerationPasses:
+    """Counted, not timed: a lab call walks the Bell(n) rows once, twice only on a cutoff level.
+
+    The second pass finds the float Q of the rows whose exact score sits
+    on the cutoff q_star - epsilon, where the score alone cannot decide.
+    """
+
+    def test_sparse_graph_takes_one_pass_per_call(self, monkeypatch):
+        # n = 12 and m = 14, the size of the benchmark's lab graphs
+        g = random_graph(np.random.default_rng(1), 12, 3)
+        assert (g.n, g.m) == (12, 14)
+        calls = count_passes(monkeypatch)
+        enumerate_degeneracy(g, 0.02, 1)
+        assert calls == [12]
+        verify_sparse_bounds(g, 1)
+        assert calls == [12, 12]
+
+    def test_cutoff_on_an_attained_level_takes_a_second_pass(self, monkeypatch):
+        g = make_graph([("a", "b"), ("c", "d"), ("e", "f"), ("g", "h")])
+        calls = count_passes(monkeypatch)
+        report = enumerate_degeneracy(g, 0.375, 1)
+        assert calls == [8, 8]
+        assert (report.degenerate_count, report.q_star) == (74, 0.75)
+        # 0.75 - 0.375 is a Q some partitions reach; those count only with a float Q above it
+        assert (_modularity_vector(g, all_partition_assignments(8)) >= 0.375).sum() > 74
 
 
 @pytest.fixture(scope="module")
@@ -350,6 +412,26 @@ class TestFullSizeBlocks:
         new = _modularity_vector(g, rows)
         oracle = float_modularity_vector(g, rows)
         assert np.array_equal(new.view(np.int64), oracle.view(np.int64))
+
+    @pytest.mark.parametrize("graph", ["sparse", "complete", "matching"])
+    @pytest.mark.parametrize("block", ["first", "middle", "top10", "last"])
+    def test_block_scores_are_exact(self, full_size_blocks, graph, block):
+        g = full_size_graphs()[graph]
+        rows = full_size_blocks[block]
+        scores = _scores(g, rows)
+        assert np.array_equal(scores, integer_scores(g, rows))
+        sample = np.random.default_rng(len(rows)).integers(0, len(rows), size=12).tolist()
+        for idx in [0, len(rows) - 1, *sample]:
+            assert scores[idx] == 4 * g.m * g.m * exact_q(g, Partition(tuple(rows[idx].tolist())))
+
+    def test_complete_graph_scores_reach_the_largest_sums(self, full_size_blocks):
+        # the first row puts all of K12 in one community: K_0 = 2m = 132, sum K_c^2 = 4m^2
+        g = full_size_graphs()["complete"]
+        rows = full_size_blocks["first"]
+        _, k = _label_sums(g, rows)
+        assert k.dtype == np.uint8 and k.max() == k[0, 0] == 132
+        assert (k.astype(np.int64) ** 2).sum(axis=0).max() == 17_424
+        assert _scores(g, rows)[0] == 0
 
     def test_kernel_peak_memory_per_row_is_bounded(self, full_size_blocks):
         # At top = 8, K and its broadcast buffer take 9 B per row each; the
@@ -459,6 +541,23 @@ def exact_sensitivity(g, p, v):
         targets.append(NEW_COMMUNITY)
     q = exact_q(g, p)
     return max((abs(exact_q(g, p.move(v, t)) - q) for t in targets), default=Fraction(0))
+
+
+class TestExactScores:
+    """The integer scores against exact rationals: S = 4m^2·Q on every partition."""
+
+    def test_scores_are_exact_on_every_row(self):
+        graphs = seeded_graphs(79, range(2, 9))
+        graphs.append(make_graph([("a", "b"), ("b", "c"), ("c", "d")], names=["a", "b", "c", "d", "z"]))
+        assert {g.n for g in graphs} == set(range(2, 9))
+        assert any(0 in g.degrees for g in graphs)
+        for g in graphs:
+            rows = all_partition_assignments(g.n)
+            exact = [4 * g.m * g.m * exact_q(g, Partition(tuple(r))) for r in rows.tolist()]
+            assert all(q.denominator == 1 for q in exact)
+            scores = _scores(g, rows)
+            assert scores.tolist() == exact
+            assert np.array_equal(scores, integer_scores(g, rows))
 
 
 class TestPairPerturbation:
