@@ -2,7 +2,7 @@
 
 Single values run in double precision. The enumeration (n <= 12) scores
 every partition by the exact integer S = 4m·intra - sum_c K_c^2 = 4m^2·Q,
-and takes the float formula only at the top score and on a cutoff's level.
+and takes its optimum and counts from those scores alone.
 """
 
 from __future__ import annotations
@@ -310,29 +310,6 @@ def _label_sums(g: Graph, assignments: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return intra, k
 
 
-def _modularity_vector(g: Graph, assignments: np.ndarray) -> np.ndarray:
-    """Q = intra/m - sum_c (K_c/2m)^2 for every assignment row.
-
-    Each (K_c/2m)^2 of :func:`_label_sums` is taken in float64 as in the
-    per-label float formula and added in label order, so every Q has that
-    formula's bits, whichever rows share the call. Besides the input it
-    holds K (top + 1 bytes per row at n <= 12), its broadcast buffer until
-    K is built, a byte of edge counts and two float64 vectors: 28.1 bytes
-    per row on the largest n = 12 block (top 8), about 1 MB.
-    """
-    m = g.m
-    intra, k = _label_sums(g, assignments)
-    penalty, x = np.zeros(len(assignments)), np.empty(len(assignments))
-    for k_c in k:
-        x[:] = k_c
-        x /= 2.0 * m
-        x *= x
-        penalty += x
-    np.divide(intra, m, out=x)
-    x -= penalty
-    return x
-
-
 def _scores(g: Graph, assignments: np.ndarray) -> np.ndarray:
     """Exact int32 score S = 4m·intra - sum_c K_c^2 = 4m^2·Q of every row; |S| <= 4m^2 <= 17,424."""
     intra, k = _label_sums(g, assignments)
@@ -351,7 +328,7 @@ class DegeneracyReport:
     n_le_d: int
     epsilon: float
     q_star: float
-    degenerate_count: int  # partitions whose float Q > fl(q_star - epsilon)
+    degenerate_count: int  # partitions whose 4m^2 (Q* - Q) < fl(4m^2 epsilon)
     lower_bound: int  # 2 ** floor(n_le_d / (d + 1))
     statement_threshold: float  # d (2 + kbar) / (2m)
     proof_threshold: float  # C1 + C2
@@ -378,19 +355,15 @@ def degeneracy_thresholds(g: Graph, d: int) -> tuple[float, float]:
 
 
 def _degeneracy_reports(g: Graph, epsilons: Sequence[float], d: int) -> list[DegeneracyReport]:
-    """One :class:`DegeneracyReport` per epsilon from one enumeration of a checked graph, rarely two.
+    """One :class:`DegeneracyReport` per epsilon from one enumeration of a checked graph.
 
     A pass over :func:`_partition_blocks` counts every row's exact
-    :func:`_scores` in a histogram of the 8m^2 + 1 levels and takes the
-    float Q of :func:`_modularity_vector` only for each block's rows at
-    the running top score. A count is of the rows whose float Q exceeds
-    c = fl(q_star - epsilon), as one comparison over all float Qs counts:
-
-    * the float formula is off S / 4m^2 by under 1e-14 (fewer than 50
-      roundings of values at most 1), and levels lie 1/4m^2 >= 5.7e-5 apart;
-    * so the largest float Q lies among the rows with the top S;
-    * and S decides "float Q > c" for every row unless S lies within 1e-6
-      of c·4m^2. That level's rows, if any, get their float Q in a second pass.
+    :func:`_scores` in a histogram of the 8m^2 + 1 levels, and the reports
+    come from it alone. With top the largest score, q_star is top / 4m^2,
+    correctly rounded, and a count is of the levels whose exact gap
+    top - S is below epsilon·4m^2, a product rounded once. So a float
+    epsilon that stands for a rational whose product with 4m^2 is a gap
+    (0.4 for 2/5 at m = 5) leaves that gap's level out, as the rational does.
 
     Holds one block with its temporaries, about 1.9 MB at n = 12, and a
     few vectors of 8m^2 + 1 entries, at most 279 KB each (on K12).
@@ -401,26 +374,15 @@ def _degeneracy_reports(g: Graph, epsilons: Sequence[float], d: int) -> list[Deg
             f" (got n={g.n}); sampling-based estimation is out of scope"
         )
     scale = 4 * g.m * g.m
-    levels = np.arange(-scale, scale + 1)
-    hist = np.zeros(len(levels), dtype=np.int64)
-    top, q_star = -scale - 1, -math.inf
+    hist = np.zeros(2 * scale + 1, dtype=np.int64)
     for block in _partition_blocks(g.n, _BLOCK_ROWS):
         s = _scores(g, block)
-        hist += np.bincount(s + scale, minlength=len(levels))
-        best = int(s.max())
-        if best >= top:
-            q = float(_modularity_vector(g, block[s == best]).max())
-            q_star, top = (q if best > top else max(q_star, q)), best
-    cutoffs = [q_star - epsilon for epsilon in epsilons]
-    gaps = [levels - cutoff * scale for cutoff in cutoffs]
-    counts = [int(hist[gap > 1e-6].sum()) for gap in gaps]
-    near = [levels[(np.abs(gap) <= 1e-6) & (hist > 0)] for gap in gaps]
-    on_level = {i: int(level[0]) for i, level in enumerate(near) if len(level)}
-    if on_level:
-        for block in _partition_blocks(g.n, _BLOCK_ROWS):
-            s = _scores(g, block)
-            for i, level in on_level.items():
-                counts[i] += int((_modularity_vector(g, block[s == level]) > cutoffs[i]).sum())
+        s += scale  # each row's histogram bin, with no second int32 vector
+        hist += np.bincount(s, minlength=len(hist))
+    top = int(np.flatnonzero(hist)[-1]) - scale
+    gaps = top - np.arange(-scale, scale + 1)
+    counts = [int(hist[gaps < epsilon * scale].sum()) for epsilon in epsilons]
+    q_star = top / scale
     n_le_d = sum(1 for k in g.degrees if k <= d)
     statement, proof = degeneracy_thresholds(g, d)
     return [
@@ -442,14 +404,14 @@ def enumerate_degeneracy(g: Graph, epsilon: float, d: int) -> DegeneracyReport:
     """Count partitions within epsilon of optimal modularity, exhaustively.
 
     Enumerates every set partition of the node set (labels irrelevant),
-    records the optimum Q*, and counts partitions with Q* - Q < epsilon:
-    those whose float Q exceeds fl(Q* - epsilon). Any graph with an edge
-    and n <= 12 is accepted; it is simple by construction, so a loop
-    record in the input changes no value. Costs the integer column passes
-    of :func:`all_partition_assignments` and :func:`_scores` over Bell(n)
-    rows, taken in blocks of at most ``_BLOCK_ROWS`` rows, and a second
-    such pass only when the cutoff lands on an attained score. It holds
-    one block with its temporaries, about 1.9 MB, whatever Bell(n) is.
+    records the optimum Q*, and counts partitions with Q* - Q < epsilon,
+    by exact integer scores (see :func:`_degeneracy_reports`). Any graph
+    with an edge and n <= 12 is accepted; it is simple by construction, so
+    a loop record in the input changes no value. Costs one enumeration:
+    the integer column passes of :func:`all_partition_assignments` and
+    :func:`_scores` over Bell(n) rows, taken in blocks of at most
+    ``_BLOCK_ROWS`` rows. It holds one block with its temporaries, about
+    1.9 MB, whatever Bell(n) is.
     """
     _check_options(d, [epsilon])
     _check_graph(g)

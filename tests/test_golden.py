@@ -373,10 +373,14 @@ def test_lab_stdout_matches_golden_hash(command, tmp_path, capsys):
 LAB_INPUTS = {
     "lab12": lambda: lab_edges(12, seed=12),  # at the enumeration cap: Bell(12) partitions
     "four-edges": lambda: [("a", "b"), ("c", "d"), ("e", "f"), ("g", "h")],
+    "cycle5": lambda: [(f"v{i}", f"v{(i + 1) % 5}") for i in range(5)],
+    "path6": lambda: [(f"v{i}", f"v{i + 1}") for i in range(5)],
 }
 
 # (input, lab subcommand, options) -> sha256 of its stdout on ``LAB_INPUTS[input]()``.
 # On four disjoint edges the cutoff 0.75 - 0.375 is a Q that partitions attain.
+# The 5-cycle at its statement tolerance 2/5 counts 42, none at exactly Q* - 2/5,
+# and the path of 6 reports Q* = 3/10 as 0.3.
 LAB_INPUT_STDOUT_SHA256 = {
     ('lab12', 'degeneracy', '--epsilon', '0.02', '--d', '1'):
         '1898f15340625049a5b9924b314aaba8477bdebba75b36f520624152d2a423dd',
@@ -384,6 +388,10 @@ LAB_INPUT_STDOUT_SHA256 = {
         'da4e08335e533a9ba2c90e3e38b1485483830a9f016829c3ad6d02046e24b8cc',
     ('four-edges', 'degeneracy', '--epsilon', '0.375', '--d', '1'):
         'd614dd521e0d328124d7865c114032dc27087eab4c687c4f701c0b0e02c6231f',
+    ('cycle5', 'degeneracy', '--epsilon', '0.4', '--d', '1'):
+        '248506630f13ba165733cdd07d1384b2392c1a5029b11e3d31def9879ae7a4c2',
+    ('path6', 'degeneracy', '--epsilon', '0.2', '--d', '1'):
+        'baa38beaa9a7468c05978d266e91f756d45c99f7cf4298db22e5c5cc6922a153',
 }
 
 

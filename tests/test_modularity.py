@@ -17,7 +17,6 @@ from corehier.modularity import (
     _BLOCK_ROWS,
     _degeneracy_reports,
     _label_sums,
-    _modularity_vector,
     _partition_blocks,
     _scores,
     all_partition_assignments,
@@ -42,25 +41,6 @@ BELL = {
     1: 1, 2: 2, 3: 5, 4: 15, 5: 52, 6: 203, 7: 877, 8: 4140, 9: 21147, 10: 115975, 11: 678570,
     12: 4213597,
 }
-
-
-def float_modularity_vector(g, assignments):
-    """Q over assignment rows by the original per-label float formula, the oracle."""
-    deg = np.asarray(g.degrees, dtype=np.float64)
-    intra = np.zeros(len(assignments), dtype=np.int32)
-    for u, w in g.edges():
-        intra += assignments[:, u] == assignments[:, w]
-    penalty = np.zeros(len(assignments), dtype=np.float64)
-    two_m = 2.0 * g.m
-    for cid in range(g.n):
-        k_c = (assignments == cid) @ deg
-        penalty += (k_c / two_m) ** 2
-    return intra / g.m - penalty
-
-
-def partition_q(g):
-    """Q of every partition of g's nodes, block by block under the current ``_BLOCK_ROWS``: the float oracle."""
-    return np.concatenate([_modularity_vector(g, b) for b in _partition_blocks(g.n, MODULE._BLOCK_ROWS)])
 
 
 def integer_scores(g, assignments):
@@ -187,41 +167,20 @@ class TestEnumeration:
     def test_vectorized_q_matches_scalar(self):
         g = make_graph([("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("a", "c")])
         rows = all_partition_assignments(g.n)
-        qs = _modularity_vector(g, rows)
+        qs = _scores(g, rows) / (4 * g.m * g.m)
         rng = np.random.default_rng(1)
         for idx in rng.integers(0, len(rows), size=20):
             p = Partition(tuple(int(x) for x in rows[int(idx)]))
             assert abs(qs[int(idx)] - modularity(g, p).q) <= TOL
-
-    def test_vector_q_is_bit_identical_to_float_formula(self):
-        rng = np.random.default_rng(2024)
-        graphs = [
-            make_graph([("a", "b"), ("b", "c")], names=["a", "b", "c", "z"]),  # z isolated
-            make_graph([("hub", f"leaf{i}") for i in range(8)]),  # a star
-        ]
-        for n in range(2, 10):  # one node has no edge, so Q needs n >= 2
-            for _ in range(3):
-                g = random_graph(rng, n, int(rng.integers(0, n)))
-                if g.m:
-                    graphs.append(g)
-        assert {g.n for g in graphs} == set(range(2, 10))
-        assert any(0 in g.degrees for g in graphs)
-        for g in graphs:
-            rows = all_partition_assignments(g.n)
-            new = _modularity_vector(g, rows)
-            oracle = float_modularity_vector(g, rows)
-            assert np.array_equal(new.view(np.int64), oracle.view(np.int64))
-            # the all-in-one row has K_0 = 2m, the last entry of the square table
-            assert new[0] == 0.0
 
     def test_k3_optimum_is_all_in_one(self):
         g = make_graph([("a", "b"), ("a", "c"), ("b", "c")])
         report = enumerate_degeneracy(g, 0.1, 1)
         assert abs(report.q_star) <= TOL
         assert report.degenerate_count == 1
-        # the runner-up partitions score exactly -2/9
-        qs = sorted(_modularity_vector(g, all_partition_assignments(3)), reverse=True)
-        assert abs(qs[1] - float(Fraction(-2, 9))) <= TOL
+        # the runner-up partitions score exactly -2/9, which is -8 / 4m^2
+        scores = sorted(_scores(g, all_partition_assignments(3)).tolist(), reverse=True)
+        assert scores[:2] == [0, -8]
 
     def test_path_counts_at_two_tolerances(self):
         g = make_graph([("a", "b"), ("b", "c")])
@@ -240,7 +199,7 @@ class TestEnumeration:
     def test_enumeration_peak_memory_is_bounded(self):
         # numpy reports its buffers to tracemalloc, so the peak is deterministic.
         # The enumeration holds one block and its temporaries, whatever Bell(n)
-        # is: 1,861,350 B observed at n = 12, where a float64 Q vector of every
+        # is: 1,846,120 B observed at n = 12, where a float64 Q vector of every
         # partition would take 33.7 MB on its own.
         g = full_size_graphs()["sparse"]
         _, peak = traced_peak(enumerate_degeneracy, g, 0.05, 1)
@@ -291,17 +250,6 @@ class TestPartitionBlocks:
         assert len(list(_partition_blocks(n, 1))) == BELL[n]
         assert len(list(_partition_blocks(n, BELL[n]))) == 1
 
-    def test_blocked_q_is_bit_identical_to_whole_array(self, monkeypatch):
-        graphs = seeded_graphs(77, range(2, 11))
-        assert {g.n for g in graphs} == set(range(2, 11))
-        assert any(0 in g.degrees for g in graphs)
-        for g in graphs:
-            whole = _modularity_vector(g, all_partition_assignments(g.n))
-            for limit in block_limits(g.n):
-                monkeypatch.setattr(MODULE, "_BLOCK_ROWS", limit)
-                blocked = partition_q(g)
-                assert np.array_equal(blocked.view(np.int64), whole.view(np.int64))
-
     def test_blocked_scores_match_whole_array_scores(self):
         for g in seeded_graphs(77, range(2, 11)):
             whole = _scores(g, all_partition_assignments(g.n))
@@ -312,18 +260,18 @@ class TestPartitionBlocks:
 
     def test_report_counts_match_whole_array_counts(self, monkeypatch):
         for g in seeded_graphs(78, range(3, 10)):
-            whole = _modularity_vector(g, all_partition_assignments(g.n))
-            q_star = whole.max()
-            distinct = np.unique(whole)[::-1]
-            # q_star - Q for an attained Q puts that Q exactly on the cutoff
-            on_gap = [float(q_star - q) for q in distinct[1:4]]
+            scale = 4 * g.m * g.m
+            whole = integer_scores(g, all_partition_assignments(g.n))
+            top = int(whole.max())
+            # (top - S) / 4m^2 for an attained S puts that level exactly on the cutoff
+            on_gap = [(top - s) / scale for s in np.unique(whole)[::-1][1:4].tolist()]
             epsilons = [1e-9, 0.05, 0.3, 2.5] + on_gap
-            expected = [int((whole > q_star - eps).sum()) for eps in epsilons]
+            expected = [int((top - whole < eps * scale).sum()) for eps in epsilons]
             for limit in block_limits(g.n):
                 monkeypatch.setattr(MODULE, "_BLOCK_ROWS", limit)
                 reports = _degeneracy_reports(g, epsilons, 1)
                 assert [r.degenerate_count for r in reports] == expected
-                assert all(r.q_star == float(q_star) for r in reports)
+                assert all(r.q_star == top / scale for r in reports)
 
 
 def count_passes(monkeypatch):
@@ -340,11 +288,7 @@ def count_passes(monkeypatch):
 
 
 class TestEnumerationPasses:
-    """Counted, not timed: a lab call walks the Bell(n) rows once, twice only on a cutoff level.
-
-    The second pass finds the float Q of the rows whose exact score sits
-    on the cutoff q_star - epsilon, where the score alone cannot decide.
-    """
+    """Counted, not timed: a lab call walks the Bell(n) rows once, whatever its cutoffs."""
 
     def test_sparse_graph_takes_one_pass_per_call(self, monkeypatch):
         # n = 12 and m = 14, the size of the benchmark's lab graphs
@@ -356,14 +300,15 @@ class TestEnumerationPasses:
         verify_sparse_bounds(g, 1)
         assert calls == [12, 12]
 
-    def test_cutoff_on_an_attained_level_takes_a_second_pass(self, monkeypatch):
+    def test_every_lab_call_takes_one_pass(self, monkeypatch):
+        # 0.75 - 0.375 is a Q that partitions reach: the cutoff sits on an attained level
         g = make_graph([("a", "b"), ("c", "d"), ("e", "f"), ("g", "h")])
         calls = count_passes(monkeypatch)
         report = enumerate_degeneracy(g, 0.375, 1)
-        assert calls == [8, 8]
+        assert calls == [8]
         assert (report.degenerate_count, report.q_star) == (74, 0.75)
-        # 0.75 - 0.375 is a Q some partitions reach; those count only with a float Q above it
-        assert (_modularity_vector(g, all_partition_assignments(8)) >= 0.375).sum() > 74
+        verify_sparse_bounds(g, 1)
+        assert calls == [8, 8]
 
 
 @pytest.fixture(scope="module")
@@ -402,16 +347,7 @@ def full_size_graphs():
 
 
 class TestFullSizeBlocks:
-    """The blocked kernel at the enumeration cap, n = 12, against the float oracle."""
-
-    @pytest.mark.parametrize("graph", ["sparse", "complete", "matching"])
-    @pytest.mark.parametrize("block", ["first", "middle", "top10", "last"])
-    def test_block_q_is_bit_identical_to_float_formula(self, full_size_blocks, graph, block):
-        g = full_size_graphs()[graph]
-        rows = full_size_blocks[block]
-        new = _modularity_vector(g, rows)
-        oracle = float_modularity_vector(g, rows)
-        assert np.array_equal(new.view(np.int64), oracle.view(np.int64))
+    """The blocked kernel at the enumeration cap, n = 12, against the exact oracles."""
 
     @pytest.mark.parametrize("graph", ["sparse", "complete", "matching"])
     @pytest.mark.parametrize("block", ["first", "middle", "top10", "last"])
@@ -434,14 +370,14 @@ class TestFullSizeBlocks:
         assert _scores(g, rows)[0] == 0
 
     def test_kernel_peak_memory_per_row_is_bounded(self, full_size_blocks):
-        # At top = 8, K and its broadcast buffer take 9 B per row each; the
-        # broadcast is freed before the two float64 vectors are made, so the
-        # peak is K, the edge counts, those vectors and numpy's cast buffer:
-        # 28.1 B per row.
+        # At top = 8, K and its broadcast buffer take 9 B per row each, besides
+        # a byte of edge counts and a byte of equality mask; the buffer and
+        # mask are freed before the two int32 vectors are made, so the peak is
+        # while K is built: 20.4 B per row observed.
         rows = full_size_blocks["largest"]
         assert int(rows.max()) == 8
-        _, peak = traced_peak(_modularity_vector, full_size_graphs()["sparse"], rows)
-        assert peak <= 32 * len(rows)
+        _, peak = traced_peak(_scores, full_size_graphs()["sparse"], rows)
+        assert peak <= 24 * len(rows)
 
 
 LOOPED = [("a", "b"), ("a", "a")]
@@ -560,6 +496,63 @@ class TestExactScores:
             assert np.array_equal(scores, integer_scores(g, rows))
 
 
+def cycle_of_five():
+    return make_graph([(f"v{i}", f"v{(i + 1) % 5}") for i in range(5)])
+
+
+def path_of_six():
+    return make_graph([(f"v{i}", f"v{i+1}") for i in range(5)])
+
+
+class TestExactCounts:
+    """Q* and every count of the lab against exact rationals.
+
+    A count is of the partitions with Q* - Q < epsilon, epsilon taken as
+    the rational that the float stands for: the decimal of the grid, or
+    the statement tolerance d(2 + kbar)/2m = d(n + m)/nm.
+    """
+
+    GRID = [Fraction(1, 50), Fraction(1, 20), Fraction(1, 5), Fraction(3, 8)]
+
+    @pytest.mark.parametrize(
+        "graph, epsilon, q_star, count",
+        [
+            # 5 partitions sit at exactly Q* - 2/5 and stay out of the count
+            (cycle_of_five, Fraction(2, 5), Fraction(2, 25), 42),
+            # Q* reads 0.3, where the float Q formula gives 0.30000000000000004
+            (path_of_six, Fraction(1, 5), Fraction(3, 10), 11),
+        ],
+        ids=["cycle5", "path6"],
+    )
+    def test_named_case_matches_exact_rationals(self, graph, epsilon, q_star, count):
+        g = graph()
+        exact = [exact_q(g, Partition(tuple(r))) for r in all_partition_assignments(g.n).tolist()]
+        assert max(exact) == q_star
+        assert sum(1 for q in exact if q_star - q < epsilon) == count
+        report = enumerate_degeneracy(g, float(epsilon), 1)
+        assert (report.q_star, report.degenerate_count) == (float(q_star), count)
+
+    def test_counts_and_q_star_are_exact(self):
+        graphs = [cycle_of_five(), path_of_six()]
+        for seed in (80, 81, 82):
+            graphs += seeded_graphs(seed, range(2, 10))
+        assert {g.n for g in graphs} == set(range(2, 10))
+        wrong = []
+        for g in graphs:
+            # Q of each attained level, by the per-label int64 scores that TestExactScores checks
+            levels, sizes = np.unique(integer_scores(g, all_partition_assignments(g.n)), return_counts=True)
+            qs = [Fraction(s, 4 * g.m * g.m) for s in levels.tolist()]
+            for d in (1, 2):
+                statement, _ = degeneracy_thresholds(g, d)
+                epsilons = [*self.GRID, Fraction(d * (g.n + g.m), g.n * g.m)]
+                floats = [float(e) for e in self.GRID] + [statement]
+                for epsilon, report in zip(epsilons, _degeneracy_reports(g, floats, d)):
+                    count = int(sum(size for q, size in zip(qs, sizes) if qs[-1] - q < epsilon))
+                    if (report.q_star, report.degenerate_count) != (float(qs[-1]), count):
+                        wrong.append((g.n, g.m, d, epsilon, report.q_star, report.degenerate_count))
+        assert wrong == []
+
+
 class TestPairPerturbation:
     def test_path6_counterexample_to_stated_bound(self):
         """The pairwise bound 4 d^2 / (2m)^2 is attained, so no smaller constant holds.
@@ -569,7 +562,7 @@ class TestPairPerturbation:
         from 1/50 to 3/50: the shift is exactly 1/25 = 4 d^2 / (2m)^2, twice
         the 2 d^2 / (2m)^2 = 1/50 that was once stated as the cap.
         """
-        g = make_graph([(f"v{i}", f"v{i+1}") for i in range(5)])
+        g = path_of_six()
         p = Partition((0,) * 6)
         moved_p = p.move(5, NEW_COMMUNITY)
         shift = abs(exact_sensitivity(g, p, 0) - exact_sensitivity(g, moved_p, 0))
