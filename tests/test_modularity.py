@@ -43,6 +43,34 @@ BELL = {
 }
 
 
+def float_modularity_vector(g, assignments):
+    """Q over assignment rows by the textbook per-label float formula: an oracle outside the integer algebra."""
+    deg = np.asarray(g.degrees, dtype=np.float64)
+    intra = np.zeros(len(assignments), dtype=np.int32)
+    for u, w in g.edges():
+        intra += assignments[:, u] == assignments[:, w]
+    penalty = np.zeros(len(assignments), dtype=np.float64)
+    two_m = 2.0 * g.m
+    for cid in range(g.n):
+        k_c = (assignments == cid) @ deg
+        penalty += (k_c / two_m) ** 2
+    return intra / g.m - penalty
+
+
+def assert_scores_match_float_formula(g, rows):
+    """The float Q of every row, scaled by 4m^2 and rounded, is its score; the two Qs differ in the last bits only.
+
+    Levels of Q lie 1/4m^2 apart, and the float formula errs by a few
+    ulps, so rounding its 4m^2·Q picks the level exactly.
+    """
+    scale = 4 * g.m * g.m
+    scores = _scores(g, rows)
+    q = float_modularity_vector(g, rows)
+    assert np.array_equal(np.rint(q * scale).astype(np.int64), scores)
+    assert np.abs(q - scores / scale).max() <= 4 * np.finfo(np.float64).eps
+    return scores
+
+
 def integer_scores(g, assignments):
     """S = 4m·intra - sum_c K_c^2 over assignment rows by the per-label formula, in int64."""
     deg = np.asarray(g.degrees, dtype=np.int64)
@@ -172,6 +200,24 @@ class TestEnumeration:
         for idx in rng.integers(0, len(rows), size=20):
             p = Partition(tuple(int(x) for x in rows[int(idx)]))
             assert abs(qs[int(idx)] - modularity(g, p).q) <= TOL
+
+    def test_scores_match_float_formula(self):
+        rng = np.random.default_rng(2024)
+        graphs = [
+            make_graph([("a", "b"), ("b", "c")], names=["a", "b", "c", "z"]),  # z isolated
+            make_graph([("hub", f"leaf{i}") for i in range(8)]),  # a star
+        ]
+        for n in range(2, 10):  # one node has no edge, so Q needs n >= 2
+            for _ in range(3):
+                g = random_graph(rng, n, int(rng.integers(0, n)))
+                if g.m:
+                    graphs.append(g)
+        assert {g.n for g in graphs} == set(range(2, 10))
+        assert any(0 in g.degrees for g in graphs)
+        for g in graphs:
+            scores = assert_scores_match_float_formula(g, all_partition_assignments(g.n))
+            # the all-in-one row has K_0 = 2m, so its score is 4m^2 - (2m)^2
+            assert scores[0] == 0
 
     def test_k3_optimum_is_all_in_one(self):
         g = make_graph([("a", "b"), ("a", "c"), ("b", "c")])
@@ -347,7 +393,13 @@ def full_size_graphs():
 
 
 class TestFullSizeBlocks:
-    """The blocked kernel at the enumeration cap, n = 12, against the exact oracles."""
+    """The blocked kernel at the enumeration cap, n = 12, against the exact and float oracles."""
+
+    @pytest.mark.parametrize("graph", ["sparse", "complete", "matching"])
+    @pytest.mark.parametrize("block", ["first", "middle", "top10", "last"])
+    def test_block_scores_match_float_formula(self, full_size_blocks, graph, block):
+        # 1.28 ulps of 1.0 at most between the two Qs, observed over every 7th block
+        assert_scores_match_float_formula(full_size_graphs()[graph], full_size_blocks[block])
 
     @pytest.mark.parametrize("graph", ["sparse", "complete", "matching"])
     @pytest.mark.parametrize("block", ["first", "middle", "top10", "last"])
